@@ -9,8 +9,9 @@
 
 import numpy as np
 
-from repro.apps import decompose_complex_gates, place_with_soft_blocks
+from repro.apps import decompose_complex_gates
 from repro.finder import FinderConfig, find_tangled_logic
+from repro.flow import place_with_soft_blocks
 from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.netlist.ops import cut_size, group_pin_count
 

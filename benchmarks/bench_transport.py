@@ -1,26 +1,24 @@
-"""Zero-copy netlist transport: cold loads, worker memory, shipped bytes.
+"""Netlist transport: cold loads, worker memory, shipped bytes.
 
-Measures the three transport layers introduced with the binary pack format
-(:mod:`repro.io.binfmt`) on the ~53K-cell industrial scenario:
+Measures the pack format (:mod:`repro.io.binfmt`) and the worker pool's one
+transport on the ~53K-cell industrial scenario:
 
 * **Cold load** — parsing the design from text (``.hgr``) vs mmap-loading
   the packed ``.nla`` file (arrays touched end to end so pages actually
   fault in).  Acceptance: the packed load is **>= 5x** faster at full
   scale.  Header-only fingerprinting is timed against a full content walk
   for the same reason (warm caches key off that fingerprint).
-* **Worker memory** — the finder run through a :class:`WorkerPool` at 2
-  and 4 workers under the shared-memory transport and the pickle fallback
-  (``REPRO_PICKLE_TRANSPORT=1``).  Per-worker private memory
-  (``smaps_rollup`` Private_Clean+Private_Dirty, reported per ``pool.task``
-  span) is the discriminator: shm workers serve the design out of one
-  shared segment, so their private footprint stays flat in worker count,
-  while every pickle worker materializes its own full replica.
-* **Shipped bytes** — descriptor size vs pickled-payload size per context
-  shipment (``PoolStats.context_bytes``).
+* **Worker memory and shipped bytes** — the finder run through a
+  :class:`WorkerPool` at 2 and 4 workers, for a design loaded from its pack
+  file (workers map that file) and for the parsed design (the pool
+  serializes it once into an anonymous blob file the workers map).
+  Per-worker private memory (``smaps_rollup`` Private_Clean+Private_Dirty,
+  reported per ``pool.task`` span) stays flat in worker count because every
+  worker serves the design out of the same page-cache copy; each shipment
+  is a path of a few hundred bytes (``PoolStats.context_bytes``).
 
 Every measured run must produce a detection report bit-identical to the
-serial parsed-text baseline — across pickle/shm transports *and* across
-packed/parsed loads.
+serial parsed-text baseline.
 
 Results are written to ``BENCH_transport.json`` at the repo root via
 :mod:`benchmarks._record`.  ``REPRO_BENCH_SMOKE=1`` shrinks the scenario
@@ -42,7 +40,7 @@ from repro.io.binfmt import load_packed, packed_fingerprint, write_packed
 from repro.io.hgr import read_hgr, write_hgr
 from repro.obs import RunReport, trace
 from repro.service.fingerprint import fingerprint_netlist
-from repro.service.pool import PICKLE_TRANSPORT_ENV, WorkerPool
+from repro.service.pool import WorkerPool
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -115,8 +113,7 @@ def _measure_cold_load(tmp_dir, netlist):
 
 
 def _measure_pool(netlist, workers, serial_report):
-    """One traced pool run; returns timing/memory/bytes for the active
-    transport (set by the caller via the environment)."""
+    """One traced pool run: timing, worker memory and shipped bytes."""
     config = FinderConfig(num_seeds=NUM_SEEDS, seed=1, workers=workers)
     trace.enable()
     try:
@@ -132,6 +129,7 @@ def _measure_pool(netlist, workers, serial_report):
     tasks = [s for s in run_report.spans if s["name"] == "pool.task"]
     private = [s["attrs"].get("private_kb", 0.0) for s in tasks] or [0.0]
     maxrss = [s["attrs"].get("maxrss_kb", 0.0) for s in tasks] or [0.0]
+    counters = run_report.counters()
     return {
         "workers": workers,
         "run_s": round(run_seconds, 4),
@@ -139,8 +137,7 @@ def _measure_pool(netlist, workers, serial_report):
         "context_bytes_per_shipment": (
             stats.context_bytes // max(stats.context_shipments, 1)
         ),
-        "shm_segments": stats.shm_segments,
-        "shm_bytes": stats.shm_bytes,
+        "blob_bytes": counters.get("pool.blob_bytes", 0),
         "worker_private_kb_max": round(max(private), 1),
         "worker_private_kb_sum": round(sum(private), 1),
         "worker_maxrss_kb_max": round(max(maxrss), 1),
@@ -157,22 +154,12 @@ def test_transport_cold_load_and_worker_memory(tmp_path):
     # Packed load reproduces the parsed run exactly.
     _assert_reports_identical(packed_report, serial_report)
 
-    results = {"cold_load": cold, "shm": [], "pickle": [], "file": []}
-    previous = os.environ.pop(PICKLE_TRANSPORT_ENV, None)
-    try:
-        for workers in WORKER_COUNTS:
-            results["shm"].append(_measure_pool(parsed, workers, serial_report))
-            results["file"].append(_measure_pool(packed, workers, serial_report))
-        os.environ[PICKLE_TRANSPORT_ENV] = "1"
-        for workers in WORKER_COUNTS:
-            results["pickle"].append(
-                _measure_pool(parsed, workers, serial_report)
-            )
-    finally:
-        if previous is None:
-            os.environ.pop(PICKLE_TRANSPORT_ENV, None)
-        else:
-            os.environ[PICKLE_TRANSPORT_ENV] = previous
+    # "file": workers map the design's own pack file; "blob": the pool
+    # serializes the parsed design into an anonymous file first.
+    results = {"cold_load": cold, "file": [], "blob": []}
+    for workers in WORKER_COUNTS:
+        results["file"].append(_measure_pool(packed, workers, serial_report))
+        results["blob"].append(_measure_pool(parsed, workers, serial_report))
 
     path = record("transport", results, smoke=SMOKE)
     print(f"\nwrote {path}")
@@ -181,24 +168,22 @@ def test_transport_cold_load_and_worker_memory(tmp_path):
         f"{cold['packed_load_s']}s ({cold['load_speedup']}x), "
         f"pack {cold['pack_bytes']} bytes"
     )
-    for transport in ("shm", "file", "pickle"):
-        for row in results[transport]:
+    for source in ("file", "blob"):
+        for row in results[source]:
             print(
-                f"{transport} w={row['workers']}: run {row['run_s']}s, "
+                f"{source} w={row['workers']}: run {row['run_s']}s, "
                 f"{row['context_bytes_per_shipment']} B/shipment, "
                 f"worker private max {row['worker_private_kb_max']} KiB "
                 f"(sum {row['worker_private_kb_sum']})"
             )
 
-    # Descriptor transports ship small messages regardless of design size;
-    # the pickle payload is the whole design.  Holds at any scale.
-    for transport in ("shm", "file"):
-        for row in results[transport]:
-            assert row["context_bytes_per_shipment"] < 16_384
-    assert (
-        results["pickle"][0]["context_bytes_per_shipment"]
-        > 10 * results["shm"][0]["context_bytes_per_shipment"]
-    )
+    # A shipment is a path, whatever the design size; only the blob source
+    # serializes, exactly once per run.
+    for source in ("file", "blob"):
+        for row in results[source]:
+            assert row["context_bytes_per_shipment"] < 4096
+    assert all(row["blob_bytes"] == 0 for row in results["file"])
+    assert all(row["blob_bytes"] == cold["pack_bytes"] for row in results["blob"])
 
     if not SMOKE:
         assert cold["cells"] >= 50_000
@@ -206,24 +191,11 @@ def test_transport_cold_load_and_worker_memory(tmp_path):
         assert cold["load_speedup"] >= 5.0
         # Header fingerprint is read, not recomputed.
         assert cold["fingerprint_header_s"] < cold["fingerprint_walk_s"] / 5.0
-        # Worker peak private memory: flat in worker count under shm ...
-        shm_by_workers = {row["workers"]: row for row in results["shm"]}
-        assert (
-            shm_by_workers[4]["worker_private_kb_max"]
-            <= shm_by_workers[2]["worker_private_kb_max"] * 1.3 + 25_000
-        )
-        # ... while every pickle worker carries its own full replica: its
-        # per-worker peak clears the shm peak by at least half the design's
-        # packed size (the unpickled tuple form is strictly larger).
-        pickle_by_workers = {row["workers"]: row for row in results["pickle"]}
-        blob_kb = cold["pack_bytes"] / 1024
-        assert (
-            pickle_by_workers[4]["worker_private_kb_max"]
-            >= shm_by_workers[4]["worker_private_kb_max"] + blob_kb / 2
-        )
-        # Aggregate private memory keeps growing linearly with pickle
-        # workers (each new worker adds a replica).
-        assert (
-            pickle_by_workers[4]["worker_private_kb_sum"]
-            >= pickle_by_workers[2]["worker_private_kb_sum"] * 1.4
-        )
+        # Worker peak private memory is flat in worker count: every worker
+        # maps one shared copy of the design instead of holding a replica.
+        for source in ("file", "blob"):
+            by_workers = {row["workers"]: row for row in results[source]}
+            assert (
+                by_workers[4]["worker_private_kb_max"]
+                <= by_workers[2]["worker_private_kb_max"] * 1.3 + 25_000
+            )

@@ -11,11 +11,10 @@ The paper motivates GTL detection with three uses:
   (:mod:`repro.apps.resynthesis`).
 """
 
-from repro.apps.soft_blocks import soft_block_nets, place_with_soft_blocks
+from repro.apps.soft_blocks import soft_block_nets
 from repro.apps.resynthesis import decompose_complex_gates
 
 __all__ = [
     "soft_block_nets",
-    "place_with_soft_blocks",
     "decompose_complex_gates",
 ]

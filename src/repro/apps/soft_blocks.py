@@ -13,14 +13,11 @@ coherent even when the design is placed with aggressive spreading.
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import PlacementError
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
-from repro.placement.placer import Placement
-from repro.placement.region import Die
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -67,42 +64,3 @@ def soft_block_nets(
             builder.add_net(f"__soft{g_index}_{serial}", [a, b])
             serial += 1
     return builder.build()
-
-
-def place_with_soft_blocks(
-    netlist: Netlist,
-    groups: Sequence[Iterable[int]],
-    die: Optional[Die] = None,
-    chords_per_cell: float = 0.5,
-    rng: RngLike = 0,
-    **place_kwargs,
-) -> Placement:
-    """Deprecated alias of :func:`repro.flow.place_with_soft_blocks`.
-
-    The flow version (a declared ``soft_blocks -> place`` two-stage
-    :class:`~repro.flow.flow.Flow`) produces identical results and adds
-    per-stage fingerprint caching; this shim delegates to it.  ``rng`` must
-    be an ``int`` seed (stage configs are content-fingerprinted, so they
-    cannot carry live generator objects).
-    """
-    warnings.warn(
-        "repro.apps.place_with_soft_blocks is deprecated; "
-        "use repro.flow.place_with_soft_blocks",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not isinstance(rng, int) or isinstance(rng, bool):
-        raise PlacementError(
-            "place_with_soft_blocks now requires an int seed for rng "
-            "(stage configs are content-fingerprinted)"
-        )
-    from repro.flow import place_with_soft_blocks as flow_place_with_soft_blocks
-
-    return flow_place_with_soft_blocks(
-        netlist,
-        groups,
-        die=die,
-        chords_per_cell=chords_per_cell,
-        seed=rng,
-        **place_kwargs,
-    )

@@ -1,44 +1,16 @@
-"""Shared experiment-result container (and a deprecated detection shim).
+"""Shared experiment-result container.
 
-Experiment harnesses call :func:`repro.flow.detect` — a one-stage flow —
-instead of :func:`repro.finder.find_tangled_logic` directly.  When the
-environment variable ``REPRO_CACHE_DIR`` names a directory, deterministic
-runs are served from (and recorded into) a
-:class:`repro.service.store.ResultStore` there — re-running a table harness
-after an interrupted session only pays for the rows it has not seen yet.
-
-The :func:`detect` defined here is a deprecated alias kept for callers of
-the pre-flow API.
+Experiment harnesses detect through :func:`repro.flow.detect`, which serves
+deterministic runs from a result store when ``REPRO_CACHE_DIR`` is set.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import write_csv
-from repro.finder.config import FinderConfig
-from repro.finder.result import FinderReport
-from repro.netlist.hypergraph import Netlist
 from repro.utils.tables import format_table
-
-#: Same value as :data:`repro.flow.api.CACHE_ENV_VAR`, duplicated as a
-#: literal so importing this module (every experiment harness does) never
-#: pulls in the flow/placement stack.
-CACHE_ENV_VAR = "REPRO_CACHE_DIR"
-
-
-def detect(netlist: Netlist, config: Optional[FinderConfig] = None, **overrides) -> FinderReport:
-    """Deprecated alias of :func:`repro.flow.detect` (identical results)."""
-    warnings.warn(
-        "repro.experiments.common.detect is deprecated; use repro.flow.detect",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.flow import detect as flow_detect
-
-    return flow_detect(netlist, config, **overrides)
 
 
 @dataclass

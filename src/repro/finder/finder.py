@@ -244,20 +244,13 @@ class TangledLogicFinder:
         self.last_outcomes: List[_SeedOutcome] = []
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        pool: Optional["WorkerPool"] = None,
-        pool_key: Optional[str] = None,
-    ) -> FinderReport:
+    def run(self, pool: Optional["WorkerPool"] = None) -> FinderReport:
         """Execute Phases I-III for all seeds and return the report.
 
         Args:
             pool: a persistent :class:`repro.service.pool.WorkerPool` to run
                 the seed trials on; ``None`` executes serially or, when
                 ``config.workers > 1``, on an ephemeral pool.
-            pool_key: context key identifying ``(netlist, config)`` inside
-                ``pool`` (batch drivers pass the job fingerprint so the
-                netlist is shipped to the workers only once).
         """
         config = self.config
         with Timer() as timer, trace.span(
@@ -266,9 +259,7 @@ class TangledLogicFinder:
             jobs = plan_seed_jobs(self.netlist, config)
 
             if pool is not None:
-                outcomes = pool.run_seed_jobs(
-                    self.netlist, config, jobs, key=pool_key
-                )
+                outcomes = pool.run_seed_jobs(self.netlist, config, jobs)
             elif config.workers > 1 and len(jobs) > 1:
                 outcomes = self._run_parallel(jobs)
             else:
@@ -292,18 +283,12 @@ class TangledLogicFinder:
 
     # ------------------------------------------------------------------
     def _run_parallel(self, jobs: List[Tuple[int, int]]) -> List[_SeedOutcome]:
-        """One-shot parallel run on an ephemeral service pool.
-
-        The fixed key skips content hashing: the pool lives for exactly one
-        ``(netlist, config)`` context, so no collision is possible.
-        """
+        """One-shot parallel run on an ephemeral service pool."""
         from repro.service.pool import WorkerPool
 
         workers = min(self.config.workers, len(jobs))
         with WorkerPool(workers) as pool:
-            return pool.run_seed_jobs(
-                self.netlist, self.config, jobs, key="single-run"
-            )
+            return pool.run_seed_jobs(self.netlist, self.config, jobs)
 
 
 def find_tangled_logic(

@@ -25,8 +25,6 @@ class FlowContext:
             reuse machinery (incremental detection) read it directly.
         results: :class:`~repro.flow.stage.StageResult` of every stage run
             so far, in declaration order.
-        current_fingerprint: fingerprint of the stage being computed right
-            now (stages use it e.g. as the worker-pool context key).
     """
 
     netlist: Netlist
@@ -34,7 +32,6 @@ class FlowContext:
     pool: Optional[Any] = None
     store: Optional[Any] = None
     results: List[Any] = field(default_factory=list)
-    current_fingerprint: str = ""
 
     def latest_artifact(self, kind: str) -> Optional[Any]:
         """Most recent upstream artifact of ``kind``, or ``None``."""

@@ -178,7 +178,6 @@ class Flow:
                         artifact = self._lookup(store, stage, fingerprint, ctx, label)
                         cached = artifact is not None
                     if artifact is None:
-                        ctx.current_fingerprint = fingerprint
                         artifact = stage.compute(ctx)
                     stage.apply(ctx, artifact)
                 if not cached and cacheable:

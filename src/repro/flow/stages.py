@@ -57,10 +57,7 @@ class DetectStage(Stage):
         return self.config.seed is not None
 
     def compute(self, ctx):
-        finder = TangledLogicFinder(ctx.netlist, self.config)
-        if ctx.pool is not None:
-            return finder.run(pool=ctx.pool, pool_key=ctx.current_fingerprint)
-        return finder.run()
+        return TangledLogicFinder(ctx.netlist, self.config).run(pool=ctx.pool)
 
     def decode_artifact(self, payload, ctx):
         report = super().decode_artifact(payload, ctx)
@@ -129,7 +126,6 @@ class IncrementalDetectStage(DetectStage):
             halo=self.halo,
             full_threshold=self.full_threshold,
             pool=ctx.pool,
-            pool_key=ctx.current_fingerprint,
         )
         self._last_incremental = result
         return result.report

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
@@ -207,11 +207,10 @@ def run_traced(
     netlist: Netlist,
     config: FinderConfig,
     pool: Optional[Any] = None,
-    pool_key: Optional[str] = None,
 ) -> Tuple[FinderReport, SeedTrace]:
     """One full finder run, returning the report plus its seed trace."""
     finder = TangledLogicFinder(netlist, config)
-    report = finder.run(pool=pool, pool_key=pool_key)
+    report = finder.run(pool=pool)
     seed_trace = SeedTrace(
         netlist_fingerprint=fingerprint_netlist(netlist),
         config=config,
@@ -296,7 +295,6 @@ def incremental_detect(
     halo: int = 0,
     full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
-    pool_key: Optional[str] = None,
 ) -> IncrementalResult:
     """Patch a traced base run onto the edited netlist ``new``.
 
@@ -334,7 +332,7 @@ def incremental_detect(
         def _full(reason: str, region: Optional[DirtyRegion] = None) -> IncrementalResult:
             if trace.enabled():
                 trace.counter("incremental.full_fallbacks").add(1)
-            report, new_trace = run_traced(new, config, pool=pool, pool_key=pool_key)
+            report, new_trace = run_traced(new, config, pool=pool)
             return IncrementalResult(
                 report=report,
                 trace=new_trace,
@@ -389,9 +387,7 @@ def incremental_detect(
             if dirty_indices:
                 dirty_jobs = [jobs[i] for i in dirty_indices]
                 if pool is not None:
-                    recomputed = pool.run_seed_jobs(
-                        new, config, dirty_jobs, key=pool_key
-                    )
+                    recomputed = pool.run_seed_jobs(new, config, dirty_jobs)
                 else:
                     recomputed = _process_batch(new, config, dirty_jobs)
                 for index, outcome in zip(dirty_indices, recomputed):
@@ -506,7 +502,6 @@ def detect_with_reuse(
     halo: int = 0,
     full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
-    pool_key: Optional[str] = None,
 ) -> IncrementalResult:
     """Detect on ``netlist``, reusing whatever the store makes sound.
 
@@ -525,7 +520,7 @@ def detect_with_reuse(
     """
     deterministic = config.seed is not None
     if store is None or not deterministic:
-        report, seed_trace = run_traced(netlist, config, pool=pool, pool_key=pool_key)
+        report, seed_trace = run_traced(netlist, config, pool=pool)
         return IncrementalResult(
             report=report,
             trace=seed_trace,
@@ -549,10 +544,10 @@ def detect_with_reuse(
         netlist, config, store,
         base=base, base_fingerprint=base_fingerprint, delta=delta,
         netlist_fp=netlist_fp, halo=halo, full_threshold=full_threshold,
-        pool=pool, pool_key=pool_key,
+        pool=pool,
     )
     if result is None:
-        report, seed_trace = run_traced(netlist, config, pool=pool, pool_key=pool_key)
+        report, seed_trace = run_traced(netlist, config, pool=pool)
         result = IncrementalResult(
             report=report,
             trace=seed_trace,
@@ -577,7 +572,6 @@ def _try_incremental(
     halo: int,
     full_threshold: float,
     pool: Optional[Any],
-    pool_key: Optional[str],
 ) -> Optional[IncrementalResult]:
     """Resolve a usable base + trace and patch; ``None`` when there is none."""
     base_fp = base_fingerprint
@@ -607,7 +601,7 @@ def _try_incremental(
     return incremental_detect(
         base, netlist, seed_trace, config,
         delta=delta, halo=halo, full_threshold=full_threshold,
-        pool=pool, pool_key=pool_key,
+        pool=pool,
     )
 
 

@@ -1,11 +1,10 @@
 """Versioned binary container for :class:`~repro.netlist.arrays.NetlistArrays`.
 
-One on-disk layout serves every transport in the codebase: pack files on
-disk (``.nla``, loaded zero-copy through ``mmap``), shared-memory segments
-(:mod:`repro.service.pool` places one blob per design in
-``multiprocessing.shared_memory`` and ships workers a tiny descriptor),
-and the pickle fallback (:class:`~repro.netlist.backed.ArrayBackedNetlist`
-pickles as this blob).
+One layout serves everything that moves a design between processes: pack
+files on disk (``.nla``, loaded zero-copy through ``mmap``) — which is also
+how :mod:`repro.service.pool` reaches its workers, through the design's own
+pack file or an anonymous one it writes — and the pickle form of
+:class:`~repro.netlist.backed.ArrayBackedNetlist`, which is this blob.
 
 Layout (all integers little-endian)::
 
@@ -47,7 +46,7 @@ section                   dtype     shape
 
 Derived arrays (``net_degrees``, ``pin_net``) are stored rather than
 recomputed so that *every* array a worker touches stays a view into the
-shared buffer — recomputing them would cost O(pins) private memory per
+shared mapping — recomputing them would cost O(pins) private memory per
 process, exactly what this format exists to avoid.
 
 All validation failures raise :class:`~repro.errors.ParseError` naming
@@ -69,7 +68,7 @@ from repro.netlist.arrays import NetlistArrays
 from repro.netlist.backed import ArrayBackedNetlist, NameTable
 from repro.netlist.hypergraph import Netlist
 
-#: First 8 bytes of every pack file / shared-memory blob.
+#: First 8 bytes of every pack file / blob.
 MAGIC = b"REPRONLA"
 
 #: Bump on any layout change; readers reject other versions.
@@ -175,9 +174,9 @@ def _section_arrays(netlist: Netlist) -> Dict[str, np.ndarray]:
 def serialize_netlist(netlist: Netlist) -> bytes:
     """One contiguous pack blob (header + payload) for ``netlist``.
 
-    The identical bytes work as a ``.nla`` file, a shared-memory segment
-    or a pickle payload.  The content fingerprint is computed here (or
-    taken from the netlist's memoized value) and stamped into the header.
+    The identical bytes work as a ``.nla`` file or a pickle payload.  The
+    content fingerprint is computed here (or taken from the netlist's
+    memoized value) and stamped into the header.
     """
     from repro.service.fingerprint import fingerprint_netlist
 
@@ -415,9 +414,9 @@ def netlist_from_buffer(
     """Build an :class:`ArrayBackedNetlist` over ``buf`` without copying.
 
     ``buf`` is any buffer holding one pack blob (a ``bytes`` object, an
-    ``mmap.mmap``, a ``SharedMemory.buf`` memoryview).  Every array of the
-    returned netlist is a read-only view into ``buf``; pass the object
-    that keeps the buffer alive as ``owner``.
+    ``mmap.mmap``, a memoryview).  Every array of the returned netlist is a
+    read-only view into ``buf``; pass the object that keeps the buffer
+    alive as ``owner``.
     """
     buf = buf if isinstance(buf, (bytes, bytearray, mmap.mmap)) else memoryview(buf)
     header = _parse_header(buf, len(buf), source)

@@ -37,8 +37,7 @@ def geometry_backend(backend: Optional[str] = None) -> str:
 
     Alias of :func:`repro.netlist.backend.resolve_backend`, kept for the
     PR 2 call sites; one switch now governs geometry *and* the detection
-    kernel (``REPRO_SCALAR_BACKEND=1`` forces the scalar reference, with
-    ``REPRO_SCALAR_GEOMETRY`` honored as a deprecated alias).
+    kernel (``REPRO_SCALAR_BACKEND=1`` forces the scalar reference).
     """
     return resolve_backend(backend)
 

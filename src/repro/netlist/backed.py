@@ -3,10 +3,10 @@
 :class:`ArrayBackedNetlist` is the in-memory face of the zero-copy
 transport path (:mod:`repro.io.binfmt`): the content lives in one
 :class:`~repro.netlist.arrays.NetlistArrays` — possibly views over an
-``np.memmap``-ed pack file or a ``multiprocessing.shared_memory`` segment
-— plus two compact name tables (UTF-8 blob + offsets).  Nothing else is
-materialized up front, so a worker process that maps a shared design pays
-O(1) private memory for it, not O(pins) of Python tuples.
+``mmap``-ed pack file — plus two compact name tables (UTF-8 blob +
+offsets).  Nothing else is materialized up front, so a worker process
+that maps a shared design pays O(1) private memory for it, not O(pins)
+of Python tuples.
 
 Two tiers of accessors keep that promise without forking the API:
 
@@ -21,8 +21,9 @@ Two tiers of accessors keep that promise without forking the API:
   cost.  Correctness never depends on which tier answers.
 
 Pickling round-trips through the binary container itself
-(:func:`repro.io.binfmt.netlist_from_bytes`), so the pickle-transport
-fallback ships the compact array form, never the tuple form.
+(:func:`repro.io.binfmt.netlist_from_bytes`), so a pickled netlist (a
+sharded sweep's jobs, for one) travels in the compact array form, never
+the tuple form.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class NameTable:
 
     ``offsets`` is an int64 array of ``len + 1`` byte offsets into
     ``blob`` (uint8); name ``i`` is ``blob[offsets[i]:offsets[i+1]]``.
-    This is the on-disk/shared-memory representation — decoding happens
+    This is the on-disk (pack-file) representation — decoding happens
     per lookup, the full tuple and the name->index dict only on demand.
     """
 
@@ -127,13 +128,13 @@ class ArrayBackedNetlist(Netlist):
 
     Args:
         arrays: the CSR view holding the full connectivity and per-cell
-            attributes (may be backed by an mmap or shared memory).
+            attributes (may be backed by an mmap).
         cell_names / net_names: :class:`NameTable` over the same buffer.
         owner: optional object keeping the backing buffer alive (an
-            ``mmap.mmap``, a ``SharedMemory`` handle, or the ``bytes``
-            blob); held for the lifetime of this netlist.
-        source: human-readable origin (pack-file path, ``shm:<name>``),
-            used in error messages and by the pool's file transport.
+            ``mmap.mmap`` or the ``bytes`` blob); held for the lifetime of
+            this netlist.
+        source: human-readable origin (the pack-file path), used in error
+            messages and by the pool to ship the file to its workers.
     """
 
     __slots__ = ("_cell_table", "_net_table", "_mat", "_owner", "source")
@@ -336,9 +337,9 @@ class ArrayBackedNetlist(Netlist):
     __hash__ = Netlist.__hash__
 
     def __reduce__(self):
-        # Round-trip through the binary container: the pickle fallback
-        # transport then ships the compact array form, and the receiving
-        # process rebuilds an ArrayBackedNetlist over the blob in place.
+        # Round-trip through the binary container: pickling ships the
+        # compact array form, and the receiving process rebuilds an
+        # ArrayBackedNetlist over the blob in place.
         from repro.io.binfmt import netlist_from_bytes, serialize_netlist
 
         return (netlist_from_bytes, (serialize_netlist(self),))

@@ -14,9 +14,6 @@ the two:
 * An explicit ``"numpy"`` / ``"python"`` argument wins over the
   environment, so call sites can pin a backend per call.
 
-``REPRO_SCALAR_GEOMETRY`` (the PR 2 spelling, from when only geometry was
-vectorized) is honored as a deprecated alias and warns once per process.
-
 Both backends produce identical results: orderings, integer group
 statistics and FM partitions (move sequences, sides, cuts, pass counts)
 are bit-identical by construction, floating-point scores agree to well
@@ -28,7 +25,6 @@ the backend at all.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -37,37 +33,19 @@ from repro.errors import NetlistError
 #: Environment variable forcing the scalar reference backend everywhere.
 SCALAR_BACKEND_ENV_VAR = "REPRO_SCALAR_BACKEND"
 
-#: Deprecated PR 2 alias of :data:`SCALAR_BACKEND_ENV_VAR`.
-LEGACY_SCALAR_ENV_VAR = "REPRO_SCALAR_GEOMETRY"
-
 VALID_BACKENDS = ("numpy", "python")
-
-_legacy_warned = False
 
 
 def _scalar_forced_by_env() -> bool:
-    value = os.environ.get(SCALAR_BACKEND_ENV_VAR)
-    if value is None:
-        value = os.environ.get(LEGACY_SCALAR_ENV_VAR)
-        if value is not None:
-            global _legacy_warned
-            if not _legacy_warned:
-                _legacy_warned = True
-                warnings.warn(
-                    f"{LEGACY_SCALAR_ENV_VAR} is deprecated; it now governs "
-                    f"the detection kernel as well as geometry — set "
-                    f"{SCALAR_BACKEND_ENV_VAR} instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-    return (value or "").strip() not in ("", "0")
+    value = os.environ.get(SCALAR_BACKEND_ENV_VAR, "")
+    return value.strip() not in ("", "0")
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a compute backend name to ``"numpy"`` or ``"python"``.
 
-    ``None`` picks ``"numpy"`` unless :data:`SCALAR_BACKEND_ENV_VAR` (or its
-    deprecated alias) forces the scalar reference implementation.
+    ``None`` picks ``"numpy"`` unless :data:`SCALAR_BACKEND_ENV_VAR` forces
+    the scalar reference implementation.
     """
     if backend is None:
         backend = "python" if _scalar_forced_by_env() else "numpy"
@@ -82,8 +60,8 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 def forced_backend(backend: str) -> Iterator[None]:
     """Force ``backend`` process-wide for the duration of the block.
 
-    Sets :data:`SCALAR_BACKEND_ENV_VAR` (which wins over the deprecated
-    alias) and restores the previous value on exit — the single point of
+    Sets :data:`SCALAR_BACKEND_ENV_VAR` and restores the previous value on
+    exit — the single point of
     truth for benchmarks and tests that compare the two backends.
     """
     if backend not in VALID_BACKENDS:
@@ -102,7 +80,6 @@ def forced_backend(backend: str) -> Iterator[None]:
 
 
 __all__ = [
-    "LEGACY_SCALAR_ENV_VAR",
     "SCALAR_BACKEND_ENV_VAR",
     "VALID_BACKENDS",
     "forced_backend",

@@ -483,10 +483,8 @@ class ServerDaemon:
             self.counters["warm_hits"] += 1
             if trace.enabled():
                 trace.counter("server.warm_hits").add(1)
-            record.state = DONE
             record.cached = True
-            record.finished_at = time.time()
-            record.result = warm
+            record.finish(DONE, result=warm)
             self.queue.remember(record)
             protocol.write_message(stream, record.publish("result", **warm))
             return
@@ -579,9 +577,9 @@ class ServerDaemon:
                 fingerprint=fingerprint,
                 group=group,
             )
-            record.context = (netlist, config)  # type: ignore[attr-defined]
+            record.context = (netlist, config)
             if delta is not None:
-                record.delta_context = (base_netlist, delta)  # type: ignore[attr-defined]
+                record.delta_context = (base_netlist, delta)
             return record
 
         stages_data = request.get("stages")
@@ -605,7 +603,7 @@ class ServerDaemon:
             fingerprint=chain[-1],
             group=group,
         )
-        record.context = (netlist, flow, chain[1:])  # type: ignore[attr-defined]
+        record.context = (netlist, flow, chain[1:])
         return record
 
     def _warm_probe(self, record: JobRecord) -> Optional[Dict[str, Any]]:
@@ -617,7 +615,7 @@ class ServerDaemon:
         """
         began = trace.clock()
         if record.kind == "detect":
-            netlist, config = record.context  # type: ignore[attr-defined]
+            netlist, config = record.context
             if config.seed is None:
                 return None  # nondeterministic: never cached
             if record.fingerprint not in self.store:
@@ -635,7 +633,7 @@ class ServerDaemon:
                 "attempts": 0,
             }
         else:
-            netlist, flow, stage_fps = record.context  # type: ignore[attr-defined]
+            netlist, flow, stage_fps = record.context
             if not flow.deterministic:
                 return None
             if not all(fp in self.store for fp in stage_fps):
@@ -693,9 +691,7 @@ class ServerDaemon:
                     )
                     job_span.set(outcome="failed")
                 else:
-                    record.state = DONE
-                    record.finished_at = time.time()
-                    record.result = payload
+                    record.finish(DONE, result=payload)
                     self.counters["done"] += 1
                     if trace.enabled():
                         trace.counter(f"server.done.{record.priority}").add(1)
@@ -704,9 +700,7 @@ class ServerDaemon:
                     record.publish("result", **payload)
 
     def _finish_failed(self, record: JobRecord, error: str) -> None:
-        record.state = FAILED
-        record.finished_at = time.time()
-        record.error = error
+        record.finish(FAILED, error=error)
         self.counters["failed"] += 1
         if trace.enabled():
             trace.counter("server.failed").add(1)
@@ -715,7 +709,7 @@ class ServerDaemon:
     def _execute(self, record: JobRecord) -> Dict[str, Any]:
         if record.kind == "detect":
             return self._execute_detect(record)
-        netlist, flow, _ = record.context  # type: ignore[attr-defined]
+        netlist, flow, _ = record.context
         outcome = flow.run(
             netlist,
             store=self.store,
@@ -747,8 +741,8 @@ class ServerDaemon:
         """
         from repro.incremental import detect_with_reuse
 
-        netlist, config = record.context  # type: ignore[attr-defined]
-        base_netlist, delta = getattr(record, "delta_context", (None, None))
+        netlist, config = record.context
+        base_netlist, delta = record.delta_context or (None, None)
         try:
             result = detect_with_reuse(
                 netlist,
@@ -757,7 +751,6 @@ class ServerDaemon:
                 base=base_netlist,
                 delta=delta,
                 pool=self.pool,
-                pool_key=record.fingerprint,
             )
         except ReproError as error:
             raise ServerError(str(error)) from error

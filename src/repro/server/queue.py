@@ -34,7 +34,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServerBusy, ServerError
 
@@ -81,6 +81,10 @@ class JobRecord:
         cached: True when the result was answered from the store.
         error: terminal error string when ``state == "failed"``.
         result: terminal result payload (the ``result`` event's body).
+        context: what the daemon executes — ``(netlist, config)`` for a
+            detect, ``(netlist, flow, stage_fingerprints)`` for a flow;
+            dropped by :meth:`finish` so the job history holds no designs.
+        delta_context: ``(base_netlist, delta)`` of a delta submit.
     """
 
     def __init__(
@@ -103,12 +107,33 @@ class JobRecord:
         self.cached = False
         self.error: Optional[str] = None
         self.result: Optional[Dict[str, Any]] = None
+        self.context: Optional[Tuple[Any, ...]] = None
+        self.delta_context: Optional[Tuple[Any, Any]] = None
         self.created_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._lock = threading.Lock()
         self._events: List[Dict[str, Any]] = []
         self._subscribers: List[_stdlib_queue.SimpleQueue] = []
+
+    def finish(
+        self,
+        state: str,
+        result: Optional[Dict[str, Any]] = None,
+        error: Optional[str] = None,
+    ) -> None:
+        """Move to terminal ``state``: the one place a job ends.
+
+        Releases the netlists the job ran on — a terminal record lives on
+        in the status history, and a design per record would pin hundreds
+        of megabytes there.
+        """
+        self.state = state
+        self.finished_at = time.time()
+        self.result = result
+        self.error = error
+        self.context = None
+        self.delta_context = None
 
     # -- event streaming ------------------------------------------------
     def publish(self, event: str, **fields: Any) -> Dict[str, Any]:
@@ -325,8 +350,7 @@ class JobQueue:
                     f"can be cancelled"
                 )
             self._queues[record.priority].remove(record)
-            record.state = CANCELLED
-            record.finished_at = time.time()
+            record.finish(CANCELLED)
             self.cancelled += 1
         record.publish("cancelled")
         return record
@@ -347,8 +371,7 @@ class JobQueue:
                 for backlog in self._queues.values():
                     while backlog:
                         record = backlog.popleft()
-                        record.state = CANCELLED
-                        record.finished_at = time.time()
+                        record.finish(CANCELLED)
                         self.cancelled += 1
                         dropped.append(record)
             self._condition.notify_all()

@@ -159,7 +159,6 @@ def _execute_shard(
     cache_dir: Optional[str],
     use_cache: bool,
     workers: int,
-    max_attempts: int,
 ) -> Dict[str, object]:
     """Run one shard's jobs in this process (the shard-worker entry point).
 
@@ -172,10 +171,7 @@ def _execute_shard(
         store = ResultStore(shard_store_path(cache_dir, shard.shard_id))
     try:
         with Timer() as timer, BatchRunner(
-            workers=workers,
-            store=store,
-            use_cache=use_cache,
-            max_attempts=max_attempts,
+            workers=workers, store=store, use_cache=use_cache
         ) as runner:
             results = runner.run(shard.jobs)
         outcomes = [
@@ -217,7 +213,6 @@ class SweepCoordinator:
         parallel: concurrent shard processes (default: ``num_shards``).
         max_shard_attempts: dispatch attempts per shard before its jobs
             are reported failed.
-        job_max_attempts: per-job retry budget inside a shard's runner.
         progress: optional :class:`ShardProgress` callback.
         daemon_socket: when set, dispatch through a running daemon at this
             socket instead of local processes (priority class ``sweep``).
@@ -233,7 +228,6 @@ class SweepCoordinator:
         workers: int = 1,
         parallel: Optional[int] = None,
         max_shard_attempts: int = 2,
-        job_max_attempts: int = 2,
         progress: Optional[ShardProgressCallback] = None,
         daemon_socket: Optional[str] = None,
         group: str = "",
@@ -248,7 +242,6 @@ class SweepCoordinator:
         self.workers = workers
         self.parallel = parallel or num_shards
         self.max_shard_attempts = max_shard_attempts
-        self.job_max_attempts = job_max_attempts
         self.progress = progress
         self.daemon_socket = daemon_socket
         self.group = group
@@ -332,7 +325,6 @@ class SweepCoordinator:
                         self.cache_dir,
                         self.use_cache,
                         self.workers,
-                        self.job_max_attempts,
                     ): shard
                     for shard in wave
                 }

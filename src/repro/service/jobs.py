@@ -4,8 +4,9 @@ A :class:`DetectionJob` names one ``(netlist, config)`` detection;
 :class:`BatchRunner` executes many of them through one shared
 :class:`~repro.service.pool.WorkerPool`, consulting a
 :class:`~repro.service.store.ResultStore` first so previously computed
-(identical-content) jobs are answered from cache, and retrying jobs whose
-workers die.
+(identical-content) jobs are answered from cache.  Worker crashes are
+retried inside the pool (``WorkerPool.max_retries``); a job that still
+fails is recorded once, with its error.
 
 Caching is only sound for deterministic runs: a job whose config has
 ``seed=None`` is executed unconditionally and never stored.
@@ -17,7 +18,7 @@ import dataclasses
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ServiceError
 from repro.finder.config import FinderConfig
@@ -89,7 +90,7 @@ class JobResult:
         report: the finder report, or ``None`` when the job failed.
         cached: True when the report came from the result store.
         runtime_seconds: wall-clock spent answering this job (lookup or run).
-        attempts: execution attempts made (0 for a cache hit).
+        attempts: execution attempts made (0 for a cache hit, else 1).
         error: stringified terminal error when ``report`` is ``None``.
     """
 
@@ -132,7 +133,6 @@ class BatchRunner:
         store: result store for cache lookup/insert (``None`` = no caching).
         use_cache: master switch; ``False`` bypasses the store entirely —
             no lookups and no inserts (the ``--no-cache`` path).
-        max_attempts: tries per job before recording a failure.
         progress: callback invoked after every finished job.
         pool: inject a pre-built :class:`WorkerPool` (owned by the caller);
             otherwise the runner creates and owns one.
@@ -143,15 +143,11 @@ class BatchRunner:
         workers: int = 1,
         store: Optional[ResultStore] = None,
         use_cache: bool = True,
-        max_attempts: int = 2,
         progress: Optional[ProgressCallback] = None,
         pool: Optional[WorkerPool] = None,
     ) -> None:
-        if max_attempts < 1:
-            raise ServiceError("BatchRunner max_attempts must be >= 1")
         self.store = store
         self.use_cache = use_cache
-        self.max_attempts = max_attempts
         self.progress = progress
         self._pool = pool or WorkerPool(workers)
         self._owns_pool = pool is None
@@ -193,7 +189,7 @@ class BatchRunner:
                         store_error,
                     )
             if cached_report is None:
-                report, attempts, error = self._execute(job)
+                report, error = self._execute(job)
                 if report is not None and cacheable:
                     try:
                         self.store.put(job.fingerprint, report)
@@ -226,25 +222,25 @@ class BatchRunner:
             report=report,
             cached=False,
             runtime_seconds=timer.elapsed,
-            attempts=attempts,
             error=error,
         )
 
-    def _execute(self, job: DetectionJob):
-        """Run a job through the shared pool with retry-on-worker-failure."""
-        last_error: Optional[str] = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                finder = TangledLogicFinder(job.netlist, job.config)
-                report = finder.run(pool=self._pool, pool_key=job.fingerprint)
-                return report, attempt, None
-            except ReproError as error:
-                # Misconfiguration or exhausted pool retries: deterministic,
-                # retrying cannot help.
-                return None, attempt, str(error)
-            except Exception as error:  # worker crash, pickling, OS pressure
-                last_error = f"{type(error).__name__}: {error}"
-        return None, self.max_attempts, last_error
+    def _execute(
+        self, job: DetectionJob
+    ) -> Tuple[Optional[FinderReport], Optional[str]]:
+        """Run a job through the shared pool once: ``(report, error)``.
+
+        The pool already replays batches lost to worker crashes, so an
+        error reaching this point is deterministic and retrying it would
+        only run a broken job twice.
+        """
+        try:
+            finder = TangledLogicFinder(job.netlist, job.config)
+            return finder.run(pool=self._pool), None
+        except ReproError as error:
+            return None, str(error)
+        except Exception as error:  # a kernel bug: fail this job, not the batch
+            return None, f"{type(error).__name__}: {error}"
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps import decompose_complex_gates, place_with_soft_blocks, soft_block_nets
+from repro.apps import decompose_complex_gates, soft_block_nets
 from repro.errors import PlacementError
+from repro.flow import place_with_soft_blocks
 from repro.generators import IndustrialSpec, generate_industrial
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.ops import cut_size

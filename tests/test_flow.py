@@ -277,35 +277,6 @@ def test_stage_config_rejects_unknown_overrides():
 
 
 # ----------------------------------------------------------------------
-# Deprecated shims
-# ----------------------------------------------------------------------
-def test_detect_shim_warns_and_matches_new_api(small, tmp_path, monkeypatch):
-    from repro.experiments.common import detect as old_detect
-    from repro.flow import detect as new_detect
-
-    netlist, _ = small
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    with pytest.deprecated_call():
-        old = old_detect(netlist, CFG)
-    new = new_detect(netlist, CFG)
-    assert old == new
-    with ResultStore(str(tmp_path)) as store:
-        assert len(store) == 1  # both calls shared one cache entry
-
-
-def test_place_with_soft_blocks_shim_warns_and_matches_new_api(small):
-    from repro.apps import place_with_soft_blocks as old_api
-    from repro.flow import place_with_soft_blocks as new_api
-
-    netlist, truth = small
-    with pytest.deprecated_call():
-        old = old_api(netlist, [truth[0]], rng=2, utilization=0.5)
-    new = new_api(netlist, [truth[0]], seed=2, utilization=0.5)
-    assert old.netlist is netlist and new.netlist is netlist
-    assert np.array_equal(old.x, new.x) and np.array_equal(old.y, new.y)
-
-
-# ----------------------------------------------------------------------
 # Manifests + CLI
 # ----------------------------------------------------------------------
 def _write_manifest(tmp_path, netlist):

@@ -2,8 +2,7 @@
 
 The vectorized hot paths (batched HPWL/star, RUDY demand, quadratic spring
 assembly) must agree with the scalar per-net reference implementations that
-stay available through ``backend="python"`` / ``REPRO_SCALAR_BACKEND=1``
-(``REPRO_SCALAR_GEOMETRY`` is honored as a deprecated alias).
+stay available through ``backend="python"`` / ``REPRO_SCALAR_BACKEND=1``.
 """
 
 import pickle
@@ -125,7 +124,6 @@ def test_gather_segments_contiguous_returns_view():
 
 def test_geometry_backend_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_SCALAR_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_SCALAR_GEOMETRY", raising=False)
     assert geometry_backend() == "numpy"
     assert geometry_backend("python") == "python"
     monkeypatch.setenv("REPRO_SCALAR_BACKEND", "1")
@@ -134,25 +132,6 @@ def test_geometry_backend_resolution(monkeypatch):
     assert geometry_backend() == "numpy"
     with pytest.raises(NetlistError):
         geometry_backend("fortran")
-
-
-def test_legacy_scalar_geometry_alias_warns_once(monkeypatch):
-    from repro.netlist import backend as backend_module
-
-    monkeypatch.delenv("REPRO_SCALAR_BACKEND", raising=False)
-    monkeypatch.setenv("REPRO_SCALAR_GEOMETRY", "1")
-    monkeypatch.setattr(backend_module, "_legacy_warned", False)
-    with pytest.warns(DeprecationWarning, match="REPRO_SCALAR_GEOMETRY"):
-        assert geometry_backend() == "python"
-    # Second resolution stays on the scalar path but does not warn again.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert geometry_backend() == "python"
-    # The new variable wins over the alias when both are set.
-    monkeypatch.setenv("REPRO_SCALAR_BACKEND", "0")
-    assert geometry_backend() == "numpy"
 
 
 # ---------------------------------------------------------------- hpwl

@@ -5,7 +5,7 @@ import pytest
 
 from repro import FinderConfig, find_tangled_logic
 from repro.analysis.overlap import match_to_ground_truth
-from repro.apps import place_with_soft_blocks
+from repro.flow import place_with_soft_blocks
 from repro.generators import (
     IndustrialSpec,
     default_bigblue1_like,

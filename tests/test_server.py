@@ -103,6 +103,16 @@ def test_queue_cancel_queued_job():
     assert queue.get(record.job_id) is record
 
 
+def test_record_finish_releases_its_design():
+    queue = JobQueue()
+    record = _job()
+    record.context = ("netlist", "config")
+    record.delta_context = ("base", "delta")
+    queue.submit(record)
+    queue.cancel(record.job_id)
+    assert record.context is None and record.delta_context is None
+
+
 def test_queue_cancel_rejects_non_queued():
     queue = JobQueue()
     record = _job()
@@ -569,6 +579,35 @@ def test_daemon_delta_submit_end_to_end(corpus, daemon_factory):
     warm = client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
     assert warm["cached"] is True
     assert "incremental" not in warm
+
+
+def test_terminal_records_hold_no_netlist(corpus, daemon_factory):
+    """The job history keeps status rows, not the designs jobs ran on."""
+    from repro.generators.perturb import rewire_pins
+    from repro.netlist.hypergraph import Netlist
+    from repro.server.queue import TERMINAL_STATES
+
+    daemon, client = daemon_factory()
+    path, netlist = corpus["a"]
+    client.submit(path, config=DELTA_CFG)  # cold
+    client.submit(path, config=DELTA_CFG)  # warm hit
+    _, delta = rewire_pins(netlist, 0.002, rng=1, return_delta=True)
+    client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
+    client.submit(path, kind="flow", stages=[{"stage": "detect", **CFG}])
+
+    def netlists(value):
+        if isinstance(value, Netlist):
+            return 1
+        if isinstance(value, (tuple, list)):
+            return sum(netlists(item) for item in value)
+        return 0
+
+    rows = daemon.queue.jobs(limit=100)
+    assert len(rows) == 4
+    for row in rows:
+        record = daemon.queue.get(row["job_id"])
+        assert record.state in TERMINAL_STATES
+        assert netlists(list(vars(record).values())) == 0
 
 
 def test_daemon_delta_submit_validation(corpus, daemon_factory):

@@ -266,6 +266,24 @@ def test_batch_runner_reports_construction_errors():
     assert "netlist too small" in result.error
 
 
+def test_batch_runner_attempts_a_crashing_job_once(small, monkeypatch):
+    from repro.service import jobs as jobs_module
+
+    calls = []
+
+    def broken_run(self, pool=None):
+        calls.append(self.config)
+        raise TypeError("kernel bug")
+
+    monkeypatch.setattr(jobs_module.TangledLogicFinder, "run", broken_run)
+    netlist, _ = small
+    with BatchRunner(workers=1) as runner:
+        result = runner.run([DetectionJob(netlist=netlist, config=CFG)])[0]
+    assert len(calls) == 1  # a deterministic bug is not retried
+    assert not result.ok and result.attempts == 1
+    assert result.error == "TypeError: kernel bug"
+
+
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
@@ -319,25 +337,33 @@ def test_plan_sweep_never_deduplicates_nondeterministic_points(small):
     assert plan.num_deduplicated == 0
 
 
-def test_worker_context_memo_is_bounded(small):
+def test_worker_context_memo_is_bounded(tmp_path):
+    from repro.io.binfmt import write_packed
     from repro.service import pool as pool_module
 
-    netlist, _ = small
+    limit = pool_module._WORKER_CONTEXT_LIMIT
+    designs = []
+    for i in range(limit + 2):
+        netlist, _ = planted_gtl_graph(60, [12], seed=i)
+        path = str(tmp_path / f"d{i}.nla")
+        write_packed(netlist, path)
+        designs.append((fingerprint_netlist(netlist), path))
+    saved = dict(pool_module._WORKER_CONTEXTS)
     pool_module._WORKER_CONTEXTS.clear()
     try:
-        for i in range(pool_module._WORKER_CONTEXT_LIMIT + 2):
-            result = pool_module._worker_run_batch(
-                f"k{i}", [], context=(netlist, CFG)
-            )
-            assert result == []
-        assert len(pool_module._WORKER_CONTEXTS) == pool_module._WORKER_CONTEXT_LIMIT
-        # The oldest contexts were evicted; a bare batch for one bounces.
-        assert pool_module._worker_run_batch("k0", []) == "__repro-missing-context__"
-        # A retained one still answers without re-shipping.
-        last = f"k{pool_module._WORKER_CONTEXT_LIMIT + 1}"
-        assert pool_module._worker_run_batch(last, []) == []
+        for key, path in designs:
+            assert pool_module._worker_run_batch(key, CFG, [], path=path) == []
+        assert len(pool_module._WORKER_CONTEXTS) == limit
+        # The oldest designs were evicted; a bare batch for one bounces.
+        first_key = designs[0][0]
+        assert pool_module._worker_run_batch(first_key, CFG, []) == (
+            pool_module._MISSING_CONTEXT
+        )
+        # A retained one still answers without its path.
+        assert pool_module._worker_run_batch(designs[-1][0], CFG, []) == []
     finally:
         pool_module._WORKER_CONTEXTS.clear()
+        pool_module._WORKER_CONTEXTS.update(saved)
 
 
 def test_run_sweep_fans_results_back_to_points(tmp_path, small):
@@ -413,7 +439,7 @@ def test_rent_fallback_is_named_constant_and_flagged(small_report):
 # Experiments cache opt-in
 # ----------------------------------------------------------------------
 def test_experiments_detect_uses_cache_dir(tmp_path, monkeypatch, small):
-    from repro.experiments.common import CACHE_ENV_VAR, detect
+    from repro.flow import CACHE_ENV_VAR, detect
 
     netlist, _ = small
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
@@ -425,7 +451,7 @@ def test_experiments_detect_uses_cache_dir(tmp_path, monkeypatch, small):
 
 
 def test_experiments_detect_without_cache_dir(monkeypatch, small):
-    from repro.experiments.common import CACHE_ENV_VAR, detect
+    from repro.flow import CACHE_ENV_VAR, detect
 
     netlist, _ = small
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)

@@ -220,20 +220,20 @@ def test_coordinator_validates_arguments():
 
 # Injected shard runners must be module-level so worker processes can
 # unpickle them by reference.
-def _fail_shard_zero(shard, cache_dir, use_cache, workers, max_attempts):
+def _fail_shard_zero(shard, cache_dir, use_cache, workers):
     if shard.shard_id == 0:
         raise RuntimeError("injected shard failure")
-    return _execute_shard(shard, cache_dir, use_cache, workers, max_attempts)
+    return _execute_shard(shard, cache_dir, use_cache, workers)
 
 
-def _flaky_first_attempt(shard, cache_dir, use_cache, workers, max_attempts):
+def _flaky_first_attempt(shard, cache_dir, use_cache, workers):
     os.makedirs(cache_dir, exist_ok=True)
     marker = os.path.join(cache_dir, f"attempted-{shard.shard_id}")
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
             handle.write("1")
         raise RuntimeError("flaky first attempt")
-    return _execute_shard(shard, cache_dir, use_cache, workers, max_attempts)
+    return _execute_shard(shard, cache_dir, use_cache, workers)
 
 
 def test_dead_shard_fails_loudly_without_sinking_the_sweep(small, tmp_path):

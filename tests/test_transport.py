@@ -1,47 +1,34 @@
-"""Context transport: shared-memory / pack-file / pickle parity and hygiene.
+"""Worker-pool transport: designs reach workers as mapped pack files.
 
-The pool may ship a context as a pickled payload, a shared-memory
-descriptor or a pack-file descriptor; all three must produce bit-identical
-detection results, the descriptor paths must actually be small, and every
-shared-memory segment must be released on shutdown.
+A design loaded from a live pack file ships that file's path; any other
+design is serialized once into a pool-owned anonymous file.  Both must
+produce reports bit-identical to a serial run on either kernel backend,
+ship a few hundred bytes per primed worker, and leave nothing behind.
 """
 
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cli import main
+from repro.errors import ServiceError
 from repro.finder import FinderConfig, TangledLogicFinder, find_tangled_logic
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.io.binfmt import load_packed, serialize_netlist, write_packed
 from repro.io.hgr import write_hgr
+from repro.netlist.backend import forced_backend
 from repro.obs import trace
 from repro.obs.report import RunReport
-from repro.service.pool import (
-    _MISSING_CONTEXT,
-    _WORKER_CONTEXTS,
-    _WORKER_SEGMENTS,
-    PICKLE_TRANSPORT_ENV,
-    WorkerPool,
-    _worker_run_batch,
-    transport_mode,
-)
+from repro.service import pool as pool_module
+from repro.service.fingerprint import fingerprint_netlist
+from repro.service.pool import _MISSING_CONTEXT, WorkerPool, _worker_run_batch
 
 CFG = FinderConfig(num_seeds=8, seed=3)
 CFG2 = FinderConfig(num_seeds=8, seed=3, workers=2)
-
-# Under REPRO_PICKLE_TRANSPORT=1 or the scalar reference backend the pool
-# (correctly) never uses descriptor transports, so tests asserting shm/file
-# shipping would fail for the wrong reason.  Parity under the pickle path is
-# covered by test_pickle_transport_matches_serial and the tier-1 CI leg that
-# sets REPRO_PICKLE_TRANSPORT=1 for the whole suite.
-requires_shared_transport = pytest.mark.skipif(
-    transport_mode() != "shared",
-    reason="descriptor transports are disabled in this configuration",
-)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +42,13 @@ def serial_report(design):
     return find_tangled_logic(design, CFG)
 
 
+@pytest.fixture
+def packed(design, tmp_path):
+    path = str(tmp_path / "design.nla")
+    write_packed(design, path)
+    return load_packed(path)
+
+
 def _same_report(a, b):
     return (
         a.gtls == b.gtls
@@ -64,140 +58,203 @@ def _same_report(a, b):
     )
 
 
-# ---------------------------------------------------------------- mode switch
-def test_transport_mode_switches(monkeypatch):
-    monkeypatch.delenv(PICKLE_TRANSPORT_ENV, raising=False)
-    monkeypatch.setenv("REPRO_SCALAR_BACKEND", "0")
-    assert transport_mode() == "shared"
-    monkeypatch.setenv(PICKLE_TRANSPORT_ENV, "1")
-    assert transport_mode() == "pickle"
-    monkeypatch.delenv(PICKLE_TRANSPORT_ENV)
-    # The scalar reference backend works on tuples; shm views don't help it.
-    monkeypatch.setenv("REPRO_SCALAR_BACKEND", "1")
-    assert transport_mode() == "pickle"
+def _open_inodes():
+    """``(device, inode)`` of every file this process holds open."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            stat = os.stat(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, already closed
+            continue
+        inodes.add((stat.st_dev, stat.st_ino))
+    return inodes
+
+
+def _shm_listing():
+    return sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
 
 
 # ---------------------------------------------------------------- parity
-@requires_shared_transport
-def test_shm_transport_matches_serial(design, serial_report):
-    with WorkerPool(2) as pool:
-        report = TangledLogicFinder(design, CFG2).run(pool=pool)
-        assert _same_report(report, serial_report)
-        assert pool.stats.shm_contexts >= 1
-        assert pool.stats.shm_segments == 1
-        assert pool.stats.pickle_contexts == 0
-        # Descriptors, not payloads, cross the pickle channel per batch.
-        per_batch = pool.stats.context_bytes / pool.stats.context_shipments
-        assert per_batch < 4096
-        assert pool.stats.shm_bytes == len(serialize_netlist(design))
-    assert pool._segments == {}
-
-
-def test_pickle_transport_matches_serial(design, serial_report, monkeypatch):
-    monkeypatch.setenv(PICKLE_TRANSPORT_ENV, "1")
-    with WorkerPool(2) as pool:
-        report = TangledLogicFinder(design, CFG2).run(pool=pool)
-        assert _same_report(report, serial_report)
-        assert pool.stats.pickle_contexts >= 1
-        assert pool.stats.shm_segments == 0
-        per_batch = pool.stats.context_bytes / pool.stats.context_shipments
-        assert per_batch > 10_000  # the full payload, linear in design size
-
-
-@requires_shared_transport
-def test_file_transport_matches_serial(design, serial_report, tmp_path):
-    path = str(tmp_path / "design.nla")
-    write_packed(design, path)
-    packed = load_packed(path)
+def test_file_transport_matches_serial(packed, serial_report):
     with WorkerPool(2) as pool:
         report = TangledLogicFinder(packed, CFG2).run(pool=pool)
         assert _same_report(report, serial_report)
-        # Workers mmap the pack file itself: no segment, tiny descriptor.
-        assert pool.stats.file_contexts >= 1
-        assert pool.stats.shm_segments == 0
+        # Workers mmap the pack file itself: nothing serialized, tiny path.
+        assert pool._blobs == {}
+        assert pool.stats.context_shipments >= 1
         per_batch = pool.stats.context_bytes / pool.stats.context_shipments
         assert per_batch < 4096
 
 
-def test_file_transport_requires_live_matching_file(design, tmp_path):
-    path = str(tmp_path / "design.nla")
-    write_packed(design, path)
-    packed = load_packed(path)
-    pool = WorkerPool(2)
-    config_bytes = b""
-    assert pool._file_context(packed, config_bytes) is not None
-    # Replace the file with a different design: fingerprint mismatch.
-    other, _ = planted_gtl_graph(120, [30], seed=1)
-    write_packed(other, str(tmp_path / "other.nla"))
-    os.replace(str(tmp_path / "other.nla"), path)
-    assert pool._file_context(packed, config_bytes) is None
-    os.remove(path)
-    assert pool._file_context(packed, config_bytes) is None
-    # Eager (parsed) netlists never qualify.
-    assert pool._file_context(design, config_bytes) is None
-    pool.shutdown()
-
-
-def test_scalar_backend_forces_pickle_transport(design, serial_report, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_BACKEND", "1")
-    scalar_serial = find_tangled_logic(design, CFG)
-    assert _same_report(scalar_serial, serial_report)
+def test_blob_transport_matches_serial(design, serial_report):
     with WorkerPool(2) as pool:
         report = TangledLogicFinder(design, CFG2).run(pool=pool)
         assert _same_report(report, serial_report)
-        assert pool.stats.pickle_contexts >= 1
-        assert pool.stats.shm_segments == 0
+        # A builder-made design is serialized once, into one pool-owned file.
+        assert list(pool._blobs) == [fingerprint_netlist(design)]
+        per_batch = pool.stats.context_bytes / pool.stats.context_shipments
+        assert per_batch < 4096
+    assert pool._blobs == {}
+
+
+def test_scalar_backend_ships_pack_files(design, packed, serial_report):
+    with forced_backend("python"):
+        assert _same_report(find_tangled_logic(design, CFG), serial_report)
+        for netlist in (design, packed):
+            with WorkerPool(2) as pool:
+                report = TangledLogicFinder(netlist, CFG2).run(pool=pool)
+            assert _same_report(report, serial_report)
+
+
+# ---------------------------------------------------------------- keying
+def test_contexts_are_keyed_by_design_not_job(packed, serial_report):
+    """k configs over one design ship it at most once per worker, plus one
+    re-send per batch that bounced off a worker the first run missed."""
+    configs = [CFG2.with_overrides(lambda_skip=skip) for skip in (0, 5, 10, 20)]
+    with WorkerPool(2) as pool:
+        reports = [TangledLogicFinder(packed, c).run(pool=pool) for c in configs]
+        stats = pool.stats
+        assert stats.context_shipments <= pool.workers + stats.context_misses
+    assert _same_report(reports[-1], serial_report)  # lambda_skip=20: CFG
+    for config, report in zip(configs, reports):
+        assert _same_report(report, find_tangled_logic(packed, config))
+
+
+class _UnprimedExecutor:
+    """Stand-in executor: the batch holding job 0 blocks until a batch with
+    the design's path has run; every other batch misses without a path."""
+
+    def __init__(self):
+        self.events = []
+        self.primed = threading.Event()
+        self.threads = ThreadPoolExecutor(max_workers=4)
+
+    def submit(self, fn, key, config, chunk, path, traced):
+        first = chunk[0][0]
+        self.events.append(("submit", first, path is not None))
+
+        def run():
+            if first == 0:
+                self.primed.wait(10)
+                self.events.append(("done", 0))
+            elif path is None:
+                return _MISSING_CONTEXT
+            else:
+                self.primed.set()
+            return [(index, ("outcome", index)) for index, _ in chunk]
+
+        return self.threads.submit(run)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.threads.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
+def test_missed_batch_is_resent_beside_the_running_ones(packed):
+    """A batch bounced by an unprimed worker goes back out with the path as
+    soon as the miss returns, not after the run's other batches finish."""
+    key = fingerprint_netlist(packed)
+    pool = WorkerPool(2)
+    fake = pool._executor = _UnprimedExecutor()
+    pool._shipped_keys.add(key)
+    try:
+        outcomes = pool.run_seed_jobs(packed, CFG, [(1, 1), (2, 2)])
+    finally:
+        pool.shutdown()
+    assert outcomes == [("outcome", 0), ("outcome", 1)]
+    assert fake.events == [
+        ("submit", 0, False), ("submit", 1, False), ("submit", 1, True),
+        ("done", 0),
+    ]
+    assert (pool.stats.context_misses, pool.stats.context_shipments) == (1, 1)
+
+
+def test_file_transport_requires_live_matching_file(design, packed, tmp_path):
+    key = fingerprint_netlist(design)
+    pool = WorkerPool(2)
+    assert pool._design_path(packed, key) == packed.source
+    # Replace the file with a different design: fingerprint mismatch, so the
+    # pool falls back to serializing the (still mapped) design itself.
+    other, _ = planted_gtl_graph(120, [30], seed=1)
+    write_packed(other, str(tmp_path / "other.nla"))
+    os.replace(str(tmp_path / "other.nla"), packed.source)
+    assert pool._design_path(packed, key).startswith(f"/proc/{os.getpid()}/fd/")
+    os.remove(packed.source)
+    assert pool._design_path(packed, key).startswith("/proc/")
+    # Eager (parsed) netlists always travel through a pool-owned file.
+    assert pool._design_path(design, key).startswith("/proc/")
+    assert len(pool._blobs) == 1  # one design, one file
+    pool.shutdown()
+    assert pool._blobs == {}
+
+
+def test_blob_falls_back_to_the_temp_dir(design, serial_report, tmp_path, monkeypatch):
+    monkeypatch.setattr(pool_module, "_BLOB_DIR", str(tmp_path / "missing"))
+    with WorkerPool(2) as pool:
+        report = TangledLogicFinder(design, CFG2).run(pool=pool)
+        assert len(pool._blobs) == 1
+    assert _same_report(report, serial_report)
+
+
+def test_pack_file_replaced_under_the_pool_raises(packed, tmp_path, monkeypatch):
+    """A file swapped between the parent's header check and the worker's
+    load is caught by the worker, not detected on."""
+    key = fingerprint_netlist(packed)
+    monkeypatch.setattr(pool_module, "packed_fingerprint", lambda path: key)
+    other, _ = planted_gtl_graph(120, [30], seed=1)
+    write_packed(other, str(tmp_path / "other.nla"))
+    os.replace(str(tmp_path / "other.nla"), packed.source)
+    with WorkerPool(2) as pool:
+        with pytest.raises(ServiceError, match="changed under the pool"):
+            TangledLogicFinder(packed, CFG2).run(pool=pool)
 
 
 # ---------------------------------------------------------------- lifecycle
-@requires_shared_transport
-def test_shm_segments_unlinked_on_shutdown(design):
+def test_blob_files_closed_on_shutdown(design, serial_report):
+    shm_before = _shm_listing()
     pool = WorkerPool(2)
-    TangledLogicFinder(design, CFG2).run(pool=pool)
-    assert len(pool._segments) == 1
-    name = next(iter(pool._segments.values()))[0].name
+    report = TangledLogicFinder(design, CFG2).run(pool=pool)
+    assert _same_report(report, serial_report)
+    (blob,) = pool._blobs.values()
+    stat = os.fstat(blob.fileno())
+    inode = (stat.st_dev, stat.st_ino)
+    assert inode in _open_inodes()
+    # The blob is anonymous: it never appears in the directory listing.
+    assert _shm_listing() == shm_before
     pool.shutdown()
-    assert pool._segments == {}
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
+    assert pool._blobs == {} and blob.closed
+    assert inode not in _open_inodes()
+    assert _shm_listing() == shm_before
 
 
-def test_worker_installs_and_evicts_shm_descriptors(design):
-    """Drive the worker-side protocol in-process: descriptor install, LRU
-    eviction closing the evicted context's segment mapping."""
-    blob = serialize_netlist(design)
-    segment = shared_memory.SharedMemory(create=True, size=len(blob))
-    saved_contexts, saved_segments = dict(_WORKER_CONTEXTS), dict(_WORKER_SEGMENTS)
-    _WORKER_CONTEXTS.clear()
-    _WORKER_SEGMENTS.clear()
+def test_worker_installs_and_evicts_descriptors(design):
+    """Drive the worker-side protocol in-process on a pool-owned blob."""
+    key = fingerprint_netlist(design)
+    pool = WorkerPool(2)
+    saved = dict(pool_module._WORKER_CONTEXTS)
+    pool_module._WORKER_CONTEXTS.clear()
     try:
-        segment.buf[: len(blob)] = blob
-        import pickle
-
-        descriptor = ("shm", segment.name, len(blob), pickle.dumps(CFG))
-        assert _worker_run_batch("key-shm", [], context=None) == _MISSING_CONTEXT
-        assert _worker_run_batch("key-shm", [], context=descriptor) == []
-        netlist, config = _WORKER_CONTEXTS["key-shm"]
-        assert netlist == design
-        assert config == CFG
-        assert "key-shm" in _WORKER_SEGMENTS
-        # Flood the memo: the shm-backed context must be evicted and its
-        # mapping closed without errors.
-        for index in range(8):
-            _worker_run_batch(f"bump{index}", [], context=(design, CFG))
-        assert "key-shm" not in _WORKER_CONTEXTS
-        assert "key-shm" not in _WORKER_SEGMENTS
+        path = pool._design_path(design, key)
+        assert _worker_run_batch(key, CFG, []) == _MISSING_CONTEXT
+        assert _worker_run_batch(key, CFG, [], path=path) == []
+        installed = pool_module._WORKER_CONTEXTS[key]
+        assert installed == design
+        # A primed design is not reloaded when a path comes along again.
+        assert _worker_run_batch(key, CFG, [], path=path) == []
+        assert pool_module._WORKER_CONTEXTS[key] is installed
+        # Flood the memo: the design is evicted, dropping its mapping.
+        for index in range(pool_module._WORKER_CONTEXT_LIMIT):
+            other, _ = planted_gtl_graph(60, [12], seed=100 + index)
+            other_key = fingerprint_netlist(other)
+            other_path = pool._design_path(other, other_key)
+            assert _worker_run_batch(other_key, CFG, [], path=other_path) == []
+        assert key not in pool_module._WORKER_CONTEXTS
     finally:
-        _WORKER_CONTEXTS.clear()
-        _WORKER_SEGMENTS.clear()
-        _WORKER_CONTEXTS.update(saved_contexts)
-        _WORKER_SEGMENTS.update(saved_segments)
-        segment.close()
-        segment.unlink()
+        pool_module._WORKER_CONTEXTS.clear()
+        pool_module._WORKER_CONTEXTS.update(saved)
+        pool.shutdown()
 
 
 # ---------------------------------------------------------------- telemetry
-@requires_shared_transport
 def test_transport_counters_surface_in_run_report(design):
     trace.enable()
     try:
@@ -207,10 +264,11 @@ def test_transport_counters_surface_in_run_report(design):
     finally:
         trace.disable()
     counters = report.counters()
-    assert counters.get("pool.shm_segments") == 1
-    assert counters.get("pool.shm_bytes") == len(serialize_netlist(design))
-    assert 0 < counters.get("pool.descriptor_bytes") < 8192
-    assert counters.get("pool.context_bytes") >= counters["pool.descriptor_bytes"]
+    assert counters.get("pool.blob_files") == 1
+    assert counters.get("pool.blob_bytes") == len(serialize_netlist(design))
+    shipments = counters.get("pool.context_shipments")
+    assert shipments >= 1
+    assert 0 < counters.get("pool.context_bytes") / shipments < 4096
     tasks = [span for span in report.spans if span["name"] == "pool.task"]
     assert tasks
     assert all(span["attrs"].get("maxrss_kb", 0) > 0 for span in tasks)
