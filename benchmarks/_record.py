@@ -13,6 +13,8 @@ Schema::
       "schema_version": 2,
       "created_unix": <float, seconds>,
       "python": "3.11.7",
+      "cpu_count": 2,
+      "numpy": "2.4.6",
       "smoke": false,
       "results": {...benchmark-specific payload...},
       "run_report": {...optional repro.obs.RunReport.to_dict()...}
@@ -21,7 +23,9 @@ Schema::
 Schema version 2 adds the optional ``run_report`` key: benchmarks that
 run under tracing embed the per-phase span breakdown and kernel counters
 (see :mod:`repro.obs.report`) so the perf trajectory records *where* the
-time went, not just totals.
+time went, not just totals.  Every record also notes the host shape
+(``cpu_count``, the ``numpy`` version) so parallel numbers and kernel
+timings can be read against the machine that produced them.
 
 Benchmarks may declare a *headline* metric (a key into ``results``); when
 a new record replaces an old one, :func:`record` compares the two and
@@ -34,10 +38,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import platform
 import time
 from pathlib import Path
 from typing import Mapping, Optional
+
+import numpy
 
 #: Repository root (benchmarks/ lives directly under it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +135,8 @@ def record(
         "schema_version": SCHEMA_VERSION,
         "created_unix": time.time(),
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "numpy": numpy.__version__,
         "smoke": smoke,
         "results": dict(results),
     }

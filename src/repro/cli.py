@@ -322,11 +322,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ServiceError('batch manifest "defaults" must be a JSON object')
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
 
-    from repro.service.fingerprint import fingerprint_netlist
-
     jobs = []
     # Many jobs routinely target the same design with different configs:
-    # parse and content-hash each file once, not once per job entry.
+    # parse each file once (its content hash is memoized on the netlist).
     netlists_by_path = {}
     for index, entry in enumerate(manifest["jobs"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("design"), str):
@@ -340,12 +338,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         design = entry["design"]
         path = _resolve_design(design, base_dir)
         if path not in netlists_by_path:
-            netlist = _load_design(path)
-            netlists_by_path[path] = (netlist, fingerprint_netlist(netlist))
-        netlist, netlist_fp = netlists_by_path[path]
+            netlists_by_path[path] = _load_design(path)
         jobs.append(
-            DetectionJob.with_netlist_fingerprint(
-                netlist, config, entry.get("label", design), netlist_fp
+            DetectionJob(
+                netlist=netlists_by_path[path], config=config,
+                label=entry.get("label", design),
             )
         )
 

@@ -10,7 +10,10 @@ compute path produced.
 
 Payloads are versioned (``codec_version``); decoding a payload written by
 an older codec raises :class:`~repro.errors.FlowError`, which the flow
-layer converts into a cache miss + rewrite.  Decoders receive the
+layer converts into a cache miss + rewrite.  A finder report versions
+itself (its codec's ``version`` field), so its payload is stored bare:
+one ``finder_report`` row reads the same to the flow layer and to
+:meth:`~repro.service.store.ResultStore.get`.  Decoders receive the
 :class:`~repro.flow.context.FlowContext` because some artifacts reference
 the design itself (a :class:`Placement` holds its netlist), which is
 already fingerprint-addressed and never serialized twice.
@@ -31,12 +34,12 @@ from repro.placement.placer import Placement
 from repro.placement.region import Die
 from repro.routing.congestion import CongestionMap
 from repro.service.codec import report_from_dict, report_to_dict
+from repro.service.store import KIND_FINDER_REPORT
 
 #: Bump when any artifact payload shape changes; older payloads then decode
 #: as cache misses and are rewritten.
 ARTIFACT_CODEC_VERSION = 1
 
-KIND_FINDER_REPORT = "finder_report"
 KIND_PARTITION = "partition"
 KIND_PLACEMENT = "placement"
 KIND_CONGESTION = "congestion"
@@ -195,6 +198,12 @@ _CODECS: Dict[str, Tuple[_Encoder, _Decoder]] = {
 }
 
 
+#: Kinds whose codec checks its own payload version; they get no
+#: ``codec_version``/``kind`` envelope.  Report rows that still carry one
+#: (written by earlier flows) decode the same.
+_SELF_VERSIONED = frozenset({KIND_FINDER_REPORT})
+
+
 def artifact_kinds() -> Tuple[str, ...]:
     """All registered artifact kinds."""
     return tuple(_CODECS)
@@ -205,8 +214,9 @@ def encode_artifact(kind: str, artifact: Any) -> Dict[str, Any]:
     if kind not in _CODECS:
         raise FlowError(f"unknown artifact kind {kind!r}; known: {sorted(_CODECS)}")
     payload = _CODECS[kind][0](artifact)
-    payload["codec_version"] = ARTIFACT_CODEC_VERSION
-    payload["kind"] = kind
+    if kind not in _SELF_VERSIONED:
+        payload["codec_version"] = ARTIFACT_CODEC_VERSION
+        payload["kind"] = kind
     return payload
 
 
@@ -218,17 +228,18 @@ def decode_artifact(kind: str, payload: Dict[str, Any], ctx) -> Any:
     """
     if kind not in _CODECS:
         raise FlowError(f"unknown artifact kind {kind!r}; known: {sorted(_CODECS)}")
-    version = payload.get("codec_version")
-    if version != ARTIFACT_CODEC_VERSION:
-        raise FlowError(
-            f"artifact payload codec version {version!r} is not the current "
-            f"{ARTIFACT_CODEC_VERSION}; treating the entry as stale"
-        )
-    if payload.get("kind") != kind:
-        raise FlowError(
-            f"artifact payload kind {payload.get('kind')!r} does not match "
-            f"the requested kind {kind!r}"
-        )
+    if kind not in _SELF_VERSIONED:
+        version = payload.get("codec_version")
+        if version != ARTIFACT_CODEC_VERSION:
+            raise FlowError(
+                f"artifact payload codec version {version!r} is not the current "
+                f"{ARTIFACT_CODEC_VERSION}; treating the entry as stale"
+            )
+        if payload.get("kind") != kind:
+            raise FlowError(
+                f"artifact payload kind {payload.get('kind')!r} does not match "
+                f"the requested kind {kind!r}"
+            )
     try:
         return _CODECS[kind][1](payload, ctx)
     except ReproError:

@@ -10,6 +10,11 @@ unchanged prefix is answered from the
 Caching is only sound for deterministic work: a stage is looked up /
 stored only when it *and every stage upstream of it* is deterministic
 (pinned seeds).
+
+Every cache-aware detection in the package — batch and sweep jobs,
+``repro detect``, daemon submits — is a one-stage flow, so the stage loop
+here is the one place a detection report is looked up, decoded (or
+demoted when stale), computed and recorded.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from repro.flow.context import FlowContext
 from repro.flow.stage import Stage, StageResult
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
-from repro.service.fingerprint import fingerprint_netlist, stage_fingerprint
+from repro.service.fingerprint import fingerprint_netlist
 from repro.service.store import ResultStore
 from repro.utils.tables import format_table
 from repro.utils.timer import Timer
@@ -116,6 +121,17 @@ class Flow:
         """True when every stage pins its randomness (fully cacheable)."""
         return all(stage.deterministic for stage in self.stages)
 
+    def fingerprints(self, design_fingerprint: str) -> List[str]:
+        """Every stage's store key over a design, in stage order.
+
+        Each key covers the design, the stage's own config and every stage
+        before it; :meth:`run` and the daemon's warm probe use these keys.
+        """
+        chain = [design_fingerprint]
+        for stage in self.stages:
+            chain.append(stage.fingerprint(chain))
+        return chain[1:]
+
     # ------------------------------------------------------------------
     def run(
         self,
@@ -140,14 +156,12 @@ class Flow:
             netlist=netlist, pool=pool, store=store if use_cache else None
         )
         design_fingerprint = fingerprint_netlist(netlist)
-        chain: List[str] = [design_fingerprint]
-        chain_deterministic = True
-
         with trace.span(
             "flow.run", flow=self.name, design=design_fingerprint[:12]
         ):
             results = self._run_stages(
-                ctx, store, use_cache, progress, chain, chain_deterministic
+                ctx, store, use_cache, progress,
+                self.fingerprints(design_fingerprint),
             )
 
         return FlowResult(
@@ -157,14 +171,12 @@ class Flow:
         )
 
     def _run_stages(
-        self, ctx, store, use_cache, progress, chain, chain_deterministic
+        self, ctx, store, use_cache, progress, fingerprints
     ) -> List[StageResult]:
         """The per-stage loop of :meth:`run` (one span per stage)."""
         results: List[StageResult] = []
-        for label, stage in zip(self.labels, self.stages):
-            fingerprint = stage_fingerprint(
-                stage.name, stage.config_fingerprint(), chain
-            )
+        chain_deterministic = True
+        for label, stage, fingerprint in zip(self.labels, self.stages, fingerprints):
             chain_deterministic = chain_deterministic and stage.deterministic
             cacheable = use_cache and store is not None and chain_deterministic
 
@@ -197,7 +209,6 @@ class Flow:
             )
             ctx.results.append(result)
             results.append(result)
-            chain.append(fingerprint)
             if progress is not None:
                 progress(result)
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Sequence
 
 from repro.errors import FlowError
-from repro.service.fingerprint import fingerprint_frozen_config
+from repro.service.fingerprint import fingerprint_frozen_config, stage_fingerprint
 from repro.utils.configs import replace_checked
 
 
@@ -141,6 +141,11 @@ class Stage:
     def config_fingerprint(self) -> str:
         """Content fingerprint of this stage's config."""
         return fingerprint_frozen_config(self.config, self.execution_only)
+
+    def fingerprint(self, inputs: Sequence[str]) -> str:
+        """Store key of this stage's artifact, given the design fingerprint
+        and the fingerprints of every stage before it (``inputs``)."""
+        return stage_fingerprint(self.name, self.config_fingerprint(), inputs)
 
     # ------------------------------------------------------------------
     def compute(self, ctx) -> Any:

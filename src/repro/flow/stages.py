@@ -29,11 +29,12 @@ from repro.errors import FlowError
 from repro.finder.config import FinderConfig
 from repro.finder.finder import TangledLogicFinder
 from repro.flow import artifacts
-from repro.flow.stage import Stage, StageConfig, resolve_upstream
+from repro.flow.stage import Stage, StageConfig, StageResult, resolve_upstream
 from repro.partition.fm import fm_bisect
 from repro.placement.placer import Placement, place
 from repro.placement.region import Die
 from repro.routing.congestion import build_congestion_map
+from repro.service.fingerprint import stage_fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -90,20 +91,25 @@ class DetectStage(Stage):
 class IncrementalDetectStage(DetectStage):
     """Detection that patches a prior run instead of recomputing it.
 
-    Behaves exactly like :class:`DetectStage` (same artifact kind, same
-    parity-guaranteed report — see :mod:`repro.incremental.engine`), but
-    routes execution through :func:`repro.incremental.detect_with_reuse`:
-    when the flow's result store holds a traced base run under this
-    config, only the seeds the netlist edit could have influenced are
-    re-run.  ``halo`` and ``full_threshold`` tune reuse, not results, so
-    they stay outside the stage fingerprint; without a store (or an
-    unpinned seed) it degrades to a plain full detection.
+    Behaves exactly like :class:`DetectStage` — same artifact kind, same
+    parity-guaranteed report (see :mod:`repro.incremental.engine`) and
+    therefore the same store key — but computes a miss through
+    :func:`repro.incremental.engine.run_with_reuse`: when the flow's
+    result store holds a traced base run under this config, only the
+    seeds the netlist edit could have influenced are re-run.  The base is
+    ``base`` (a netlist), ``base_fingerprint`` (a design stored by an
+    earlier run) or, by default, the config's latest traced run; ``delta``
+    spares the diff when the edit is already known.  None of these, nor
+    ``halo`` and ``full_threshold``, change the report, so they stay
+    outside the stage fingerprint.  Without a store it degrades to a plain
+    full detection.
     """
 
     name = "incremental_detect"
 
     def __init__(self, config=None, *, halo: int = 0,
-                 full_threshold: Optional[float] = None, **overrides):
+                 full_threshold: Optional[float] = None, base=None,
+                 base_fingerprint: str = "", delta=None, **overrides):
         from repro.incremental.engine import DEFAULT_FULL_THRESHOLD
 
         super().__init__(config, **overrides)
@@ -112,23 +118,47 @@ class IncrementalDetectStage(DetectStage):
             DEFAULT_FULL_THRESHOLD if full_threshold is None
             else float(full_threshold)
         )
+        self.base = base
+        self.base_fingerprint = base_fingerprint
+        self.delta = delta
         self._last_incremental = None
 
+    def fingerprint(self, inputs):
+        # The report equals DetectStage's for the same inputs, so both
+        # stages read and write one row.
+        return stage_fingerprint(DetectStage.name, self.config_fingerprint(), inputs)
+
     def compute(self, ctx):
-        from repro.incremental.engine import detect_with_reuse
+        from repro.incremental.engine import run_with_reuse
 
         if ctx.store is None:
             return super().compute(ctx)
-        result = detect_with_reuse(
+        result = run_with_reuse(
             ctx.netlist,
             self.config,
             ctx.store,
+            base=self.base,
+            base_fingerprint=self.base_fingerprint,
+            delta=self.delta,
             halo=self.halo,
             full_threshold=self.full_threshold,
             pool=ctx.pool,
         )
         self._last_incremental = result
         return result.report
+
+    def incremental_result(self, result: StageResult):
+        """The :class:`~repro.incremental.engine.IncrementalResult` behind
+        this stage's ``result``: ``mode="cached"`` for a store hit, the
+        reuse decision of the run that computed it otherwise."""
+        from repro.incremental.engine import IncrementalResult
+
+        last = self._last_incremental
+        if result.cached:
+            return IncrementalResult(report=result.artifact, mode="cached")
+        if last is not None and last.report is result.artifact:
+            return last
+        return IncrementalResult(report=result.artifact, reason="no result store")
 
     def metadata(self, report) -> Dict[str, object]:
         data = super().metadata(report)

@@ -24,9 +24,11 @@ when they are not:
 * the dirty fraction exceeds ``full_threshold`` (patching would re-run
   nearly everything anyway, so skip the bookkeeping).
 
-Persistence: :func:`detect_with_reuse` keeps, per result-store row space,
+Persistence: :func:`detect_with_reuse` runs a one-stage
+:class:`~repro.flow.flow.Flow`, which looks up and records the report
+under the job fingerprint like every other detection entry point; a miss
+computes through :func:`run_with_reuse`, which keeps
 
-* the report itself (``KIND_FINDER_REPORT`` under the job fingerprint);
 * the seed trace (``trace-<job fp>``, :data:`KIND_FINDER_TRACE`);
 * a provenance row for patched reports (``prov-<job fp>``,
   :data:`KIND_INCREMENTAL_PROVENANCE`: ``base_fingerprint``,
@@ -460,8 +462,10 @@ def _persist(
     job_fp: str,
     result: IncrementalResult,
 ) -> None:
-    """Write report, trace, provenance, head pointer and design blob."""
-    store.put(job_fp, result.report)
+    """Write trace, provenance, head pointer and design blob.
+
+    The report itself is the flow's to record, under the same ``job_fp``.
+    """
     if result.trace is not None:
         store.put_payload(
             _trace_key(job_fp),
@@ -491,6 +495,54 @@ def _persist(
         write_packed(netlist, path)
 
 
+def run_with_reuse(
+    netlist: Netlist,
+    config: FinderConfig,
+    store: ResultStore,
+    *,
+    base: Optional[Netlist] = None,
+    base_fingerprint: str = "",
+    delta: Optional[NetlistDelta] = None,
+    halo: int = 0,
+    full_threshold: float = DEFAULT_FULL_THRESHOLD,
+    pool: Optional[Any] = None,
+) -> IncrementalResult:
+    """Compute a detection the report cache missed, patching when sound.
+
+    A base (explicit ``base``/``base_fingerprint``, or the per-config head
+    pointer) with a persisted seed trace and design blob is patched by
+    :func:`incremental_detect` (``incremental``, or ``full`` with the
+    fall-back reason); otherwise this is a full traced run (``full``).
+    Deterministic runs persist their trace and head pointer (and, for
+    patched reports, a provenance row) so the *next* edit finds its base;
+    ``config.seed=None`` runs never touch the store.  Looking up and
+    recording the report is the caller's flow's job
+    (:class:`~repro.flow.stages.IncrementalDetectStage`).
+    """
+    deterministic = config.seed is not None
+    result = None
+    if deterministic:
+        result = _try_incremental(
+            netlist, config, store,
+            base=base, base_fingerprint=base_fingerprint, delta=delta,
+            netlist_fp=fingerprint_netlist(netlist), halo=halo,
+            full_threshold=full_threshold, pool=pool,
+        )
+    if result is None:
+        report, seed_trace = run_traced(netlist, config, pool=pool)
+        result = IncrementalResult(
+            report=report,
+            trace=seed_trace,
+            mode="full",
+            reason="no traced base run" if deterministic else "unpinned seed",
+            seeds_total=len(seed_trace.jobs),
+            seeds_recomputed=len(seed_trace.jobs),
+        )
+    if deterministic:
+        _persist(store, netlist, config, job_fingerprint(netlist, config), result)
+    return result
+
+
 def detect_with_reuse(
     netlist: Netlist,
     config: FinderConfig,
@@ -505,59 +557,21 @@ def detect_with_reuse(
 ) -> IncrementalResult:
     """Detect on ``netlist``, reusing whatever the store makes sound.
 
-    The decision ladder:
-
-    1. exact job fingerprint cached -> answer from the store (``cached``);
-    2. a base (explicit ``base``/``base_fingerprint``, or the per-config
-       head pointer) with a persisted seed trace and design blob ->
-       :func:`incremental_detect` (``incremental``, or ``full`` with the
-       fall-back reason);
-    3. otherwise -> full traced run (``full``).
-
-    Deterministic runs persist their report + trace + head pointer (and,
-    for patched reports, a provenance row) so the *next* edit starts at
-    step 2.  ``config.seed=None`` runs never touch the store.
+    Runs the one-stage flow ``Flow([IncrementalDetectStage(...)])``: the
+    exact report answers from the store (``cached``); a miss goes through
+    :func:`run_with_reuse` (``incremental`` or ``full``) and the flow
+    records the report under :func:`job_fingerprint`, the key every other
+    detection entry point uses too.
     """
-    deterministic = config.seed is not None
-    if store is None or not deterministic:
-        report, seed_trace = run_traced(netlist, config, pool=pool)
-        return IncrementalResult(
-            report=report,
-            trace=seed_trace,
-            mode="full",
-            reason="no result store" if store is None else "unpinned seed",
-            seeds_total=len(seed_trace.jobs),
-            seeds_recomputed=len(seed_trace.jobs),
-        )
+    from repro.flow.flow import Flow
+    from repro.flow.stages import IncrementalDetectStage
 
-    netlist_fp = fingerprint_netlist(netlist)
-    job_fp = job_fingerprint(netlist, config, netlist_fingerprint=netlist_fp)
-    cached = store.get(job_fp)
-    if cached is not None:
-        import dataclasses
-
-        if cached.config != config:
-            cached = dataclasses.replace(cached, config=config)
-        return IncrementalResult(report=cached, mode="cached")
-
-    result = _try_incremental(
-        netlist, config, store,
-        base=base, base_fingerprint=base_fingerprint, delta=delta,
-        netlist_fp=netlist_fp, halo=halo, full_threshold=full_threshold,
-        pool=pool,
+    stage = IncrementalDetectStage(
+        config, base=base, base_fingerprint=base_fingerprint, delta=delta,
+        halo=halo, full_threshold=full_threshold,
     )
-    if result is None:
-        report, seed_trace = run_traced(netlist, config, pool=pool)
-        result = IncrementalResult(
-            report=report,
-            trace=seed_trace,
-            mode="full",
-            reason="no traced base run",
-            seeds_total=len(seed_trace.jobs),
-            seeds_recomputed=len(seed_trace.jobs),
-        )
-    _persist(store, netlist, config, job_fp, result)
-    return result
+    outcome = Flow([stage], name="detect").run(netlist, store=store, pool=pool)
+    return stage.incremental_result(outcome.results[0])
 
 
 def _try_incremental(
@@ -619,4 +633,5 @@ __all__ = [
     "incremental_detect",
     "load_trace",
     "run_traced",
+    "run_with_reuse",
 ]

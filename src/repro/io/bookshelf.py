@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ParseError
+from repro.errors import NetlistError, ParseError
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
 
@@ -119,7 +119,7 @@ def _read_nets(path: str, builder: NetlistBuilder) -> None:
         node_name = line.split()[0]
         try:
             cell = builder.cell_index(node_name)
-        except Exception:
+        except NetlistError:
             raise ParseError(f"unknown node {node_name!r}", path, line_no) from None
         if cell not in members:
             members.append(cell)
@@ -134,7 +134,7 @@ def _read_pl(path: str, netlist: Netlist) -> Dict[int, Tuple[float, float]]:
             continue
         try:
             cell = netlist.cell_index(parts[0])
-        except Exception:
+        except NetlistError:
             continue  # .pl may mention filler cells absent from .nodes
         try:
             placement[cell] = (float(parts[1]), float(parts[2]))

@@ -41,6 +41,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.errors import ReproError, ServerBusy, ServerError
 from repro.flow.flow import Flow
 from repro.flow.manifest import stage_from_entry
+from repro.flow.stages import IncrementalDetectStage
 from repro.io import load_design, load_packed
 from repro.io.corpus import load_pack_index
 from repro.netlist.hypergraph import Netlist
@@ -57,11 +58,7 @@ from repro.server.queue import (
     JobRecord,
 )
 from repro.service.codec import config_from_dict, report_to_dict
-from repro.service.fingerprint import (
-    fingerprint_netlist,
-    job_fingerprint,
-    stage_fingerprint,
-)
+from repro.service.fingerprint import fingerprint_netlist
 from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
 
@@ -523,7 +520,14 @@ class ServerDaemon:
             record.unsubscribe(subscriber)
 
     def _build_record(self, request: Dict[str, Any]) -> JobRecord:
-        """Validate a submit request and resolve its design + fingerprint."""
+        """Validate a submit request and resolve its design, flow and keys.
+
+        Both job kinds become a flow: a detect submit is the one-stage
+        ``Flow([IncrementalDetectStage(config)])`` (carrying the base and
+        the edit of a delta submit), so the warm probe and the scheduler
+        run one code path, and the record's fingerprint is the flow's last
+        stage key — for a detect, the key ``repro batch`` uses too.
+        """
         kind = request.get("kind", "detect")
         if kind not in protocol.JOB_KINDS:
             raise ServerError(
@@ -566,95 +570,75 @@ class ServerDaemon:
                 base_netlist = netlist
                 netlist = apply_delta(base_netlist, delta)
                 design_fp = fingerprint_netlist(netlist)
-            fingerprint = job_fingerprint(
-                netlist, config, netlist_fingerprint=design_fp
-            )
-            record = JobRecord(
-                kind=kind,
-                priority=priority,
-                request=request,
-                label=label,
-                fingerprint=fingerprint,
-                group=group,
-            )
-            record.context = (netlist, config)
-            if delta is not None:
-                record.delta_context = (base_netlist, delta)
-            return record
-
-        stages_data = request.get("stages")
-        if not isinstance(stages_data, list) or not stages_data:
-            raise ServerError('flow submit requires a non-empty "stages" list')
-        flow = Flow(
-            [stage_from_entry(entry) for entry in stages_data],
-            name=request.get("label", "flow"),
-        )
-        # The flow's identity is the final stage's chained fingerprint.
-        chain = [design_fp]
-        for stage in flow.stages:
-            chain.append(
-                stage_fingerprint(stage.name, stage.config_fingerprint(), chain)
-            )
+            stages = [IncrementalDetectStage(config, base=base_netlist, delta=delta)]
+        else:
+            stages_data = request.get("stages")
+            if not isinstance(stages_data, list) or not stages_data:
+                raise ServerError('flow submit requires a non-empty "stages" list')
+            stages = [stage_from_entry(entry) for entry in stages_data]
+        flow = Flow(stages, name=request.get("label", kind))
+        fingerprints = flow.fingerprints(design_fp)
         record = JobRecord(
             kind=kind,
             priority=priority,
             request=request,
             label=label,
-            fingerprint=chain[-1],
+            fingerprint=fingerprints[-1],
             group=group,
         )
-        record.context = (netlist, flow, chain[1:])
+        record.context = (netlist, flow, fingerprints)
         return record
 
     def _warm_probe(self, record: JobRecord) -> Optional[Dict[str, Any]]:
         """Answer a submit straight from the store when every row is warm.
 
         This is the daemon's fast path: no queueing, no scheduling, no
-        process wake-up — a warm repeat request costs one (or, for flows,
-        one-per-stage) SQLite primary-key lookup plus JSON decode.
+        process wake-up — a warm repeat request costs one SQLite
+        primary-key lookup per stage plus JSON decode.
         """
         began = trace.clock()
-        if record.kind == "detect":
-            netlist, config = record.context
-            if config.seed is None:
-                return None  # nondeterministic: never cached
-            if record.fingerprint not in self.store:
-                return None
-            report = self.store.get(record.fingerprint)
-            if report is None:
-                return None  # stale row: evicted, take the cold path
-            if report.config != config:
-                report = dataclasses.replace(report, config=config)
-            payload = {
-                "report": report_to_dict(report),
-                "fingerprint": record.fingerprint,
-                "cached": True,
-                "runtime_seconds": trace.clock() - began,
-                "attempts": 0,
-            }
-        else:
-            netlist, flow, stage_fps = record.context
-            if not flow.deterministic:
-                return None
-            if not all(fp in self.store for fp in stage_fps):
-                return None
-            # No pool: a fully-warm flow computes nothing, and the shared
-            # pool is the scheduler thread's — the rare stale-row recompute
-            # runs in-process rather than racing on it.
-            outcome = flow.run(netlist, store=self.store, use_cache=True)
-            if not outcome.all_cached:
-                # A row went stale between the probe and the run; the work
-                # was recomputed (and re-cached) inline — still a result.
-                logger.info("warm flow probe for %s partially recomputed",
-                            record.label)
-            payload = {
-                "stages": [result.to_row() for result in outcome.results],
-                "fingerprint": record.fingerprint,
-                "cached": outcome.all_cached,
-                "runtime_seconds": trace.clock() - began,
-            }
+        netlist, flow, fingerprints = record.context
+        if not flow.deterministic:
+            return None
+        if not all(fp in self.store for fp in fingerprints):
+            return None
+        # No pool: a fully-warm flow computes nothing, and the shared pool
+        # is the scheduler thread's — the rare stale-row recompute runs
+        # in-process rather than racing on it.
+        outcome = flow.run(netlist, store=self.store, use_cache=True)
+        if not outcome.all_cached:
+            # A row went stale between the probe and the run; the work was
+            # recomputed (and re-cached) inline — still a result.
+            logger.info("warm probe for %s partially recomputed", record.label)
+        payload = self._response(record, outcome, trace.clock() - began)
         if trace.enabled():
             trace.histogram("server.warm_s").observe(payload["runtime_seconds"])
+        return payload
+
+    def _response(
+        self, record: JobRecord, outcome, runtime_seconds: float
+    ) -> Dict[str, Any]:
+        """The result fields of one answered submit (the only part of the
+        submit path that depends on the job kind)."""
+        payload = {
+            "fingerprint": record.fingerprint,
+            "cached": outcome.all_cached,
+            "runtime_seconds": runtime_seconds,
+        }
+        if record.kind != "detect":
+            payload["stages"] = [result.to_row() for result in outcome.results]
+            return payload
+        (result,) = outcome.results
+        payload["report"] = report_to_dict(result.artifact)
+        payload["attempts"] = 0 if result.cached else 1
+        if not result.cached:
+            # A computed detect reports the finder's own time, and how much
+            # of a prior run it reused.
+            _, flow, _ = record.context
+            payload["runtime_seconds"] = result.artifact.runtime_seconds
+            payload["incremental"] = (
+                flow.stages[0].incremental_result(result).provenance()
+            )
         return payload
 
     # -- scheduler (one thread) -----------------------------------------
@@ -707,64 +691,30 @@ class ServerDaemon:
         record.publish("error", error=error)
 
     def _execute(self, record: JobRecord) -> Dict[str, Any]:
-        if record.kind == "detect":
-            return self._execute_detect(record)
+        """Run a queued job's flow against the shared pool and store.
+
+        Detect flows compute a miss through the incremental engine: every
+        deterministic detection persists its seed trace and advances the
+        per-config head pointer, so a later delta submit (or a plain submit
+        of an edited design) is answered by patching instead of
+        recomputing.
+        """
         netlist, flow, _ = record.context
+        progress = None
+        if record.kind != "detect":  # a detect streams queued/started/result only
+            def progress(result) -> None:
+                record.publish(
+                    "progress",
+                    stage=result.stage,
+                    cache=result.cache_label,
+                    runtime_seconds=result.runtime_seconds,
+                )
         outcome = flow.run(
-            netlist,
-            store=self.store,
-            use_cache=True,
-            pool=self.pool,
-            progress=lambda result: record.publish(
-                "progress",
-                stage=result.stage,
-                cache=result.cache_label,
-                runtime_seconds=result.runtime_seconds,
-            ),
+            netlist, store=self.store, use_cache=True, pool=self.pool,
+            progress=progress,
         )
         record.cached = outcome.all_cached
-        return {
-            "stages": [result.to_row() for result in outcome.results],
-            "fingerprint": record.fingerprint,
-            "cached": outcome.all_cached,
-            "runtime_seconds": outcome.runtime_seconds,
-        }
-
-    def _execute_detect(self, record: JobRecord) -> Dict[str, Any]:
-        """Run one detect job through the incremental engine.
-
-        Every deterministic detection persists its seed trace and advances
-        the per-config head pointer, so a later delta submit (or a plain
-        submit of an edited design) is answered by patching instead of
-        recomputing.  Delta submits carry their base netlist explicitly;
-        plain submits fall back to the head pointer.
-        """
-        from repro.incremental import detect_with_reuse
-
-        netlist, config = record.context
-        base_netlist, delta = record.delta_context or (None, None)
-        try:
-            result = detect_with_reuse(
-                netlist,
-                config,
-                self.store,
-                base=base_netlist,
-                delta=delta,
-                pool=self.pool,
-            )
-        except ReproError as error:
-            raise ServerError(str(error)) from error
-        record.cached = result.mode == "cached"
-        payload = {
-            "report": report_to_dict(result.report),
-            "fingerprint": record.fingerprint,
-            "cached": record.cached,
-            "runtime_seconds": result.report.runtime_seconds,
-            "attempts": 0 if record.cached else 1,
-        }
-        if result.mode != "cached":
-            payload["incremental"] = result.provenance()
-        return payload
+        return self._response(record, outcome, outcome.runtime_seconds)
 
 
 __all__ = ["DEFAULT_SOCKET", "DesignCache", "ServerConfig", "ServerDaemon"]

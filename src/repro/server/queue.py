@@ -81,10 +81,10 @@ class JobRecord:
         cached: True when the result was answered from the store.
         error: terminal error string when ``state == "failed"``.
         result: terminal result payload (the ``result`` event's body).
-        context: what the daemon executes — ``(netlist, config)`` for a
-            detect, ``(netlist, flow, stage_fingerprints)`` for a flow;
-            dropped by :meth:`finish` so the job history holds no designs.
-        delta_context: ``(base_netlist, delta)`` of a delta submit.
+        context: what the daemon executes — ``(netlist, flow,
+            stage_fingerprints)`` for either kind (a delta submit's base
+            netlist rides in its detect stage); dropped by :meth:`finish`
+            so the job history holds no designs.
     """
 
     def __init__(
@@ -108,7 +108,6 @@ class JobRecord:
         self.error: Optional[str] = None
         self.result: Optional[Dict[str, Any]] = None
         self.context: Optional[Tuple[Any, ...]] = None
-        self.delta_context: Optional[Tuple[Any, Any]] = None
         self.created_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -133,7 +132,6 @@ class JobRecord:
         self.result = result
         self.error = error
         self.context = None
-        self.delta_context = None
 
     # -- event streaming ------------------------------------------------
     def publish(self, event: str, **fields: Any) -> Dict[str, Any]:

@@ -18,8 +18,10 @@ Three levels of key:
   design plus every prior stage), so *any* stage artifact — not just a
   detection report — is content-addressable.
 
-:func:`job_fingerprint` (detection-specific, the PR-1 service key) is kept
-and expressed in the same vocabulary.
+There is one fingerprint space for detection: :func:`job_fingerprint` is
+the ``"detect"`` stage fingerprint over the design alone, so ``repro
+batch``, ``sweep``, ``flow run``, ``detect`` and daemon submits all key
+the same ``(design, config)`` report under the same row.
 """
 
 from __future__ import annotations
@@ -183,14 +185,18 @@ def job_fingerprint(
     config: FinderConfig,
     netlist_fingerprint: Optional[str] = None,
 ) -> str:
-    """Fingerprint of one detection job (netlist content x config content).
+    """Fingerprint of one detection (netlist content x config content).
 
-    ``netlist_fingerprint`` may be supplied to amortize the netlist hash when
-    many configs run against the same design (the sweep path).
+    It is the fingerprint of a ``detect`` stage that runs first in a flow
+    (:class:`~repro.flow.stages.DetectStage` and
+    :class:`~repro.flow.stages.IncrementalDetectStage` alike), so every
+    entry point shares one cache row per ``(design, config)``.
+    ``netlist_fingerprint`` names the design by its fingerprint instead,
+    for callers that hold no netlist (a base design known only by its
+    fingerprint).
     """
-    netlist_part = netlist_fingerprint or fingerprint_netlist(netlist)
-    digest = hashlib.sha256()
-    digest.update(b"repro-job-v%d" % FINGERPRINT_VERSION)
-    _hash_update_str(digest, netlist_part)
-    _hash_update_str(digest, fingerprint_config(config))
-    return digest.hexdigest()
+    return stage_fingerprint(
+        "detect",
+        fingerprint_config(config),
+        [netlist_fingerprint or fingerprint_netlist(netlist)],
+    )

@@ -2,11 +2,13 @@
 
 A :class:`DetectionJob` names one ``(netlist, config)`` detection;
 :class:`BatchRunner` executes many of them through one shared
-:class:`~repro.service.pool.WorkerPool`, consulting a
-:class:`~repro.service.store.ResultStore` first so previously computed
-(identical-content) jobs are answered from cache.  Worker crashes are
-retried inside the pool (``WorkerPool.max_retries``); a job that still
-fails is recorded once, with its error.
+:class:`~repro.service.pool.WorkerPool`.  Each job is the one-stage flow
+``Flow([DetectStage(config)])``, so the flow's stage loop looks the report
+up in the :class:`~repro.service.store.ResultStore`, computes a miss and
+records it — the same row a ``repro flow run``, ``repro detect`` or daemon
+submit of that ``(design, config)`` reads.  Worker crashes are retried
+inside the pool (``WorkerPool.max_retries``); a job that still fails is
+recorded once, with its error.
 
 Caching is only sound for deterministic runs: a job whose config has
 ``seed=None`` is executed unconditionally and never stored.
@@ -14,15 +16,12 @@ Caching is only sound for deterministic runs: a job whose config has
 
 from __future__ import annotations
 
-import dataclasses
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError
 from repro.finder.config import FinderConfig
-from repro.finder.finder import TangledLogicFinder
 from repro.finder.result import FinderReport
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
@@ -30,8 +29,6 @@ from repro.service.fingerprint import job_fingerprint
 from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
 from repro.utils.timer import Timer
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,26 +52,6 @@ class DetectionJob:
         """Content fingerprint of this job (cached after first computation)."""
         return job_fingerprint(self.netlist, self.config)
 
-    @classmethod
-    def with_netlist_fingerprint(
-        cls,
-        netlist: Netlist,
-        config: FinderConfig,
-        label: str,
-        netlist_fingerprint: str,
-    ) -> "DetectionJob":
-        """Build a job whose fingerprint reuses a precomputed netlist hash.
-
-        Callers creating many jobs over the same design (batch manifests,
-        sweep grids) hash the netlist once and prime each job's cached
-        fingerprint with it instead of re-hashing per job.
-        """
-        job = cls(netlist=netlist, config=config, label=label)
-        job.__dict__["fingerprint"] = job_fingerprint(
-            netlist, config, netlist_fingerprint=netlist_fingerprint
-        )
-        return job
-
     @property
     def deterministic(self) -> bool:
         """True when the job's config pins the RNG seed (cacheable)."""
@@ -89,7 +66,8 @@ class JobResult:
         job: the job this result answers.
         report: the finder report, or ``None`` when the job failed.
         cached: True when the report came from the result store.
-        runtime_seconds: wall-clock spent answering this job (lookup or run).
+        runtime_seconds: wall-clock spent answering this job (lookup, run
+            and cache insert).
         attempts: execution attempts made (0 for a cache hit, else 1).
         error: stringified terminal error when ``report`` is ``None``.
     """
@@ -170,77 +148,41 @@ class BatchRunner:
         return results
 
     def run_one(self, job: DetectionJob) -> JobResult:
-        """Execute a single job (cache lookup, run, cache insert)."""
-        cacheable = self.use_cache and self.store is not None and job.deterministic
-        cached_report = None
+        """Execute a single job (cache lookup, run, cache insert).
+
+        The pool already replays batches lost to worker crashes, so an
+        error reaching this point is deterministic: the job fails once,
+        with its error, and the batch goes on.
+        """
+        from repro.flow.flow import Flow
+        from repro.flow.stages import DetectStage
+
+        flow = Flow([DetectStage(job.config)], name="detect")
         job_span = trace.span(
             "service.job", label=job.label or job.fingerprint[:12]
         )
+        result = error = None
         with job_span, Timer() as timer:
-            if cacheable:
-                try:
-                    cached_report = self.store.get(job.fingerprint)
-                except ServiceError as store_error:
-                    # A flaky cache (lock contention, bad disk) degrades to
-                    # recomputation, never to an aborted batch.
-                    logger.warning(
-                        "cache lookup for %s failed, recomputing: %s",
-                        job.label or job.fingerprint[:12],
-                        store_error,
-                    )
-            if cached_report is None:
-                report, error = self._execute(job)
-                if report is not None and cacheable:
-                    try:
-                        self.store.put(job.fingerprint, report)
-                    except ServiceError as store_error:
-                        # The expensive work is done; a broken cache (full
-                        # disk, lock contention) must not discard it.
-                        logger.warning(
-                            "result for %s computed but not cached: %s",
-                            job.label or job.fingerprint[:12],
-                            store_error,
-                        )
-            job_span.set(cache="hit" if cached_report is not None else "run")
-        # Timer.elapsed is only assigned on block exit, so every JobResult is
-        # built out here.
-        if cached_report is not None:
-            # The fingerprint ignores execution-only fields (workers), so a
-            # hit may have been computed under a different worker count:
-            # report the *requesting* job's config, not the producer's.
-            if cached_report.config != job.config:
-                cached_report = dataclasses.replace(cached_report, config=job.config)
-            return JobResult(
-                job=job,
-                report=cached_report,
-                cached=True,
-                runtime_seconds=timer.elapsed,
-                attempts=0,
-            )
+            try:
+                (result,) = flow.run(
+                    job.netlist, store=self.store, use_cache=self.use_cache,
+                    pool=self._pool,
+                ).results
+            except ReproError as failure:
+                error = str(failure)
+            except Exception as failure:  # a kernel bug: fail this job, not the batch
+                error = f"{type(failure).__name__}: {failure}"
+            cached = result is not None and result.cached
+            job_span.set(cache="hit" if cached else "run")
+        # Timer.elapsed (lookup, run and put) is only assigned on block exit.
         return JobResult(
             job=job,
-            report=report,
-            cached=False,
+            report=result.artifact if result is not None else None,
+            cached=cached,
             runtime_seconds=timer.elapsed,
+            attempts=0 if cached else 1,
             error=error,
         )
-
-    def _execute(
-        self, job: DetectionJob
-    ) -> Tuple[Optional[FinderReport], Optional[str]]:
-        """Run a job through the shared pool once: ``(report, error)``.
-
-        The pool already replays batches lost to worker crashes, so an
-        error reaching this point is deterministic and retrying it would
-        only run a broken job twice.
-        """
-        try:
-            finder = TangledLogicFinder(job.netlist, job.config)
-            return finder.run(pool=self._pool), None
-        except ReproError as error:
-            return None, str(error)
-        except Exception as error:  # a kernel bug: fail this job, not the batch
-            return None, f"{type(error).__name__}: {error}"
 
     # ------------------------------------------------------------------
     def close(self) -> None:

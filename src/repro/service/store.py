@@ -65,7 +65,8 @@ def row_schema_version(kind: str) -> int:
     return SCHEMA_VERSION + KIND_REVISIONS.get(kind, 0)
 
 
-#: ``kind`` tag of detection-report rows (the PR-1 payloads).
+#: ``kind`` tag of detection-report rows (the one definition;
+#: :mod:`repro.flow.artifacts` registers its codec under it).
 KIND_FINDER_REPORT = "finder_report"
 
 _SCHEMA = """

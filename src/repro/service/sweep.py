@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from repro.errors import FinderError, ServiceError
 from repro.finder.config import FinderConfig
 from repro.netlist.hypergraph import Netlist
-from repro.service.fingerprint import fingerprint_netlist, job_fingerprint
 from repro.service.jobs import BatchRunner, DetectionJob, JobResult
 
 
@@ -116,19 +115,17 @@ def plan_sweep(
     plan = SweepPlan()
     job_index_by_fingerprint: Dict[str, int] = {}
     for design_label, netlist in designs:
-        netlist_fp = fingerprint_netlist(netlist)
         for overrides, config in combos:
-            fingerprint = job_fingerprint(netlist, config, netlist_fingerprint=netlist_fp)
-            deterministic = config.seed is not None
-            index = job_index_by_fingerprint.get(fingerprint) if deterministic else None
+            job = DetectionJob(netlist=netlist, config=config, label=design_label)
+            index = (
+                job_index_by_fingerprint.get(job.fingerprint)
+                if job.deterministic else None
+            )
             if index is None:
-                job = DetectionJob.with_netlist_fingerprint(
-                    netlist, config, design_label, netlist_fp
-                )
                 index = len(plan.jobs)
                 plan.jobs.append(job)
-                if deterministic:
-                    job_index_by_fingerprint[fingerprint] = index
+                if job.deterministic:
+                    job_index_by_fingerprint[job.fingerprint] = index
             plan.points.append(
                 SweepPoint(
                     design=design_label,

@@ -95,6 +95,20 @@ def test_stage_fingerprints_stable_across_processes(small):
     assert output == local
 
 
+def test_job_fingerprint_is_the_one_stage_detect_key(small):
+    """Batch, daemon and both detect stages key a detection identically."""
+    from repro.flow import IncrementalDetectStage
+    from repro.service import job_fingerprint
+
+    netlist, _ = small
+    cfg = FinderConfig(num_seeds=4, seed=3, max_order_length=20)
+    expected = job_fingerprint(netlist, cfg)
+    for stage in (DetectStage(cfg), IncrementalDetectStage(cfg)):
+        (result,) = Flow([stage]).run(netlist).results
+        assert result.fingerprint == expected
+        assert Flow([stage]).fingerprints(fingerprint_netlist(netlist)) == [expected]
+
+
 def test_workers_is_execution_only(small):
     assert (
         DetectStage(CFG).config_fingerprint()
@@ -175,6 +189,27 @@ def test_cache_round_trip_bit_identical_every_stage(small, tmp_path):
         )
     assert np.array_equal(first.artifact("place").x, second.artifact("place").x)
     assert first.artifact("detect") == second.artifact("detect")
+
+
+def test_report_rows_are_bare_and_enveloped_rows_still_hit(small, tmp_path):
+    """A detect row holds the plain report codec payload (what batch rows
+    and ``ResultStore.get`` read); a row that still carries the artifact
+    envelope, as earlier flows wrote it, is a hit all the same."""
+    from repro.service.codec import report_to_dict
+
+    netlist, _ = small
+    flow = Flow([DetectStage(CFG)])
+    with ResultStore(str(tmp_path)) as store:
+        (result,) = flow.run(netlist, store=store).results
+        payload = report_to_dict(result.artifact)
+        assert store.get_payload(result.fingerprint) == payload
+        store.put_payload(
+            result.fingerprint,
+            {**payload, "codec_version": 1, "kind": "finder_report"},
+            kind="finder_report",
+        )
+        (again,) = flow.run(netlist, store=store).results
+        assert again.cached and again.artifact == result.artifact
 
 
 def test_nondeterministic_stage_is_not_cached(small, tmp_path):
@@ -434,6 +469,19 @@ def test_incremental_detect_stage_patches_across_edits(small, tmp_path):
         cold.pop("runtime_seconds")
         patched.pop("runtime_seconds")
         assert patched == cold
+
+
+def test_cold_incremental_detect_stores_its_report_once(small, tmp_path):
+    """One lookup and one put of the report (the flow's), plus the engine's
+    head lookup and its trace and head puts."""
+    from repro.flow import IncrementalDetectStage
+
+    netlist, _ = small
+    cfg = FinderConfig(num_seeds=4, seed=3, max_order_length=20)
+    with ResultStore(str(tmp_path)) as store:
+        Flow([IncrementalDetectStage(cfg)]).run(netlist, store=store)
+        assert store.kind_counts()["finder_report"] == 1
+        assert (store.stats.misses, store.stats.puts) == (2, 3)
 
 
 def test_incremental_detect_stage_without_store_runs_full(small):

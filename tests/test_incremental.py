@@ -564,3 +564,14 @@ def test_bench_record_smoke_never_overwrites_full(tmp_path):
     bench_record.record("z", {"speedup": 20.0}, path=out)
     bench_record.record("z", {"speedup": 1.0}, path=out, smoke=True)
     assert json.loads(out.read_text())["results"]["speedup"] == 20.0
+
+
+def test_bench_record_notes_host_shape(tmp_path):
+    import numpy
+
+    bench_record = _load_record_module()
+    out = tmp_path / "BENCH_h.json"
+    bench_record.record("h", {"speedup": 2.0}, path=out)
+    data = json.loads(out.read_text())
+    assert data["cpu_count"] == os.cpu_count()
+    assert data["numpy"] == numpy.__version__

@@ -89,6 +89,37 @@ def test_bookshelf_unknown_node_in_net(tmp_path):
         read_bookshelf(str(tmp_path / "d.aux"))
 
 
+def test_bookshelf_pl_skips_filler_cells(tmp_path, small_design):
+    coordinates = {i: (float(i), 1.0) for i in range(small_design.num_cells)}
+    aux = write_bookshelf(small_design, str(tmp_path), "t", placement=coordinates)
+    with open(tmp_path / "t.pl", "a") as handle:
+        handle.write("filler_9 5 5 : N\n")
+    _, placement = read_bookshelf(aux)
+    assert placement == coordinates
+
+
+def test_bookshelf_lookup_bugs_propagate(tmp_path, small_design, monkeypatch):
+    """Only an unknown name is a parse outcome; any other lookup error is a
+    bug and surfaces as itself, in .nets and in .pl alike."""
+    from repro.netlist.builder import NetlistBuilder as Builder
+    from repro.netlist.hypergraph import Netlist
+
+    def broken(self, name):
+        raise RuntimeError("lookup bug")
+
+    aux = write_bookshelf(
+        small_design, str(tmp_path), "t", placement={0: (1.0, 2.0)}
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(Builder, "cell_index", broken)
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            read_bookshelf(aux)
+    with monkeypatch.context() as patch:
+        patch.setattr(Netlist, "cell_index", broken)
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            read_bookshelf(aux)
+
+
 def test_bookshelf_terminal_flag_and_area(tmp_path):
     (tmp_path / "d.nodes").write_text(
         "UCLA nodes 1.0\nNumNodes : 2\n a 4 2\n p 1 1 terminal\n"

@@ -106,11 +106,10 @@ def test_queue_cancel_queued_job():
 def test_record_finish_releases_its_design():
     queue = JobQueue()
     record = _job()
-    record.context = ("netlist", "config")
-    record.delta_context = ("base", "delta")
+    record.context = ("netlist", "flow", ["fingerprint"])
     queue.submit(record)
     queue.cancel(record.job_id)
-    assert record.context is None and record.delta_context is None
+    assert record.context is None
 
 
 def test_queue_cancel_rejects_non_queued():
@@ -365,6 +364,43 @@ def test_daemon_streams_lifecycle_events(corpus, daemon_factory):
     # result op replays the terminal payload after the fact.
     replay = client.result(job_id)
     assert replay["event"] == "result" and "report" in replay
+
+
+def test_every_entry_point_shares_one_detection_row(
+    corpus, daemon_factory, tmp_path, capsys
+):
+    """Batch computes; a detect flow, an incremental detect flow, a daemon
+    submit and ``repro detect`` then all hit that one row."""
+    from repro.flow import DetectStage, Flow, IncrementalDetectStage
+    from repro.service import BatchRunner, DetectionJob, ResultStore
+
+    path, netlist = corpus["a"]
+    config = FinderConfig(**CFG)
+    cache = str(tmp_path / "shared-cache")
+    daemon, client = daemon_factory(cache_dir=cache)
+    with ResultStore(cache) as store:
+        with BatchRunner(store=store) as runner:
+            (batch,) = runner.run([DetectionJob(netlist=netlist, config=config)])
+        assert not batch.cached
+        reports = [batch.report]
+        for stage in (DetectStage(config), IncrementalDetectStage(config)):
+            (result,) = Flow([stage]).run(netlist, store=store).results
+            assert result.cached
+            reports.append(result.artifact)
+        assert store.kind_counts() == {"finder_report": 1}
+
+    served = client.submit(path, config=CFG)
+    assert served["cached"] is True
+    assert served["fingerprint"] == batch.job.fingerprint
+    reports.append(report_from_dict(served["report"]))
+    assert daemon.queue.submitted == 0  # answered by the warm probe
+
+    assert main(["detect", path, "--seeds", "6", "--seed", "3",
+                 "--cache-dir", cache]) == 0
+    out = capsys.readouterr().out
+    assert "cached: exact fingerprint" in out
+    assert batch.report.summary() in out
+    assert all(report == batch.report for report in reports)
 
 
 def test_daemon_flow_cold_then_warm(corpus, daemon_factory):

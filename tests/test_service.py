@@ -267,7 +267,7 @@ def test_batch_runner_reports_construction_errors():
 
 
 def test_batch_runner_attempts_a_crashing_job_once(small, monkeypatch):
-    from repro.service import jobs as jobs_module
+    from repro.finder.finder import TangledLogicFinder
 
     calls = []
 
@@ -275,7 +275,7 @@ def test_batch_runner_attempts_a_crashing_job_once(small, monkeypatch):
         calls.append(self.config)
         raise TypeError("kernel bug")
 
-    monkeypatch.setattr(jobs_module.TangledLogicFinder, "run", broken_run)
+    monkeypatch.setattr(TangledLogicFinder, "run", broken_run)
     netlist, _ = small
     with BatchRunner(workers=1) as runner:
         result = runner.run([DetectionJob(netlist=netlist, config=CFG)])[0]
