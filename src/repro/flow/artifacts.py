@@ -12,8 +12,8 @@ Payloads are versioned (``codec_version``); decoding a payload written by
 an older codec raises :class:`~repro.errors.FlowError`, which the flow
 layer converts into a cache miss + rewrite.  A finder report versions
 itself (its codec's ``version`` field), so its payload is stored bare:
-one ``finder_report`` row reads the same to the flow layer and to
-:meth:`~repro.service.store.ResultStore.get`.  Decoders receive the
+a ``finder_report`` row is exactly the report JSON that batch output and
+daemon responses carry, and compares equal to it.  Decoders receive the
 :class:`~repro.flow.context.FlowContext` because some artifacts reference
 the design itself (a :class:`Placement` holds its netlist), which is
 already fingerprint-addressed and never serialized twice.

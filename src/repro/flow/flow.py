@@ -152,18 +152,33 @@ class Flow:
                 stages with internal parallelism.
             progress: callback invoked after every finished stage.
         """
-        ctx = FlowContext(
-            netlist=netlist, pool=pool, store=store if use_cache else None
+        return self._run(
+            netlist, store if use_cache else None, pool, progress, compute=True
         )
+
+    def run_cached(
+        self, netlist: Netlist, store: ResultStore
+    ) -> Optional[FlowResult]:
+        """The flow's result when ``store`` answers every stage, else ``None``.
+
+        Nothing is computed: the first missing or stale row (which is
+        demoted, as in :meth:`run`) stops the lookup, so the caller can
+        hand the flow to a scheduler that runs it in full.
+        """
+        return self._run(netlist, store, None, None, compute=False)
+
+    def _run(self, netlist, store, pool, progress, compute) -> Optional[FlowResult]:
+        ctx = FlowContext(netlist=netlist, pool=pool, store=store)
         design_fingerprint = fingerprint_netlist(netlist)
         with trace.span(
             "flow.run", flow=self.name, design=design_fingerprint[:12]
         ):
             results = self._run_stages(
-                ctx, store, use_cache, progress,
-                self.fingerprints(design_fingerprint),
+                ctx, store, progress, self.fingerprints(design_fingerprint),
+                compute,
             )
-
+        if results is None:
+            return None
         return FlowResult(
             name=self.name,
             design_fingerprint=design_fingerprint,
@@ -171,14 +186,15 @@ class Flow:
         )
 
     def _run_stages(
-        self, ctx, store, use_cache, progress, fingerprints
-    ) -> List[StageResult]:
-        """The per-stage loop of :meth:`run` (one span per stage)."""
+        self, ctx, store, progress, fingerprints, compute
+    ) -> Optional[List[StageResult]]:
+        """The per-stage loop of :meth:`run` (one span per stage); ``None``
+        at the first stage that misses when ``compute`` is off."""
         results: List[StageResult] = []
         chain_deterministic = True
         for label, stage, fingerprint in zip(self.labels, self.stages, fingerprints):
             chain_deterministic = chain_deterministic and stage.deterministic
-            cacheable = use_cache and store is not None and chain_deterministic
+            cacheable = store is not None and chain_deterministic
 
             artifact = None
             cached = False
@@ -190,6 +206,9 @@ class Flow:
                         artifact = self._lookup(store, stage, fingerprint, ctx, label)
                         cached = artifact is not None
                     if artifact is None:
+                        if not compute:
+                            stage_span.set(cache="miss")
+                            return None
                         artifact = stage.compute(ctx)
                     stage.apply(ctx, artifact)
                 if not cached and cacheable:

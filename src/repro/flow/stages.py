@@ -96,20 +96,21 @@ class IncrementalDetectStage(DetectStage):
     therefore the same store key — but computes a miss through
     :func:`repro.incremental.engine.run_with_reuse`: when the flow's
     result store holds a traced base run under this config, only the
-    seeds the netlist edit could have influenced are re-run.  The base is
-    ``base`` (a netlist), ``base_fingerprint`` (a design stored by an
-    earlier run) or, by default, the config's latest traced run; ``delta``
-    spares the diff when the edit is already known.  None of these, nor
-    ``halo`` and ``full_threshold``, change the report, so they stay
-    outside the stage fingerprint.  Without a store it degrades to a plain
-    full detection.
+    seeds the netlist edit could have influenced are re-run.  ``halo`` and
+    ``full_threshold`` tune reuse, not results, so they stay outside the
+    stage fingerprint; without a store it degrades to a plain full
+    detection.
+
+    The base defaults to the config's latest traced run.  In-process
+    callers that know it set the ``base`` (a netlist) or
+    ``base_fingerprint`` (a design stored by an earlier run) attribute,
+    and ``delta`` when the edit is already known; a flow manifest cannot.
     """
 
     name = "incremental_detect"
 
     def __init__(self, config=None, *, halo: int = 0,
-                 full_threshold: Optional[float] = None, base=None,
-                 base_fingerprint: str = "", delta=None, **overrides):
+                 full_threshold: Optional[float] = None, **overrides):
         from repro.incremental.engine import DEFAULT_FULL_THRESHOLD
 
         super().__init__(config, **overrides)
@@ -118,9 +119,9 @@ class IncrementalDetectStage(DetectStage):
             DEFAULT_FULL_THRESHOLD if full_threshold is None
             else float(full_threshold)
         )
-        self.base = base
-        self.base_fingerprint = base_fingerprint
-        self.delta = delta
+        self.base = None
+        self.base_fingerprint = ""
+        self.delta = None
         self._last_incremental = None
 
     def fingerprint(self, inputs):

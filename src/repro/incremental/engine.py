@@ -498,7 +498,7 @@ def _persist(
 def run_with_reuse(
     netlist: Netlist,
     config: FinderConfig,
-    store: ResultStore,
+    store: Optional[ResultStore],
     *,
     base: Optional[Netlist] = None,
     base_fingerprint: str = "",
@@ -515,13 +515,14 @@ def run_with_reuse(
     fall-back reason); otherwise this is a full traced run (``full``).
     Deterministic runs persist their trace and head pointer (and, for
     patched reports, a provenance row) so the *next* edit finds its base;
-    ``config.seed=None`` runs never touch the store.  Looking up and
-    recording the report is the caller's flow's job
-    (:class:`~repro.flow.stages.IncrementalDetectStage`).
+    without a store or a pinned seed it is a full traced run that persists
+    nothing.  Looking up and recording the report is the caller's flow's
+    job (:class:`~repro.flow.stages.IncrementalDetectStage`).
     """
     deterministic = config.seed is not None
+    persist = store is not None and deterministic
     result = None
-    if deterministic:
+    if persist:
         result = _try_incremental(
             netlist, config, store,
             base=base, base_fingerprint=base_fingerprint, delta=delta,
@@ -534,11 +535,14 @@ def run_with_reuse(
             report=report,
             trace=seed_trace,
             mode="full",
-            reason="no traced base run" if deterministic else "unpinned seed",
+            reason=(
+                "no result store" if store is None
+                else "no traced base run" if deterministic else "unpinned seed"
+            ),
             seeds_total=len(seed_trace.jobs),
             seeds_recomputed=len(seed_trace.jobs),
         )
-    if deterministic:
+    if persist:
         _persist(store, netlist, config, job_fingerprint(netlist, config), result)
     return result
 
@@ -561,15 +565,18 @@ def detect_with_reuse(
     exact report answers from the store (``cached``); a miss goes through
     :func:`run_with_reuse` (``incremental`` or ``full``) and the flow
     records the report under :func:`job_fingerprint`, the key every other
-    detection entry point uses too.
+    detection entry point uses too.  Without a store there is nothing to
+    look up or record: this is :func:`run_with_reuse`'s full traced run.
     """
     from repro.flow.flow import Flow
     from repro.flow.stages import IncrementalDetectStage
 
+    if store is None:
+        return run_with_reuse(netlist, config, None, pool=pool)
     stage = IncrementalDetectStage(
-        config, base=base, base_fingerprint=base_fingerprint, delta=delta,
-        halo=halo, full_threshold=full_threshold,
+        config, halo=halo, full_threshold=full_threshold
     )
+    stage.base, stage.base_fingerprint, stage.delta = base, base_fingerprint, delta
     outcome = Flow([stage], name="detect").run(netlist, store=store, pool=pool)
     return stage.incremental_result(outcome.results[0])
 

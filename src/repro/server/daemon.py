@@ -570,7 +570,9 @@ class ServerDaemon:
                 base_netlist = netlist
                 netlist = apply_delta(base_netlist, delta)
                 design_fp = fingerprint_netlist(netlist)
-            stages = [IncrementalDetectStage(config, base=base_netlist, delta=delta)]
+            stage = IncrementalDetectStage(config)
+            stage.base, stage.delta = base_netlist, delta
+            stages = [stage]
         else:
             stages_data = request.get("stages")
             if not isinstance(stages_data, list) or not stages_data:
@@ -602,14 +604,13 @@ class ServerDaemon:
             return None
         if not all(fp in self.store for fp in fingerprints):
             return None
-        # No pool: a fully-warm flow computes nothing, and the shared pool
-        # is the scheduler thread's — the rare stale-row recompute runs
-        # in-process rather than racing on it.
-        outcome = flow.run(netlist, store=self.store, use_cache=True)
-        if not outcome.all_cached:
-            # A row went stale between the probe and the run; the work was
-            # recomputed (and re-cached) inline — still a result.
-            logger.info("warm probe for %s partially recomputed", record.label)
+        # Lookups only: a row that is stale (schema or codec skew, or
+        # evicted since the check above) is demoted and the job takes the
+        # queued path, with its pool, backpressure and cancel.
+        outcome = flow.run_cached(netlist, self.store)
+        if outcome is None:
+            logger.info("warm probe for %s found a stale row", record.label)
+            return None
         payload = self._response(record, outcome, trace.clock() - began)
         if trace.enabled():
             trace.histogram("server.warm_s").observe(payload["runtime_seconds"])

@@ -9,9 +9,9 @@ The store is artifact-agnostic: every row carries a ``kind`` tag (e.g.
 ``"finder_report"``, ``"placement"``, ``"congestion"``) and a
 ``schema_version`` stamp.  Rows written under an older schema version — or
 by a database that predates the column entirely — are treated as misses,
-evicted and rewritten, never mis-decoded.  The original
-:meth:`ResultStore.get`/:meth:`ResultStore.put` detection-report interface
-is a thin layer over the generic payload methods.
+evicted and rewritten, never mis-decoded.  Decoding a payload is the
+caller's: detection reports, like every flow artifact, are looked up and
+recorded by :class:`~repro.flow.flow.Flow`.
 
 The store keeps live hit/miss counters (:class:`CacheStats`) so batch and
 flow runs can report their cache effectiveness.
@@ -35,10 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ReproError, ServiceError
-from repro.finder.result import FinderReport
+from repro.errors import ServiceError
 from repro.obs import trace
-from repro.service.codec import report_from_dict, report_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -155,10 +153,10 @@ class MergeStats:
 class ResultStore:
     """Persistent fingerprint -> JSON-payload store.
 
-    >>> store = ResultStore(cache_dir)          # doctest: +SKIP
-    >>> store.put("abc...", report)             # doctest: +SKIP
-    >>> store.get("abc...") == report           # doctest: +SKIP
-    True
+    >>> store = ResultStore(cache_dir)                           # doctest: +SKIP
+    >>> store.put_payload("abc...", {"x": 1}, kind="placement")  # doctest: +SKIP
+    >>> store.get_payload("abc...", kind="placement")            # doctest: +SKIP
+    {'x': 1}
 
     Usable as a context manager; :meth:`close` is idempotent.
     """
@@ -358,31 +356,6 @@ class ResultStore:
         self.stats.hits -= 1
         self.stats.misses += 1
         self.evict(fingerprint)
-
-    # ------------------------------------------------------------------
-    def get(self, fingerprint: str) -> Optional[FinderReport]:
-        """Stored report for ``fingerprint``, or ``None`` (counted as a miss)."""
-        data = self.get_payload(fingerprint, kind=KIND_FINDER_REPORT)
-        if data is None:
-            return None
-        try:
-            return report_from_dict(data)
-        except ReproError:
-            # A stale row (codec version skew, a config that no longer
-            # validates) must not poison the run: drop it and treat the
-            # lookup as a miss so the job is recomputed.
-            self.demote_hit(fingerprint)
-            return None
-
-    def put(self, fingerprint: str, report: FinderReport) -> None:
-        """Insert or replace the report stored under ``fingerprint``."""
-        self.put_payload(
-            fingerprint,
-            report_to_dict(report),
-            kind=KIND_FINDER_REPORT,
-            num_items=report.num_gtls,
-            runtime_seconds=report.runtime_seconds,
-        )
 
     def evict(self, fingerprint: str) -> bool:
         """Remove one entry; returns True when a row was deleted."""

@@ -192,9 +192,9 @@ def test_cache_round_trip_bit_identical_every_stage(small, tmp_path):
 
 
 def test_report_rows_are_bare_and_enveloped_rows_still_hit(small, tmp_path):
-    """A detect row holds the plain report codec payload (what batch rows
-    and ``ResultStore.get`` read); a row that still carries the artifact
-    envelope, as earlier flows wrote it, is a hit all the same."""
+    """A detect row holds the plain report codec payload (the report JSON
+    of batch output and daemon responses); a row that still carries the
+    artifact envelope, as earlier flows wrote it, is a hit all the same."""
     from repro.service.codec import report_to_dict
 
     netlist, _ = small
@@ -210,6 +210,30 @@ def test_report_rows_are_bare_and_enveloped_rows_still_hit(small, tmp_path):
         )
         (again,) = flow.run(netlist, store=store).results
         assert again.cached and again.artifact == result.artifact
+
+
+def test_run_cached_answers_only_from_the_store(small, tmp_path, monkeypatch):
+    """``run_cached`` computes nothing: ``None`` on a cold store or at a
+    stale row (which it demotes), the flow's result when every row hits."""
+    netlist, _ = small
+    flow = Flow([DetectStage(CFG), PartitionStage()])
+    with ResultStore(str(tmp_path)) as store:
+        monkeypatch.setattr(
+            DetectStage, "compute", lambda self, ctx: pytest.fail("computed")
+        )
+        assert flow.run_cached(netlist, store) is None
+        monkeypatch.undo()
+
+        ran = flow.run(netlist, store=store)
+        warm = flow.run_cached(netlist, store)
+        assert warm.all_cached
+        assert warm.artifact("detect") == ran.artifact("detect")
+        assert warm.artifact("partition").sides == ran.artifact("partition").sides
+
+        partition_fp = ran["partition"].fingerprint
+        store.put_payload(partition_fp, {"codec_version": 0}, kind="partition")
+        assert flow.run_cached(netlist, store) is None
+        assert partition_fp not in store
 
 
 def test_nondeterministic_stage_is_not_cached(small, tmp_path):
@@ -359,6 +383,19 @@ def test_flow_manifest_rejects_unknown_field():
         flow_from_manifest(
             {"designs": ["x.hgr"], "stages": [{"stage": "partition", "tol": 0.2}]}
         )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("base", "base.hgr"), ("base_fingerprint", "0" * 64), ("delta", {})],
+)
+def test_flow_manifest_cannot_set_the_incremental_base(key, value):
+    """The base of an incremental detect is set in-process only."""
+    with pytest.raises(FinderError, match="unknown FinderConfig field"):
+        flow_from_manifest({
+            "designs": ["x.hgr"],
+            "stages": [{"stage": "incremental_detect", key: value}],
+        })
 
 
 def test_cli_flow_run_cold_then_warm(small, tmp_path, capsys):

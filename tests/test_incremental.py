@@ -393,7 +393,7 @@ def test_detect_with_reuse_ladder(base, tmp_path):
         assert first.mode == "full"
         assert first.reason == "no traced base run"
         job_fp = job_fingerprint(base, CFG)
-        assert store.get(job_fp) is not None
+        assert store.get_payload(job_fp, kind="finder_report") is not None
         assert load_trace(store, job_fp) is not None
         assert os.path.exists(design_path(store, fingerprint_netlist(base)))
         head = store.get_payload(
@@ -447,6 +447,13 @@ def test_detect_with_reuse_without_store_or_seed(base, tmp_path):
         result = detect_with_reuse(base, unpinned, store)
         assert result.mode == "full" and result.reason == "unpinned seed"
         assert store.kind_counts() == {}  # nondeterministic runs never persist
+
+
+def test_detect_with_reuse_without_store_keeps_the_trace(base):
+    result = detect_with_reuse(base, CFG, None)
+    assert result.trace is not None
+    assert result.seeds_total == result.seeds_recomputed == len(result.trace.jobs)
+    assert result.seeds_total == CFG.num_seeds
 
 
 def test_load_trace_evicts_malformed_payloads(base, tmp_path):

@@ -32,7 +32,7 @@ from repro.obs.metrics import (
     MetricRegistry,
 )
 from repro.obs.trace import NULL_SPAN
-from repro.service import ResultStore, WorkerPool, job_fingerprint
+from repro.service import ResultStore, WorkerPool, job_fingerprint, report_to_dict
 
 CFG = FinderConfig(num_seeds=6, seed=3)
 
@@ -300,9 +300,9 @@ def test_store_emits_hit_miss_put_telemetry(tmp_path, small):
     report = find_tangled_logic(netlist, CFG)
     trace.enable()
     with ResultStore(str(tmp_path)) as store:
-        assert store.get("absent") is None
-        store.put("fp", report)
-        assert store.get("fp") == report
+        assert store.get_payload("absent") is None
+        store.put_payload("fp", report_to_dict(report), kind="finder_report")
+        assert store.get_payload("fp") == report_to_dict(report)
     run_report = RunReport.from_tracer()
     trace.disable()
     counters = run_report.counters()

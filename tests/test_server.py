@@ -403,6 +403,32 @@ def test_every_entry_point_shares_one_detection_row(
     assert all(report == batch.report for report in reports)
 
 
+def test_daemon_stale_report_row_takes_the_queued_path(
+    corpus, daemon_factory, tmp_path
+):
+    """A report row that no longer decodes is not recomputed by the warm
+    probe on the connection thread: it is demoted and the job is queued."""
+    from repro.service import ResultStore, job_fingerprint
+
+    path, netlist = corpus["a"]
+    config = FinderConfig(**CFG)
+    stale = report_to_dict(find_tangled_logic(netlist, config))
+    stale["version"] = -1  # an outdated report codec
+    cache = str(tmp_path / "stale-cache")
+    with ResultStore(cache) as store:
+        store.put_payload(
+            job_fingerprint(netlist, config), stale, kind="finder_report"
+        )
+    daemon, client = daemon_factory(cache_dir=cache)
+    cold = client.submit(path, config=CFG)
+    assert cold["cached"] is False
+    assert daemon.counters["warm_hits"] == 0
+    assert daemon.queue.submitted == 1
+    warm = client.submit(path, config=CFG)  # the queued run rewrote the row
+    assert warm["cached"] is True
+    assert daemon.counters["warm_hits"] == 1
+
+
 def test_daemon_flow_cold_then_warm(corpus, daemon_factory):
     daemon, client = daemon_factory()
     stages = [{"stage": "detect", "num_seeds": 6, "seed": 3}]

@@ -12,6 +12,8 @@ import pytest
 from repro.errors import ServiceError
 from repro.finder import FinderConfig, FinderReport, TangledLogicFinder, find_tangled_logic
 from repro.finder.config import DEFAULT_RENT_EXPONENT
+from repro.flow import DetectStage, Flow
+from repro.service.store import KIND_FINDER_REPORT
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.service import (
     BatchRunner,
@@ -97,59 +99,73 @@ def test_report_codec_round_trip(small_report):
     assert decoded == small_report
 
 
+def _put_report(store, fingerprint, report):
+    """Store ``report`` the way a one-stage detect flow records it."""
+    store.put_payload(
+        fingerprint, report_to_dict(report), kind=KIND_FINDER_REPORT,
+        num_items=report.num_gtls,
+    )
+
+
+def _get_report(store, fingerprint):
+    payload = store.get_payload(fingerprint, kind=KIND_FINDER_REPORT)
+    return None if payload is None else report_from_dict(payload)
+
+
 def test_store_round_trip_is_bit_identical(tmp_path, small_report):
     with ResultStore(str(tmp_path)) as store:
-        store.put("fp1", small_report)
+        _put_report(store, "fp1", small_report)
         assert "fp1" in store
         assert len(store) == 1
-        assert store.get("fp1") == small_report
+        assert _get_report(store, "fp1") == small_report
         assert store.stats.hits == 1 and store.stats.misses == 0
 
 
 def test_store_persists_across_instances(tmp_path, small_report):
     with ResultStore(str(tmp_path)) as store:
-        store.put("fp1", small_report)
+        _put_report(store, "fp1", small_report)
     with ResultStore(str(tmp_path)) as store:
-        assert store.get("fp1") == small_report
+        assert _get_report(store, "fp1") == small_report
 
 
 def test_store_miss_evict_and_lru(tmp_path, small_report):
     with ResultStore(str(tmp_path)) as store:
-        assert store.get("absent") is None
+        assert _get_report(store, "absent") is None
         assert store.stats.misses == 1
-        store.put("a", small_report)
-        store.put("b", small_report)
+        _put_report(store, "a", small_report)
+        _put_report(store, "b", small_report)
         assert store.evict("a") is True
         assert store.evict("a") is False
         assert store.evict_lru(0) == 1
         assert len(store) == 0
 
 
-def test_store_drops_rows_with_invalid_configs(tmp_path, small_report):
+def test_store_drops_rows_with_invalid_configs(tmp_path, small, small_report):
     """Version-skewed rows whose config no longer validates must read as a
     miss and be evicted, not raise FinderError into the batch run."""
+    netlist, _ = small
     with ResultStore(str(tmp_path)) as store:
-        store.put("fp1", small_report)
+        _put_report(store, job_fingerprint(netlist, CFG), small_report)
         store._conn.execute(
             "UPDATE results SET payload = ?",
             (store._conn.execute("SELECT payload FROM results").fetchone()[0]
              .replace('"num_seeds":6', '"num_seeds":0'),),
         )
         store._conn.commit()
-        assert store.get("fp1") is None
+        assert Flow([DetectStage(CFG)]).run_cached(netlist, store) is None
         assert len(store) == 0
 
 
 def test_store_drops_corrupt_payloads(tmp_path, small_report):
     store = ResultStore(str(tmp_path))
-    store.put("fp1", small_report)
+    _put_report(store, "fp1", small_report)
     store._conn.execute("UPDATE results SET payload = '{broken'")
     store._conn.commit()
-    assert store.get("fp1") is None  # treated as a miss, not an exception
+    assert _get_report(store, "fp1") is None  # treated as a miss, not an exception
     assert len(store) == 0  # corrupt row evicted
     store.close()
     with pytest.raises(ServiceError):
-        store.get("fp1")
+        store.get_payload("fp1")
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +507,7 @@ def test_store_two_concurrent_writers(tmp_path, small_report):
                         small_report.config, seed=offset * 100 + index
                     ),
                 )
-                store.put(f"writer{offset}-{index:03d}", report)
+                _put_report(store, f"writer{offset}-{index:03d}", report)
         except Exception as error:  # surfaced after the join
             errors.append(error)
 
@@ -508,8 +524,8 @@ def test_store_two_concurrent_writers(tmp_path, small_report):
         # Cross-visibility: each connection sees both writers' rows.
         for store in writers:
             assert len(store) == 40
-            assert store.get("writer0-000") is not None
-            assert store.get("writer1-019") is not None
+            assert _get_report(store, "writer0-000") is not None
+            assert _get_report(store, "writer1-019") is not None
     finally:
         for store in writers:
             store.close()
@@ -525,7 +541,7 @@ def test_store_concurrent_same_fingerprint_upsert(tmp_path, small_report):
     def hammer(store):
         try:
             for _ in range(10):
-                store.put("shared-fingerprint", small_report)
+                _put_report(store, "shared-fingerprint", small_report)
         except Exception as error:
             errors.append(error)
 
@@ -536,7 +552,7 @@ def test_store_concurrent_same_fingerprint_upsert(tmp_path, small_report):
         thread.join(timeout=60)
     assert errors == []
     try:
-        assert writers[0].get("shared-fingerprint") == small_report
+        assert _get_report(writers[0], "shared-fingerprint") == small_report
         assert len(writers[1]) == 1
     finally:
         for store in writers:
