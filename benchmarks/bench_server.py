@@ -35,6 +35,9 @@ NUM_CELLS = 800 if SMOKE else 4_000
 NUM_SEEDS = 6 if SMOKE else 24
 WARM_REPEATS = 5 if SMOKE else 20
 BURST_PER_CLASS = 2 if SMOKE else 4
+#: Priority classes in burst submission order; a class's index fixes its
+#: burst seeds, so every run queues the same distinct configs.
+PRIORITIES = ("sweep", "batch", "interactive")
 
 #: The ISSUE's acceptance bound for a warm repeat request (full scale).
 WARM_BUDGET_S = 0.050
@@ -83,11 +86,14 @@ def test_server_cold_warm_and_priorities(tmp_path):
         # Priority burst: queue everything with the scheduler busy, then
         # compare per-class queue waits.
         job_ids = {}
-        for priority in ("sweep", "batch", "interactive"):
+        for rank, priority in enumerate(PRIORITIES):
             job_ids[priority] = [
                 client.submit(
                     design,
-                    config={"num_seeds": NUM_SEEDS, "seed": 100 + hash(priority) % 50 + i},
+                    config={
+                        "num_seeds": NUM_SEEDS,
+                        "seed": 100 + rank * BURST_PER_CLASS + i,
+                    },
                     priority=priority,
                     wait=False,
                 )["job_id"]

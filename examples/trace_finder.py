@@ -8,7 +8,7 @@ heap pushes/compactions).
 
 This is the library-level equivalent of the CLI flags::
 
-    tangled-logic find-gtl design.hgr --seeds 16   # no telemetry
+    tangled-logic detect design.hgr --seeds 16 --no-cache   # no telemetry
     tangled-logic flow run flow.json --trace out.jsonl --profile
 
 Run:  python examples/trace_finder.py [--cells N] [--seeds K]

@@ -2,8 +2,6 @@
 
 Subcommands:
 
-* ``find-gtl``     — run the tangled-logic finder on a Bookshelf / hgr /
-  edge-list design and print the report.
 * ``generate``     — synthesize a workload (planted graph, ISPD-like,
   industrial-like) and write it to disk.
 * ``experiment``   — run one of the paper's table/figure harnesses.
@@ -11,24 +9,25 @@ Subcommands:
   service (shared worker pool, persistent result cache).
 * ``sweep``        — expand a parameter grid over a set of designs,
   deduplicate identical jobs, and run them through the batch service;
-  ``--shards N`` splits the plan across parallel worker processes with
-  per-shard result stores (``--via-daemon`` dispatches the shards to a
-  running daemon as priority-class-``sweep`` jobs instead), and
-  ``--aggregate`` publishes per-axis/per-shard statistics as JSON.
-* ``store merge``  — fold result stores into one (e.g. per-shard sweep
-  stores into the main cache), reconciling rows by fingerprint, schema
-  revision and use-count.
+  ``--shards N`` splits the plan across parallel worker processes that
+  share the cache dir's result store (``--via-daemon`` dispatches the
+  shards to a running daemon as priority-class-``sweep`` jobs instead),
+  and ``--aggregate`` publishes per-axis/per-shard statistics as JSON.
 * ``flow run``     — execute a declared multi-stage flow manifest
   (detect / partition / place / congestion / soft_blocks / resynthesis)
   over one or more designs, with per-stage fingerprint caching.
 * ``diff``         — structural diff of two designs; prints (and
   optionally writes) the :class:`~repro.incremental.NetlistDelta`.
-* ``detect``       — detection with incremental reuse: patch a cached
-  base run through the dirty region of the edit instead of recomputing
-  (``--base`` names a base design or fingerprint; defaults to the
-  per-config head pointer in the cache).
+* ``detect``       — run the tangled-logic finder on one Bookshelf / hgr /
+  edge-list / pack design and print the report (``--out`` writes the GTL
+  membership).  With the cache it reuses what it soundly can: the exact
+  report, or a cached base run patched through the dirty region of the
+  edit (``--base`` names a base design or fingerprint; defaults to the
+  per-config head pointer in the cache); ``--no-cache`` is a plain run.
 * ``cache``        — result-cache maintenance: ``stats`` (entries per
-  artifact kind) and ``prune --keep N`` (LRU eviction).
+  artifact kind), ``prune --keep N`` (LRU eviction) and ``merge SOURCE...``
+  (fold other cache dirs in, reconciling rows by fingerprint, schema
+  revision and use-count).
 * ``pack``         — convert a text design file to the binary pack format
   (``.nla``), which loads zero-copy via mmap; with ``--out-dir`` pack a
   whole manifest of designs into an indexed corpus the daemon can mmap.
@@ -41,13 +40,13 @@ Subcommands:
 
 Examples::
 
-    tangled-logic find-gtl design.aux --seeds 100 --metric gtl_sd
+    tangled-logic detect design.aux --seeds 100 --metric gtl_sd --no-cache
     tangled-logic generate ispd --scale 0.25 --out bench/
     tangled-logic experiment table1 --scale 0.1
     tangled-logic batch jobs.json --workers 4 --cache-dir .repro-cache
     tangled-logic sweep sweep.json --jsonl points.jsonl
     tangled-logic sweep sweep.json --shards 4 --aggregate stats.json
-    tangled-logic store merge .repro-cache .repro-cache/shards/shard-*
+    tangled-logic cache merge other-host-cache/ --cache-dir .repro-cache
     tangled-logic flow run flow.json --cache-dir .repro-cache --workers 4
     tangled-logic flow run flow.json --trace trace.jsonl --profile
     tangled-logic --log-level info batch jobs.json
@@ -85,31 +84,8 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.finder import FinderConfig, find_tangled_logic
+from repro.finder import FinderConfig
 from repro.io import load_design as _load_design
-
-
-def _cmd_find_gtl(args: argparse.Namespace) -> int:
-    netlist = _load_design(args.design)
-    config = FinderConfig(
-        num_seeds=args.seeds,
-        metric=args.metric,
-        max_order_length=args.max_order_length,
-        min_gtl_size=args.min_size,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    report = find_tangled_logic(netlist, config)
-    print(report.summary())
-    if args.out:
-        with open(args.out, "w") as handle:
-            for index, gtl in enumerate(report.gtls):
-                names = " ".join(netlist.cell_name(c) for c in sorted(gtl.cells))
-                handle.write(f"GTL {index + 1} size={gtl.size} cut={gtl.cut} "
-                             f"ngtl={gtl.ngtl_score:.4f} gtl_sd={gtl.gtl_sd_score:.4f}\n")
-                handle.write(names + "\n")
-        print(f"wrote {report.num_gtls} GTL(s) to {args.out}")
-    return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -277,33 +253,35 @@ def _resolve_design(design: str, base_dir: str) -> str:
     return design if os.path.isabs(design) else os.path.join(base_dir, design)
 
 
-def _run_service_command(args: argparse.Namespace, execute) -> int:
-    """Shared store/runner lifecycle and output epilogue of batch and sweep.
+def _run_command(args: argparse.Namespace, root: str, execute) -> int:
+    """Shared store/trace lifecycle and output epilogue of the detection verbs.
 
-    ``execute(runner)`` returns ``(headers, rows, summary_line, jsonl_rows,
-    results)``; the exit code is 0 only when every result is ok.
+    ``execute(store)`` runs inside the ``--trace``/``--profile`` root span
+    ``cli.<root>`` with the cache dir's one store (``None`` under
+    ``--no-cache``) and returns ``(lines, jsonl_rows, ok)``: the command's
+    own output, printed before the ``cache:`` line and the run-report
+    epilogue, and the rows ``--jsonl`` writes.  Exit code 0 only when ok.
     """
     from repro.utils.jsonio import write_jsonl
-    from repro.utils.tables import format_table
 
     store = _open_store(args)
-    obs = _ObsSession(args, f"cli.{args.command}")
+    obs = _ObsSession(args, f"cli.{root}")
     try:
-        with obs, _make_runner(args, store) as runner:
-            headers, rows, summary_line, jsonl_rows, results = execute(runner)
+        with obs:
+            lines, jsonl_rows, ok = execute(store)
     finally:
-        cache_line = store.stats.summary() if store else "cache disabled"
-        if store:
+        cache_line = "cache disabled" if store is None else store.stats.summary()
+        if store is not None:
             store.close()
-
-    print(format_table(headers, rows))
-    print(summary_line)
+    for line in lines:
+        print(line)
     print(f"cache: {cache_line}")
     obs.emit()
-    if args.jsonl:
-        written = write_jsonl(args.jsonl, jsonl_rows)
-        print(f"wrote {written} row(s) to {args.jsonl}")
-    return 0 if all(r.ok for r in results) else 1
+    jsonl = getattr(args, "jsonl", "")
+    if jsonl:
+        written = write_jsonl(jsonl, jsonl_rows)
+        print(f"wrote {written} row(s) to {jsonl}")
+    return 0 if ok else 1
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -311,6 +289,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.service.codec import report_to_dict
     from repro.service.jobs import DetectionJob, summarize_results
     from repro.utils.jsonio import read_json_file
+    from repro.utils.tables import format_table
 
     manifest = read_json_file(args.manifest)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("jobs"), list):
@@ -346,8 +325,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
         )
 
-    def execute(runner):
-        results = runner.run(jobs)
+    def execute(store):
+        with _make_runner(args, store) as runner:
+            results = runner.run(jobs)
         headers = ["job", "gtls", "best size", "best score", "rent p", "cache", "time"]
         rows = [_report_row(r.job.label, r) for r in results]
         jsonl_rows = [
@@ -361,13 +341,22 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             }
             for r in results
         ]
-        return headers, rows, summarize_results(results), jsonl_rows, results
+        lines = [format_table(headers, rows), summarize_results(results)]
+        return lines, jsonl_rows, all(r.ok for r in results)
 
-    return _run_service_command(args, execute)
+    return _run_command(args, "batch", execute)
 
 
-def _sweep_table(outcome):
-    """Table headers + rows of one sweep outcome (sharded or not)."""
+def _sweep_output(args: argparse.Namespace, outcome):
+    """:func:`_run_command` output of one sweep outcome (sharded or not)."""
+    from repro.service.aggregate import (
+        aggregate_sweep,
+        point_rows,
+        write_aggregate,
+    )
+    from repro.service.jobs import summarize_results
+    from repro.utils.tables import format_table
+
     headers = [
         "design", "point", "gtls", "best size", "best score", "rent p", "cache", "time",
     ]
@@ -376,27 +365,26 @@ def _sweep_table(outcome):
         overrides = ", ".join(f"{k}={v}" for k, v in point.overrides)
         row = _report_row(point.design, result)
         rows.append([row[0], overrides] + row[1:])
-    return headers, rows
-
-
-def _sweep_summary(outcome) -> str:
-    from repro.service.jobs import summarize_results
-
-    return (
+    lines = [
+        format_table(headers, rows),
         f"{len(outcome.plan.points)} grid point(s) -> "
         f"{len(outcome.plan.jobs)} distinct job(s) "
         f"({outcome.plan.num_deduplicated} deduplicated); "
-        + summarize_results(outcome.job_results)
-    )
-
-
-def _publish_aggregate(args: argparse.Namespace, outcome) -> None:
-    if not getattr(args, "aggregate", ""):
-        return
-    from repro.service.aggregate import aggregate_sweep, write_aggregate
-
-    write_aggregate(args.aggregate, aggregate_sweep(outcome))
-    print(f"wrote aggregate stats to {args.aggregate}")
+        + summarize_results(outcome.job_results),
+    ]
+    if hasattr(outcome, "shard_stats"):  # the coordinator's outcome
+        for stats in outcome.shard_stats:
+            status = "ok" if stats.ok else f"FAILED ({stats.error})"
+            lines.append(
+                f"shard {stats.shard_id}: {stats.num_jobs} job(s), "
+                f"{stats.attempts} attempt(s), {stats.wall_seconds:.2f}s, "
+                f"{stats.cache_hits} hit(s), {status}"
+            )
+        lines.append(f"mode: {outcome.mode}, {outcome.wall_seconds:.2f}s wall")
+    if args.aggregate:
+        write_aggregate(args.aggregate, aggregate_sweep(outcome))
+        lines.append(f"wrote aggregate stats to {args.aggregate}")
+    return lines, point_rows(outcome), all(r.ok for r in outcome.job_results)
 
 
 def _parse_sweep_manifest(args: argparse.Namespace):
@@ -426,30 +414,23 @@ def _parse_sweep_manifest(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.service.aggregate import point_rows
     from repro.service.sweep import run_sweep
 
     designs, base, grid, design_paths = _parse_sweep_manifest(args)
     if args.shards > 1 or args.via_daemon:
         return _cmd_sweep_sharded(args, designs, base, grid, design_paths)
 
-    def execute(runner):
-        outcome = run_sweep(designs, base, grid, runner)
-        headers, rows = _sweep_table(outcome)
-        _publish_aggregate(args, outcome)
-        return headers, rows, _sweep_summary(outcome), point_rows(outcome), (
-            outcome.job_results
-        )
+    def execute(store):
+        with _make_runner(args, store) as runner:
+            outcome = run_sweep(designs, base, grid, runner)
+        return _sweep_output(args, outcome)
 
-    return _run_service_command(args, execute)
+    return _run_command(args, "sweep", execute)
 
 
 def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
     """The coordinator path of ``sweep``: ``--shards N`` / ``--via-daemon``."""
-    from repro.service.aggregate import point_rows
     from repro.service.coordinator import SweepCoordinator
-    from repro.utils.jsonio import write_jsonl
-    from repro.utils.tables import format_table
 
     def progress(event) -> None:
         if event.kind == "shard-start":
@@ -461,72 +442,45 @@ def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
                   f"({event.done_shards}/{event.total_shards} shard(s))",
                   file=sys.stderr)
 
-    coordinator = SweepCoordinator(
-        num_shards=args.shards,
-        cache_dir=None if args.no_cache else (args.cache_dir or ".repro-cache"),
-        use_cache=not args.no_cache,
-        workers=args.workers,
-        max_shard_attempts=args.shard_attempts,
-        progress=None if args.quiet else progress,
-        daemon_socket=args.socket if args.via_daemon else None,
-    )
-    obs = _ObsSession(args, "cli.sweep")
-    with obs:
+    def execute(store):
+        coordinator = SweepCoordinator(
+            num_shards=args.shards,
+            cache_dir=None if store is None else store.cache_dir,
+            use_cache=store is not None,
+            workers=args.workers,
+            max_shard_attempts=args.shard_attempts,
+            progress=None if args.quiet else progress,
+            daemon_socket=args.socket if args.via_daemon else None,
+        )
         outcome = coordinator.run(designs, base, grid, design_paths=design_paths)
+        if store is not None:
+            # The shards' lookups are this command's: count them on the
+            # ``cache:`` line like a single-process sweep's.
+            for stats in outcome.shard_stats:
+                store.stats.hits += stats.cache_hits
+                store.stats.misses += stats.cache_misses
+                store.stats.puts += stats.cache_puts
+        return _sweep_output(args, outcome)
 
-    headers, rows = _sweep_table(outcome)
-    print(format_table(headers, rows))
-    print(_sweep_summary(outcome))
-    for stats in outcome.shard_stats:
-        status = "ok" if stats.ok else f"FAILED ({stats.error})"
-        print(f"shard {stats.shard_id}: {stats.num_jobs} job(s), "
-              f"{stats.attempts} attempt(s), {stats.wall_seconds:.2f}s, "
-              f"{stats.cache_hits} hit(s), {status}")
-    print(f"mode: {outcome.mode}, {outcome.wall_seconds:.2f}s wall"
-          + (f"; merged shard stores: {outcome.merge_stats.summary()}"
-             if outcome.merge_stats is not None else ""))
-    _publish_aggregate(args, outcome)
-    obs.emit()
-    if args.jsonl:
-        written = write_jsonl(args.jsonl, point_rows(outcome))
-        print(f"wrote {written} row(s) to {args.jsonl}")
-    return 0 if all(r.ok for r in outcome.job_results) else 1
-
-
-def _cmd_store_merge(args: argparse.Namespace) -> int:
-    from repro.service.store import MergeStats, ResultStore
-
-    totals = MergeStats()
-    with ResultStore(args.dest) as store:
-        before = len(store)
-        for source in args.sources:
-            stats = store.merge_from(source)
-            totals = totals.combined(stats)
-            print(f"{source}: {stats.summary()}")
-        after = len(store)
-    print(f"merged {len(args.sources)} store(s) into {args.dest}: "
-          f"{totals.summary()}; {before} -> {after} entr(ies)")
-    return 0
+    return _run_command(args, "sweep", execute)
 
 
 def _cmd_flow_run(args: argparse.Namespace) -> int:
     from repro.flow import flow_from_manifest
     from repro.service.pool import WorkerPool
-    from repro.utils.jsonio import read_json_file, write_jsonl
+    from repro.utils.jsonio import read_json_file
     from repro.utils.tables import format_table
 
     data = read_json_file(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     manifest = flow_from_manifest(data, base_dir)
 
-    store = _open_store(args)
-    pool = WorkerPool(args.workers) if args.workers > 1 else None
-    obs = _ObsSession(args, "cli.flow-run")
-    headers = ["design", "stage", "kind", "cache", "time", "summary"]
-    rows = []
-    jsonl_rows = []
-    try:
-        with obs:
+    def execute(store):
+        headers = ["design", "stage", "kind", "cache", "time", "summary"]
+        rows = []
+        jsonl_rows = []
+        pool = WorkerPool(args.workers) if args.workers > 1 else None
+        try:
             for path in manifest.designs:
                 netlist = _load_design(path)
                 label = os.path.basename(path)
@@ -551,20 +505,12 @@ def _cmd_flow_run(args: argparse.Namespace) -> int:
                          f"{result.runtime_seconds:.2f}s", result.metadata_summary()]
                     )
                     jsonl_rows.append({"design": label, **result.to_row()})
-    finally:
-        cache_line = store.stats.summary() if store else "cache disabled"
-        if store:
-            store.close()
-        if pool is not None:
-            pool.shutdown()
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        return [format_table(headers, rows)], jsonl_rows, True
 
-    print(format_table(headers, rows))
-    print(f"cache: {cache_line}")
-    obs.emit()
-    if args.jsonl:
-        written = write_jsonl(args.jsonl, jsonl_rows)
-        print(f"wrote {written} row(s) to {args.jsonl}")
-    return 0
+    return _run_command(args, "flow-run", execute)
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
@@ -786,6 +732,16 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_membership(path: str, netlist, report) -> None:
+    """Write each found GTL's header line and member cell names."""
+    with open(path, "w") as handle:
+        for index, gtl in enumerate(report.gtls):
+            names = " ".join(netlist.cell_name(c) for c in sorted(gtl.cells))
+            handle.write(f"GTL {index + 1} size={gtl.size} cut={gtl.cut} "
+                         f"ngtl={gtl.ngtl_score:.4f} gtl_sd={gtl.gtl_sd_score:.4f}\n")
+            handle.write(names + "\n")
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.incremental import detect_with_reuse
 
@@ -805,38 +761,33 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             base_netlist = _load_design(args.base)
         else:
             base_fingerprint = args.base  # a netlist fingerprint from a prior run
-    store = _open_store(args)
-    obs = _ObsSession(args, "cli.detect")
-    try:
-        with obs:
-            result = detect_with_reuse(
-                netlist,
-                config,
-                store,
-                base=base_netlist,
-                base_fingerprint=base_fingerprint,
-                halo=args.halo,
-                full_threshold=args.full_threshold,
-            )
-    finally:
-        cache_line = store.stats.summary() if store else "cache disabled"
-        if store:
-            store.close()
-    print(result.report.summary())
-    print(result.summary())
-    if result.base_fingerprint:
-        print(f"base fingerprint: {result.base_fingerprint[:12]}, "
-              f"delta fingerprint: {result.delta_fingerprint[:12]}")
-    print(f"cache: {cache_line}")
-    obs.emit()
-    return 0
+
+    def execute(store):
+        result = detect_with_reuse(
+            netlist,
+            config,
+            store,
+            base=base_netlist,
+            base_fingerprint=base_fingerprint,
+            halo=args.halo,
+            full_threshold=args.full_threshold,
+        )
+        lines = [result.report.summary(), result.summary()]
+        if result.base_fingerprint:
+            lines.append(f"base fingerprint: {result.base_fingerprint[:12]}, "
+                         f"delta fingerprint: {result.delta_fingerprint[:12]}")
+        if args.out:
+            _write_membership(args.out, netlist, result.report)
+            lines.append(f"wrote {result.report.num_gtls} GTL(s) to {args.out}")
+        return lines, [], True
+
+    return _run_command(args, "detect", execute)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.service.store import ResultStore
+    from repro.service.store import MergeStats, ResultStore
 
-    store = ResultStore(args.cache_dir or ".repro-cache")
-    try:
+    with ResultStore(args.cache_dir or ".repro-cache") as store:
         if args.cache_command == "stats":
             entries = store.entries()
             total_runtime = sum(runtime for _, _, runtime in entries)
@@ -845,13 +796,21 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   f"{total_runtime:.1f}s of saved compute")
             for kind, count in store.kind_counts().items():
                 print(f"  {kind}: {count}")
-            return 0
-        evicted = store.evict_lru(args.keep)
-        print(f"pruned {evicted} entr(ies); {len(store)} kept "
-              f"(LRU, --keep {args.keep})")
-        return 0
-    finally:
-        store.close()
+        elif args.cache_command == "merge":
+            totals = MergeStats()
+            before = len(store)
+            for source in args.sources:
+                stats = store.merge_from(source)
+                totals = totals.combined(stats)
+                print(f"{source}: {stats.summary()}")
+            print(f"merged {len(args.sources)} store(s) into "
+                  f"{store.cache_dir}: {totals.summary()}; "
+                  f"{before} -> {len(store)} entr(ies)")
+        else:
+            evicted = store.evict_lru(args.keep)
+            print(f"pruned {evicted} entr(ies); {len(store)} kept "
+                  f"(LRU, --keep {args.keep})")
+    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -884,7 +843,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _add_obs_args(sub: argparse.ArgumentParser) -> None:
-    """Telemetry flags shared by batch/sweep/flow-run."""
+    """Telemetry flags shared by batch/sweep/flow-run/detect/serve."""
     sub.add_argument("--trace", default="", metavar="PATH",
                      help="write a JSONL span trace of the run here")
     sub.add_argument("--profile", action="store_true",
@@ -905,17 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="logging level (DEBUG/INFO/WARNING/ERROR; also $REPRO_LOG_LEVEL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    find = sub.add_parser("find-gtl", help="run the finder on a design file")
-    find.add_argument("design", help=".aux (Bookshelf), .hgr, or edge-list file")
-    find.add_argument("--seeds", type=int, default=100)
-    find.add_argument("--metric", choices=("gtl_s", "ngtl_s", "gtl_sd"), default="gtl_sd")
-    find.add_argument("--max-order-length", type=int, default=0)
-    find.add_argument("--min-size", type=int, default=30)
-    find.add_argument("--workers", type=int, default=1)
-    find.add_argument("--seed", type=int, default=None)
-    find.add_argument("--out", default="", help="write found GTL membership here")
-    find.set_defaults(func=_cmd_find_gtl)
 
     gen = sub.add_parser("generate", help="synthesize a workload")
     gen.add_argument("kind", choices=("planted", "ispd", "industrial"))
@@ -973,8 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = service_parsers["sweep"]
     sweep_p.add_argument("--shards", type=int, default=1,
                          help="split the deduplicated plan into N shards "
-                         "executed by parallel worker processes over "
-                         "per-shard stores (merged back afterwards)")
+                         "executed by parallel worker processes over the "
+                         "cache dir's store")
     sweep_p.add_argument("--shard-attempts", type=int, default=2,
                          help="dispatch attempts per shard before its jobs "
                          "are reported failed")
@@ -986,19 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--aggregate", default="",
                          help="write aggregate sweep stats (per-axis "
                          "summaries, per-shard wall-clock) as JSON here")
-
-    store_p = sub.add_parser("store", help="result-store maintenance")
-    store_sub = store_p.add_subparsers(dest="store_command", required=True)
-    store_merge = store_sub.add_parser(
-        "merge",
-        help="merge result stores row-by-row (e.g. shard stores into the "
-        "main store): new rows copied, identical rows' usage combined, "
-        "conflicts resolved by use-count then recency",
-    )
-    store_merge.add_argument("dest", help="destination cache directory")
-    store_merge.add_argument("sources", nargs="+",
-                             help="source cache directories (read-only)")
-    store_merge.set_defaults(func=_cmd_store_merge)
 
     flow = sub.add_parser("flow", help="declared multi-stage flows")
     flow_sub = flow.add_subparsers(dest="flow_command", required=True)
@@ -1029,7 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser(
         "detect",
-        help="detection with incremental reuse (patch a cached base run)",
+        help="run the finder on a design file (with the cache: reuse or "
+        "patch a cached base run)",
     )
     detect.add_argument("design", help=".aux (Bookshelf), .hgr, or edge-list file")
     detect.add_argument("--base", default="",
@@ -1054,10 +990,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result cache directory (default .repro-cache)")
     detect.add_argument("--no-cache", action="store_true",
                         help="bypass the result cache (forces a full run)")
+    detect.add_argument("--out", default="",
+                        help="write found GTL membership here")
     _add_obs_args(detect)
     detect.set_defaults(func=_cmd_detect)
 
-    cache = sub.add_parser("cache", help="inspect or prune the result cache")
+    cache = sub.add_parser("cache", help="inspect, prune or merge result caches")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
         "stats", help="entry counts per artifact kind"
@@ -1073,6 +1011,18 @@ def build_parser() -> argparse.ArgumentParser:
     cache_prune.add_argument("--cache-dir", default="",
                              help="result cache directory (default .repro-cache)")
     cache_prune.set_defaults(func=_cmd_cache)
+    cache_merge = cache_sub.add_parser(
+        "merge",
+        help="merge other cache dirs into this one row by row: new rows "
+        "copied, identical rows' usage combined, conflicts resolved by "
+        "use-count then recency",
+    )
+    cache_merge.add_argument("sources", nargs="+",
+                             help="source cache directories (read-only)")
+    cache_merge.add_argument("--cache-dir", default="",
+                             help="destination cache directory "
+                             "(default .repro-cache)")
+    cache_merge.set_defaults(func=_cmd_cache)
 
     pack = sub.add_parser(
         "pack", help="convert a design file to the binary pack format (.nla)"

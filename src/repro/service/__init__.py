@@ -6,7 +6,8 @@ Turns the one-shot in-process finder into a batch service:
   ``(Netlist, FinderConfig)`` pairs, the cache key of everything below.
 * :mod:`repro.service.codec` — lossless JSON codecs for finder reports.
 * :mod:`repro.service.store` — persistent SQLite result store with
-  hit/miss accounting.
+  hit/miss accounting; one per cache dir, shared by every process that
+  runs over it (CLI runs, shard workers, the daemon).
 * :mod:`repro.service.pool` — a reusable worker pool that ships each
   netlist to the workers once and then streams bare seed batches.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and
@@ -15,9 +16,9 @@ Turns the one-shot in-process finder into a batch service:
   fingerprint-level job deduplication.
 * :mod:`repro.service.shard` — stable fingerprint-keyed partitioning of a
   sweep plan into balanced shards.
-* :mod:`repro.service.coordinator` — sharded sweep dispatch: per-shard
-  worker processes over per-shard stores (or priority-class-``sweep``
-  daemon submits), retry/failure accounting, store merge-back.
+* :mod:`repro.service.coordinator` — sharded sweep dispatch: one worker
+  process per shard, all over the cache dir's one store (or
+  priority-class-``sweep`` daemon submits), retry/failure accounting.
 * :mod:`repro.service.aggregate` — sweep aggregation/publishing: canonical
   per-point rows, per-axis summaries, per-shard wall-clock stats.
 
@@ -60,7 +61,6 @@ from repro.service.coordinator import (
     ShardStats,
     ShardedSweepOutcome,
     SweepCoordinator,
-    run_sharded_sweep,
 )
 from repro.service.aggregate import (
     SweepAggregate,
@@ -99,7 +99,6 @@ __all__ = [
     "SweepCoordinator",
     "ShardStats",
     "ShardedSweepOutcome",
-    "run_sharded_sweep",
     "SweepAggregate",
     "aggregate_sweep",
     "point_rows",

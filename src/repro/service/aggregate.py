@@ -10,9 +10,10 @@ plan point order, and this module turns it into publishable artifacts —
   one builder, which is what makes "4-shard output is bit-identical to
   the unsharded sweep" a diffable property rather than a hope.
 * :func:`aggregate_sweep` — roll the outcome up into a
-  :class:`SweepAggregate`: totals, cache effectiveness, per-shard
-  wall-clock/attempt accounting and per-axis response summaries (how did
-  ``lambda_skip=20`` do across every design and other-axis value?).
+  :class:`SweepAggregate`: totals, cache effectiveness (counted from the
+  job results, whichever process ran them), per-shard wall-clock/attempt
+  accounting and per-axis response summaries (how did ``lambda_skip=20``
+  do across every design and other-axis value?).
 * :func:`write_aggregate` — publish the aggregate as one JSON document.
 """
 
@@ -20,13 +21,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.service.codec import report_to_dict
 from repro.service.sweep import SweepOutcome
 
-#: Version stamp of the published aggregate document.
-AGGREGATE_SCHEMA = 1
+#: Version stamp of the published aggregate document (2: no ``merge``
+#: block — shards write the main store, nothing is merged back).
+AGGREGATE_SCHEMA = 2
 
 
 def point_rows(outcome: SweepOutcome) -> List[Dict[str, Any]]:
@@ -93,8 +95,8 @@ class AxisValueSummary:
 class SweepAggregate:
     """Rolled-up statistics of one executed sweep.
 
-    ``shards``/``mode``/``merge`` are populated when the outcome came from
-    the sharded coordinator; an unsharded sweep aggregates as one implicit
+    ``shards``/``mode`` are populated when the outcome came from the
+    sharded coordinator; an unsharded sweep aggregates as one implicit
     shard-less run.
     """
 
@@ -108,7 +110,6 @@ class SweepAggregate:
     mode: str
     per_axis: Dict[str, Dict[str, Dict[str, Any]]]
     shards: List[Dict[str, Any]] = field(default_factory=list)
-    merge: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -122,7 +123,6 @@ class SweepAggregate:
             "mode": self.mode,
             "per_axis": self.per_axis,
             "shards": self.shards,
-            "merge": self.merge,
         }
 
     def summary(self) -> str:
@@ -154,23 +154,15 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
             )
             summary.add(result)
 
-    # Sharded outcomes carry their own accounting; plain outcomes fall back
-    # to job-result counters.
+    cache_hits = sum(1 for r in outcome.job_results if r.cached)
     shard_stats = getattr(outcome, "shard_stats", None) or []
-    if shard_stats:
-        cache_hits = sum(stats.cache_hits for stats in shard_stats)
-        cache_misses = sum(stats.cache_misses for stats in shard_stats)
-    else:
-        cache_hits = sum(1 for r in outcome.job_results if r.cached)
-        cache_misses = len(outcome.job_results) - cache_hits
-    merge_stats = getattr(outcome, "merge_stats", None)
     return SweepAggregate(
         points=len(outcome.plan.points),
         jobs=len(outcome.plan.jobs),
         deduplicated=outcome.plan.num_deduplicated,
         failed_points=failed_points,
         cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        cache_misses=len(outcome.job_results) - cache_hits,
         wall_seconds=float(getattr(outcome, "wall_seconds", 0.0)),
         mode=str(getattr(outcome, "mode", "single")),
         per_axis={
@@ -181,16 +173,6 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
             for axis, values in sorted(per_axis.items())
         },
         shards=[stats.to_dict() for stats in shard_stats],
-        merge=(
-            {
-                "copied": merge_stats.copied,
-                "merged": merge_stats.merged,
-                "conflicts": merge_stats.conflicts,
-                "stale_skipped": merge_stats.stale_skipped,
-            }
-            if merge_stats is not None
-            else None
-        ),
     )
 
 

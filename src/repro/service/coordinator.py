@@ -1,15 +1,18 @@
 """Sharded sweep execution: dispatch, retry accounting, result splicing.
 
 The :class:`SweepCoordinator` is the layer between the planner and the
-stores (modelled on opensearch-benchmark's ``worker_coordinator``): it
+store (modelled on opensearch-benchmark's ``worker_coordinator``): it
 partitions a deduplicated :class:`~repro.service.sweep.SweepPlan` into
 :class:`~repro.service.shard.SweepShard`\\ s and dispatches them either
 
 * **locally** — one worker process per shard (waves of a
   ``ProcessPoolExecutor``), each running its jobs through its own
-  :class:`~repro.service.jobs.BatchRunner` against a **per-shard**
-  :class:`~repro.service.store.ResultStore` (``<cache>/shards/shard-NN``),
-  so N shards never contend on one SQLite file; or
+  :class:`~repro.service.jobs.BatchRunner` against the cache dir's one
+  :class:`~repro.service.store.ResultStore`.  The store is WAL-mode SQLite
+  with a busy timeout, so N shard processes (and a daemon, and other CLI
+  runs) read and write the same ``results.sqlite`` concurrently; jobs the
+  cache already answers are hits, and every computed row is in the main
+  store the moment its shard records it; or
 * **via a daemon** — every job of every shard submitted to a running
   :class:`~repro.server.daemon.ServerDaemon` as a priority-class-``sweep``
   job (one submitting thread per shard, lifecycle events streamed back as
@@ -17,22 +20,15 @@ partitions a deduplicated :class:`~repro.service.sweep.SweepPlan` into
   shards while they queue.
 
 Failure model: a shard that dies (worker crash, broken pool) is retried
-whole — its per-shard store makes the retry cheap, every job that already
-finished replays as a cache hit.  A shard that exhausts its attempts fails
-*loudly but locally*: its points report the shard error while every other
-shard's results stand, and the outcome records the failure for the
-aggregator.
-
-After local execution the coordinator merges every shard store back into
-the main store (:meth:`~repro.service.store.ResultStore.merge_from`), so a
-following unsharded ``repro sweep`` — or a daemon on the same cache dir —
-starts warm.
+whole — every job it already finished replays from the store as a cache
+hit.  A shard that exhausts its attempts fails *loudly but locally*: its
+points report the shard error while every other shard's results stand,
+and the outcome records the failure for the aggregator.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,18 +40,9 @@ from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.service.jobs import BatchRunner, JobResult
 from repro.service.shard import SweepShard, partition_plan
-from repro.service.store import MergeStats, ResultStore
+from repro.service.store import ResultStore
 from repro.service.sweep import SweepOutcome, plan_sweep
 from repro.utils.timer import Timer
-
-#: Subdirectory of the cache dir holding the per-shard stores.
-SHARD_STORE_DIR = "shards"
-
-
-def shard_store_path(cache_dir: str, shard_id: int) -> str:
-    """Cache directory of one shard's private result store."""
-    return os.path.join(cache_dir, SHARD_STORE_DIR, f"shard-{shard_id:02d}")
-
 
 @dataclass
 class ShardStats:
@@ -68,7 +55,7 @@ class ShardStats:
         ok: True when the shard returned results.
         error: terminal dispatch error when ``ok`` is False.
         wall_seconds: wall-clock of the successful attempt (0.0 if none).
-        cache_hits / cache_misses / cache_puts: the shard store's counters.
+        cache_hits / cache_misses / cache_puts: the shard's store counters.
     """
 
     shard_id: int
@@ -127,19 +114,10 @@ class ShardedSweepOutcome(SweepOutcome):
     shard_stats: List[ShardStats] = field(default_factory=list)
     wall_seconds: float = 0.0
     mode: str = "local"
-    merge_stats: Optional[MergeStats] = None
 
     @property
     def failed_shards(self) -> List[ShardStats]:
         return [stats for stats in self.shard_stats if not stats.ok]
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(stats.cache_hits for stats in self.shard_stats)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(stats.cache_misses for stats in self.shard_stats)
 
 
 @dataclass
@@ -162,13 +140,13 @@ def _execute_shard(
 ) -> Dict[str, object]:
     """Run one shard's jobs in this process (the shard-worker entry point).
 
-    Opens the shard's private store, runs the jobs through a
+    Opens the cache dir's store, runs the jobs through a
     :class:`BatchRunner`, and returns a picklable payload: slim outcomes
     (the heavyweight job netlists stay behind) plus store counters.
     """
     store: Optional[ResultStore] = None
     if use_cache and cache_dir:
-        store = ResultStore(shard_store_path(cache_dir, shard.shard_id))
+        store = ResultStore(cache_dir)
     try:
         with Timer() as timer, BatchRunner(
             workers=workers, store=store, use_cache=use_cache
@@ -204,9 +182,8 @@ class SweepCoordinator:
 
     Args:
         num_shards: shards to split the plan into (>= 1).
-        cache_dir: sweep cache directory; each shard gets a private store
-            under ``<cache_dir>/shards/`` which is merged back into the
-            main store afterwards.  ``None`` disables persistence.
+        cache_dir: sweep cache directory; every shard process opens its
+            one store.  ``None`` disables persistence.
         use_cache: master cache switch (the ``--no-cache`` path).
         workers: parallel seed trials *inside* each shard (usually 1 —
             sharding is the parallelism axis).
@@ -274,16 +251,12 @@ class SweepCoordinator:
                 payloads, stats = self._dispatch_local(shards)
                 mode = "local"
             job_results = self._assemble(plan, shards, payloads, stats)
-            merge_stats = None
-            if mode == "local" and self.use_cache and self.cache_dir:
-                merge_stats = self._merge_shard_stores(stats)
         return ShardedSweepOutcome(
             plan=plan,
             job_results=job_results,
             shard_stats=[stats[shard.shard_id] for shard in shards],
             wall_seconds=total.elapsed,
             mode=mode,
-            merge_stats=merge_stats,
         )
 
     # -- local dispatch -------------------------------------------------
@@ -295,8 +268,8 @@ class SweepCoordinator:
         Each wave gets a fresh executor: a worker crash poisons a
         ``ProcessPoolExecutor`` (every pending future raises
         ``BrokenProcessPool``), so surviving-but-unfinished shards are
-        simply retried in the next wave — their per-shard stores replay
-        finished jobs as hits.
+        simply retried in the next wave — the store replays their finished
+        jobs as hits.
         """
         stats = {
             # An empty shard (more shards than jobs) never runs; it is
@@ -372,8 +345,7 @@ class SweepCoordinator:
 
         One submitting thread per shard streams its jobs' lifecycles; the
         daemon's queue interleaves shards (FIFO within the ``sweep``
-        class) and its store does the caching, so per-shard stores and the
-        merge step do not apply in this mode.
+        class) and its store does the caching.
         """
         if design_paths is None:
             raise ServiceError(
@@ -536,19 +508,6 @@ class SweepCoordinator:
             )
         return results  # type: ignore[return-value]
 
-    def _merge_shard_stores(
-        self, stats: Mapping[int, ShardStats]
-    ) -> MergeStats:
-        """Fold every shard store back into the main store."""
-        totals = MergeStats()
-        with trace.span("sweep.merge"), ResultStore(self.cache_dir) as store:
-            for shard_id in sorted(stats):
-                path = shard_store_path(self.cache_dir, shard_id)
-                if not os.path.exists(os.path.join(path, ResultStore.DB_NAME)):
-                    continue
-                totals = totals.combined(store.merge_from(path))
-        return totals
-
     # -- helpers --------------------------------------------------------
     def _observe_shard(self, stats: ShardStats) -> None:
         if not trace.enabled():
@@ -589,24 +548,9 @@ class SweepCoordinator:
         )
 
 
-def run_sharded_sweep(
-    designs: Sequence[Tuple[str, Netlist]],
-    base: FinderConfig,
-    grid: Mapping[str, Sequence[object]],
-    num_shards: int,
-    **kwargs,
-) -> ShardedSweepOutcome:
-    """One-call convenience over :class:`SweepCoordinator`."""
-    design_paths = kwargs.pop("design_paths", None)
-    coordinator = SweepCoordinator(num_shards, **kwargs)
-    return coordinator.run(designs, base, grid, design_paths=design_paths)
-
-
 __all__ = [
     "ShardProgress",
     "ShardStats",
     "ShardedSweepOutcome",
     "SweepCoordinator",
-    "run_sharded_sweep",
-    "shard_store_path",
 ]

@@ -2,7 +2,7 @@
 
 A sharded sweep splits the jobs of one :class:`~repro.service.sweep.SweepPlan`
 into ``N`` :class:`SweepShard`\\ s that execute independently (separate
-processes with separate result stores — see
+processes over the cache dir's one result store — see
 :mod:`repro.service.coordinator`).  The partitioner is the layer that
 decides *which* shard owns *which* job, and it must preserve the planner's
 invariants:
@@ -10,8 +10,8 @@ invariants:
 * **Keyed by fingerprint, stable.**  A job's home shard is derived from its
   content fingerprint (SHA-256, process-restart stable), so the same plan
   partitioned twice — in another process, on another day — lands every job
-  on the same shard.  Re-running a sweep therefore replays each shard
-  against a per-shard store that is already warm with exactly its jobs.
+  on the same shard, so a sweep's shard split does not depend on where or
+  when it runs.
 * **Dedup-preserving.**  The planner collapses identical deterministic grid
   points into one job; every point keeps referencing that single job, which
   lives on exactly one shard.  Sharding never re-executes work the planner
@@ -21,8 +21,8 @@ invariants:
   planned as one job *each* (they are independent random samples even when
   their configs collide).  The partitioner keys them by ``(fingerprint,
   ordinal)`` so colliding samples spread over shards instead of clumping,
-  but they remain separate jobs — no shard, store or merge step may ever
-  collapse two of them.
+  but they remain separate jobs — no shard or store may ever collapse two
+  of them.
 * **Balanced.**  Pure hash placement can leave one shard with most of the
   work; a deterministic rebalancing pass moves jobs (highest sort key
   first) from the fullest to the emptiest shard until loads differ by at

@@ -134,7 +134,7 @@ class MergeStats:
         return self.copied + self.merged + self.conflicts + self.stale_skipped
 
     def combined(self, other: "MergeStats") -> "MergeStats":
-        """Field-wise sum — fold per-shard merges into one total."""
+        """Field-wise sum — fold per-source merges into one total."""
         return MergeStats(
             copied=self.copied + other.copied,
             merged=self.merged + other.merged,
@@ -442,7 +442,7 @@ class ResultStore:
         """Fold every row of ``source`` into this store.
 
         ``source`` is another :class:`ResultStore` or a cache-directory
-        path (e.g. one shard's private store after a sharded sweep).  The
+        path (``repro cache merge`` folds other cache dirs in).  The
         source is only read, never modified.  Reconciliation is row-by-row
         on the fingerprint primary key:
 

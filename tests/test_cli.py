@@ -22,29 +22,38 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_find_gtl_on_hgr(planted_hgr, capsys):
+@pytest.mark.parametrize("verb", ["find-gtl", "store"])
+def test_folded_verbs_are_gone(verb, capsys):
+    # find-gtl is `detect --no-cache`; store merge is `cache merge`.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([verb, "x"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_detect_no_cache_on_hgr(planted_hgr, capsys):
     path, truth = planted_hgr
-    code = main(["find-gtl", path, "--seeds", "12", "--seed", "3"])
+    code = main(["detect", path, "--seeds", "12", "--seed", "3", "--no-cache"])
     assert code == 0
     output = capsys.readouterr().out
     assert "GTL" in output
     assert str(len(truth[0])) in output
 
 
-def test_find_gtl_writes_output(planted_hgr, tmp_path, capsys):
+def test_detect_writes_output(planted_hgr, tmp_path, capsys):
     path, _ = planted_hgr
     out = str(tmp_path / "gtls.txt")
-    code = main(["find-gtl", path, "--seeds", "12", "--seed", "3", "--out", out])
+    code = main(["detect", path, "--seeds", "12", "--seed", "3", "--no-cache",
+                 "--out", out])
     assert code == 0
     assert os.path.exists(out)
     assert "GTL 1" in open(out).read()
 
 
-def test_find_gtl_on_edgelist(tmp_path, capsys):
+def test_detect_no_cache_on_edgelist(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     lines = [f"a{i} a{i + 1}" for i in range(40)]
     edges.write_text("\n".join(lines))
-    code = main(["find-gtl", str(edges), "--seeds", "4", "--seed", "1"])
+    code = main(["detect", str(edges), "--seeds", "4", "--seed", "1", "--no-cache"])
     assert code == 0
 
 
@@ -70,7 +79,7 @@ def test_generate_then_find(tmp_path, capsys):
     assert main(["generate", "planted", "--cells", "800", "--gtl-sizes", "60",
                  "--seed", "4", "--out", out]) == 0
     aux = os.path.join(out, "planted.aux")
-    assert main(["find-gtl", aux, "--seeds", "8", "--seed", "5"]) == 0
+    assert main(["detect", aux, "--seeds", "8", "--seed", "5", "--no-cache"]) == 0
     output = capsys.readouterr().out
     assert "GTL" in output
 
@@ -144,6 +153,21 @@ def test_batch_no_cache_bypass(batch_setup, capsys):
     assert "cache: cache disabled" in out
 
 
+def test_batch_with_an_empty_store_still_reports_it(batch_setup, capsys):
+    # Unpinned seeds are never cached, so the store stays empty; an empty
+    # store is still the cache, not "cache disabled".
+    import json
+
+    tmp_path, _, _ = batch_setup
+    unpinned = tmp_path / "unpinned.json"
+    unpinned.write_text(json.dumps({
+        "defaults": {"num_seeds": 4}, "jobs": [{"design": "d0.hgr"}],
+    }))
+    cache = str(tmp_path / "cache")
+    assert main(["batch", str(unpinned), "--cache-dir", cache, "--quiet"]) == 0
+    assert "cache: 0 hit(s) / 0 miss(es)" in capsys.readouterr().out
+
+
 def test_batch_jsonl_output(batch_setup, capsys):
     import json
 
@@ -196,7 +220,7 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
 def test_cli_reports_repro_errors(tmp_path, capsys):
     bad = tmp_path / "bad.hgr"
     bad.write_text("bogus header\n")
-    code = main(["find-gtl", str(bad)])
+    code = main(["detect", str(bad), "--no-cache"])
     assert code == 2
     assert "error" in capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""Sharded sweep execution: partitioner, coordinator, merge, aggregate."""
+"""Sharded sweep execution: partitioner, coordinator, store merge, aggregate."""
 
 import json
 import os
@@ -17,11 +17,7 @@ from repro.service.aggregate import (
     point_rows,
     write_aggregate,
 )
-from repro.service.coordinator import (
-    SweepCoordinator,
-    _execute_shard,
-    shard_store_path,
-)
+from repro.service.coordinator import SweepCoordinator, _execute_shard
 from repro.service.jobs import BatchRunner
 from repro.service.shard import partition_plan, shard_sort_key
 from repro.service.store import (
@@ -184,18 +180,28 @@ def test_sharded_sweep_matches_single_process(small, tmp_path):
     )
 
 
-def test_sharded_rerun_is_warm_and_merges_back(small, tmp_path):
+def _hits(outcome):
+    return sum(1 for result in outcome.job_results if result.cached)
+
+
+def test_sharded_rerun_is_warm_through_the_main_store(small, tmp_path):
     netlist, _ = small
     designs = [("d", netlist)]
     cache = str(tmp_path / "cache")
     cold = SweepCoordinator(4, cache_dir=cache).run(designs, CFG, GRID)
-    assert cold.cache_hits == 0
-    assert cold.merge_stats is not None
-    assert cold.merge_stats.copied == len(cold.plan.jobs)
-    # Stable sharding: the rerun replays every shard against its own store.
-    warm = SweepCoordinator(4, cache_dir=cache).run(designs, CFG, GRID)
-    assert warm.cache_hits == len(warm.plan.jobs)
-    # The merged main store answers an unsharded sweep warm too.
+    assert _hits(cold) == 0
+    # Every shard process recorded its rows in the cache dir's one store.
+    assert not os.path.exists(os.path.join(cache, "shards"))
+    with ResultStore(cache) as store:
+        assert all(job.fingerprint in store for job in cold.plan.jobs)
+    # Any shard count replays warm: the store is not keyed by shard.
+    for num_shards in (4, 3):
+        warm = SweepCoordinator(num_shards, cache_dir=cache).run(
+            designs, CFG, GRID
+        )
+        assert _hits(warm) == len(warm.plan.jobs)
+        assert sum(stats.cache_hits for stats in warm.shard_stats) == _hits(warm)
+    # And so does an unsharded sweep.
     with ResultStore(cache) as store, BatchRunner(store=store) as runner:
         single = run_sweep(designs, CFG, GRID, runner)
         assert all(result.cached for result in single.job_results)
@@ -384,7 +390,7 @@ def test_aggregate_per_axis_and_schema(small, tmp_path):
     data = json.load(open(path))
     assert data["schema"] == AGGREGATE_SCHEMA
     assert data["cache"] == {"hits": 0, "misses": 4}
-    assert data["merge"]["copied"] == 4
+    assert "merge" not in data
 
 
 def test_aggregate_works_on_plain_outcome(small, tmp_path):
@@ -393,7 +399,7 @@ def test_aggregate_works_on_plain_outcome(small, tmp_path):
         outcome = run_sweep([("d", netlist)], CFG, {"lambda_skip": [0]}, runner)
     aggregate = aggregate_sweep(outcome)
     assert aggregate.mode == "single"
-    assert aggregate.shards == [] and aggregate.merge is None
+    assert aggregate.shards == []
     assert aggregate.points == 1
 
 
@@ -433,19 +439,60 @@ def test_cli_sharded_sweep_parity_and_aggregate(sweep_manifest, capsys):
     assert data["points"] == 4 and len(data["shards"]) == 4
 
 
-def test_cli_store_merge(sweep_manifest, capsys):
+def test_batch_then_sharded_sweep_on_one_cache_dir_is_all_hits(
+    sweep_manifest, capsys
+):
     tmp_path, manifest = sweep_manifest
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({
+        "defaults": {"num_seeds": 4, "seed": 3},
+        "jobs": [
+            {"design": "d.hgr", "lambda_skip": skip, "min_gtl_size": size}
+            for skip in (0, 10) for size in (20, 30)
+        ],
+    }))
     cache = str(tmp_path / "c")
+    aggregate = str(tmp_path / "agg.json")
+    assert main(["batch", str(batch), "--quiet", "--cache-dir", cache]) == 0
+    capsys.readouterr()
     assert main(["sweep", manifest, "--quiet", "--shards", "2",
-                 "--cache-dir", cache]) == 0
+                 "--cache-dir", cache, "--aggregate", aggregate]) == 0
+    out = capsys.readouterr().out
+    assert "4 job(s): 4 cache hit(s), 0 computed, 0 failed" in out
+    assert "conflict" not in out
+    assert json.load(open(aggregate))["cache"] == {"hits": 4, "misses": 0}
+    assert sorted(os.listdir(cache)) == sorted(
+        name for name in os.listdir(cache) if name.startswith("results.sqlite")
+    )
+
+
+def test_cli_cache_merge(sweep_manifest, capsys):
+    tmp_path, manifest = sweep_manifest
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({
+        "designs": ["d.hgr"],
+        "base": {"num_seeds": 4, "seed": 3},
+        "grid": {"lambda_skip": [0, 5]},
+    }))
+    first, second = str(tmp_path / "c1"), str(tmp_path / "c2")
+    rows_first, rows_second = str(tmp_path / "1.jsonl"), str(tmp_path / "2.jsonl")
+    assert main(["sweep", manifest, "--quiet", "--shards", "2",
+                 "--cache-dir", first, "--jsonl", rows_first]) == 0
+    assert main(["sweep", str(other), "--quiet",
+                 "--cache-dir", second, "--jsonl", rows_second]) == 0
     capsys.readouterr()
     dest = str(tmp_path / "merged")
-    sources = [shard_store_path(cache, shard_id) for shard_id in (0, 1)]
-    assert main(["store", "merge", dest] + sources) == 0
+    assert main(["cache", "merge", first, second, "--cache-dir", dest]) == 0
     out = capsys.readouterr().out
-    assert "0 -> 4 entr(ies)" in out
+    fingerprints = {
+        json.loads(line)["fingerprint"]
+        for path in (rows_first, rows_second)
+        for line in open(path)
+    }
+    assert f"0 -> {len(fingerprints)} entr(ies)" in out
     with ResultStore(dest) as store:
-        assert len(store) == 4
+        assert len(store) == len(fingerprints)
+        assert all(fp in store for fp in fingerprints)
 
 
 def test_cli_sweep_unknown_axis_lists_fields(sweep_manifest, capsys):

@@ -287,10 +287,12 @@ def test_cli_pack_and_detect_from_packed(tmp_path, capsys, design):
     membership_a = str(tmp_path / "a.txt")
     membership_b = str(tmp_path / "b.txt")
     assert main([
-        "find-gtl", source, "--seeds", "6", "--seed", "3", "--out", membership_a,
+        "detect", source, "--seeds", "6", "--seed", "3", "--no-cache",
+        "--out", membership_a,
     ]) == 0
     assert main([
-        "find-gtl", packed, "--seeds", "6", "--seed", "3", "--out", membership_b,
+        "detect", packed, "--seeds", "6", "--seed", "3", "--no-cache",
+        "--out", membership_b,
     ]) == 0
     with open(membership_a) as a, open(membership_b) as b:
         assert a.read() == b.read()
