@@ -1,45 +1,61 @@
-"""Scalar vs array detection kernel on industrial-like designs.
+"""Scalar vs Python-array vs compiled detection kernel on industrial designs.
 
-Runs the full three-phase finder under both backends (see
-:mod:`repro.netlist.backend`) on two `generators.industrial` scenarios:
+Runs the full three-phase finder three ways (see :mod:`repro.finder.kernel`)
+on two `generators.industrial` scenarios:
 
 * ``small`` — the default ~15K-cell Table-3 design;
 * ``industrial50k`` — a ~53K-cell variant with large dissolved ROMs
   (~8.7K cells each) around wide (2^10-line) decoders, the fat-fanout
   regime the paper's industrial testcase describes.
 
-For each scenario/config the two backends must produce bit-identical
-reports — same GTL cell sets, sizes, cuts and seeds, scores within 1e-9 —
+The three ways are the scalar reference (``scalar_s``), the numpy backend
+on the Python :class:`~repro.finder.kernel.ArrayOrderingGrower`
+(``array_s``) and the numpy backend on the compiled C grow kernel
+(``compiled_s``).  ``speedup`` is scalar over array and
+``compiled_speedup`` is array over compiled.  All three must produce
+bit-identical reports — same GTL cell sets, sizes, cuts and seeds; scores
+identical between the two numpy runs and within 1e-9 of the scalar run —
 which is the invariant that lets flow caches be shared across backends.
 
 The 50K scenario is measured in two finder configurations:
 
 * ``exact`` — ``lambda_skip=0``, the paper's exact connection-weight
-  algorithm with no update skipping.  This is the acceptance measurement:
-  the array kernel must be **>= 5x** faster than the scalar reference at
-  full scale (the scalar path drowns in per-pin dict updates, O(degree)
-  cut-delta recounts and a garbage-clogged lazy heap).
+  algorithm with no update skipping.  The array kernel must be **>= 5x**
+  faster than the scalar reference at full scale (the scalar path drowns
+  in per-pin dict updates, O(degree) cut-delta recounts and a
+  garbage-clogged lazy heap).
 * ``lambda20`` — the default skip optimization, which shrinks update
-  volume for both backends and narrows the gap (~3x); recorded for
-  transparency, no floor asserted.
+  volume for both backends and narrows the gap; no floor asserted.
+
+``industrial50k_grow`` times Phase I alone: the finder's planned seed
+orderings at 53K grown by the Python array grower and by the C kernel,
+which must agree on every ordering and telemetry counter and, at full
+scale, be **>= 5x** apart.
 
 Results are written to ``BENCH_finder_kernel.json`` at the repo root via
 :mod:`benchmarks._record` (the machine-readable perf trajectory).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks both scenarios to CI-smoke size and skips
-the speedup floor (tiny designs cannot amortize anything); the parity
+the speedup floors (tiny designs cannot amortize anything); the parity
 checks always run.
 """
 
 import os
 import time
+from contextlib import nullcontext
 
 try:
     from benchmarks._record import record
 except ImportError:  # invoked outside the repo root: benchmarks/ is on sys.path
     from _record import record
 from repro.finder.config import FinderConfig
-from repro.finder.finder import TangledLogicFinder
+from repro.finder.finder import TangledLogicFinder, plan_seed_jobs
+from repro.finder.kernel import (
+    ArrayOrderingGrower,
+    compiled_kernel,
+    grow_ordering,
+    python_array_grower,
+)
 from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.netlist.backend import forced_backend
 from repro.obs import RunReport, trace
@@ -59,44 +75,83 @@ else:
     NUM_SEEDS = 8
 
 
-def _run_backend(netlist, config, backend):
-    with forced_backend(backend):
+def _run_backend(netlist, config, backend, grower=None):
+    with forced_backend(backend), grower or nullcontext():
         start = time.perf_counter()
         report = TangledLogicFinder(netlist, config).run()
         return time.perf_counter() - start, report
 
 
-def _assert_reports_identical(scalar_report, array_report):
-    """Bit-identical GTL sets; scores within 1e-9; same global exponent."""
+def _assert_reports_identical(scalar_report, array_report, tolerance=1e-9):
+    """Bit-identical GTL sets; scores within ``tolerance``; same exponent."""
     assert scalar_report.num_gtls == array_report.num_gtls
     assert scalar_report.num_orderings == array_report.num_orderings
     assert scalar_report.num_candidates == array_report.num_candidates
     assert scalar_report.rent_fallback == array_report.rent_fallback
-    assert abs(scalar_report.rent_exponent - array_report.rent_exponent) <= 1e-9
+    assert abs(scalar_report.rent_exponent - array_report.rent_exponent) <= tolerance
     for scalar_gtl, array_gtl in zip(scalar_report.gtls, array_report.gtls):
         assert set(scalar_gtl.cells) == set(array_gtl.cells)
         assert scalar_gtl.size == array_gtl.size
         assert scalar_gtl.cut == array_gtl.cut
         assert scalar_gtl.seed == array_gtl.seed
-        assert abs(scalar_gtl.score - array_gtl.score) <= 1e-9
-        assert abs(scalar_gtl.ngtl_score - array_gtl.ngtl_score) <= 1e-9
-        assert abs(scalar_gtl.gtl_sd_score - array_gtl.gtl_sd_score) <= 1e-9
+        assert abs(scalar_gtl.score - array_gtl.score) <= tolerance
+        assert abs(scalar_gtl.ngtl_score - array_gtl.ngtl_score) <= tolerance
+        assert abs(scalar_gtl.gtl_sd_score - array_gtl.gtl_sd_score) <= tolerance
 
 
 def _measure(netlist, config):
     scalar_seconds, scalar_report = _run_backend(netlist, config, "python")
-    array_seconds, array_report = _run_backend(netlist, config, "numpy")
+    array_seconds, array_report = _run_backend(
+        netlist, config, "numpy", python_array_grower()
+    )
+    compiled_seconds, compiled_report = _run_backend(netlist, config, "numpy")
     _assert_reports_identical(scalar_report, array_report)
+    _assert_reports_identical(array_report, compiled_report, tolerance=0.0)
     return {
         "cells": netlist.num_cells,
         "nets": netlist.num_nets,
         "num_seeds": config.num_seeds,
         "lambda_skip": config.lambda_skip,
-        "num_gtls": array_report.num_gtls,
-        "gtl_sizes": [gtl.size for gtl in array_report.gtls],
+        "num_gtls": compiled_report.num_gtls,
+        "gtl_sizes": [gtl.size for gtl in compiled_report.gtls],
         "scalar_s": round(scalar_seconds, 4),
         "array_s": round(array_seconds, 4),
         "speedup": round(scalar_seconds / max(array_seconds, 1e-9), 2),
+        "compiled_s": round(compiled_seconds, 4),
+        "compiled_speedup": round(array_seconds / max(compiled_seconds, 1e-9), 2),
+    }
+
+
+def _measure_grow(netlist, config):
+    """Phase I alone: the finder's seed orderings, array grower vs C kernel."""
+    seeds = [cell for cell, _ in plan_seed_jobs(netlist, config)]
+    max_length = config.resolve_order_length(netlist.num_cells)
+    kwargs = dict(lambda_skip=config.lambda_skip, exclude_fixed=config.exclude_fixed)
+
+    start = time.perf_counter()
+    array = []
+    for seed in seeds:
+        grower = ArrayOrderingGrower(netlist, seed, **kwargs)
+        array.append((grower.grow(max_length), grower.telemetry()))
+    array_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    compiled = [grow_ordering(netlist, seed, max_length, **kwargs) for seed in seeds]
+    compiled_seconds = time.perf_counter() - start
+
+    assert compiled == array, "compiled and array orderings differ"
+    return {
+        "cells": netlist.num_cells,
+        "orderings": len(seeds),
+        "max_length": max_length,
+        "lambda_skip": config.lambda_skip,
+        "absorb_steps": sum(len(ordering) for ordering, _ in compiled),
+        "heap_pushes": sum(t["heap_pushes"] for _, t in compiled),
+        "kernel": "compiled" if compiled_kernel() is not None else "python-fallback",
+        "cpu_count": os.cpu_count(),
+        "array_s": round(array_seconds, 4),
+        "compiled_s": round(compiled_seconds, 4),
+        "compiled_speedup": round(array_seconds / max(compiled_seconds, 1e-9), 2),
     }
 
 
@@ -149,6 +204,7 @@ def test_finder_kernel_scalar_vs_array():
     big_netlist, _ = generate_industrial(BIG_SPEC, seed=5)
     small_netlist.arrays  # build CSR views outside the timed regions
     big_netlist.arrays
+    compiled_kernel()  # build or load the C kernel outside them too
 
     results = {
         "small": _measure(
@@ -161,6 +217,9 @@ def test_finder_kernel_scalar_vs_array():
             big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
         ),
     }
+    results["industrial50k_grow"] = _measure_grow(
+        big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
+    )
     tracing_row, run_report = _measure_tracing(
         big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
     )
@@ -174,9 +233,15 @@ def test_finder_kernel_scalar_vs_array():
             continue
         print(
             f"{name}: {row['cells']} cells, scalar {row['scalar_s']}s, "
-            f"array {row['array_s']}s, speedup {row['speedup']}x, "
+            f"array {row['array_s']}s ({row['speedup']}x), "
+            f"compiled {row['compiled_s']}s ({row['compiled_speedup']}x), "
             f"gtls {row['num_gtls']}"
         )
+    grow = results["industrial50k_grow"]
+    print(
+        f"grow only: {grow['orderings']} orderings, array {grow['array_s']}s, "
+        f"{grow['kernel']} {grow['compiled_s']}s ({grow['compiled_speedup']}x)"
+    )
     print(
         f"tracing: untraced {tracing_row['untraced_s']}s, "
         f"traced {tracing_row['traced_s']}s "
@@ -190,3 +255,7 @@ def test_finder_kernel_scalar_vs_array():
         assert exact["cells"] >= 50_000
         assert exact["num_gtls"] >= 2  # dissolved ROM blocks are recovered
         assert exact["speedup"] >= 5.0
+        # The compiled grow loop: >= 5x over the Python array grower.
+        assert grow["cells"] >= 50_000
+        assert grow["kernel"] == "compiled"
+        assert grow["compiled_speedup"] >= 5.0

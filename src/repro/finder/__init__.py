@@ -15,7 +15,7 @@ Three phases per random seed, seeds independent:
 from repro.finder.config import FinderConfig
 from repro.finder.result import GTL, FinderReport
 from repro.finder.kernel import ArrayOrderingGrower
-from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering, make_grower
+from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering
 from repro.finder.candidate import CandidateGTL, extract_candidate
 from repro.finder.refine import refine_candidate
 from repro.finder.prune import prune_overlapping
@@ -30,7 +30,6 @@ __all__ = [
     "ArrayOrderingGrower",
     "LinearOrderingGrower",
     "grow_linear_ordering",
-    "make_grower",
     "CandidateGTL",
     "extract_candidate",
     "refine_candidate",

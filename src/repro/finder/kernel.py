@@ -1,9 +1,25 @@
-"""Flat-array Phase I kernel: linear-ordering growth on the CSR netlist view.
+"""Phase I on the numpy backend: the compiled absorb kernel and its fallback.
 
-:class:`ArrayOrderingGrower` is the drop-in counterpart of the scalar
-reference :class:`~repro.finder.ordering.LinearOrderingGrower`.  Instead of
-per-neighbor dicts it works on flat state indexed by cell id, laid out once
-per netlist from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
+Three growers produce the same orderings (see :mod:`repro.finder.ordering`
+for the algorithm):
+
+* the **C kernel** ``_grow.c`` — the default on the numpy backend.  It is
+  compiled with ``$CC`` (default ``cc``) on first use into
+  ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/``, under a name keyed by the
+  sha256 of its source and compiler flags, and loaded through
+  :mod:`ctypes`.  Each build writes a temporary file in that directory and
+  ``os.replace``-s it into place, so pool workers and shard processes that
+  race on first use all load one complete library.  The call releases the
+  GIL and reads the :class:`KernelTables` buffers in place;
+* :class:`ArrayOrderingGrower` — the same loop in Python over flat lists.
+  It runs when the kernel cannot be built or loaded (no compiler, a failed
+  compile, an unwritable cache directory: one warning per process, then
+  every ordering falls back) and is the kernel's parity reference;
+* :class:`~repro.finder.ordering.LinearOrderingGrower` — the dict-based
+  scalar reference, selected by ``REPRO_SCALAR_BACKEND=1``.
+
+The array growers keep flat state indexed by cell id, laid out once per
+netlist from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
 
 * ``weight`` / ``cutstate`` — connection weight and folded cut-delta
   counters per cell (``cutstate`` is the sum of the reference's ``touched``
@@ -19,61 +35,101 @@ counter, cell)`` is live iff the cell is still outside the group and its
 recorded weight equals the current state.  Connection weights strictly
 increase with every update, so the live entry per cell is always its most
 recent push — exactly the tie-breaking the reference's lazy heap implements
-with a shadow dict, without paying for the dict.  Updates are applied pin
-by pin in CSR slice order, the reference's exact float accumulation order,
-so orderings, weights and cut deltas are all bit-identical.
+with a shadow dict, without paying for the dict.  The insertion counter
+makes every key unique, so the pop sequence does not depend on how either
+heap is laid out, and compacting the heap to its live entries (same rule
+in both array growers) leaves it unchanged.  Updates are applied pin by pin
+in CSR slice order, the reference's exact float accumulation order, so
+orderings, weights, cut deltas and the ``heap_pushes`` telemetry are all
+bit-identical across the three growers.
 
-The per-cell state lives in flat Python lists rather than numpy arrays: one
-absorb touches only a handful of pins, and list indexing beats numpy scalar
-indexing several times over at that grain.  The vectorized numpy kernels
-take over where whole curves or groups are processed at once
-(:func:`~repro.netlist.ops.scan_ordering_curves`,
-:func:`~repro.netlist.ops.group_stats`, CSR BFS connectivity), and the
-static tables here are themselves built by vectorized passes over the CSR
-arrays.
+:class:`KernelTables` holds the CSR buffers as numpy int64 arrays, which the
+C kernel reads without copying.  The Python grower indexes one cell at a
+time, where list indexing beats numpy scalar indexing several times over,
+so it asks for ``.tolist()`` views — built only when it runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import logging
+import os
+import shlex
+import subprocess
+import tempfile
+import threading
+from contextlib import contextmanager
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import FinderError
 from repro.netlist.hypergraph import Netlist
 
+logger = logging.getLogger(__name__)
+
 #: Key of the shared static tables inside ``netlist.derived_cache``.
 _TABLES_KEY = "finder_kernel_tables"
 
+#: The kernel's C source, compiled on first use.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_grow.c")
+
+#: Compiler flags.  Strict C99 with no floating-point contraction (and never
+#: ``-ffast-math``) keeps every weight bit-identical to the Python growers.
+CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def check_seed(netlist: Netlist, seed: int, exclude_fixed: bool) -> None:
+    """Raise :class:`FinderError` unless ``seed`` can start an ordering."""
+    if not 0 <= seed < netlist.num_cells:
+        raise FinderError(f"seed cell {seed} out of range")
+    if exclude_fixed and netlist.cell_is_fixed(seed):
+        raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
+
+
+class _ListViews(NamedTuple):
+    """``.tolist()`` copies of the tables for :class:`ArrayOrderingGrower`."""
+
+    degree2: List[int]
+    net_degrees: List[int]
+    cell_ptr: List[int]
+    cell_nets: List[int]
+    update_ptr: List[int]
+    update_flat: List[int]
+
 
 class KernelTables:
-    """Immutable per-netlist lookup tables shared by all growers.
+    """Immutable per-netlist lookup tables shared by all array growers.
 
     Built once per netlist (cached on its derived-object cache) with
-    vectorized passes over the CSR view, then kept as flat Python lists for
-    cheap scalar indexing in the absorb loop.
+    vectorized passes over the CSR view.  Every table is a contiguous numpy
+    int64 array; :meth:`list_views` adds the Python grower's list copies on
+    demand.
     """
 
     def __init__(self, netlist: Netlist) -> None:
         arrays = netlist.arrays
         self.arrays = arrays
         self.num_cells = arrays.num_cells
-        multi = (arrays.net_degrees[arrays.cell_nets] > 1).astype(np.int64)
+        self.num_nets = arrays.num_nets
+        self.cell_ptr = _int64(arrays.cell_ptr)
+        self.cell_nets = _int64(arrays.cell_nets)
+        self.net_degrees = _int64(arrays.net_degrees)
+        multi = (self.net_degrees[self.cell_nets] > 1).astype(np.int64)
         running = np.zeros(len(multi) + 1, dtype=np.int64)
         np.cumsum(multi, out=running[1:])
-        degree2 = running[arrays.cell_ptr[1:]] - running[arrays.cell_ptr[:-1]]
-        self.degree2: List[int] = degree2.tolist()
-        self.net_degrees: List[int] = arrays.net_degrees.tolist()
-        self.cell_ptr: List[int] = arrays.cell_ptr.tolist()
-        self.cell_nets: List[int] = arrays.cell_nets.tolist()
+        self.degree2 = running[self.cell_ptr[1:]] - running[self.cell_ptr[:-1]]
         # Update CSRs keyed by exclude_fixed: the absorb loop never updates
         # fixed pins, so pre-dropping them removes the per-pin check.  Net
         # *degrees* for the weight formula always use the full CSR.
-        self._update_csr = {}
+        self._update_csr: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
+        self._list_views: Dict[bool, _ListViews] = {}
 
-    def update_csr(self, exclude_fixed: bool):
-        """``(ptr_list, flat_list)`` of the pin-update CSR."""
+    def update_csr(self, exclude_fixed: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ptr, flat)`` int64 arrays of the pin-update CSR."""
         entry = self._update_csr.get(exclude_fixed)
         if entry is None:
             arrays = self.arrays
@@ -86,9 +142,27 @@ class KernelTables:
             else:
                 flat = arrays.net_cells
                 ptr = arrays.net_ptr
-            entry = (ptr.tolist(), flat.tolist())
+            entry = (_int64(ptr), _int64(flat))
             self._update_csr[exclude_fixed] = entry
         return entry
+
+    def list_views(self, exclude_fixed: bool) -> _ListViews:
+        """The tables as Python lists (built on first use per flag)."""
+        views = self._list_views.get(exclude_fixed)
+        if views is None:
+            ptr, flat = self.update_csr(exclude_fixed)
+            views = _ListViews(*self._static_lists, ptr.tolist(), flat.tolist())
+            self._list_views[exclude_fixed] = views
+        return views
+
+    @cached_property
+    def _static_lists(self) -> Tuple[List[int], ...]:
+        return (
+            self.degree2.tolist(),
+            self.net_degrees.tolist(),
+            self.cell_ptr.tolist(),
+            self.cell_nets.tolist(),
+        )
 
     @classmethod
     def for_netlist(cls, netlist: Netlist) -> "KernelTables":
@@ -98,6 +172,163 @@ class KernelTables:
             tables = cls(netlist)
             netlist.derived_cache[_TABLES_KEY] = tables
         return tables
+
+
+def _int64(array: np.ndarray) -> np.ndarray:
+    """``array`` as a contiguous int64 array (no copy when it already is)."""
+    return np.ascontiguousarray(array, dtype=np.int64)
+
+
+# ---------------------------------------------------------------- C kernel
+class _KernelState:
+    """Per-process load state: unset, a loaded library, or ``None``."""
+
+    lock = threading.Lock()
+    loaded = False
+    library: Optional[ctypes.CDLL] = None
+
+
+def kernel_cache_dir() -> str:
+    """Directory of the compiled kernels (``$XDG_CACHE_HOME`` or ``~/.cache``)."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return os.path.join(root, "repro", "kernels")
+
+
+def kernel_library_path() -> str:
+    """Path of the library built from the current source and flags."""
+    with open(_SOURCE, "rb") as handle:
+        digest = hashlib.sha256(handle.read())
+    digest.update("\0".join(CFLAGS).encode())
+    return os.path.join(kernel_cache_dir(), f"grow-{digest.hexdigest()[:20]}.so")
+
+
+def _build(path: str) -> None:
+    """Compile the kernel into ``path`` via a temp file and ``os.replace``."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    compiler = shlex.split(os.environ.get("CC") or "cc")
+    fd, scratch = tempfile.mkstemp(prefix=".grow-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        result = subprocess.run(
+            [*compiler, *CFLAGS, "-o", scratch, _SOURCE],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        if result.returncode != 0:
+            raise OSError(
+                f"{' '.join(compiler)} exited with {result.returncode}: "
+                f"{result.stderr.strip()[-500:]}"
+            )
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+
+
+def _load() -> ctypes.CDLL:
+    path = kernel_library_path()
+    if not os.path.exists(path):
+        _build(path)
+    library = ctypes.CDLL(path)
+    table = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS", "W"))
+    function = library.repro_grow_ordering
+    function.restype = ctypes.c_int64
+    function.argtypes = (
+        [ctypes.c_int64] * 2 + [table] * 6 + [ctypes.c_int64] * 3 + [out] * 2
+    )
+    return library
+
+
+def compiled_kernel() -> Optional[ctypes.CDLL]:
+    """The loaded C kernel, or ``None`` when it cannot be built or loaded.
+
+    Builds and loads at most once per process; a failure logs one warning
+    and leaves every later call on :class:`ArrayOrderingGrower`.
+    """
+    state = _KernelState
+    if not state.loaded:
+        with state.lock:
+            if not state.loaded:
+                try:
+                    state.library = _load()
+                except (OSError, subprocess.SubprocessError) as error:
+                    logger.warning(
+                        "compiled Phase I kernel unavailable (%s); "
+                        "growing orderings with the Python array grower",
+                        error,
+                    )
+                state.loaded = True
+    return state.library
+
+
+@contextmanager
+def python_array_grower() -> Iterator[None]:
+    """Grow with :class:`ArrayOrderingGrower` inside the block, in this
+    process only (benchmarks and parity tests time and compare the two)."""
+    state = _KernelState
+    with state.lock:
+        saved = state.loaded, state.library
+        state.loaded, state.library = True, None
+    try:
+        yield
+    finally:
+        with state.lock:
+            state.loaded, state.library = saved
+
+
+def grow_ordering(
+    netlist: Netlist,
+    seed: int,
+    max_length: int,
+    lambda_skip: int = 20,
+    exclude_fixed: bool = True,
+) -> Tuple[List[int], Dict[str, int]]:
+    """One Phase I ordering and its telemetry on the numpy backend.
+
+    Runs the C kernel when it loads, else :class:`ArrayOrderingGrower`;
+    both give the same ordering and the same telemetry.
+    """
+    library = compiled_kernel()
+    if library is None:
+        grower = ArrayOrderingGrower(
+            netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
+        )
+        return grower.grow(max_length), grower.telemetry()
+    check_seed(netlist, seed, exclude_fixed)
+    tables = KernelTables.for_netlist(netlist)
+    limit = min(max_length, tables.num_cells)
+    ordering = np.empty(max(1, limit), dtype=np.int64)
+    telemetry = np.zeros(2, dtype=np.int64)
+    update_ptr, update_flat = tables.update_csr(exclude_fixed)
+    length = library.repro_grow_ordering(
+        tables.num_cells,
+        tables.num_nets,
+        tables.cell_ptr,
+        tables.cell_nets,
+        tables.net_degrees,
+        tables.degree2,
+        update_ptr,
+        update_flat,
+        seed,
+        limit,
+        lambda_skip,
+        ordering,
+        telemetry,
+    )
+    if length < 0:
+        raise FinderError(
+            f"Phase I kernel could not allocate its working state "
+            f"({tables.num_cells} cells, {tables.num_nets} nets)"
+        )
+    return ordering[:length].tolist(), {
+        "heap_pushes": int(telemetry[0]),
+        "heap_compactions": int(telemetry[1]),
+    }
 
 
 class ArrayOrderingGrower:
@@ -112,14 +343,10 @@ class ArrayOrderingGrower:
         lambda_skip: int = 20,
         exclude_fixed: bool = True,
     ) -> None:
-        if not 0 <= seed < netlist.num_cells:
-            raise FinderError(f"seed cell {seed} out of range")
-        if exclude_fixed and netlist.cell_is_fixed(seed):
-            raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
+        check_seed(netlist, seed, exclude_fixed)
         tables = KernelTables.for_netlist(netlist)
-        self._tables = tables
+        self._tables = tables.list_views(exclude_fixed)
         self._lambda_skip = lambda_skip
-        self._update_ptr, self._update_flat = tables.update_csr(exclude_fixed)
         # Heap entries are (-weight, cut_delta, counter << bits | cell):
         # packing the insertion counter and the cell id into one int keeps
         # entries at three slots and comparisons cheap; counter order is
@@ -247,8 +474,8 @@ class ArrayOrderingGrower:
         net_degrees = tables.net_degrees
         cutstate = self._cutstate
         degree2 = tables.degree2
-        update_ptr = self._update_ptr
-        update_flat = self._update_flat
+        update_ptr = tables.update_ptr
+        update_flat = tables.update_flat
         heap = self._heap
         # The counter lives pre-shifted: bumping by ``counter_step`` leaves
         # the low bits free for the cell id, so a push is one add + one or.
@@ -331,4 +558,10 @@ class ArrayOrderingGrower:
         self._frontier_count = frontier_count
 
 
-__all__ = ["ArrayOrderingGrower", "KernelTables"]
+__all__ = [
+    "ArrayOrderingGrower",
+    "KernelTables",
+    "compiled_kernel",
+    "grow_ordering",
+    "python_array_grower",
+]

@@ -22,17 +22,22 @@ Implementation notes
   pins outside the group — their per-pin weight contribution is below
   1/21 and barely changes.  The *first* touch of a net is never skipped so
   every reachable cell enters the frontier.
-* :class:`LinearOrderingGrower` is the scalar reference; the default
-  backend is its CSR-array port
-  :class:`~repro.finder.kernel.ArrayOrderingGrower`, which grows
-  bit-identical orderings (see :mod:`repro.netlist.backend`).
+* Three growers implement this loop and grow bit-identical orderings with
+  identical ``heap_pushes`` telemetry (see :mod:`repro.finder.kernel`):
+  the compiled C kernel (the numpy backend's default), its Python
+  counterpart :class:`~repro.finder.kernel.ArrayOrderingGrower` (the
+  fallback when the kernel cannot be compiled or loaded, and its parity
+  reference) and the scalar reference :class:`LinearOrderingGrower`
+  (``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`).
+  :func:`grow_linear_ordering` picks one per call; Phase I and the
+  Phase III re-growths both go through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
-from repro.errors import FinderError
+from repro.finder.kernel import check_seed, grow_ordering
 from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
@@ -49,10 +54,7 @@ class LinearOrderingGrower:
         lambda_skip: int = 20,
         exclude_fixed: bool = True,
     ) -> None:
-        if not 0 <= seed < netlist.num_cells:
-            raise FinderError(f"seed cell {seed} out of range")
-        if exclude_fixed and netlist.cell_is_fixed(seed):
-            raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
+        check_seed(netlist, seed, exclude_fixed)
         self._netlist = netlist
         self._lambda_skip = lambda_skip
         self._exclude_fixed = exclude_fixed
@@ -157,29 +159,6 @@ class LinearOrderingGrower:
         self._heap.push(cell, self._weight[cell], float(-self.cut_delta(cell)))
 
 
-def make_grower(
-    netlist: Netlist,
-    seed: int,
-    lambda_skip: int = 20,
-    exclude_fixed: bool = True,
-    backend: Optional[str] = None,
-):
-    """Instantiate the Phase I grower of the selected backend.
-
-    Both growers expose the same API and produce bit-identical orderings;
-    the array backend is typically much faster on large designs.
-    """
-    if resolve_backend(backend) == "numpy":
-        from repro.finder.kernel import ArrayOrderingGrower
-
-        return ArrayOrderingGrower(
-            netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
-        )
-    return LinearOrderingGrower(
-        netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
-    )
-
-
 def grow_linear_ordering(
     netlist: Netlist,
     seed: int,
@@ -188,18 +167,28 @@ def grow_linear_ordering(
     exclude_fixed: bool = True,
     backend: Optional[str] = None,
 ) -> List[int]:
-    """Convenience wrapper: one Phase I ordering of at most ``max_length``."""
-    grower = make_grower(
-        netlist,
-        seed,
-        lambda_skip=lambda_skip,
-        exclude_fixed=exclude_fixed,
-        backend=backend,
-    )
-    ordering = grower.grow(max_length)
+    """One Phase I ordering of at most ``max_length`` cells.
+
+    The numpy backend runs the compiled kernel (or its Python fallback),
+    the scalar backend :class:`LinearOrderingGrower`.
+    """
+    if resolve_backend(backend) == "numpy":
+        ordering, telemetry = grow_ordering(
+            netlist,
+            seed,
+            max_length,
+            lambda_skip=lambda_skip,
+            exclude_fixed=exclude_fixed,
+        )
+    else:
+        grower = LinearOrderingGrower(
+            netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
+        )
+        ordering = grower.grow(max_length)
+        telemetry = grower.telemetry()
     if trace.enabled():
         trace.counter("finder.orderings").add(1)
         trace.counter("finder.absorb_steps").add(len(ordering))
-        for name, value in grower.telemetry().items():
+        for name, value in telemetry.items():
             trace.counter(f"finder.{name}").add(value)
     return ordering

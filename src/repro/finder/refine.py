@@ -18,6 +18,7 @@ from repro.finder.ordering import grow_linear_ordering
 from repro.metrics.gtl_score import ScoreContext
 from repro.netlist.hypergraph import Netlist
 from repro.netlist.ops import group_connected, group_stats
+from repro.obs import trace
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -123,41 +124,43 @@ def refine_candidate(
 
     sets: List[frozenset] = [candidate.cells]
     for reseed in reseeds:
-        ordering = grow_linear_ordering(
-            netlist,
-            reseed,
-            max_length,
-            lambda_skip=config.lambda_skip,
-            exclude_fixed=config.exclude_fixed,
-            backend=backend,
-        )
-        if touched is not None:
-            touched.update(ordering)
-        regrown = extract_candidate(
-            netlist,
-            ordering,
-            config,
-            seed=reseed,
-            rent_exponent=rent_exponent,
-            backend=backend,
-        )
+        with trace.span("finder.phase3.regrow"):
+            ordering = grow_linear_ordering(
+                netlist,
+                reseed,
+                max_length,
+                lambda_skip=config.lambda_skip,
+                exclude_fixed=config.exclude_fixed,
+                backend=backend,
+            )
+            if touched is not None:
+                touched.update(ordering)
+            regrown = extract_candidate(
+                netlist,
+                ordering,
+                config,
+                seed=reseed,
+                rent_exponent=rent_exponent,
+                backend=backend,
+            )
         if regrown is not None:
             sets.append(regrown.cells)
 
-    best_cells = candidate.cells
-    best_score = score_group(netlist, candidate.cells, context, backend=backend)
-    for member in genetic_family(sets):
-        if len(member) < config.min_gtl_size:
-            continue
-        score = score_group(netlist, member, context, backend=backend)
-        if score is None or (best_score is not None and score >= best_score):
-            continue
-        if member != candidate.cells and not is_connected_group(
-            netlist, member, backend=backend
-        ):
-            continue
-        best_score = score
-        best_cells = member
+    with trace.span("finder.phase3.family"):
+        best_cells = candidate.cells
+        best_score = score_group(netlist, candidate.cells, context, backend=backend)
+        for member in genetic_family(sets):
+            if len(member) < config.min_gtl_size:
+                continue
+            score = score_group(netlist, member, context, backend=backend)
+            if score is None or (best_score is not None and score >= best_score):
+                continue
+            if member != candidate.cells and not is_connected_group(
+                netlist, member, backend=backend
+            ):
+                continue
+            best_score = score
+            best_cells = member
 
     stats = group_stats(netlist, best_cells, backend=backend)
     return CandidateGTL(

@@ -4,18 +4,34 @@ The contract (see :mod:`repro.netlist.backend`): both backends grow
 bit-identical orderings, produce identical integer prefix curves and group
 statistics, score within 1e-9 of each other, and detect the *same* GTL
 cell sets — so detection artifacts and flow caches are shared across
-backends.
+backends.  On the numpy backend the compiled grow kernel and its Python
+fallback (:mod:`repro.finder.kernel`) give identical orderings, telemetry
+and reports; the loading tests cover the fallback when no kernel can be
+built and concurrent first builds.
 """
 
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FinderError
 from repro.finder import FinderConfig, find_tangled_logic
+from repro.finder import kernel
 from repro.finder.candidate import extract_candidate, scan_ordering, score_curve
-from repro.finder.kernel import ArrayOrderingGrower, KernelTables
+from repro.finder.kernel import (
+    ArrayOrderingGrower,
+    KernelTables,
+    compiled_kernel,
+    grow_ordering,
+    python_array_grower,
+)
 from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering
 from repro.flow.flow import Flow
 from repro.flow.stages import DetectStage
@@ -29,6 +45,7 @@ from repro.netlist.ops import (
     group_stats,
     scan_ordering_curves,
 )
+from repro.service.codec import report_to_dict
 from repro.service.store import ResultStore
 
 
@@ -47,6 +64,56 @@ def _random_netlist(rng, max_cells=32, with_fixed=True):
     return builder.build()
 
 
+def _disconnected_netlist(rng):
+    """Two random components and a few isolated cells: the frontier of any
+    seed empties before the ordering covers the design."""
+    builder = NetlistBuilder()
+    sizes = [rng.randint(3, 12), rng.randint(3, 12)]
+    for component, size in enumerate(sizes):
+        cells = [
+            builder.add_cell(f"k{component}_{i}", fixed=(i > 0 and rng.random() < 0.15))
+            for i in range(size)
+        ]
+        for i in range(1, size):
+            builder.add_net(f"t{component}_{i}", [cells[i - 1], cells[i]])
+        for i in range(rng.randint(0, 2 * size)):
+            builder.add_net(
+                f"r{component}_{i}", rng.sample(cells, rng.randint(2, min(5, size)))
+            )
+    for i in range(rng.randint(1, 3)):
+        builder.add_cell(f"iso{i}")
+    return builder.build()
+
+
+#: A compiler the loading tests can run (``$CC`` if set, else ``cc``).
+_COMPILER = shutil.which((os.environ.get("CC") or "cc").split()[0])
+needs_compiler = pytest.mark.skipif(_COMPILER is None, reason="no C compiler")
+
+
+def _grow_three_ways(netlist, seed, max_length, lambda_skip, exclude_fixed):
+    """(ordering, telemetry) of the numpy-backend entry point, the Python
+    array grower and the scalar reference."""
+    default = grow_ordering(
+        netlist, seed, max_length, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
+    )
+    growers = [
+        cls(netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed)
+        for cls in (ArrayOrderingGrower, LinearOrderingGrower)
+    ]
+    return [default] + [(g.grow(max_length), g.telemetry()) for g in growers]
+
+
+def _assert_three_way_parity(netlist, seed, max_length, lambda_skip, exclude_fixed):
+    (compiled, compiled_tel), (array, array_tel), (scalar, scalar_tel) = (
+        _grow_three_ways(netlist, seed, max_length, lambda_skip, exclude_fixed)
+    )
+    assert compiled == array == scalar
+    assert compiled_tel == array_tel
+    # The scalar lazy heap never compacts; its push count is the same.
+    assert compiled_tel["heap_pushes"] == scalar_tel["heap_pushes"]
+    return compiled_tel
+
+
 # ---------------------------------------------------------------- growers
 def test_array_grower_rejects_bad_seeds(mixed_netlist):
     with pytest.raises(FinderError):
@@ -54,6 +121,16 @@ def test_array_grower_rejects_bad_seeds(mixed_netlist):
     with pytest.raises(FinderError):
         ArrayOrderingGrower(mixed_netlist, 3)  # the pad
     assert ArrayOrderingGrower(mixed_netlist, 3, exclude_fixed=False).ordering == [3]
+
+
+def test_bad_seeds_raise_on_the_numpy_path(mixed_netlist):
+    for bad in (99, -1, 3):  # out of range, negative, the pad
+        with pytest.raises(FinderError):
+            grow_linear_ordering(mixed_netlist, bad, 4, backend="numpy")
+    ordering = grow_linear_ordering(
+        mixed_netlist, 3, 4, exclude_fixed=False, backend="numpy"
+    )
+    assert ordering[0] == 3
 
 
 def test_kernel_tables_cached_per_netlist(mixed_netlist):
@@ -76,32 +153,182 @@ def test_grower_api_matches_reference_step_by_step(two_cliques):
             break
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_property_orderings_bit_identical(seed):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_property_orderings_bit_identical(seed, disconnected):
+    """The numpy entry point (the C kernel when it loads), the Python array
+    grower and the scalar reference agree on orderings and telemetry."""
     rng = random.Random(seed)
-    netlist = _random_netlist(rng)
-    seeds = netlist.movable_cells()
-    start = seeds[rng.randrange(len(seeds))]
+    netlist = _disconnected_netlist(rng) if disconnected else _random_netlist(rng)
+    n = netlist.num_cells
+    start = rng.choice(netlist.movable_cells())
     for exclude_fixed in (True, False):
-        for lambda_skip in (0, 3, 20):
-            scalar = grow_linear_ordering(
-                netlist,
-                start,
-                netlist.num_cells,
-                lambda_skip=lambda_skip,
-                exclude_fixed=exclude_fixed,
-                backend="python",
+        for lambda_skip in (0, 1, 20):
+            for max_length in (0, 1, n, n + 7):
+                _assert_three_way_parity(
+                    netlist, start, max_length, lambda_skip, exclude_fixed
+                )
+            assert grow_linear_ordering(
+                netlist, start, n, lambda_skip, exclude_fixed, backend="numpy"
+            ) == grow_linear_ordering(
+                netlist, start, n, lambda_skip, exclude_fixed, backend="python"
             )
-            array = grow_linear_ordering(
-                netlist,
-                start,
-                netlist.num_cells,
-                lambda_skip=lambda_skip,
-                exclude_fixed=exclude_fixed,
-                backend="numpy",
+
+
+# ---------------------------------------------------------------- C kernel
+def test_compiled_parity_through_heap_compactions():
+    # Big enough for the heap to pass 8192 entries and be compacted.
+    netlist, truth = planted_gtl_graph(4000, [200], seed=7)
+    n = netlist.num_cells
+    compactions = 0
+    for start in (0, sorted(truth[0])[0], n // 2):
+        for lambda_skip in (0, 20):
+            telemetry = _assert_three_way_parity(netlist, start, n, lambda_skip, True)
+            compactions += telemetry["heap_compactions"]
+    assert compactions > 0
+
+
+def test_fixed_pad_seed_and_frontier_end_on_compiled_path(mixed_netlist):
+    # exclude_fixed=False may start at the pad; exclude_fixed=True never
+    # absorbs it, so the ordering ends when the frontier empties.
+    assert grow_ordering(mixed_netlist, 3, 10, exclude_fixed=False)[0] == [3, 0, 1, 2]
+    assert grow_ordering(mixed_netlist, 0, 10)[0] == [0, 1, 2]
+
+
+@needs_compiler
+def test_compiler_present_means_the_kernel_loads(mixed_netlist):
+    library = compiled_kernel()
+    assert library is not None
+    assert os.path.dirname(library._name) == kernel.kernel_cache_dir()
+    # The compiled path never builds the Python grower's list views.
+    netlist = _random_netlist(random.Random(5), with_fixed=False)
+    grow_ordering(netlist, 0, netlist.num_cells)
+    assert KernelTables.for_netlist(netlist)._list_views == {}
+
+
+def test_kernel_tables_hold_contiguous_int64_arrays(mixed_netlist):
+    tables = KernelTables.for_netlist(mixed_netlist)
+    for exclude_fixed in (True, False):
+        arrays = (
+            tables.cell_ptr,
+            tables.cell_nets,
+            tables.net_degrees,
+            tables.degree2,
+            *tables.update_csr(exclude_fixed),
+        )
+        for array in arrays:
+            assert array.dtype == "int64" and array.flags["C_CONTIGUOUS"]
+        views = tables.list_views(exclude_fixed)
+        assert views.update_flat == tables.update_csr(exclude_fixed)[1].tolist()
+    assert tables.degree2.tolist() == [2, 2, 2, 1]
+
+
+def test_kernel_allocation_failure_raises_finder_error(mixed_netlist, monkeypatch):
+    class _FailingLibrary:
+        @staticmethod
+        def repro_grow_ordering(*args):
+            return -1
+
+    monkeypatch.setattr(kernel._KernelState, "loaded", True)
+    monkeypatch.setattr(kernel._KernelState, "library", _FailingLibrary())
+    with pytest.raises(FinderError, match="could not allocate"):
+        grow_ordering(mixed_netlist, 0, 4)
+
+
+# ---------------------------------------------------------------- loading
+_CHILD = textwrap.dedent(
+    """
+    import json, sys
+    from repro.finder.kernel import compiled_kernel, grow_ordering
+    from repro.finder import FinderConfig, find_tangled_logic
+    from repro.generators.random_gtl import planted_gtl_graph
+    from repro.service.codec import report_to_dict
+
+    netlist, _ = planted_gtl_graph(600, [80], seed=3)
+    orderings = [grow_ordering(netlist, s, 300, lambda_skip=l)
+                 for s in (0, 17) for l in (0, 20)]
+    report = report_to_dict(find_tangled_logic(
+        netlist, FinderConfig(num_seeds=4, seed=7, min_gtl_size=20)
+    ))
+    report.pop("runtime_seconds")
+    library = compiled_kernel()
+    print(json.dumps({"orderings": orderings, "report": report,
+                      "library": library and library._name}))
+    """
+)
+
+
+def _run_child(env_overrides):
+    env = dict(os.environ)
+    env.pop("REPRO_SCALAR_BACKEND", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    env.update(env_overrides)
+    return subprocess.Popen(
+        [sys.executable, "-c", _CHILD],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(process):
+    out, err = process.communicate(timeout=300)
+    assert process.returncode == 0, err
+    return json.loads(out), err
+
+
+def _expected_child_output():
+    netlist, _ = planted_gtl_graph(600, [80], seed=3)
+    with python_array_grower():
+        orderings = [
+            grow_ordering(netlist, s, 300, lambda_skip=l)
+            for s in (0, 17)
+            for l in (0, 20)
+        ]
+        with forced_backend("numpy"):
+            report = report_to_dict(
+                find_tangled_logic(
+                    netlist, FinderConfig(num_seeds=4, seed=7, min_gtl_size=20)
+                )
             )
-            assert array == scalar
+    report.pop("runtime_seconds")
+    return json.loads(json.dumps({"orderings": orderings, "report": report}))
+
+
+@pytest.mark.parametrize("failure", ["missing compiler", "failing compiler", "cache is a file"])
+def test_no_kernel_falls_back_with_one_warning(tmp_path, failure):
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache"), "REPRO_LOG_LEVEL": "WARNING"}
+    if failure == "missing compiler":
+        env["CC"] = str(tmp_path / "no-such-compiler")
+    elif failure == "failing compiler":
+        env["CC"] = "false"
+    else:
+        (tmp_path / "cache").write_text("not a directory")
+    result, err = _finish(_run_child(env))
+    assert result.pop("library") is None
+    assert result == _expected_child_output()
+    warnings = [line for line in err.splitlines() if "kernel unavailable" in line]
+    assert len(warnings) == 1, err
+    assert "Traceback" not in err
+
+
+@needs_compiler
+def test_racing_first_use_loads_one_library(tmp_path):
+    env = {"XDG_CACHE_HOME": str(tmp_path)}
+    children = [_run_child(env) for _ in range(2)]
+    results = [_finish(child)[0] for child in children]
+    directory = tmp_path / "repro" / "kernels"
+    built = sorted(os.listdir(directory))
+    assert len(built) == 1 and built[0].endswith(".so")  # no temp files left
+    assert results[0]["library"] == results[1]["library"] == str(directory / built[0])
+    expected = _expected_child_output()
+    for result in results:
+        result.pop("library")
+        assert result == expected
 
 
 # ---------------------------------------------------------------- curves
@@ -176,12 +403,21 @@ def test_property_finder_reports_identical_on_planted(seed):
     netlist, _ = planted_gtl_graph(
         rng.randint(400, 900), [rng.randint(60, 120)], seed=rng.randrange(1000)
     )
-    config = FinderConfig(num_seeds=6, seed=rng.randrange(1000), min_gtl_size=20)
+    config = FinderConfig(
+        num_seeds=6,
+        seed=rng.randrange(1000),
+        min_gtl_size=20,
+        lambda_skip=rng.choice([0, 1, 20]),
+    )
 
     with forced_backend("python"):
         scalar_report = find_tangled_logic(netlist, config)
     with forced_backend("numpy"):
         array_report = find_tangled_logic(netlist, config)
+        with python_array_grower():
+            fallback_report = find_tangled_logic(netlist, config)
+    # Compiled kernel vs Python array grower: the whole report is identical.
+    assert _comparable(array_report) == _comparable(fallback_report)
     assert [set(g.cells) for g in scalar_report.gtls] == [
         set(g.cells) for g in array_report.gtls
     ]
@@ -190,6 +426,12 @@ def test_property_finder_reports_identical_on_planted(seed):
         assert abs(scalar_gtl.score - array_gtl.score) <= 1e-9
         assert scalar_gtl.cut == array_gtl.cut
         assert scalar_gtl.seed == array_gtl.seed
+
+
+def _comparable(report):
+    payload = report_to_dict(report)
+    payload.pop("runtime_seconds")
+    return payload
 
 
 def test_extract_candidate_parity_includes_stats(small_planted):
