@@ -6,15 +6,19 @@ for the algorithm):
 * the **C kernel** ``_grow.c`` — the default on the numpy backend.  It is
   compiled with ``$CC`` (default ``cc``) on first use into
   ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/``, under a name keyed by the
-  sha256 of its source and compiler flags, and loaded through
-  :mod:`ctypes`.  Each build writes a temporary file in that directory and
-  ``os.replace``-s it into place, so pool workers and shard processes that
-  race on first use all load one complete library.  The call releases the
-  GIL and reads the :class:`KernelTables` buffers in place;
+  sha256 of its source, the compiler flags, the machine architecture and
+  the resolved compiler binary, and loaded through :mod:`ctypes`.  Each
+  build writes a temporary file in that directory and ``os.replace``-s it
+  into place, so pool workers and shard processes that race on first use
+  all load one complete library.  A library is loaded only when it and its
+  directory belong to the current user and neither is writable by group or
+  others.  The call releases the GIL and reads the :class:`KernelTables`
+  buffers in place;
 * :class:`ArrayOrderingGrower` — the same loop in Python over flat lists.
   It runs when the kernel cannot be built or loaded (no compiler, a failed
-  compile, an unwritable cache directory: one warning per process, then
-  every ordering falls back) and is the kernel's parity reference;
+  compile, an unwritable cache directory, a library or directory that
+  fails the ownership check: one warning per process, then every ordering
+  falls back) and is the kernel's parity reference;
 * :class:`~repro.finder.ordering.LinearOrderingGrower` — the dict-based
   scalar reference, selected by ``REPRO_SCALAR_BACKEND=1``.
 
@@ -55,14 +59,17 @@ import ctypes
 import hashlib
 import logging
 import os
+import platform
 import shlex
+import shutil
+import stat
 import subprocess
+import sys
 import tempfile
 import threading
-from contextlib import contextmanager
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -196,19 +203,37 @@ def kernel_cache_dir() -> str:
     return os.path.join(root, "repro", "kernels")
 
 
+def _compiler() -> List[str]:
+    """The compiler command line from ``$CC`` (default ``cc``)."""
+    return shlex.split(os.environ.get("CC") or "cc")
+
+
 def kernel_library_path() -> str:
-    """Path of the library built from the current source and flags."""
+    """Path of the library built from the current source, flags, machine
+    architecture and compiler binary.
+
+    The compiler is identified by its resolved path, size and modification
+    time, so a cache directory shared between hosts, or a compiler upgrade,
+    yields a new name instead of a library built for something else.
+    """
     with open(_SOURCE, "rb") as handle:
         digest = hashlib.sha256(handle.read())
-    digest.update("\0".join(CFLAGS).encode())
+    compiler = _compiler()
+    resolved = shutil.which(compiler[0]) if compiler else None
+    identity = [sys.platform, platform.machine(), *CFLAGS, *compiler]
+    if resolved is not None:
+        resolved = os.path.realpath(resolved)
+        info = os.stat(resolved)
+        identity += [resolved, str(info.st_size), str(info.st_mtime_ns)]
+    digest.update("\0".join(identity).encode())
     return os.path.join(kernel_cache_dir(), f"grow-{digest.hexdigest()[:20]}.so")
 
 
 def _build(path: str) -> None:
     """Compile the kernel into ``path`` via a temp file and ``os.replace``."""
     directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    compiler = shlex.split(os.environ.get("CC") or "cc")
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    compiler = _compiler()
     fd, scratch = tempfile.mkstemp(prefix=".grow-", suffix=".so", dir=directory)
     os.close(fd)
     try:
@@ -223,16 +248,30 @@ def _build(path: str) -> None:
                 f"{' '.join(compiler)} exited with {result.returncode}: "
                 f"{result.stderr.strip()[-500:]}"
             )
+        os.chmod(scratch, 0o755)  # whatever the umask, never group-writable
         os.replace(scratch, path)
     finally:
         if os.path.exists(scratch):
             os.unlink(scratch)
 
 
+def _check_private(path: str) -> None:
+    """Raise :class:`OSError` unless ``path`` belongs to the current user
+    and is not writable by group or others."""
+    info = os.stat(path)
+    if info.st_uid != os.getuid() or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise OSError(
+            f"{path} is not owned by uid {os.getuid()} or is writable by "
+            f"group/others (mode {stat.filemode(info.st_mode)}, uid {info.st_uid})"
+        )
+
+
 def _load() -> ctypes.CDLL:
     path = kernel_library_path()
     if not os.path.exists(path):
         _build(path)
+    _check_private(os.path.dirname(path))
+    _check_private(path)
     library = ctypes.CDLL(path)
     table = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS", "W"))
@@ -264,21 +303,6 @@ def compiled_kernel() -> Optional[ctypes.CDLL]:
                     )
                 state.loaded = True
     return state.library
-
-
-@contextmanager
-def python_array_grower() -> Iterator[None]:
-    """Grow with :class:`ArrayOrderingGrower` inside the block, in this
-    process only (benchmarks and parity tests time and compare the two)."""
-    state = _KernelState
-    with state.lock:
-        saved = state.loaded, state.library
-        state.loaded, state.library = True, None
-    try:
-        yield
-    finally:
-        with state.lock:
-            state.loaded, state.library = saved
 
 
 def grow_ordering(
@@ -563,5 +587,4 @@ __all__ = [
     "KernelTables",
     "compiled_kernel",
     "grow_ordering",
-    "python_array_grower",
 ]

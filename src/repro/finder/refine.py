@@ -122,45 +122,54 @@ def refine_candidate(
         ),
     )
 
+    # The split of Phase III is recorded as two latency histograms, one
+    # observation per re-growth (ordering plus candidate extraction) and one
+    # for family scoring, rather than as child spans: ``finder.phase3``
+    # keeps the whole phase as its self time in span-tree reports.
+    tracing = trace.enabled()
     sets: List[frozenset] = [candidate.cells]
     for reseed in reseeds:
-        with trace.span("finder.phase3.regrow"):
-            ordering = grow_linear_ordering(
-                netlist,
-                reseed,
-                max_length,
-                lambda_skip=config.lambda_skip,
-                exclude_fixed=config.exclude_fixed,
-                backend=backend,
-            )
-            if touched is not None:
-                touched.update(ordering)
-            regrown = extract_candidate(
-                netlist,
-                ordering,
-                config,
-                seed=reseed,
-                rent_exponent=rent_exponent,
-                backend=backend,
-            )
+        began = trace.clock() if tracing else 0.0
+        ordering = grow_linear_ordering(
+            netlist,
+            reseed,
+            max_length,
+            lambda_skip=config.lambda_skip,
+            exclude_fixed=config.exclude_fixed,
+            backend=backend,
+        )
+        if touched is not None:
+            touched.update(ordering)
+        regrown = extract_candidate(
+            netlist,
+            ordering,
+            config,
+            seed=reseed,
+            rent_exponent=rent_exponent,
+            backend=backend,
+        )
+        if tracing:
+            trace.histogram("finder.phase3.regrow_s").observe(trace.clock() - began)
         if regrown is not None:
             sets.append(regrown.cells)
 
-    with trace.span("finder.phase3.family"):
-        best_cells = candidate.cells
-        best_score = score_group(netlist, candidate.cells, context, backend=backend)
-        for member in genetic_family(sets):
-            if len(member) < config.min_gtl_size:
-                continue
-            score = score_group(netlist, member, context, backend=backend)
-            if score is None or (best_score is not None and score >= best_score):
-                continue
-            if member != candidate.cells and not is_connected_group(
-                netlist, member, backend=backend
-            ):
-                continue
-            best_score = score
-            best_cells = member
+    began = trace.clock() if tracing else 0.0
+    best_cells = candidate.cells
+    best_score = score_group(netlist, candidate.cells, context, backend=backend)
+    for member in genetic_family(sets):
+        if len(member) < config.min_gtl_size:
+            continue
+        score = score_group(netlist, member, context, backend=backend)
+        if score is None or (best_score is not None and score >= best_score):
+            continue
+        if member != candidate.cells and not is_connected_group(
+            netlist, member, backend=backend
+        ):
+            continue
+        best_score = score
+        best_cells = member
+    if tracing:
+        trace.histogram("finder.phase3.family_s").observe(trace.clock() - began)
 
     stats = group_stats(netlist, best_cells, backend=backend)
     return CandidateGTL(

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,6 @@ from repro.finder.kernel import (
     KernelTables,
     compiled_kernel,
     grow_ordering,
-    python_array_grower,
 )
 from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering
 from repro.flow.flow import Flow
@@ -49,7 +49,7 @@ from repro.service.codec import report_to_dict
 from repro.service.store import ResultStore
 
 
-def _random_netlist(rng, max_cells=32, with_fixed=True):
+def _random_netlist(rng, max_cells=32, with_fixed=True, max_degree=8):
     builder = NetlistBuilder()
     num_cells = rng.randint(4, max_cells)
     cells = [
@@ -59,7 +59,7 @@ def _random_netlist(rng, max_cells=32, with_fixed=True):
         for i in range(num_cells)
     ]
     for i in range(rng.randint(3, 3 * num_cells)):
-        degree = rng.randint(2, min(8, num_cells))
+        degree = rng.randint(2, min(max_degree, num_cells))
         builder.add_net(f"n{i}", rng.sample(cells, degree))
     return builder.build()
 
@@ -88,6 +88,12 @@ def _disconnected_netlist(rng):
 #: A compiler the loading tests can run (``$CC`` if set, else ``cc``).
 _COMPILER = shutil.which((os.environ.get("CC") or "cc").split()[0])
 needs_compiler = pytest.mark.skipif(_COMPILER is None, reason="no C compiler")
+
+
+def _python_array_grower():
+    """Grow with :class:`ArrayOrderingGrower` inside the block (this process
+    only), so the compiled kernel can be compared with its fallback."""
+    return mock.patch.multiple(kernel._KernelState, loaded=True, library=None)
 
 
 def _grow_three_ways(netlist, seed, max_length, lambda_skip, exclude_fixed):
@@ -154,16 +160,26 @@ def test_grower_api_matches_reference_step_by_step(two_cliques):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.booleans())
-def test_property_orderings_bit_identical(seed, disconnected):
+@given(st.integers(0, 2**31 - 1), st.sampled_from(("random", "disconnected", "wide")))
+def test_property_orderings_bit_identical(seed, shape):
     """The numpy entry point (the C kernel when it loads), the Python array
-    grower and the scalar reference agree on orderings and telemetry."""
+    grower and the scalar reference agree on orderings and telemetry.
+
+    ``lambda_skip`` 0 never skips a re-touched net and 1 skips every one;
+    3 mixes skipped and updated re-touches on the small-net designs, and the
+    wide-net designs (nets of up to 40 pins) make 20 skip some as well.
+    """
     rng = random.Random(seed)
-    netlist = _disconnected_netlist(rng) if disconnected else _random_netlist(rng)
+    if shape == "disconnected":
+        netlist = _disconnected_netlist(rng)
+    elif shape == "wide":
+        netlist = _random_netlist(rng, max_cells=60, max_degree=40)
+    else:
+        netlist = _random_netlist(rng)
     n = netlist.num_cells
     start = rng.choice(netlist.movable_cells())
     for exclude_fixed in (True, False):
-        for lambda_skip in (0, 1, 20):
+        for lambda_skip in (0, 1, 3, 20):
             for max_length in (0, 1, n, n + 7):
                 _assert_three_way_parity(
                     netlist, start, max_length, lambda_skip, exclude_fixed
@@ -235,6 +251,34 @@ def test_kernel_allocation_failure_raises_finder_error(mixed_netlist, monkeypatc
         grow_ordering(mixed_netlist, 0, 4)
 
 
+def test_library_name_keys_on_compiler_and_machine(monkeypatch):
+    monkeypatch.delenv("CC", raising=False)
+    default = kernel.kernel_library_path()
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    assert kernel.kernel_library_path() != default
+    monkeypatch.delenv("CC")
+    monkeypatch.setattr(kernel.platform, "machine", lambda: "other-arch")
+    assert kernel.kernel_library_path() != default
+
+
+@pytest.mark.parametrize("writable", ["directory", "library"])
+def test_group_writable_cache_is_never_loaded(tmp_path, monkeypatch, writable):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(kernel._KernelState, "loaded", False)
+    monkeypatch.setattr(kernel._KernelState, "library", None)
+    monkeypatch.setattr(kernel, "logger", mock.Mock())
+    path = kernel.kernel_library_path()
+    os.makedirs(os.path.dirname(path), mode=0o700)
+    with open(path, "wb") as handle:
+        handle.write(b"planted by another user")
+    os.chmod(path, 0o755)
+    os.chmod(os.path.dirname(path) if writable == "directory" else path, 0o777)
+    assert compiled_kernel() is None
+    assert compiled_kernel() is None  # decided once per process
+    (call,) = kernel.logger.warning.call_args_list
+    assert "writable by group/others" in str(call.args[1])
+
+
 # ---------------------------------------------------------------- loading
 _CHILD = textwrap.dedent(
     """
@@ -283,7 +327,7 @@ def _finish(process):
 
 def _expected_child_output():
     netlist, _ = planted_gtl_graph(600, [80], seed=3)
-    with python_array_grower():
+    with _python_array_grower():
         orderings = [
             grow_ordering(netlist, s, 300, lambda_skip=l)
             for s in (0, 17)
@@ -414,7 +458,7 @@ def test_property_finder_reports_identical_on_planted(seed):
         scalar_report = find_tangled_logic(netlist, config)
     with forced_backend("numpy"):
         array_report = find_tangled_logic(netlist, config)
-        with python_array_grower():
+        with _python_array_grower():
             fallback_report = find_tangled_logic(netlist, config)
     # Compiled kernel vs Python array grower: the whole report is identical.
     assert _comparable(array_report) == _comparable(fallback_report)
