@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from repro.generators.ispd_like import default_bigblue1_like, generate_ispd_like
+from repro.netlist.backend import forced_backend
 from repro.placement.pads import assign_pad_positions
 from repro.placement.placer import Placement
 from repro.placement.quadratic import assemble_quadratic_system
@@ -45,10 +46,11 @@ def _make_placement():
     return placement, pads
 
 
-def _timed(function):
-    start = time.perf_counter()
-    result = function()
-    return time.perf_counter() - start, result
+def _timed(backend, function):
+    with forced_backend(backend):
+        start = time.perf_counter()
+        result = function()
+        return time.perf_counter() - start, result
 
 
 def test_geometry_vectorized_parity_and_speedup(benchmark, once):
@@ -56,26 +58,24 @@ def test_geometry_vectorized_parity_and_speedup(benchmark, once):
     netlist = placement.netlist
     netlist.arrays  # build the flat view outside the timed regions
 
-    hpwl_scalar_t, hpwl_scalar = _timed(lambda: placement.hpwl(backend="python"))
-    hpwl_vector_t, hpwl_vector = _timed(lambda: placement.hpwl(backend="numpy"))
+    hpwl_scalar_t, hpwl_scalar = _timed("python", placement.hpwl)
+    hpwl_vector_t, hpwl_vector = _timed("numpy", placement.hpwl)
 
     rudy_scalar_t, rudy_scalar = _timed(
-        lambda: build_congestion_map(placement, grid=GRID, backend="python")
+        "python", lambda: build_congestion_map(placement, grid=GRID)
     )
     rudy_vector_t, rudy_vector = _timed(
-        lambda: build_congestion_map(placement, grid=GRID, backend="numpy")
+        "numpy", lambda: build_congestion_map(placement, grid=GRID)
     )
 
     asm_scalar_t, asm_scalar = _timed(
-        lambda: assemble_quadratic_system(netlist, pads, backend="python")
+        "python", lambda: assemble_quadratic_system(netlist, pads)
     )
     asm_vector_t, asm_vector = _timed(
+        "numpy",
         lambda: benchmark.pedantic(
-            assemble_quadratic_system,
-            args=(netlist, pads),
-            kwargs=dict(backend="numpy"),
-            **once,
-        )
+            assemble_quadratic_system, args=(netlist, pads), **once
+        ),
     )
 
     # Parity: every vectorized path matches its scalar reference.

@@ -11,6 +11,13 @@ A minimum qualifies as *clear* when (i) the prefix is at least
 (average groups score ~1) and (iii) it occurs before ``boundary_fraction``
 of the ordering — a minimum at the right end means the curve was still
 descending, which is the ratio-cut failure mode, not a GTL.
+
+Each ordering is prefix-scanned once — :func:`scan_ordering_curves` on the
+numpy backend, a :class:`PrefixScanner` pass on the scalar reference
+(``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`) — and both
+the Rent estimate and the candidate come from that scan
+(:func:`extract_candidate_and_rent`).  The two backends select the same
+prefix and agree on scores and estimates to float64 rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FinderError
-from repro.finder.config import FinderConfig
+from repro.finder.config import DEFAULT_RENT_EXPONENT, FinderConfig
 from repro.metrics.gtl_score import ScoreContext
 from repro.metrics.rent import (
     estimate_rent_exponent_from_curves,
@@ -56,35 +63,8 @@ class CandidateGTL:
         return len(self.cells)
 
 
-def ordering_curves_and_rent(
-    netlist: Netlist,
-    ordering: Sequence[int],
-    min_size: int,
-    rent_exponent: Optional[float] = None,
-    fallback: float = 0.6,
-):
-    """Array-backend prefix curves plus the ordering's Rent estimate.
-
-    The shared entry of every numpy-backend Phase II path (curve scoring,
-    candidate extraction, the finder's candidate-less rent recovery):
-    estimating from the same curves in one place keeps the backends'
-    parity contract in one spot.  ``rent_exponent`` skips the estimate
-    when the caller already fixed one.
-    """
-    curves = scan_ordering_curves(netlist, ordering)
-    if rent_exponent is None:
-        rent_exponent = estimate_rent_exponent_from_curves(
-            curves, min_size=min_size, fallback=fallback
-        )
-    return curves, rent_exponent
-
-
-def scan_ordering(
-    netlist: Netlist, ordering: Sequence[int], backend: Optional[str] = None
-) -> List[GroupStats]:
-    """Per-prefix :class:`GroupStats` for ``ordering`` (linear total work)."""
-    if resolve_backend(backend) == "numpy":
-        return scan_ordering_curves(netlist, ordering).stats_list()
+def _scan_prefixes(netlist: Netlist, ordering: Sequence[int]) -> List[GroupStats]:
+    """Scalar-reference prefix scan: one :class:`PrefixScanner` pass."""
     scanner = PrefixScanner(netlist)
     stats: List[GroupStats] = []
     for cell in ordering:
@@ -93,43 +73,29 @@ def scan_ordering(
     return stats
 
 
-def score_curve(
-    netlist: Netlist,
-    ordering: Sequence[int],
-    metric: str,
-    rent_exponent: Optional[float] = None,
-    rent_min_prefix: int = 8,
-    backend: Optional[str] = None,
-) -> Tuple[List[float], float]:
-    """Score every prefix of ``ordering``.
-
-    Returns ``(scores, rent_exponent)`` where the exponent is estimated from
-    the ordering itself when not supplied.
-    """
-    if resolve_backend(backend) == "numpy":
-        curves, rent_exponent = ordering_curves_and_rent(
-            netlist, ordering, rent_min_prefix, rent_exponent
-        )
-        context = ScoreContext.for_netlist(netlist, rent_exponent, metric=metric)
-        return context.score_curves(curves).tolist(), rent_exponent
-    prefix_stats = scan_ordering(netlist, ordering, backend="python")
-    if rent_exponent is None:
-        rent_exponent = estimate_rent_exponent_from_prefixes(
-            prefix_stats, min_size=rent_min_prefix
-        )
-    context = ScoreContext.for_netlist(netlist, rent_exponent, metric=metric)
-    return context.score_all(prefix_stats), rent_exponent
+def scan_ordering(netlist: Netlist, ordering: Sequence[int]) -> List[GroupStats]:
+    """Per-prefix :class:`GroupStats` for ``ordering`` (linear total work)."""
+    if resolve_backend() == "numpy":
+        return scan_ordering_curves(netlist, ordering).stats_list()
+    return _scan_prefixes(netlist, ordering)
 
 
-def extract_candidate(
+def extract_candidate_and_rent(
     netlist: Netlist,
     ordering: Sequence[int],
     config: FinderConfig,
     seed: Optional[int] = None,
     rent_exponent: Optional[float] = None,
-    backend: Optional[str] = None,
-) -> Optional[CandidateGTL]:
-    """Run Phase II on one ordering; ``None`` when no clear minimum exists.
+) -> Tuple[Optional[CandidateGTL], float]:
+    """Run Phase II on one ordering from a single prefix scan.
+
+    Returns ``(candidate, rent)``: the candidate (``None`` when no clear
+    minimum exists) and the ordering's Rent estimate taken from the same
+    scan.  ``rent`` is NaN when the ordering has no usable prefix, so the
+    finder can leave it out of its average; the candidate itself is then
+    scored with :data:`~repro.finder.config.DEFAULT_RENT_EXPONENT`.  An
+    ordering shorter than ``min_gtl_size`` has no candidate but still
+    yields its estimate.
 
     Args:
         netlist: host netlist.
@@ -139,61 +105,87 @@ def extract_candidate(
             ``ordering[0]``).
         rent_exponent: force a Rent exponent instead of estimating it from
             the ordering (used by Phase III so a candidate family is scored
-            consistently).
-        backend: array kernel or scalar reference (both select the same
-            prefix; scores agree to float64 rounding).
+            consistently); it is returned as ``rent``.
     """
     if not ordering:
         raise FinderError("extract_candidate on an empty ordering")
     if seed is None:
         seed = ordering[0]
-    if len(ordering) < config.min_gtl_size:
-        return None
+    too_short = len(ordering) < config.min_gtl_size
+    if too_short and rent_exponent is not None:
+        return None, rent_exponent
 
-    if resolve_backend(backend) == "numpy":
-        curves, rent_exponent = ordering_curves_and_rent(
-            netlist, ordering, config.rent_min_prefix, rent_exponent
+    # One scan per ordering on either backend: the array kernel's curves or
+    # the scalar reference's per-prefix stats.  ``fallback=None`` tells an
+    # ordering without usable prefixes apart from any real estimate.
+    on_arrays = resolve_backend() == "numpy"
+    if on_arrays:
+        prefixes = scan_ordering_curves(netlist, ordering)
+        estimate_rent = estimate_rent_exponent_from_curves
+    else:
+        prefixes = _scan_prefixes(netlist, ordering)
+        estimate_rent = estimate_rent_exponent_from_prefixes
+    estimate = rent_exponent
+    if estimate is None:
+        estimate = estimate_rent(
+            prefixes, min_size=config.rent_min_prefix, fallback=None
         )
-        context = ScoreContext.for_netlist(
-            netlist, rent_exponent, metric=config.metric
-        )
-        scores = context.score_curves(curves)
-        lower = config.min_gtl_size - 1
+    rent = float("nan") if estimate is None else estimate
+    if too_short:
+        return None, rent
+    if estimate is None:
+        estimate = DEFAULT_RENT_EXPONENT
+
+    context = ScoreContext.for_netlist(netlist, estimate, metric=config.metric)
+    lower = config.min_gtl_size - 1
+    if on_arrays:
+        scores = context.score_curves(prefixes)
         # np.argmin takes the first occurrence of the minimum — the same
         # prefix the scalar strict-< scan selects.
         best_index = lower + int(np.argmin(scores[lower:]))
         best_score = float(scores[best_index])
-        stats_at_best = curves.stats_at(best_index)
+        stats_at_best = prefixes.stats_at(best_index)
     else:
-        prefix_stats = scan_ordering(netlist, ordering, backend="python")
-        if rent_exponent is None:
-            rent_exponent = estimate_rent_exponent_from_prefixes(
-                prefix_stats, min_size=config.rent_min_prefix
-            )
-        context = ScoreContext.for_netlist(
-            netlist, rent_exponent, metric=config.metric
-        )
         best_index = -1
         best_score = float("inf")
-        for index in range(config.min_gtl_size - 1, len(ordering)):
-            score = context.score(prefix_stats[index])
+        for index in range(lower, len(ordering)):
+            score = context.score(prefixes[index])
             if score < best_score:
                 best_score = score
                 best_index = index
         if best_index < 0:
-            return None
-        stats_at_best = prefix_stats[best_index]
+            return None, rent
+        stats_at_best = prefixes[best_index]
 
     if best_score >= config.clear_min_threshold:
-        return None  # no clear minimum: curve never dips below threshold
+        return None, rent  # no clear minimum: curve never dips below threshold
     boundary = int(config.boundary_fraction * len(ordering))
     if best_index + 1 > boundary:
-        return None  # minimum at the right end: still descending
+        return None, rent  # minimum at the right end: still descending
 
-    return CandidateGTL(
+    candidate = CandidateGTL(
         cells=frozenset(ordering[: best_index + 1]),
         score=best_score,
         stats=stats_at_best,
-        rent_exponent=rent_exponent,
+        rent_exponent=estimate,
         seed=seed,
     )
+    return candidate, rent
+
+
+def extract_candidate(
+    netlist: Netlist,
+    ordering: Sequence[int],
+    config: FinderConfig,
+    seed: Optional[int] = None,
+    rent_exponent: Optional[float] = None,
+) -> Optional[CandidateGTL]:
+    """Run Phase II on one ordering; ``None`` when no clear minimum exists.
+
+    :func:`extract_candidate_and_rent` without the ordering's Rent
+    estimate; both backends select the same prefix, and scores agree to
+    float64 rounding.
+    """
+    return extract_candidate_and_rent(
+        netlist, ordering, config, seed=seed, rent_exponent=rent_exponent
+    )[0]

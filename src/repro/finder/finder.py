@@ -9,9 +9,12 @@ persistent pool into :meth:`TangledLogicFinder.run` so many detections share
 one set of worker processes.
 
 Rent-exponent handling: Phase II estimates a Rent exponent per ordering (the
-paper's estimator).  The finder averages those into a netlist-level exponent
-and re-scores every refined candidate with it before pruning, so overlapping
-candidates from different seeds are compared on one consistent scale.
+paper's estimator) from the same single prefix scan that yields the
+candidate, on either kernel backend (``REPRO_SCALAR_BACKEND``, see
+:mod:`repro.netlist.backend`; each phase resolves it itself).  The finder
+averages those into a netlist-level exponent and re-scores every refined
+candidate with it before pruning, so overlapping candidates from different
+seeds are compared on one consistent scale.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import math
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FinderError
-from repro.finder.candidate import CandidateGTL, extract_candidate
+from repro.finder.candidate import CandidateGTL, extract_candidate_and_rent
 from repro.finder.config import DEFAULT_RENT_EXPONENT, FinderConfig
 from repro.finder.ordering import grow_linear_ordering
 from repro.finder.prune import prune_overlapping
 from repro.finder.refine import refine_candidate
 from repro.finder.result import GTL, FinderReport
 from repro.metrics.gtl_score import ScoreContext
+from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.utils.rng import ensure_rng
@@ -53,15 +57,16 @@ def _process_seed(
 ) -> _SeedOutcome:
     """Run Phases I-III for one seed cell (independent unit of work).
 
-    The kernel backend (CSR arrays vs scalar reference, see
-    :mod:`repro.netlist.backend`) is resolved here once per seed; both
-    backends produce identical outcomes.
+    Phase II scans the ordering once and returns its Rent estimate with
+    the candidate: a seed without a candidate still contributes the
+    estimate to the global average, or NaN when the ordering has no usable
+    prefix, so it is *excluded* from the average instead of dragging it
+    toward the assumed 0.6 (when every ordering is unusable the finder
+    flags ``rent_fallback``).  Both kernel backends (see
+    :mod:`repro.netlist.backend`) produce identical outcomes.
     """
-    from repro.netlist.backend import resolve_backend
-
-    backend = resolve_backend()
     max_length = config.resolve_order_length(netlist.num_cells)
-    with trace.span("finder.seed", seed=seed_cell, backend=backend):
+    with trace.span("finder.seed", seed=seed_cell, backend=resolve_backend()):
         trace.counter("finder.seeds").add(1)
         with trace.span("finder.phase1"):
             ordering = grow_linear_ordering(
@@ -70,38 +75,14 @@ def _process_seed(
                 max_length,
                 lambda_skip=config.lambda_skip,
                 exclude_fixed=config.exclude_fixed,
-                backend=backend,
             )
         touched: Set[int] = set(ordering)
-        orderings_grown = 1
         with trace.span("finder.phase2"):
-            candidate = extract_candidate(
-                netlist, ordering, config, seed=seed_cell, backend=backend
+            candidate, rent = extract_candidate_and_rent(
+                netlist, ordering, config, seed=seed_cell
             )
-            if candidate is None:
-                # Still recover the ordering's Rent estimate for the global
-                # average.  NaN marks an ordering with no usable prefix so it
-                # is *excluded* from the average instead of dragging it toward
-                # the assumed 0.6; when every ordering is unusable the finder
-                # flags rent_fallback.
-                footprint = tuple(sorted(touched))
-                if backend == "numpy":
-                    from repro.finder.candidate import ordering_curves_and_rent
-
-                    _, rent = ordering_curves_and_rent(
-                        netlist, ordering, config.rent_min_prefix,
-                        fallback=float("nan"),
-                    )
-                    return None, rent, orderings_grown, footprint
-                from repro.finder.candidate import scan_ordering
-                from repro.metrics.rent import estimate_rent_exponent_from_prefixes
-
-                prefix_stats = scan_ordering(netlist, ordering, backend=backend)
-                rent = estimate_rent_exponent_from_prefixes(
-                    prefix_stats, min_size=config.rent_min_prefix,
-                    fallback=float("nan"),
-                )
-                return None, rent, orderings_grown, footprint
+        if candidate is None:
+            return None, rent, 1, tuple(sorted(touched))
         trace.counter("finder.candidates").add(1)
 
         with trace.span("finder.phase3"):
@@ -111,11 +92,9 @@ def _process_seed(
                 config,
                 rent_exponent=candidate.rent_exponent,
                 rng=rng_seed,
-                backend=backend,
                 touched=touched,
             )
-        orderings_grown += config.refine_count
-        return refined, candidate.rent_exponent, orderings_grown, tuple(
+        return refined, candidate.rent_exponent, 1 + config.refine_count, tuple(
             sorted(touched)
         )
 

@@ -165,14 +165,13 @@ def grow_linear_ordering(
     max_length: int,
     lambda_skip: int = 20,
     exclude_fixed: bool = True,
-    backend: Optional[str] = None,
 ) -> List[int]:
     """One Phase I ordering of at most ``max_length`` cells.
 
     The numpy backend runs the compiled kernel (or its Python fallback),
     the scalar backend :class:`LinearOrderingGrower`.
     """
-    if resolve_backend(backend) == "numpy":
+    if resolve_backend() == "numpy":
         ordering, telemetry = grow_ordering(
             netlist,
             seed,

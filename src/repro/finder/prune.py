@@ -20,7 +20,6 @@ from repro.netlist.hypergraph import Netlist
 def prune_overlapping(
     candidates: Sequence[CandidateGTL],
     netlist: Optional[Netlist] = None,
-    backend: Optional[str] = None,
 ) -> List[CandidateGTL]:
     """Greedy best-first disjoint selection.
 
@@ -43,7 +42,7 @@ def prune_overlapping(
         unique.values(), key=lambda c: (c.score, -c.size, c.seed)
     )
     kept: List[CandidateGTL] = []
-    if netlist is not None and resolve_backend(backend) == "numpy":
+    if netlist is not None and resolve_backend() == "numpy":
         occupied_mask = np.zeros(netlist.num_cells, dtype=bool)
         for candidate in ranked:
             members = np.fromiter(

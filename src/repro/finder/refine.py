@@ -10,7 +10,7 @@ best (lowest) score becomes the refined candidate.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.finder.candidate import CandidateGTL, extract_candidate
 from repro.finder.config import FinderConfig
@@ -20,38 +20,6 @@ from repro.netlist.hypergraph import Netlist
 from repro.netlist.ops import group_connected, group_stats
 from repro.obs import trace
 from repro.utils.rng import RngLike, ensure_rng
-
-
-def score_group(
-    netlist: Netlist,
-    cells: Iterable[int],
-    context: ScoreContext,
-    backend: Optional[str] = None,
-) -> Optional[float]:
-    """Score an arbitrary cell set; ``None`` for empty sets.
-
-    Group statistics are integers in both backends, so the score is
-    bit-identical regardless of ``backend``.
-    """
-    members = cells if isinstance(cells, (set, frozenset)) else set(cells)
-    if not members:
-        return None
-    return context.score(group_stats(netlist, members, backend=backend))
-
-
-def is_connected_group(
-    netlist: Netlist, cells: Iterable[int], backend: Optional[str] = None
-) -> bool:
-    """True when ``cells`` induce one connected hypergraph component.
-
-    A GTL is a single logic structure; set operations in the genetic family
-    can glue together unrelated tangled blocks (whose union may score even
-    better under the density-aware metric) or tear a candidate apart, so
-    disconnected family members are rejected.  Delegates to
-    :func:`repro.netlist.ops.group_connected` (CSR frontier BFS on the
-    array backend).
-    """
-    return group_connected(netlist, cells, backend=backend)
 
 
 def genetic_family(sets: List[frozenset]) -> List[frozenset]:
@@ -87,7 +55,6 @@ def refine_candidate(
     config: FinderConfig,
     rent_exponent: float,
     rng: RngLike = None,
-    backend: Optional[str] = None,
     touched: Optional[Set[int]] = None,
 ) -> CandidateGTL:
     """Refine one candidate; returns the best family member as a candidate.
@@ -100,8 +67,6 @@ def refine_candidate(
             family consistently (candidates from different orderings carry
             slightly different local estimates).
         rng: randomness for the interior re-seeds.
-        backend: array kernel or scalar reference for the re-grown
-            orderings, family scoring and connectivity checks.
         touched: when given, every cell absorbed by a re-grown ordering is
             added to this set — the caller's footprint accounting (family
             members are subsets of the orderings, so the orderings alone
@@ -136,7 +101,6 @@ def refine_candidate(
             max_length,
             lambda_skip=config.lambda_skip,
             exclude_fixed=config.exclude_fixed,
-            backend=backend,
         )
         if touched is not None:
             touched.update(ordering)
@@ -146,7 +110,6 @@ def refine_candidate(
             config,
             seed=reseed,
             rent_exponent=rent_exponent,
-            backend=backend,
         )
         if tracing:
             trace.histogram("finder.phase3.regrow_s").observe(trace.clock() - began)
@@ -154,28 +117,33 @@ def refine_candidate(
             sets.append(regrown.cells)
 
     began = trace.clock() if tracing else 0.0
+    # Family members are non-empty (genetic_family drops empty sets).  A
+    # GTL is a single logic structure: set operations can glue unrelated
+    # tangled blocks together (whose union may score even better under the
+    # density-aware metric) or tear a candidate apart, so disconnected
+    # members are rejected.
     best_cells = candidate.cells
-    best_score = score_group(netlist, candidate.cells, context, backend=backend)
+    best_stats = group_stats(netlist, best_cells)
+    best_score = context.score(best_stats)
     for member in genetic_family(sets):
         if len(member) < config.min_gtl_size:
             continue
-        score = score_group(netlist, member, context, backend=backend)
-        if score is None or (best_score is not None and score >= best_score):
+        stats = group_stats(netlist, member)
+        score = context.score(stats)
+        if score >= best_score:
             continue
-        if member != candidate.cells and not is_connected_group(
-            netlist, member, backend=backend
-        ):
+        if member != candidate.cells and not group_connected(netlist, member):
             continue
         best_score = score
         best_cells = member
+        best_stats = stats
     if tracing:
         trace.histogram("finder.phase3.family_s").observe(trace.clock() - began)
 
-    stats = group_stats(netlist, best_cells, backend=backend)
     return CandidateGTL(
         cells=frozenset(best_cells),
         score=float(best_score),
-        stats=stats,
+        stats=best_stats,
         rent_exponent=rent_exponent,
         seed=candidate.seed,
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
@@ -328,14 +328,13 @@ def _changed_net_ids_scalar(old: Netlist, new: Netlist) -> List[int]:
     ]
 
 
-def diff(old: Netlist, new: Netlist, backend: Optional[str] = None) -> NetlistDelta:
+def diff(old: Netlist, new: Netlist) -> NetlistDelta:
     """Compute the :class:`NetlistDelta` turning ``old`` into ``new``.
 
-    Both backends produce identical deltas; ``backend`` pins one per call
-    (``None`` resolves via ``REPRO_SCALAR_BACKEND``, see
-    :mod:`repro.netlist.backend`).
+    Both backends (see :mod:`repro.netlist.backend`) produce identical
+    deltas.
     """
-    backend = resolve_backend(backend)
+    backend = resolve_backend()
     old_cell_names = old.cell_names
     new_cell_names = new.cell_names
     old_net_names = old.net_names

@@ -22,7 +22,7 @@ reference behind ``REPRO_SCALAR_BACKEND=1`` producing identical regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Iterable, Set
 
 from repro.errors import NetlistError
 from repro.netlist.backend import resolve_backend
@@ -84,17 +84,11 @@ def delta_endpoint_cells(new: Netlist, delta: NetlistDelta) -> Set[int]:
     return endpoints
 
 
-def expand_frontier(
-    netlist: Netlist,
-    cells: Set[int],
-    hops: int,
-    backend: Optional[str] = None,
-) -> Set[int]:
+def expand_frontier(netlist: Netlist, cells: Set[int], hops: int) -> Set[int]:
     """Expand ``cells`` by ``hops`` cells→nets→cells frontier passes."""
-    backend = resolve_backend(backend)
     if not cells or hops <= 0:
         return set(cells)
-    if backend == "numpy":
+    if resolve_backend() == "numpy":
         import numpy as np
 
         from repro.netlist.arrays import gather_segments
@@ -141,12 +135,7 @@ def expand_frontier(
     return dirty
 
 
-def dirty_region(
-    new: Netlist,
-    delta: NetlistDelta,
-    halo: int = 0,
-    backend: Optional[str] = None,
-) -> DirtyRegion:
+def dirty_region(new: Netlist, delta: NetlistDelta, halo: int = 0) -> DirtyRegion:
     """Compute the :class:`DirtyRegion` of ``delta`` on the edited netlist.
 
     ``halo`` adds conservative extra hops on top of the one hop required
@@ -158,7 +147,7 @@ def dirty_region(
     hops = 1 + halo
     with trace.span("incremental.dirty", halo=halo):
         endpoints = delta_endpoint_cells(new, delta)
-        cells = expand_frontier(new, endpoints, hops, backend=backend)
+        cells = expand_frontier(new, endpoints, hops)
         fraction = len(cells) / new.num_cells if new.num_cells else 0.0
         if trace.enabled():
             trace.counter("incremental.dirty_cells").add(len(cells))

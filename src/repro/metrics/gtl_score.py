@@ -20,7 +20,6 @@ without touching the netlist again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -127,15 +126,11 @@ class ScoreContext:
         exponent = self.rent_exponent * stats.avg_pins / self.avg_pins_per_cell
         return stats.cut / (self.avg_pins_per_cell * stats.size**exponent)
 
-    def score_all(self, prefix_stats) -> list:
-        """Score a sequence of :class:`GroupStats` (one ordering's prefixes)."""
-        return [self.score(stats) for stats in prefix_stats]
-
     def score_curves(self, curves: PrefixCurves) -> np.ndarray:
         """Score every prefix of a :class:`~repro.netlist.ops.PrefixCurves`.
 
-        Vectorized counterpart of :meth:`score_all` over the array form of
-        an ordering's prefixes; agrees with the scalar scores to float64
+        Vectorized counterpart of :meth:`score` over the array form of an
+        ordering's prefixes; agrees with the scalar scores to float64
         rounding (well below 1e-9).
         """
         sizes = curves.sizes.astype(np.float64)

@@ -15,13 +15,13 @@ textbook way of measuring Rent exponents and serves as a cross-check.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import MetricError
 from repro.netlist.hypergraph import Netlist
-from repro.netlist.ops import GroupStats, PrefixCurves, PrefixScanner, group_stats
+from repro.netlist.ops import GroupStats, PrefixCurves, group_stats
 
 
 def estimate_group_rent_exponent(netlist: Netlist, group: Iterable[int]) -> float:
@@ -49,8 +49,8 @@ def estimate_rent_exponent_from_prefixes(
     prefix_stats: Sequence[GroupStats],
     min_size: int = 8,
     clamp: Tuple[float, float] = (0.1, 1.0),
-    fallback: float = 0.6,
-) -> float:
+    fallback: Optional[float] = 0.6,
+) -> Optional[float]:
     """Average per-prefix Rent exponents, the paper's Phase II estimator.
 
     Args:
@@ -64,7 +64,7 @@ def estimate_rent_exponent_from_prefixes(
         fallback: returned when no usable prefix exists.  The default 0.6
             (a typical logic Rent exponent) keeps downstream scoring defined
             on pathological inputs; callers that need to *detect* the
-            degenerate case pass ``float("nan")`` and filter.
+            degenerate case pass ``None``.
     """
     low, high = clamp
     estimates: List[float] = []
@@ -82,8 +82,8 @@ def estimate_rent_exponent_from_curves(
     curves: PrefixCurves,
     min_size: int = 8,
     clamp: Tuple[float, float] = (0.1, 1.0),
-    fallback: float = 0.6,
-) -> float:
+    fallback: Optional[float] = 0.6,
+) -> Optional[float]:
     """Vectorized :func:`estimate_rent_exponent_from_prefixes` over a whole
     :class:`~repro.netlist.ops.PrefixCurves`.
 
@@ -131,12 +131,3 @@ def fit_rent_exponent(
     log_a = mean_y - p * mean_x
     return p, math.exp(log_a)
 
-
-def scan_prefix_stats(netlist: Netlist, ordering: Sequence[int]) -> List[GroupStats]:
-    """Statistics of every prefix of ``ordering`` (O(total pins) overall)."""
-    scanner = PrefixScanner(netlist)
-    result: List[GroupStats] = []
-    for cell in ordering:
-        scanner.add(cell)
-        result.append(scanner.stats())
-    return result

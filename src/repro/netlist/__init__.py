@@ -10,7 +10,6 @@ from repro.netlist.arrays import (
     NetlistArrays,
     build_netlist_arrays,
     gather_segments,
-    geometry_backend,
 )
 from repro.netlist.backed import ArrayBackedNetlist, NameTable
 from repro.netlist.backend import resolve_backend
@@ -45,7 +44,6 @@ __all__ = [
     "NetlistBuilder",
     "build_netlist_arrays",
     "gather_segments",
-    "geometry_backend",
     "resolve_backend",
     "GroupStats",
     "PrefixCurves",

@@ -22,24 +22,12 @@ immutable and its array view must be too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.netlist.backend import resolve_backend
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netlist.hypergraph import Netlist
-
-
-def geometry_backend(backend: Optional[str] = None) -> str:
-    """Resolve a geometry backend name.
-
-    Alias of :func:`repro.netlist.backend.resolve_backend`, kept for the
-    PR 2 call sites; one switch now governs geometry *and* the detection
-    kernel (``REPRO_SCALAR_BACKEND=1`` forces the scalar reference).
-    """
-    return resolve_backend(backend)
 
 
 def gather_segments(

@@ -1,18 +1,17 @@
 """Unified compute-backend selection for the vectorized hot paths.
 
-Every vectorized hot path in the reproduction — the geometry kernels from
-PR 2 (HPWL, RUDY, quadratic assembly), the array-backed detection kernel
-(Phase I-III of the finder) and the flat-array FM partition kernel
+Every vectorized hot path in the reproduction — the geometry kernels
+(HPWL, RUDY, quadratic assembly), the array-backed detection kernel
+(Phase I-III of the finder), incremental diffing and dirty-region
+expansion, and the flat-array FM partition kernel
 (:mod:`repro.partition.kernel`) — keeps its pure-Python implementation
-alive as a *scalar reference*.  This module is the single switch between
-the two:
-
-* ``resolve_backend(None)`` returns ``"numpy"`` unless the
-  ``REPRO_SCALAR_BACKEND`` environment variable is set to a non-empty,
-  non-``"0"`` value, which forces the scalar reference everywhere (the
-  escape hatch the parity tests and CI cross-check against).
-* An explicit ``"numpy"`` / ``"python"`` argument wins over the
-  environment, so call sites can pin a backend per call.
+alive as a *scalar reference*.  The ``REPRO_SCALAR_BACKEND`` environment
+variable is the one switch between the two: unset, empty or ``"0"``
+selects ``"numpy"``, anything else the scalar reference ``"python"``.
+Each hot path calls :func:`resolve_backend` itself; no function takes a
+per-call backend argument.  :func:`forced_backend` sets the variable for
+the duration of a ``with`` block, which is how tests and benchmarks
+compare the two in one process.
 
 Both backends produce identical results: orderings, integer group
 statistics and FM partitions (move sequences, sides, cuts, pass counts)
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import NetlistError
 
@@ -36,24 +35,11 @@ SCALAR_BACKEND_ENV_VAR = "REPRO_SCALAR_BACKEND"
 VALID_BACKENDS = ("numpy", "python")
 
 
-def _scalar_forced_by_env() -> bool:
-    value = os.environ.get(SCALAR_BACKEND_ENV_VAR, "")
-    return value.strip() not in ("", "0")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a compute backend name to ``"numpy"`` or ``"python"``.
-
-    ``None`` picks ``"numpy"`` unless :data:`SCALAR_BACKEND_ENV_VAR` forces
-    the scalar reference implementation.
-    """
-    if backend is None:
-        backend = "python" if _scalar_forced_by_env() else "numpy"
-    if backend not in VALID_BACKENDS:
-        raise NetlistError(
-            f"unknown backend {backend!r}; use 'numpy' or 'python'"
-        )
-    return backend
+def resolve_backend() -> str:
+    """The active compute backend: ``"numpy"``, or ``"python"`` when
+    :data:`SCALAR_BACKEND_ENV_VAR` forces the scalar reference."""
+    value = os.environ.get(SCALAR_BACKEND_ENV_VAR, "").strip()
+    return "numpy" if value in ("", "0") else "python"
 
 
 @contextmanager
@@ -61,8 +47,8 @@ def forced_backend(backend: str) -> Iterator[None]:
     """Force ``backend`` process-wide for the duration of the block.
 
     Sets :data:`SCALAR_BACKEND_ENV_VAR` and restores the previous value on
-    exit — the single point of
-    truth for benchmarks and tests that compare the two backends.
+    exit — the in-process switch for benchmarks and tests that compare the
+    two backends.
     """
     if backend not in VALID_BACKENDS:
         raise NetlistError(

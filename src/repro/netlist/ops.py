@@ -17,7 +17,7 @@ statistics are integers, so the two backends agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -133,16 +133,14 @@ class GroupStats:
     avg_pins: float
 
 
-def group_stats(
-    netlist: Netlist, group: Iterable[int], backend: Optional[str] = None
-) -> GroupStats:
+def group_stats(netlist: Netlist, group: Iterable[int]) -> GroupStats:
     """Compute :class:`GroupStats` for ``group`` in one pass.
 
-    ``backend`` selects the CSR-array kernel or the scalar reference (see
-    :func:`repro.netlist.backend.resolve_backend`); both return identical
-    statistics — all fields are integer counts plus one exact division.
+    Runs the CSR-array kernel or the scalar reference (see
+    :mod:`repro.netlist.backend`); both return identical statistics — all
+    fields are integer counts plus one exact division.
     """
-    if resolve_backend(backend) == "numpy":
+    if resolve_backend() == "numpy":
         return _group_stats_arrays(netlist, group)
     members = _as_set(group)
     if not members:
@@ -195,16 +193,14 @@ def _group_stats_arrays(netlist: Netlist, group: Iterable[int]) -> GroupStats:
     )
 
 
-def group_connected(
-    netlist: Netlist, group: Iterable[int], backend: Optional[str] = None
-) -> bool:
+def group_connected(netlist: Netlist, group: Iterable[int]) -> bool:
     """True when ``group`` induces one connected hypergraph component.
 
     Empty groups are not connected.  The array backend runs a frontier BFS
     over the CSR view (whole frontier levels expanded per step); the scalar
     reference walks cell by cell.
     """
-    if resolve_backend(backend) == "numpy":
+    if resolve_backend() == "numpy":
         return _group_connected_arrays(netlist, group)
     members = _as_set(group)
     if not members:

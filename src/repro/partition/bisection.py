@@ -36,7 +36,6 @@ def recursive_bisection(
     min_block: int = 8,
     balance_tolerance: float = 0.1,
     rng: RngLike = 0,
-    backend: Optional[str] = None,
 ) -> List[List[int]]:
     """Recursively bisect ``cells``; returns the blocks in leaf order.
 
@@ -46,8 +45,6 @@ def recursive_bisection(
         min_block: blocks at or below this size become leaves.
         balance_tolerance: FM area balance slack.
         rng: seed for FM initial partitions (split deterministically).
-        backend: compute backend (see
-            :func:`repro.netlist.backend.resolve_backend`).
     """
     if cells is None:
         cells = netlist.movable_cells()
@@ -58,7 +55,7 @@ def recursive_bisection(
 
     leaves: List[List[int]] = []
 
-    if resolve_backend(backend) == "numpy":
+    if resolve_backend() == "numpy":
         from repro.partition.kernel import ArrayFMPartitioner, SubsetCSR
 
         def recurse_array(subset: "SubsetCSR", block: List[int]) -> None:
@@ -114,7 +111,6 @@ def bisection_ordering(
     cells: Optional[Sequence[int]] = None,
     min_block: int = 8,
     rng: RngLike = 0,
-    backend: Optional[str] = None,
 ) -> List[int]:
     """Linear ordering from the recursive-bisection leaf order.
 
@@ -122,9 +118,7 @@ def bisection_ordering(
     :func:`repro.finder.candidate.extract_candidate` to run the paper's
     Phase II on partitioning-derived orderings.
     """
-    leaves = recursive_bisection(
-        netlist, cells=cells, min_block=min_block, rng=rng, backend=backend
-    )
+    leaves = recursive_bisection(netlist, cells=cells, min_block=min_block, rng=rng)
     ordering: List[int] = []
     for block in leaves:
         ordering.extend(block)
@@ -136,7 +130,6 @@ def estimate_rent_exponent_bisection(
     cells: Optional[Sequence[int]] = None,
     min_block: int = 16,
     rng: RngLike = 0,
-    backend: Optional[str] = None,
 ) -> Tuple[float, float]:
     """Rent exponent via recursive bisection (returns ``(p, A)``).
 
@@ -159,7 +152,7 @@ def estimate_rent_exponent_bisection(
             sizes.append(len(block))
             cuts.append(cut)
 
-    if resolve_backend(backend) == "numpy":
+    if resolve_backend() == "numpy":
         from repro.partition.kernel import ArrayFMPartitioner, SubsetCSR
 
         def recurse_array(subset: "SubsetCSR", block: List[int]) -> None:

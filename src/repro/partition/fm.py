@@ -315,9 +315,8 @@ def make_partitioner(
     cells: Optional[Sequence[int]] = None,
     balance_tolerance: float = 0.1,
     rng: RngLike = 0,
-    backend: Optional[str] = None,
 ):
-    """An FM partitioner on the resolved compute backend.
+    """An FM partitioner on the active compute backend.
 
     ``"numpy"`` (the default unless ``REPRO_SCALAR_BACKEND=1``) builds the
     flat-array :class:`~repro.partition.kernel.ArrayFMPartitioner`;
@@ -325,7 +324,7 @@ def make_partitioner(
     produce bit-identical results (same move sequences, sides, cut and pass
     counts) — see ``tests/test_partition_kernel.py``.
     """
-    if resolve_backend(backend) == "numpy":
+    if resolve_backend() == "numpy":
         from repro.partition.kernel import ArrayFMPartitioner
 
         return ArrayFMPartitioner(
@@ -342,15 +341,10 @@ def fm_bisect(
     balance_tolerance: float = 0.1,
     rng: RngLike = 0,
     max_passes: int = 12,
-    backend: Optional[str] = None,
 ) -> PartitionResult:
     """Convenience wrapper: one FM bisection of ``cells`` (default: all)."""
     partitioner = make_partitioner(
-        netlist,
-        cells=cells,
-        balance_tolerance=balance_tolerance,
-        rng=rng,
-        backend=backend,
+        netlist, cells=cells, balance_tolerance=balance_tolerance, rng=rng
     )
     with trace.span(
         "partition.fm_bisect",

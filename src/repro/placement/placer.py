@@ -8,7 +8,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import PlacementError
-from repro.netlist.arrays import geometry_backend
+from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.placement.legalize import legalize_rows
 from repro.placement.pads import assign_pad_positions
@@ -36,14 +36,13 @@ class Placement:
         """Coordinates of ``cell``."""
         return float(self.x[cell]), float(self.y[cell])
 
-    def hpwl(self, backend: Optional[str] = None) -> float:
+    def hpwl(self) -> float:
         """Total half-perimeter wirelength of the placement.
 
-        ``backend`` selects the batched numpy path (default) or the scalar
-        per-net reference loop (``"python"``, also forced globally by
-        ``REPRO_SCALAR_BACKEND=1``); both return bit-identical totals.
+        Runs the batched numpy path, or the scalar per-net reference loop
+        under ``REPRO_SCALAR_BACKEND=1``; both return bit-identical totals.
         """
-        if geometry_backend(backend) == "python":
+        if resolve_backend() == "python":
             total = 0.0
             for net in range(self.netlist.num_nets):
                 cells = list(self.netlist.cells_of_net(net))
@@ -53,6 +52,9 @@ class Placement:
                 ys = self.y[cells]
                 total += float(xs.max() - xs.min() + ys.max() - ys.min())
             return total
+        return self._hpwl_numpy()
+
+    def _hpwl_numpy(self) -> float:
         arrays = self.netlist.arrays
         if arrays.net_cells.size == 0:
             return 0.0

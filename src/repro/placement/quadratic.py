@@ -18,8 +18,8 @@ Assembly is batched: clique pair and ring successor index arrays are built
 with numpy gathers over the netlist's flat pin arrays
 (:class:`repro.netlist.arrays.NetlistArrays`) and scattered into the system
 with ``np.add.at`` — no per-pin ``list.append``.  The original per-pin
-Python assembly stays as the reference (``backend="python"`` or
-``REPRO_SCALAR_BACKEND=1``).
+Python assembly stays as the reference, selected by
+``REPRO_SCALAR_BACKEND=1`` (see :mod:`repro.netlist.backend`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from repro.errors import PlacementError
-from repro.netlist.arrays import geometry_backend
+from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.placement.region import Die
 
@@ -193,20 +193,18 @@ def assemble_quadratic_system(
     netlist: Netlist,
     pad_positions: Dict[int, Tuple[float, float]],
     clique_limit: int = 5,
-    backend: Optional[str] = None,
 ) -> Tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
     """Net-spring system before anchors: ``(laplacian, bx, by, movable)``.
 
     The Laplacian (diagonal included) and right-hand sides cover the
     movable cells only.  Exposed so benchmarks and parity tests can compare
-    the ``"numpy"`` and ``"python"`` assembly backends directly.
+    the ``"numpy"`` and ``"python"`` assembly backends (under
+    :func:`repro.netlist.backend.forced_backend`).
     """
     fixed_mask, movable, index_of, fixed_x, fixed_y = _placement_frame(
         netlist, pad_positions
     )
-    assemble = (
-        _assemble_python if geometry_backend(backend) == "python" else _assemble_numpy
-    )
+    assemble = _assemble_python if resolve_backend() == "python" else _assemble_numpy
     rows, cols, vals, diag, bx, by = assemble(
         netlist, clique_limit, fixed_mask, index_of, fixed_x, fixed_y, movable.size
     )
@@ -225,7 +223,6 @@ def solve_quadratic_placement(
     anchors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     anchor_mode: str = "relative",
     tol: float = 1e-7,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the quadratic placement; returns per-cell ``(x, y)`` arrays.
 
@@ -251,8 +248,6 @@ def solve_quadratic_placement(
             contract harder, which is how tangled logic ends up packed
             more tightly than ordinary logic).
         tol: conjugate-gradient tolerance.
-        backend: ``"numpy"`` (batched assembly, default) or ``"python"``
-            (per-pin reference); ``None`` honors ``REPRO_SCALAR_BACKEND``.
 
     Fixed cells keep their ``pad_positions`` coordinates in the output.
     """
@@ -267,9 +262,7 @@ def solve_quadratic_placement(
             x[cell], y[cell] = px, py
         return x, y
 
-    assemble = (
-        _assemble_python if geometry_backend(backend) == "python" else _assemble_numpy
-    )
+    assemble = _assemble_python if resolve_backend() == "python" else _assemble_numpy
     rows, cols, vals, diag, bx, by = assemble(
         netlist, clique_limit, fixed_mask, index_of, fixed_x, fixed_y, movable.size
     )

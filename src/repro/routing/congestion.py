@@ -14,7 +14,8 @@ boxes come from the shared ``reduceat`` kernel
 are widened with ``np.where``, and tile demand accumulates as one matrix
 product of per-axis tile-coverage factors instead of a nested Python tile
 loop.  The original scalar per-net loop stays as the reference
-implementation (``backend="python"`` or ``REPRO_SCALAR_BACKEND=1``).
+implementation, selected by ``REPRO_SCALAR_BACKEND=1`` (see
+:mod:`repro.netlist.backend`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PlacementError
-from repro.netlist.arrays import geometry_backend
+from repro.netlist.backend import resolve_backend
 from repro.placement.placer import Placement
 
 
@@ -219,7 +220,6 @@ def build_congestion_map(
     grid: Tuple[int, int] = (32, 32),
     capacity: Optional[float] = None,
     target_average_occupancy: float = 0.55,
-    backend: Optional[str] = None,
 ) -> CongestionMap:
     """RUDY map of ``placement`` on a ``grid`` of tiles.
 
@@ -230,8 +230,6 @@ def build_congestion_map(
             so the *average* tile occupancy equals
             ``target_average_occupancy`` — mirroring a technology where the
             design is routable on average but hotspots overshoot.
-        backend: ``"numpy"`` (batched, default) or ``"python"`` (scalar
-            per-net reference); ``None`` honors ``REPRO_SCALAR_BACKEND``.
     """
     nx, ny = grid
     if nx < 1 or ny < 1:
@@ -239,7 +237,7 @@ def build_congestion_map(
     die = placement.die
     tile_w = die.width / nx
     tile_h = die.height / ny
-    if geometry_backend(backend) == "python":
+    if resolve_backend() == "python":
         demand, boxes = _demand_python(placement, nx, ny, tile_w, tile_h)
     else:
         demand, boxes = _demand_numpy(placement, nx, ny, tile_w, tile_h)

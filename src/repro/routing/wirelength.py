@@ -14,18 +14,19 @@ models; this module implements the standard ladder:
 HPWL and star totals over a whole design run batched on the netlist's
 flat pin arrays (:class:`repro.netlist.arrays.NetlistArrays`) via
 ``reduceat``; the per-net scalar functions stay as the reference
-implementation (``backend="python"`` or ``REPRO_SCALAR_BACKEND=1``) and
-remain the only path for clique/RMST and explicit net subsets.
+implementation, selected by ``REPRO_SCALAR_BACKEND=1`` (see
+:mod:`repro.netlist.backend`), and remain the only path for clique/RMST
+and explicit net subsets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.netlist.arrays import geometry_backend
+from repro.netlist.backend import resolve_backend
 from repro.placement.placer import Placement
 
 
@@ -115,7 +116,6 @@ def total_wirelength(
     placement: Placement,
     model: str = "hpwl",
     nets: Optional[Iterable[int]] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """Total wirelength of ``placement`` under the named model.
 
@@ -125,9 +125,9 @@ def total_wirelength(
     """
     if model not in _MODELS:
         raise ReproError(f"unknown wirelength model {model!r}; use {sorted(_MODELS)}")
-    if nets is None and geometry_backend(backend) == "numpy":
+    if nets is None and resolve_backend() == "numpy":
         if model == "hpwl":
-            return placement.hpwl(backend="numpy")
+            return placement._hpwl_numpy()
         if model == "star":
             return _total_star_vectorized(placement)
     function = _MODELS[model]
@@ -136,11 +136,6 @@ def total_wirelength(
     return sum(function(placement, net) for net in nets)
 
 
-def wirelength_report(
-    placement: Placement, backend: Optional[str] = None
-) -> Dict[str, float]:
+def wirelength_report(placement: Placement) -> Dict[str, float]:
     """All four models for one placement (HPWL <= RMST always)."""
-    return {
-        model: total_wirelength(placement, model, backend=backend)
-        for model in _MODELS
-    }
+    return {model: total_wirelength(placement, model) for model in _MODELS}

@@ -186,8 +186,8 @@ class SweepCoordinator:
             one store.  ``None`` disables persistence.
         use_cache: master cache switch (the ``--no-cache`` path).
         workers: parallel seed trials *inside* each shard (usually 1 —
-            sharding is the parallelism axis).
-        parallel: concurrent shard processes (default: ``num_shards``).
+            sharding is the parallelism axis).  Every shard of a wave
+            runs concurrently, one process (or daemon submit) each.
         max_shard_attempts: dispatch attempts per shard before its jobs
             are reported failed.
         progress: optional :class:`ShardProgress` callback.
@@ -203,7 +203,6 @@ class SweepCoordinator:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         workers: int = 1,
-        parallel: Optional[int] = None,
         max_shard_attempts: int = 2,
         progress: Optional[ShardProgressCallback] = None,
         daemon_socket: Optional[str] = None,
@@ -217,7 +216,6 @@ class SweepCoordinator:
         self.cache_dir = cache_dir
         self.use_cache = use_cache
         self.workers = workers
-        self.parallel = parallel or num_shards
         self.max_shard_attempts = max_shard_attempts
         self.progress = progress
         self.daemon_socket = daemon_socket
@@ -289,7 +287,7 @@ class SweepCoordinator:
                 stats[shard.shard_id].attempts += 1
                 self._emit("shard-start", shard, done_count, total_active)
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.parallel, len(wave))
+                max_workers=len(wave)
             ) as executor:
                 futures = {
                     executor.submit(
@@ -434,7 +432,7 @@ class SweepCoordinator:
             }
 
         with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.parallel, max(1, len(active)))
+            max_workers=max(1, len(active))
         ) as executor:
             futures = {
                 executor.submit(submit_shard, shard): shard for shard in active

@@ -218,23 +218,17 @@ class WorkerPool:
             deterministic, nothing shipped).
         max_retries: executor restarts tolerated per run before giving up
             with :class:`ServiceError`.
-        batches_per_worker: seed batches carved per worker per run; larger
-            values smooth load imbalance between easy and hard seeds at the
-            cost of more (cheap) submissions.
+
+    Each run carves its jobs into one seed batch per worker.
     """
 
-    def __init__(
-        self, workers: int, max_retries: int = 2, batches_per_worker: int = 1
-    ) -> None:
+    def __init__(self, workers: int, max_retries: int = 2) -> None:
         if workers < 1:
             raise ServiceError("WorkerPool workers must be >= 1")
         if max_retries < 0:
             raise ServiceError("WorkerPool max_retries must be >= 0")
-        if batches_per_worker < 1:
-            raise ServiceError("WorkerPool batches_per_worker must be >= 1")
         self.workers = workers
         self.max_retries = max_retries
-        self.batches_per_worker = batches_per_worker
         self.stats = PoolStats()
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._shipped_keys: Set[str] = set()
@@ -262,9 +256,7 @@ class WorkerPool:
 
         key = fingerprint_netlist(netlist)
         indexed: List[_IndexedJob] = list(enumerate(jobs))
-        num_batches = min(
-            len(indexed), min(self.workers, len(indexed)) * self.batches_per_worker
-        )
+        num_batches = min(self.workers, len(indexed))
         remaining = [indexed[i::num_batches] for i in range(num_batches)]
 
         outcomes: List[Optional[_SeedOutcome]] = [None] * len(jobs)

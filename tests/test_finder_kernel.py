@@ -11,6 +11,7 @@ built and concurrent first builds.
 """
 
 import json
+import math
 import os
 import random
 import shutil
@@ -24,8 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FinderError
 from repro.finder import FinderConfig, find_tangled_logic
+from repro.finder import candidate as candidate_module
 from repro.finder import kernel
-from repro.finder.candidate import extract_candidate, scan_ordering, score_curve
+from repro.finder.candidate import extract_candidate, scan_ordering
+from repro.finder.finder import _process_seed
 from repro.finder.kernel import (
     ArrayOrderingGrower,
     KernelTables,
@@ -37,6 +40,10 @@ from repro.flow.flow import Flow
 from repro.flow.stages import DetectStage
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.metrics.gtl_score import ScoreContext
+from repro.metrics.rent import (
+    estimate_rent_exponent_from_curves,
+    estimate_rent_exponent_from_prefixes,
+)
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.ops import (
@@ -47,6 +54,15 @@ from repro.netlist.ops import (
 )
 from repro.service.codec import report_to_dict
 from repro.service.store import ResultStore
+
+
+def _on_both_backends(call):
+    """``(numpy result, scalar result)`` of ``call()``."""
+    with forced_backend("numpy"):
+        array = call()
+    with forced_backend("python"):
+        scalar = call()
+    return array, scalar
 
 
 def _random_netlist(rng, max_cells=32, with_fixed=True, max_degree=8):
@@ -130,12 +146,11 @@ def test_array_grower_rejects_bad_seeds(mixed_netlist):
 
 
 def test_bad_seeds_raise_on_the_numpy_path(mixed_netlist):
-    for bad in (99, -1, 3):  # out of range, negative, the pad
-        with pytest.raises(FinderError):
-            grow_linear_ordering(mixed_netlist, bad, 4, backend="numpy")
-    ordering = grow_linear_ordering(
-        mixed_netlist, 3, 4, exclude_fixed=False, backend="numpy"
-    )
+    with forced_backend("numpy"):
+        for bad in (99, -1, 3):  # out of range, negative, the pad
+            with pytest.raises(FinderError):
+                grow_linear_ordering(mixed_netlist, bad, 4)
+        ordering = grow_linear_ordering(mixed_netlist, 3, 4, exclude_fixed=False)
     assert ordering[0] == 3
 
 
@@ -184,11 +199,12 @@ def test_property_orderings_bit_identical(seed, shape):
                 _assert_three_way_parity(
                     netlist, start, max_length, lambda_skip, exclude_fixed
                 )
-            assert grow_linear_ordering(
-                netlist, start, n, lambda_skip, exclude_fixed, backend="numpy"
-            ) == grow_linear_ordering(
-                netlist, start, n, lambda_skip, exclude_fixed, backend="python"
+            array, scalar = _on_both_backends(
+                lambda: grow_linear_ordering(
+                    netlist, start, n, lambda_skip, exclude_fixed
+                )
             )
+            assert array == scalar
 
 
 # ---------------------------------------------------------------- C kernel
@@ -381,23 +397,23 @@ def test_racing_first_use_loads_one_library(tmp_path):
 def test_property_prefix_curves_match_scanner_exactly(seed):
     rng = random.Random(seed)
     netlist = _random_netlist(rng, with_fixed=False)
-    ordering = grow_linear_ordering(netlist, 0, netlist.num_cells, backend="python")
+    with forced_backend("python"):
+        ordering = grow_linear_ordering(netlist, 0, netlist.num_cells)
     scanner = PrefixScanner(netlist)
     curves = scan_ordering_curves(netlist, ordering)
     for index, cell in enumerate(ordering):
         scanner.add(cell)
         assert curves.stats_at(index) == scanner.stats()
-    assert scan_ordering(netlist, ordering, backend="numpy") == scan_ordering(
-        netlist, ordering, backend="python"
-    )
+    array, scalar = _on_both_backends(lambda: scan_ordering(netlist, ordering))
+    assert array == scalar
 
 
 def test_scan_ordering_rejects_duplicates_in_both_backends(triangle):
     from repro.errors import NetlistError
 
     for backend in ("python", "numpy"):
-        with pytest.raises(NetlistError):
-            scan_ordering(triangle, [0, 0, 1], backend=backend)
+        with forced_backend(backend), pytest.raises(NetlistError):
+            scan_ordering(triangle, [0, 0, 1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -405,15 +421,18 @@ def test_scan_ordering_rejects_duplicates_in_both_backends(triangle):
 def test_property_score_curves_and_rent_within_1e9(seed):
     rng = random.Random(seed)
     netlist = _random_netlist(rng, with_fixed=False)
-    ordering = grow_linear_ordering(netlist, 0, netlist.num_cells, backend="python")
+    with forced_backend("python"):
+        ordering = grow_linear_ordering(netlist, 0, netlist.num_cells)
+        prefix_stats = scan_ordering(netlist, ordering)
+    curves = scan_ordering_curves(netlist, ordering)
+    scalar_rent = estimate_rent_exponent_from_prefixes(prefix_stats, min_size=3)
+    array_rent = estimate_rent_exponent_from_curves(curves, min_size=3)
+    assert abs(array_rent - scalar_rent) <= 1e-9
     for metric in ("gtl_s", "ngtl_s", "gtl_sd"):
-        scalar_scores, scalar_rent = score_curve(
-            netlist, ordering, metric, rent_min_prefix=3, backend="python"
-        )
-        array_scores, array_rent = score_curve(
-            netlist, ordering, metric, rent_min_prefix=3, backend="numpy"
-        )
-        assert abs(array_rent - scalar_rent) <= 1e-9
+        scalar_context = ScoreContext.for_netlist(netlist, scalar_rent, metric=metric)
+        scalar_scores = [scalar_context.score(stats) for stats in prefix_stats]
+        array_context = ScoreContext.for_netlist(netlist, array_rent, metric=metric)
+        array_scores = array_context.score_curves(curves).tolist()
         assert len(array_scores) == len(scalar_scores)
         assert max(
             abs(a - b) for a, b in zip(array_scores, scalar_scores)
@@ -429,14 +448,11 @@ def test_property_group_stats_and_connectivity_parity(seed):
     cells = list(range(netlist.num_cells))
     for _ in range(6):
         group = set(rng.sample(cells, rng.randint(1, len(cells))))
-        assert group_stats(netlist, group, backend="numpy") == group_stats(
-            netlist, group, backend="python"
-        )
-        assert group_connected(netlist, group, backend="numpy") == group_connected(
-            netlist, group, backend="python"
-        )
-    assert not group_connected(netlist, [], backend="numpy")
-    assert not group_connected(netlist, [], backend="python")
+        array, scalar = _on_both_backends(lambda: group_stats(netlist, group))
+        assert array == scalar
+        array, scalar = _on_both_backends(lambda: group_connected(netlist, group))
+        assert array == scalar
+    assert _on_both_backends(lambda: group_connected(netlist, [])) == (False, False)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -481,15 +497,86 @@ def _comparable(report):
 def test_extract_candidate_parity_includes_stats(small_planted):
     netlist, truth = small_planted
     seed = sorted(truth[0])[0]
-    ordering = grow_linear_ordering(netlist, seed, 400, backend="python")
+    with forced_backend("python"):
+        ordering = grow_linear_ordering(netlist, seed, 400)
     config = FinderConfig(num_seeds=1, min_gtl_size=20)
-    scalar = extract_candidate(netlist, ordering, config, backend="python")
-    array = extract_candidate(netlist, ordering, config, backend="numpy")
+    array, scalar = _on_both_backends(
+        lambda: extract_candidate(netlist, ordering, config)
+    )
     assert (scalar is None) == (array is None)
     if scalar is not None:
         assert array.cells == scalar.cells
         assert array.stats == scalar.stats
         assert abs(array.score - scalar.score) <= 1e-9
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # a flat curve: no clear minimum, a usable Rent estimate
+        {"rent_min_prefix": 10_000},  # no usable prefix: NaN
+        {"max_order_length": 20},  # shorter than min_gtl_size
+    ],
+    ids=["flat-curve", "no-usable-prefix", "short-ordering"],
+)
+def test_candidate_less_seed_scans_its_ordering_once(
+    small_planted, monkeypatch, backend, overrides
+):
+    """Phase II prefix-scans a candidate-less seed's ordering exactly once
+    on either backend, and the seed still reports the ordering's Rent
+    estimate from that backend's estimator (NaN without a usable prefix)."""
+    netlist, truth = small_planted
+    outside = next(c for c in range(netlist.num_cells) if c not in truth[0])
+    config = FinderConfig(
+        **{"max_order_length": 400, "min_gtl_size": 30, **overrides}
+    )
+    curve_scans, added = [], []
+    real_scan = candidate_module.scan_ordering_curves
+    real_add = PrefixScanner.add
+
+    def counting_scan(netlist, ordering):
+        curve_scans.append(len(ordering))
+        return real_scan(netlist, ordering)
+
+    def counting_add(scanner, cell):
+        added.append(cell)
+        real_add(scanner, cell)
+
+    with forced_backend(backend):
+        ordering = grow_linear_ordering(
+            netlist, outside, config.resolve_order_length(netlist.num_cells)
+        )
+        if backend == "numpy":
+            expected = estimate_rent_exponent_from_curves(
+                scan_ordering_curves(netlist, ordering),
+                min_size=config.rent_min_prefix,
+                fallback=float("nan"),
+            )
+        else:
+            expected = estimate_rent_exponent_from_prefixes(
+                scan_ordering(netlist, ordering),
+                min_size=config.rent_min_prefix,
+                fallback=float("nan"),
+            )
+        monkeypatch.setattr(candidate_module, "scan_ordering_curves", counting_scan)
+        monkeypatch.setattr(PrefixScanner, "add", counting_add)
+        candidate, rent, orderings, footprint = _process_seed(
+            netlist, config, outside, 0
+        )
+
+    assert candidate is None and orderings == 1
+    assert footprint == tuple(sorted(ordering))
+    if backend == "numpy":
+        assert (curve_scans, added) == ([len(ordering)], [])
+    else:
+        assert (curve_scans, added) == ([], ordering)
+    if "rent_min_prefix" in overrides:
+        assert math.isnan(rent) and math.isnan(expected)
+    else:
+        assert rent == expected and math.isfinite(rent)
+    if "max_order_length" in overrides:
+        assert len(ordering) < config.min_gtl_size
 
 
 # ---------------------------------------------------------------- caching

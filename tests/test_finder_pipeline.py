@@ -13,7 +13,7 @@ from repro.finder import (
     refine_candidate,
 )
 from repro.finder.candidate import CandidateGTL, scan_ordering
-from repro.finder.refine import genetic_family, is_connected_group
+from repro.finder.refine import genetic_family
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.ops import GroupStats
 
@@ -125,6 +125,7 @@ def test_extract_candidate_forced_rent_exponent(small_planted):
 def test_scan_ordering_lengths(two_cliques):
     stats = scan_ordering(two_cliques, list(range(8)))
     assert [s.size for s in stats] == list(range(1, 9))
+    assert stats[-1].cut == 0
 
 
 # ---------------------------------------------------------------- phase III
@@ -144,13 +145,6 @@ def test_genetic_family_deduplicates():
     a = frozenset({1, 2})
     family = genetic_family([a, a])
     assert family.count(a) == 1
-
-
-def test_is_connected_group(two_cliques):
-    assert is_connected_group(two_cliques, range(4))
-    assert is_connected_group(two_cliques, range(8))
-    assert not is_connected_group(two_cliques, [0, 1, 6, 7])
-    assert not is_connected_group(two_cliques, [])
 
 
 def test_refine_recovers_block_from_noisy_candidate(small_planted):

@@ -28,7 +28,7 @@ from repro.generators import (
 from repro.generators.ispd_like import EmbeddedStructure, IspdLikeSpec, ispd_like_suite
 from repro.generators.structures import build_modular_glue
 from repro.metrics import normalized_gtl_score
-from repro.netlist.ops import connected_components, cut_size, group_stats
+from repro.netlist.ops import connected_components, cut_size
 from repro.netlist.validate import validate_netlist
 
 
@@ -50,9 +50,9 @@ def test_planted_blocks_disjoint():
 
 def test_planted_block_is_connected():
     netlist, truth = planted_gtl_graph(2000, [150], seed=2)
-    from repro.finder.refine import is_connected_group
+    from repro.netlist.ops import group_connected
 
-    assert is_connected_group(netlist, truth[0])
+    assert group_connected(netlist, truth[0])
 
 
 def test_planted_graph_connected_overall():
@@ -250,9 +250,9 @@ def test_dissolved_rom_structure():
     assert ports.size > 5 + 32  # decoder + mesh + outputs
     netlist = _finish(circuit)
     # The ROM must be internally connected.
-    from repro.finder.refine import is_connected_group
+    from repro.netlist.ops import group_connected
 
-    assert is_connected_group(netlist, ports.cells)
+    assert group_connected(netlist, ports.cells)
 
 
 def test_dissolved_rom_is_tangled():

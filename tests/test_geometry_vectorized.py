@@ -2,7 +2,7 @@
 
 The vectorized hot paths (batched HPWL/star, RUDY demand, quadratic spring
 assembly) must agree with the scalar per-net reference implementations that
-stay available through ``backend="python"`` / ``REPRO_SCALAR_BACKEND=1``.
+stay available through ``REPRO_SCALAR_BACKEND=1`` (``forced_backend`` here).
 """
 
 import pickle
@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
-from repro.netlist import NetlistBuilder, geometry_backend
+from repro.netlist import NetlistBuilder
+from repro.netlist.backend import forced_backend, resolve_backend
 from repro.placement.placer import Placement
 from repro.placement.quadratic import assemble_quadratic_system
 from repro.placement.region import Die
@@ -22,6 +23,15 @@ from repro.routing.wirelength import total_wirelength, wirelength_report
 
 
 # ---------------------------------------------------------------- fixtures
+def _on_both_backends(call):
+    """``(numpy result, scalar result)`` of ``call()``."""
+    with forced_backend("numpy"):
+        array = call()
+    with forced_backend("python"):
+        scalar = call()
+    return array, scalar
+
+
 def _random_placement(netlist, seed=0, die=None):
     rng = np.random.default_rng(seed)
     die = die or Die(100.0, 100.0)
@@ -124,33 +134,38 @@ def test_gather_segments_contiguous_returns_view():
 
 def test_geometry_backend_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_SCALAR_BACKEND", raising=False)
-    assert geometry_backend() == "numpy"
-    assert geometry_backend("python") == "python"
+    assert resolve_backend() == "numpy"
+    with forced_backend("python"):
+        assert resolve_backend() == "python"
+    assert resolve_backend() == "numpy"
     monkeypatch.setenv("REPRO_SCALAR_BACKEND", "1")
-    assert geometry_backend() == "python"
+    assert resolve_backend() == "python"
     monkeypatch.setenv("REPRO_SCALAR_BACKEND", "0")
-    assert geometry_backend() == "numpy"
-    with pytest.raises(NetlistError):
-        geometry_backend("fortran")
+    assert resolve_backend() == "numpy"
+    with pytest.raises(NetlistError), forced_backend("fortran"):
+        pass
 
 
 # ---------------------------------------------------------------- hpwl
 def test_hpwl_bit_equal_on_seeded_fixture(small_planted):
     netlist, _ = small_planted
     placement = _random_placement(netlist, seed=17)
-    assert placement.hpwl(backend="numpy") == placement.hpwl(backend="python")
+    array, scalar = _on_both_backends(placement.hpwl)
+    assert array == scalar
 
 
 def test_hpwl_bit_equal_small(mixed_degree_netlist):
     placement = _random_placement(mixed_degree_netlist, seed=3)
-    assert placement.hpwl(backend="numpy") == placement.hpwl(backend="python")
+    array, scalar = _on_both_backends(placement.hpwl)
+    assert array == scalar
 
 
 def test_total_wirelength_backends_agree(mixed_degree_netlist):
     placement = _random_placement(mixed_degree_netlist, seed=5)
     for model in ("hpwl", "star"):
-        scalar = total_wirelength(placement, model, backend="python")
-        vector = total_wirelength(placement, model, backend="numpy")
+        vector, scalar = _on_both_backends(
+            lambda: total_wirelength(placement, model)
+        )
         assert vector == pytest.approx(scalar, rel=1e-12, abs=1e-9)
 
 
@@ -158,7 +173,8 @@ def test_total_wirelength_subset_uses_scalar_path(mixed_degree_netlist):
     placement = _random_placement(mixed_degree_netlist, seed=5)
     nets = [2, 3, 4]
     subset = total_wirelength(placement, "hpwl", nets=nets)
-    reference = total_wirelength(placement, "hpwl", nets=nets, backend="python")
+    with forced_backend("python"):
+        reference = total_wirelength(placement, "hpwl", nets=nets)
     assert subset == reference
 
 
@@ -166,8 +182,9 @@ def test_total_wirelength_subset_uses_scalar_path(mixed_degree_netlist):
 def test_congestion_map_backends_agree(small_planted):
     netlist, _ = small_planted
     placement = _random_placement(netlist, seed=23)
-    scalar = build_congestion_map(placement, grid=(16, 12), backend="python")
-    vector = build_congestion_map(placement, grid=(16, 12), backend="numpy")
+    vector, scalar = _on_both_backends(
+        lambda: build_congestion_map(placement, grid=(16, 12))
+    )
     np.testing.assert_allclose(
         vector.demand, scalar.demand, rtol=1e-12, atol=1e-9
     )
@@ -181,8 +198,9 @@ def test_congestion_map_backends_agree_degenerate(mixed_degree_netlist):
     x = np.full(mixed_degree_netlist.num_cells, 25.0)
     y = np.full(mixed_degree_netlist.num_cells, 25.0)
     placement = Placement(netlist=mixed_degree_netlist, die=die, x=x, y=y)
-    scalar = build_congestion_map(placement, grid=(8, 8), capacity=1.0, backend="python")
-    vector = build_congestion_map(placement, grid=(8, 8), capacity=1.0, backend="numpy")
+    vector, scalar = _on_both_backends(
+        lambda: build_congestion_map(placement, grid=(8, 8), capacity=1.0)
+    )
     np.testing.assert_allclose(vector.demand, scalar.demand, rtol=1e-12, atol=1e-12)
     assert vector.net_boxes == scalar.net_boxes
     assert vector.demand.sum() > 0
@@ -202,12 +220,13 @@ def test_quadratic_assembly_backends_agree(mixed_degree_netlist):
     pad = mixed_degree_netlist.cell_index("pad0")
     pads = {pad: (0.0, 25.0)}
     for clique_limit in (3, 5):
-        lap_s, bx_s, by_s, mov_s = assemble_quadratic_system(
-            mixed_degree_netlist, pads, clique_limit=clique_limit, backend="python"
+        vector, scalar = _on_both_backends(
+            lambda: assemble_quadratic_system(
+                mixed_degree_netlist, pads, clique_limit=clique_limit
+            )
         )
-        lap_v, bx_v, by_v, mov_v = assemble_quadratic_system(
-            mixed_degree_netlist, pads, clique_limit=clique_limit, backend="numpy"
-        )
+        lap_s, bx_s, by_s, mov_s = scalar
+        lap_v, bx_v, by_v, mov_v = vector
         np.testing.assert_array_equal(mov_s, mov_v)
         difference = (lap_s - lap_v).tocoo()
         max_delta = np.abs(difference.data).max() if difference.nnz else 0.0
@@ -218,8 +237,11 @@ def test_quadratic_assembly_backends_agree(mixed_degree_netlist):
 
 def test_quadratic_assembly_backends_agree_planted(small_planted):
     netlist, _ = small_planted
-    lap_s, bx_s, by_s, _ = assemble_quadratic_system(netlist, {}, backend="python")
-    lap_v, bx_v, by_v, _ = assemble_quadratic_system(netlist, {}, backend="numpy")
+    vector, scalar = _on_both_backends(
+        lambda: assemble_quadratic_system(netlist, {})
+    )
+    lap_s, bx_s, by_s, _ = scalar
+    lap_v, bx_v, by_v, _ = vector
     difference = (lap_s - lap_v).tocoo()
     max_delta = np.abs(difference.data).max() if difference.nnz else 0.0
     assert max_delta <= 1e-9
@@ -242,10 +264,9 @@ def test_property_wirelength_ladder_both_backends(seed):
     netlist = builder.build()
     placement = _random_placement(netlist, seed=seed)
 
-    reports = {
-        backend: wirelength_report(placement, backend=backend)
-        for backend in ("python", "numpy")
-    }
+    reports = dict(
+        zip(("numpy", "python"), _on_both_backends(lambda: wirelength_report(placement)))
+    )
     for backend, report in reports.items():
         assert report["hpwl"] <= report["rmst"] + 1e-9, backend
         assert report["star"] >= report["hpwl"] - 1e-9, backend
@@ -254,4 +275,5 @@ def test_property_wirelength_ladder_both_backends(seed):
             reports["python"][model], rel=1e-12, abs=1e-9
         )
     # HPWL is bit-identical across backends, not just close.
-    assert placement.hpwl(backend="numpy") == placement.hpwl(backend="python")
+    array, scalar = _on_both_backends(placement.hpwl)
+    assert array == scalar

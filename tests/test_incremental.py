@@ -78,7 +78,8 @@ def _strip(report):
 # ---------------------------------------------------------------- diff/apply
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_diff_identical_netlists_is_empty(base, backend):
-    delta = diff(base, base, backend=backend)
+    with forced_backend(backend):
+        delta = diff(base, base)
     assert delta.is_empty
     assert delta.num_edits == 0
 
@@ -118,7 +119,8 @@ def test_diff_attribute_change():
     builder.add_net("n3", [0, 2])
     new = builder.build()
     for backend in BACKENDS:
-        delta = diff(old, new, backend=backend)
+        with forced_backend(backend):
+            delta = diff(old, new)
         assert [c.name for c in delta.cells_changed] == ["b"]
         assert delta.cells_changed[0].area == 7.5
         assert not delta.nets_changed
@@ -233,8 +235,10 @@ def test_dirty_region_halo_is_monotonic(base, backend):
 def test_expand_frontier_backends_agree(base):
     seed_cells = {3, 77, 191}
     for hops in (0, 1, 2):
-        numpy_region = expand_frontier(base, seed_cells, hops, backend="numpy")
-        scalar_region = expand_frontier(base, seed_cells, hops, backend="python")
+        with forced_backend("numpy"):
+            numpy_region = expand_frontier(base, seed_cells, hops)
+        with forced_backend("python"):
+            scalar_region = expand_frontier(base, seed_cells, hops)
         assert numpy_region == scalar_region
         assert seed_cells <= numpy_region
 

@@ -22,7 +22,8 @@ from repro.metrics import (
     rent_metric,
     scaled_cost,
 )
-from repro.metrics.rent import rent_exponent_from_stats, scan_prefix_stats
+from repro.finder.candidate import scan_ordering
+from repro.metrics.rent import rent_exponent_from_stats
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.ops import GroupStats, group_stats
 
@@ -140,9 +141,11 @@ def test_fit_rent_exponent_needs_two_points():
 
 
 def test_scan_prefix_stats(two_cliques):
-    stats = scan_prefix_stats(two_cliques, list(range(8)))
+    stats = scan_ordering(two_cliques, list(range(8)))
     assert len(stats) == 8
     assert stats[-1].cut == 0
+    for k, prefix in enumerate(stats, start=1):
+        assert prefix == group_stats(two_cliques, range(k))
 
 
 # ---------------------------------------------------------------- DS metric
@@ -239,7 +242,10 @@ def test_score_context_matches_functions(two_cliques):
 def test_score_context_score_all(two_cliques):
     context = ScoreContext.for_netlist(two_cliques, 0.6)
     stats = [group_stats(two_cliques, range(k)) for k in (2, 4, 6)]
-    assert len(context.score_all(stats)) == 3
+    scores = [context.score(s) for s in stats]
+    assert len(scores) == 3
+    for k, score in zip((2, 4, 6), scores):
+        assert score == pytest.approx(normalized_gtl_score(two_cliques, range(k), 0.6))
 
 
 @settings(max_examples=25, deadline=None)

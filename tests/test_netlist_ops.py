@@ -13,6 +13,7 @@ from repro.netlist.ops import (
     connected_components,
     cut_size,
     external_pin_count,
+    group_connected,
     group_pin_count,
     group_stats,
     induced_netlist,
@@ -88,6 +89,13 @@ def test_induced_netlist_preserves_names(mixed_netlist):
 def test_induced_netlist_empty_raises(triangle):
     with pytest.raises(NetlistError):
         induced_netlist(triangle, [])
+
+
+def test_group_connected(two_cliques):
+    assert group_connected(two_cliques, range(4))
+    assert group_connected(two_cliques, range(8))
+    assert not group_connected(two_cliques, [0, 1, 6, 7])
+    assert not group_connected(two_cliques, [])
 
 
 def test_connected_components(two_cliques):

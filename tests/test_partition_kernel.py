@@ -45,6 +45,15 @@ def _random_netlist(rng, max_cells=36):
     return builder.build()
 
 
+def _on_both_backends(call):
+    """``(numpy result, scalar result)`` of ``call()``."""
+    with forced_backend("numpy"):
+        array = call()
+    with forced_backend("python"):
+        scalar = call()
+    return array, scalar
+
+
 def _assert_identical(scalar, array):
     assert scalar.sides == array.sides
     assert scalar.cut == array.cut
@@ -53,10 +62,6 @@ def _assert_identical(scalar, array):
 
 # ---------------------------------------------------------------- dispatch
 def test_make_partitioner_dispatches_on_backend(two_cliques):
-    assert isinstance(make_partitioner(two_cliques, backend="python"), FMPartitioner)
-    assert isinstance(
-        make_partitioner(two_cliques, backend="numpy"), ArrayFMPartitioner
-    )
     with forced_backend("python"):
         assert isinstance(make_partitioner(two_cliques), FMPartitioner)
     with forced_backend("numpy"):
@@ -105,11 +110,8 @@ def test_property_fm_bit_identical(seed):
     cells = None
     if rng.random() < 0.5:
         cells = rng.sample(range(netlist.num_cells), rng.randint(2, netlist.num_cells))
-    scalar = fm_bisect(
-        netlist, cells=cells, balance_tolerance=tolerance, rng=seed, backend="python"
-    )
-    array = fm_bisect(
-        netlist, cells=cells, balance_tolerance=tolerance, rng=seed, backend="numpy"
+    array, scalar = _on_both_backends(
+        lambda: fm_bisect(netlist, cells=cells, balance_tolerance=tolerance, rng=seed)
     )
     _assert_identical(scalar, array)
 
@@ -127,8 +129,7 @@ def test_property_fm_bit_identical_from_explicit_start(seed):
 
 def test_fm_parity_on_planted_design(small_planted):
     netlist, _ = small_planted
-    scalar = fm_bisect(netlist, rng=3, backend="python")
-    array = fm_bisect(netlist, rng=3, backend="numpy")
+    array, scalar = _on_both_backends(lambda: fm_bisect(netlist, rng=3))
     _assert_identical(scalar, array)
 
 
@@ -176,26 +177,27 @@ def test_property_recursive_bisection_leaf_parity(seed):
     rng = random.Random(seed)
     netlist = _random_netlist(rng, max_cells=90)
     min_block = rng.choice([4, 6, 10])
-    scalar = recursive_bisection(netlist, min_block=min_block, rng=seed, backend="python")
-    array = recursive_bisection(netlist, min_block=min_block, rng=seed, backend="numpy")
+    array, scalar = _on_both_backends(
+        lambda: recursive_bisection(netlist, min_block=min_block, rng=seed)
+    )
     assert scalar == array
 
 
 def test_bisection_ordering_parity(small_planted):
     netlist, _ = small_planted
     cells = list(range(500))
-    scalar = bisection_ordering(netlist, cells=cells, min_block=16, rng=2, backend="python")
-    array = bisection_ordering(netlist, cells=cells, min_block=16, rng=2, backend="numpy")
+    array, scalar = _on_both_backends(
+        lambda: bisection_ordering(netlist, cells=cells, min_block=16, rng=2)
+    )
     assert scalar == array
 
 
 def test_rent_estimate_parity(small_planted):
     netlist, _ = small_planted
-    scalar = estimate_rent_exponent_bisection(
-        netlist, cells=range(600), min_block=24, rng=5, backend="python"
-    )
-    array = estimate_rent_exponent_bisection(
-        netlist, cells=range(600), min_block=24, rng=5, backend="numpy"
+    array, scalar = _on_both_backends(
+        lambda: estimate_rent_exponent_bisection(
+            netlist, cells=range(600), min_block=24, rng=5
+        )
     )
     # Identical (|C|, T(C)) samples make the fit bit-identical, not merely
     # close.

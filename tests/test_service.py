@@ -206,8 +206,6 @@ def test_pool_validates_arguments():
         WorkerPool(0)
     with pytest.raises(ServiceError):
         WorkerPool(1, max_retries=-1)
-    with pytest.raises(ServiceError):
-        WorkerPool(1, batches_per_worker=0)
 
 
 # ----------------------------------------------------------------------
