@@ -29,13 +29,24 @@ covers ~a quarter of the design and any edit dirties everything — the
 incremental path exists for the many-small-regions regime, and the
 benchmark is honest about configuring it.
 
+A second row, ``industrial53k_apply``, times what a daemon delta submit
+pays before the finder runs: applying the same edit to the pack-loaded
+base and fingerprinting the result, through the builder (the scalar
+reference) and through the CSR splice (the numpy backend).  Both edited
+designs must be equal, arrays and name tables included; at full scale
+the splice must be >= 5x faster.
+
 Results land in ``BENCH_incremental.json`` (headline: ``speedup``).
-``REPRO_BENCH_SMOKE=1`` shrinks the design and skips the 10x floor.
+``REPRO_BENCH_SMOKE=1`` shrinks the design and skips both floors.
 """
 
 import os
 import random
+import statistics
+import tempfile
 import time
+
+import numpy as np
 
 try:
     from benchmarks._record import record
@@ -52,8 +63,11 @@ from repro.incremental import (
     incremental_detect,
     run_traced,
 )
+from repro.io import load_packed, write_packed
+from repro.netlist.backed import name_tables
 from repro.netlist.backend import forced_backend
 from repro.service.codec import report_to_dict
+from repro.service.fingerprint import fingerprint_netlist
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -200,17 +214,62 @@ def _run_scenario(spec, backend, seed=7):
     }
 
 
+def _apply_scenario(spec, seed=7, repeats=5):
+    """Apply plus fingerprint of one localized edit on a pack-loaded base,
+    as the daemon serves a delta submit: builder (scalar backend) vs
+    splice (numpy backend), median of ``repeats`` timed runs each."""
+    base, _ = generate_industrial(spec, seed=seed)
+    delta = _localized_delta(base, NUM_MOVES, random.Random(seed))
+    timings = {}
+    edited = {}
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "base.nla")
+        write_packed(base, path)
+        packed = load_packed(path)
+        for backend, label in (("python", "builder"), ("numpy", "splice")):
+            apply_s, fingerprint_s = [], []
+            for _ in range(repeats):
+                with forced_backend(backend):
+                    start = time.perf_counter()
+                    edited[label] = apply_delta(packed, delta)
+                    middle = time.perf_counter()
+                    fingerprint = fingerprint_netlist(edited[label])
+                    apply_s.append(middle - start)
+                    fingerprint_s.append(time.perf_counter() - middle)
+            timings[label] = (statistics.median(apply_s),
+                              statistics.median(fingerprint_s), fingerprint)
+    builder, splice = edited["builder"], edited["splice"]
+    assert splice == builder and builder == splice
+    for field in vars(builder.arrays):
+        assert np.array_equal(
+            getattr(splice.arrays, field), getattr(builder.arrays, field)
+        ), field
+    assert name_tables(splice) == name_tables(builder)
+    assert timings["builder"][2] == timings["splice"][2]
+    row = {"cells": splice.num_cells, "nets": splice.num_nets,
+           "pins_rewired": len(delta.nets_changed),
+           "cpu_count": os.cpu_count(), "repeats": repeats}
+    for label, (apply_s, fingerprint_s, _) in timings.items():
+        row[f"{label}_apply_ms"] = round(1000 * apply_s, 2)
+        row[f"{label}_fingerprint_ms"] = round(1000 * fingerprint_s, 2)
+        row[f"{label}_total_ms"] = round(1000 * (apply_s + fingerprint_s), 2)
+    row["speedup"] = round(row["builder_total_ms"] / row["splice_total_ms"], 2)
+    return row
+
+
 def run():
     # Scalar-reference parity on the reduced design: the invariant is
     # backend-independent, the scalar kernel's speed is not.
     scalar = _run_scenario(SMALL_SPEC, "python")
     small = _run_scenario(SMALL_SPEC, "numpy")
     big = _run_scenario(BIG_SPEC, "numpy")
+    apply_row = _apply_scenario(BIG_SPEC)
 
     results = {
         "parity_scalar_small": scalar,
         "parity_numpy_small": small,
         "industrial53k": big,
+        "industrial53k_apply": apply_row,
         "speedup": big["speedup"],
         "smoke": SMOKE,
     }
@@ -221,6 +280,11 @@ def run():
             f"incremental re-detect only {big['speedup']}x faster than a "
             f"cold run ({big['seeds_recomputed']}/{big['seeds_total']} "
             f"seeds recomputed)"
+        )
+        assert apply_row["cells"] >= 50_000, apply_row["cells"]
+        assert apply_row["speedup"] >= 5.0, (
+            f"spliced apply + fingerprint only {apply_row['speedup']}x faster "
+            f"than the builder path"
         )
     record("incremental", results, smoke=SMOKE, headline="speedup")
     for name in ("parity_scalar_small", "parity_numpy_small", "industrial53k"):
@@ -233,6 +297,12 @@ def run():
             f"inc={row['incremental_seconds']:.3f}s "
             f"speedup={row['speedup']}x"
         )
+    print(
+        f"industrial53k_apply    cells={apply_row['cells']:6d} "
+        f"builder={apply_row['builder_total_ms']:.1f}ms "
+        f"splice={apply_row['splice_total_ms']:.1f}ms "
+        f"(apply + fingerprint) speedup={apply_row['speedup']}x"
+    )
     return results
 
 

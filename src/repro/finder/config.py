@@ -48,7 +48,7 @@ class FinderConfig:
         exclude_fixed: do not let fixed cells (IO pads) seed or join
             orderings; GTLs are logic structures.
         rent_min_prefix: smallest prefix size used by the Rent-exponent
-            estimator.
+            estimator (at least 2).
         workers: process-parallel seed runs (1 = serial; the paper uses 8
             pthreads).
         seed_strategy: how seed cells are drawn — ``"uniform"`` (the
@@ -94,6 +94,9 @@ class FinderConfig:
             raise FinderError("refine_count must be >= 0")
         if self.refine_length_factor < 1.0:
             raise FinderError("refine_length_factor must be >= 1")
+        if self.rent_min_prefix < 2:
+            # A size-1 prefix puts log(1) = 0 in the Rent fit's denominator.
+            raise FinderError("rent_min_prefix must be >= 2")
         if self.workers < 1:
             raise FinderError("workers must be >= 1")
         from repro.finder.seeding import STRATEGIES

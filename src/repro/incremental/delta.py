@@ -17,6 +17,18 @@ the two are inverses::
     fingerprint_netlist(apply_delta(old, diff(old, new)))
         == fingerprint_netlist(new)
 
+``apply_delta`` is a splice on the numpy backend: it copies the base's
+CSR arrays, overwrites the rewired net segments (or rebuilds ``net_ptr``
+when nets, cells or degrees change), rebuilds the cell-major side with
+one stable argsort of ``net_cells``, and shares the base's name tables
+(and their name -> index dicts) when no cell or net is added or removed.
+The result is an :class:`~repro.netlist.backed.ArrayBackedNetlist`, on
+any base.  The scalar backend replays the edited design through a
+:class:`~repro.netlist.builder.NetlistBuilder`; that path is the
+reference, and the splice returns equal content and raises the builder's
+:class:`~repro.errors.NetlistError` for every invalid delta.  On both, a
+delta that removes or changes a cell or net the base lacks is an error.
+
 Edits are assumed order-preserving (surviving cells and nets keep their
 relative order, the invariant every generator and ECO flow here obeys).
 When the relative order *did* change, ``diff`` degrades to a
@@ -31,7 +43,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import NetlistError
+from repro.netlist.arrays import NetlistArrays, gather_segments
+from repro.netlist.backed import ArrayBackedNetlist, NameTable, name_tables
 from repro.netlist.backend import resolve_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
@@ -234,8 +250,6 @@ def _full_replacement(old: Netlist, new: Netlist) -> NetlistDelta:
 def _changed_cells_aligned_arrays(old: Netlist, new: Netlist) -> Tuple[CellEdit, ...]:
     """Attribute-changed cells when the cell name sequences are identical:
     three vectorized array compares instead of 53K accessor round-trips."""
-    import numpy as np
-
     a, b = old.arrays, new.arrays
     mismatch = (
         (a.areas != b.areas)
@@ -290,8 +304,6 @@ def _diff_cells(
 def _changed_net_ids_arrays(old: Netlist, new: Netlist) -> List[int]:
     """Aligned-net mismatch detection on the CSR backends (same cell order,
     same net name sequence).  Returns the changed net indices, ascending."""
-    import numpy as np
-
     a, b = old.arrays, new.arrays
     changed: set = set()
     same_degree = a.net_degrees == b.net_degrees
@@ -299,8 +311,6 @@ def _changed_net_ids_arrays(old: Netlist, new: Netlist) -> List[int]:
     if changed:
         # Degree drift shifts the CSR segments out of alignment; compare the
         # equal-degree nets segment-by-segment via one gather per side.
-        from repro.netlist.arrays import gather_segments
-
         equal_ids = np.nonzero(same_degree)[0].astype(np.int64)
         if equal_ids.size:
             lengths = a.net_degrees[equal_ids]
@@ -424,8 +434,42 @@ def apply_delta(base: Netlist, delta: NetlistDelta) -> Netlist:
 
     Surviving cells and nets keep their base order; added ones append in
     delta order — matching how every order-preserving edit flow (and
-    :func:`diff` itself) lays the new netlist out.
+    :func:`diff` itself) lays the new netlist out.  A delta that removes
+    or changes a cell or net ``base`` lacks (one meant for another base)
+    raises :class:`NetlistError` naming the first such name.
+
+    The numpy backend splices the delta into the base's CSR arrays
+    (:func:`_apply_splice`); the scalar backend replays the edited design
+    through a :class:`NetlistBuilder` (:func:`_apply_builder`), the
+    reference.  Both return equal content and raise the same errors.
     """
+    _require_targets(base, delta)
+    if resolve_backend() == "numpy":
+        return _apply_splice(base, delta)
+    return _apply_builder(base, delta)
+
+
+def _require_targets(base: Netlist, delta: NetlistDelta) -> None:
+    """Raise :class:`NetlistError` for the first removed or changed cell,
+    then net, that ``base`` does not have."""
+    for kind, names, lookup in (
+        ("cell", delta.cells_removed, base.cell_index),
+        ("cell", [edit.name for edit in delta.cells_changed], base.cell_index),
+        ("net", [edit.name for edit in delta.nets_removed], base.net_index),
+        ("net", [edit.name for edit in delta.nets_changed], base.net_index),
+    ):
+        for name in names:
+            try:
+                lookup(name)
+            except NetlistError:
+                raise NetlistError(
+                    f"delta edits {kind} {name!r}, which the base netlist "
+                    f"lacks (a delta meant for another base?)"
+                ) from None
+
+
+def _apply_builder(base: Netlist, delta: NetlistDelta) -> Netlist:
+    """Scalar reference of :func:`apply_delta`: replay through a builder."""
     removed_cells = set(delta.cells_removed)
     changed_cells = {c.name: c for c in delta.cells_changed}
     builder = NetlistBuilder()
@@ -493,6 +537,253 @@ def apply_delta(base: Netlist, delta: NetlistDelta) -> Netlist:
         builder.add_net(edit.name, _indices(edit.new_members, edit.name))
 
     return builder.build(drop_singleton_nets=False)
+
+
+def _spliced_names(
+    table: NameTable, keep: np.ndarray, extra: Sequence[str]
+) -> NameTable:
+    """``table`` restricted to the ``keep`` mask, then ``extra`` appended."""
+    lengths = np.diff(table.offsets)[keep]
+    kept = gather_segments(table.blob, table.offsets[:-1][keep], lengths)
+    encoded = [name.encode("utf-8") for name in extra]
+    lengths = np.concatenate(
+        [lengths, np.fromiter(map(len, encoded), np.int64, len(encoded))]
+    )
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    blob = np.concatenate(
+        [kept, np.frombuffer(b"".join(encoded), dtype=np.uint8)]
+    )
+    return NameTable(offsets, blob)
+
+
+def _apply_splice(base: Netlist, delta: NetlistDelta) -> ArrayBackedNetlist:
+    """:func:`apply_delta` on the numpy backend: splice the delta into the
+    base's CSR arrays and name tables.
+
+    Every validation of the builder path runs here too, vectorized where
+    it covers the whole design, and the first failure in the builder's
+    order (cells, then nets, then pin counts, each in new index order)
+    raises the builder's message.
+    """
+    arrays = base.arrays
+    cell_table, net_table = name_tables(base)
+    base_cell_index = cell_table.index()
+    base_net_index = net_table.index()
+
+    # -- cells: survivors in base order, then the added cells -----------
+    removed = np.zeros(base.num_cells, dtype=bool)
+    removed[[base_cell_index[name] for name in delta.cells_removed]] = True
+    num_kept = base.num_cells - int(removed.sum())
+    added = delta.cells_added
+    num_cells = num_kept + len(added)
+    added_index = {edit.name: num_kept + k for k, edit in enumerate(added)}
+    remap = np.full(base.num_cells, -1, dtype=np.int64)
+    remap[~removed] = np.arange(num_kept, dtype=np.int64)
+    for name in delta.cells_removed:  # a removed name re-added by the delta
+        if name in added_index:
+            remap[base_cell_index[name]] = added_index[name]
+    changed = {}  # new index -> CellEdit; the last edit of a name wins
+    for edit in delta.cells_changed:
+        old = base_cell_index[edit.name]
+        if not removed[old]:
+            changed[int(remap[old])] = edit
+
+    if added or changed or num_kept != base.num_cells:
+        areas = np.concatenate(
+            [arrays.areas[~removed], [float(e.area) for e in added]]
+        )
+        pin_counts = np.concatenate(
+            [arrays.pin_counts[~removed],
+             np.array([e.pin_count for e in added], dtype=np.int64)]
+        )
+        fixed_mask = np.concatenate(
+            [arrays.fixed_mask[~removed],
+             np.array([bool(e.fixed) for e in added], dtype=bool)]
+        )
+        for index, edit in changed.items():
+            areas[index] = edit.area
+            pin_counts[index] = edit.pin_count
+            fixed_mask[index] = bool(edit.fixed)
+    else:
+        areas, pin_counts = arrays.areas, arrays.pin_counts
+        fixed_mask = arrays.fixed_mask
+
+    def given(index: int) -> Tuple[str, Any, Any]:
+        """Name, area and pin count of new cell ``index`` as the builder
+        path would have passed them to ``add_cell``."""
+        edit = added[index - num_kept] if index >= num_kept else changed.get(index)
+        if edit is not None:
+            return edit.name, edit.area, edit.pin_count
+        old = int(np.flatnonzero(remap == index)[0])
+        return cell_table.name(old), float(arrays.areas[old]), int(
+            arrays.pin_counts[old]
+        )
+
+    bad = np.flatnonzero((areas <= 0) | (pin_counts < 0))
+    first_bad = int(bad[0]) if bad.size else num_cells
+    seen = set()
+    for index, edit in enumerate(added, start=num_kept):
+        if index > first_bad:
+            break
+        old = base_cell_index.get(edit.name)
+        if edit.name in seen or (old is not None and not removed[old]):
+            raise NetlistError(f"duplicate cell name {edit.name!r}")
+        seen.add(edit.name)
+    if bad.size:
+        name, area, pin_count = given(first_bad)
+        if area <= 0:
+            raise NetlistError(f"cell {name!r} has non-positive area {area}")
+        raise NetlistError(f"cell {name!r} has negative pin count {pin_count}")
+
+    def cell_of(name: str) -> int:
+        index = added_index.get(name)
+        if index is None:
+            old = base_cell_index.get(name)
+            index = -1 if old is None else int(remap[old])
+        return index
+
+    # -- nets: survivors in base order, then the added nets -------------
+    removed_nets = np.zeros(base.num_nets, dtype=bool)
+    removed_nets[[base_net_index[edit.name] for edit in delta.nets_removed]] = True
+    num_kept_nets = base.num_nets - int(removed_nets.sum())
+    num_nets = num_kept_nets + len(delta.nets_added)
+    net_remap = np.full(base.num_nets, -1, dtype=np.int64)
+    net_remap[~removed_nets] = np.arange(num_kept_nets, dtype=np.int64)
+    explicit = {}  # new net index -> (NetEdit, added?); last edit wins
+    for edit in delta.nets_changed:
+        old = base_net_index[edit.name]
+        if not removed_nets[old]:
+            explicit[int(net_remap[old])] = (edit, False)
+    for k, edit in enumerate(delta.nets_added):
+        explicit[num_kept_nets + k] = (edit, True)
+
+    # Pins of nets left as they are whose cell the delta removed.
+    untouched = ~removed_nets
+    untouched[[base_net_index[e.name] for e, was_added in explicit.values()
+               if not was_added]] = False
+    lost = np.empty(0, dtype=np.int64)
+    if num_kept != base.num_cells:
+        lost = np.flatnonzero(
+            (remap[arrays.net_cells] < 0) & untouched[arrays.pin_net]
+        )
+    first_lost = int(net_remap[arrays.pin_net[lost[0]]]) if lost.size else num_nets
+
+    def missing(net: str, member: str) -> NetlistError:
+        return NetlistError(
+            f"delta net {net!r} references a missing cell: "
+            f"unknown cell name {member!r}"
+        )
+
+    members = {}  # new net index -> resolved, de-duplicated cell indices
+    added_nets = set()
+    for index in sorted(explicit):
+        if index > first_lost:
+            break
+        edit, was_added = explicit[index]
+        if edit.new_members is None:
+            raise NetlistError(
+                f"added net {edit.name!r} in delta carries no members"
+                if was_added
+                else f"changed net {edit.name!r} in delta carries no new members"
+            )
+        resolved = []
+        for name in edit.new_members:
+            cell = cell_of(name)
+            if cell < 0:
+                raise missing(edit.name, name)
+            resolved.append(cell)
+        if was_added:
+            old = base_net_index.get(edit.name)
+            if edit.name in added_nets or (
+                old is not None and not removed_nets[old]
+            ):
+                raise NetlistError(f"duplicate net name {edit.name!r}")
+            added_nets.add(edit.name)
+        if not resolved:
+            raise NetlistError(f"net {edit.name!r} has no cells")
+        members[index] = list(dict.fromkeys(resolved))
+    if lost.size:
+        pin = int(lost[0])
+        raise missing(
+            net_table.name(int(arrays.pin_net[pin])),
+            cell_table.name(int(arrays.net_cells[pin])),
+        )
+
+    # -- net-major CSR ---------------------------------------------------
+    if (
+        num_kept == base.num_cells
+        and num_kept_nets == num_nets == base.num_nets
+        and all(len(cells) == arrays.net_degrees[index]
+                for index, cells in members.items())
+    ):
+        # No cell shifted, same nets, same degrees: overwrite the segments.
+        net_ptr, net_degrees, pin_net = (
+            arrays.net_ptr, arrays.net_degrees, arrays.pin_net
+        )
+        net_cells = arrays.net_cells.copy()
+        for index, cells in members.items():
+            net_cells[net_ptr[index]:net_ptr[index + 1]] = cells
+    else:
+        net_degrees = np.empty(num_nets, dtype=np.int64)
+        net_degrees[:num_kept_nets] = arrays.net_degrees[~removed_nets]
+        for index, cells in members.items():
+            net_degrees[index] = len(cells)
+        net_ptr = np.zeros(num_nets + 1, dtype=np.int64)
+        np.cumsum(net_degrees, out=net_ptr[1:])
+        pin_net = np.repeat(np.arange(num_nets, dtype=np.int64), net_degrees)
+        net_cells = np.empty(int(net_ptr[-1]), dtype=np.int64)
+        pins = np.flatnonzero(untouched[arrays.pin_net])
+        owners = arrays.pin_net[pins]
+        net_cells[
+            net_ptr[net_remap[owners]] + pins - arrays.net_ptr[owners]
+        ] = remap[arrays.net_cells[pins]]
+        if members:
+            order = sorted(members)
+            lengths = net_degrees[order]
+            starts = np.repeat(net_ptr[order], lengths)
+            offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            net_cells[
+                starts + np.arange(int(lengths.sum()), dtype=np.int64) - offsets
+            ] = np.fromiter(
+                (cell for index in order for cell in members[index]),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+
+    # -- cell-major CSR: one stable sort of the pins by cell -------------
+    cell_degrees = np.bincount(net_cells, minlength=num_cells)
+    short = np.flatnonzero(pin_counts < cell_degrees)
+    if short.size:
+        name, _, pin_count = given(int(short[0]))
+        raise NetlistError(
+            f"cell {name!r} declares {pin_count} pins but touches "
+            f"{int(cell_degrees[short[0]])} nets"
+        )
+    cell_ptr = np.zeros(num_cells + 1, dtype=np.int64)
+    np.cumsum(cell_degrees, out=cell_ptr[1:])
+    cell_nets = pin_net[np.argsort(net_cells, kind="stable")]
+
+    spliced = NetlistArrays(
+        net_ptr=net_ptr,
+        net_cells=net_cells,
+        cell_ptr=cell_ptr,
+        cell_nets=cell_nets,
+        net_degrees=net_degrees,
+        pin_net=pin_net,
+        areas=areas,
+        pin_counts=pin_counts,
+        fixed_mask=fixed_mask,
+    )
+    for array in vars(spliced).values():
+        array.setflags(write=False)
+    if num_kept != base.num_cells or added:
+        cell_table = _spliced_names(cell_table, ~removed, [e.name for e in added])
+    if num_kept_nets != base.num_nets or delta.nets_added:
+        net_table = _spliced_names(
+            net_table, ~removed_nets, [e.name for e in delta.nets_added]
+        )
+    return ArrayBackedNetlist(spliced, cell_table, net_table)
 
 
 __all__ = [

@@ -48,8 +48,7 @@ class DirtyRegion:
 
     def intersects(self, footprint: Iterable[int]) -> bool:
         """True when any footprint cell is dirty."""
-        cells = self.cells
-        return any(c in cells for c in footprint)
+        return not self.cells.isdisjoint(footprint)
 
 
 def delta_endpoint_cells(new: Netlist, delta: NetlistDelta) -> Set[int]:

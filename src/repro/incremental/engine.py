@@ -38,17 +38,21 @@ computes through :func:`run_with_reuse`, which keeps
   next edit finds its base automatically;
 * the base design itself as a packed ``.nla`` under
   ``<cache_dir>/designs/`` so a later ``repro detect --base <fp>`` can
-  diff against it without the original file.
+  diff against it without the original file.  A base pack that cannot be
+  loaded (cut short, or of an older format) is removed with a warning and
+  the edit runs in full, which writes a sound base for the next one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ServiceError
+from repro.errors import ParseError, ServiceError
 from repro.finder.candidate import CandidateGTL
 from repro.finder.config import FinderConfig
 from repro.finder.finder import (
@@ -73,6 +77,8 @@ from repro.utils.timer import Timer
 
 from repro.incremental.delta import NetlistDelta, delta_fingerprint, diff
 from repro.incremental.dirty import DirtyRegion, dirty_region
+
+logger = logging.getLogger(__name__)
 
 #: Store row kinds introduced by incremental detection.
 KIND_FINDER_TRACE = "finder_trace"
@@ -521,7 +527,6 @@ def run_with_reuse(
     """
     deterministic = config.seed is not None
     persist = store is not None and deterministic
-    result = None
     if persist:
         result = _try_incremental(
             netlist, config, store,
@@ -529,16 +534,15 @@ def run_with_reuse(
             netlist_fp=fingerprint_netlist(netlist), halo=halo,
             full_threshold=full_threshold, pool=pool,
         )
-    if result is None:
+    else:
+        result = "no result store" if store is None else "unpinned seed"
+    if isinstance(result, str):
         report, seed_trace = run_traced(netlist, config, pool=pool)
         result = IncrementalResult(
             report=report,
             trace=seed_trace,
             mode="full",
-            reason=(
-                "no result store" if store is None
-                else "no traced base run" if deterministic else "unpinned seed"
-            ),
+            reason=result,
             seeds_total=len(seed_trace.jobs),
             seeds_recomputed=len(seed_trace.jobs),
         )
@@ -593,8 +597,10 @@ def _try_incremental(
     halo: int,
     full_threshold: float,
     pool: Optional[Any],
-) -> Optional[IncrementalResult]:
-    """Resolve a usable base + trace and patch; ``None`` when there is none."""
+) -> Union[IncrementalResult, str]:
+    """Resolve a usable base + trace and patch; without one, the reason
+    for a full run."""
+    no_base = "no traced base run"
     base_fp = base_fingerprint
     if base is not None and not base_fp:
         base_fp = fingerprint_netlist(base)
@@ -603,22 +609,30 @@ def _try_incremental(
             _head_key(fingerprint_config(config)), kind=KIND_INCREMENTAL_HEAD
         )
         if not head:
-            return None
+            return no_base
         base_fp = str(head.get("netlist_fingerprint", ""))
     if not base_fp or base_fp == netlist_fp:
-        return None  # no base, or "edit" is the identical netlist
+        return no_base  # no base, or "edit" is the identical netlist
 
     base_job_fp = job_fingerprint(netlist, config, netlist_fingerprint=base_fp)
     seed_trace = load_trace(store, base_job_fp)
     if seed_trace is None:
-        return None
+        return no_base
     if base is None:
         path = design_path(store, base_fp)
         if not os.path.exists(path):
-            return None
+            return no_base
         from repro.io import load_packed
 
-        base = load_packed(path)
+        try:
+            base = load_packed(path)
+        except (ParseError, OSError) as error:
+            # A pack cut short or left by an older build: drop it, so the
+            # full run this falls back to writes a sound one in its place.
+            logger.warning("removing unloadable base pack %s: %s", path, error)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            return f"unloadable base pack {path} removed"
     return incremental_detect(
         base, netlist, seed_trace, config,
         delta=delta, halo=halo, full_threshold=full_threshold,

@@ -23,6 +23,13 @@ with offsets relative to the payload base.  Everything cache-relevant —
 the fingerprint in particular — is therefore readable from the header
 alone, without faulting in a single payload page.
 
+This build writes and reads format 2.  Its layout is that of format 1;
+only the stamped fingerprint changed scheme, to the bulk hash over the
+canonical array sections (``FINGERPRINT_VERSION`` 2).  A format-1 file
+would carry a fingerprint that names its content under the old scheme,
+so it is rejected with a :class:`~repro.errors.ParseError` naming both
+versions and must be re-packed (``repro pack``).
+
 Sections are the nine :class:`NetlistArrays` fields plus four name-table
 arrays (UTF-8 blob + int64 offsets for cell and net names):
 
@@ -57,6 +64,8 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
@@ -65,14 +74,15 @@ import numpy as np
 
 from repro.errors import ParseError
 from repro.netlist.arrays import NetlistArrays
-from repro.netlist.backed import ArrayBackedNetlist, NameTable
+from repro.netlist.backed import ArrayBackedNetlist, NameTable, name_tables
 from repro.netlist.hypergraph import Netlist
 
 #: First 8 bytes of every pack file / blob.
 MAGIC = b"REPRONLA"
 
-#: Bump on any layout change; readers reject other versions.
-FORMAT_VERSION = 1
+#: Bump on any layout change, or when the header fingerprint's scheme
+#: changes; readers reject other versions.
+FORMAT_VERSION = 2
 
 #: File extension registered with :func:`repro.io.load_design`.
 PACKED_EXTENSION = ".nla"
@@ -154,15 +164,7 @@ class PackedHeader:
 def _section_arrays(netlist: Netlist) -> Dict[str, np.ndarray]:
     """The thirteen section arrays of ``netlist``, in layout order."""
     arrays = netlist.arrays
-    if isinstance(netlist, ArrayBackedNetlist):
-        cell_table, net_table = netlist._cell_table, netlist._net_table
-    else:
-        cell_table = NameTable.from_names(
-            [netlist.cell_name(c) for c in range(netlist.num_cells)]
-        )
-        net_table = NameTable.from_names(
-            [netlist.net_name(n) for n in range(netlist.num_nets)]
-        )
+    cell_table, net_table = name_tables(netlist)
     sections = {name: getattr(arrays, name) for name in _ARRAY_FIELDS}
     sections["cell_name_offsets"] = cell_table.offsets
     sections["cell_name_bytes"] = cell_table.blob
@@ -226,10 +228,22 @@ def serialize_netlist(netlist: Netlist) -> bytes:
 
 
 def write_packed(netlist: Netlist, path: str) -> int:
-    """Write ``netlist`` as a pack file at ``path``; returns bytes written."""
+    """Write ``netlist`` as a pack file at ``path``; returns bytes written.
+
+    The blob goes to a temporary file in the same directory, which then
+    replaces ``path`` in one rename: a writer killed mid-way leaves at
+    most a stray ``*.tmp`` file, never a truncated pack under ``path``.
+    """
     blob = serialize_netlist(netlist)
-    with open(path, "wb") as handle:
-        handle.write(blob)
+    temp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(temp, "xb") as handle:
+            handle.write(blob)
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
     return len(blob)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ParseError
 from repro.io.binfmt import PACKED_EXTENSION, read_header
@@ -113,7 +113,8 @@ def pack_corpus(designs: Sequence[str], out_dir: str) -> List[PackedEntry]:
     """Pack every design into ``out_dir`` and (re)write the index.
 
     Designs already packed with a stat-matching index entry are reused,
-    so re-running over a grown manifest only packs the new members.
+    so re-running over a grown manifest only packs the new members; a
+    pack this build cannot read (an older format) is packed afresh.
     Returns one :class:`PackedEntry` per design, in manifest order.
     """
     from repro.io import pack_design  # local import: io.__init__ imports us
@@ -133,7 +134,7 @@ def pack_corpus(designs: Sequence[str], out_dir: str) -> List[PackedEntry]:
         if (
             old is not None
             and (old.mtime_ns, old.size) == (mtime_ns, size)
-            and os.path.isfile(old.pack_path)
+            and _readable(old)
         ):
             taken.add(os.path.basename(old.pack_path))
             entries.append(
@@ -161,6 +162,15 @@ def pack_corpus(designs: Sequence[str], out_dir: str) -> List[PackedEntry]:
         )
     _write_index(out_dir, entries)
     return entries
+
+
+def _readable(entry: PackedEntry) -> bool:
+    """True when ``entry``'s pack exists, is of this build's format and
+    still carries the fingerprint the index recorded (a header read)."""
+    try:
+        return read_header(entry.pack_path).fingerprint == entry.fingerprint
+    except (OSError, ParseError):
+        return False
 
 
 def _write_index(out_dir: str, entries: Sequence[PackedEntry]) -> str:

@@ -106,6 +106,29 @@ class NameTable:
         return hash((len(self), int(self.offsets[-1]) if len(self.offsets) else 0))
 
 
+#: ``Netlist.derived_cache`` key memoizing :func:`name_tables` of a netlist
+#: that is not array-backed.
+_NAME_TABLES_KEY = "name-tables"
+
+
+def name_tables(netlist: Netlist) -> Tuple[NameTable, NameTable]:
+    """The ``(cell, net)`` :class:`NameTable` pair of any netlist.
+
+    An :class:`ArrayBackedNetlist` answers with its own tables; any other
+    netlist encodes its names once and memoizes the pair in
+    ``derived_cache`` (sound: netlists are immutable).
+    """
+    if isinstance(netlist, ArrayBackedNetlist):
+        return netlist._cell_table, netlist._net_table
+    tables = netlist.derived_cache.get(_NAME_TABLES_KEY)
+    if tables is None:
+        tables = netlist.derived_cache[_NAME_TABLES_KEY] = (
+            NameTable.from_names(netlist.cell_names),
+            NameTable.from_names(netlist.net_names),
+        )
+    return tables
+
+
 def _materializing(key: str, build):
     """A property that builds the eager structure once and caches it."""
 
@@ -345,4 +368,4 @@ class ArrayBackedNetlist(Netlist):
         return (netlist_from_bytes, (serialize_netlist(self),))
 
 
-__all__ = ["ArrayBackedNetlist", "NameTable"]
+__all__ = ["ArrayBackedNetlist", "NameTable", "name_tables"]

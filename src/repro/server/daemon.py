@@ -563,12 +563,12 @@ class ServerDaemon:
 
                 if not isinstance(delta_data, dict):
                     raise ServerError('submit "delta" must be a JSON object')
+                base_netlist = netlist
                 try:
                     delta = NetlistDelta.from_dict(delta_data)
+                    netlist = apply_delta(base_netlist, delta)
                 except ReproError as error:
                     raise ServerError(f"bad delta payload: {error}") from error
-                base_netlist = netlist
-                netlist = apply_delta(base_netlist, delta)
                 design_fp = fingerprint_netlist(netlist)
             stage = IncrementalDetectStage(config)
             stage.base, stage.delta = base_netlist, delta

@@ -9,7 +9,9 @@ strings).
 
 Three levels of key:
 
-* :func:`fingerprint_netlist` — the full content of a design;
+* :func:`fingerprint_netlist` — the full content of a design, one bulk
+  hash over its canonical CSR arrays and name tables (no Python walk over
+  cells or nets);
 * :func:`fingerprint_frozen_config` — any frozen config dataclass, with
   execution-only knobs (e.g. ``workers``: they change how fast a stage
   runs, never what it returns) excluded;
@@ -31,12 +33,15 @@ import hashlib
 import json
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.finder.config import FinderConfig
+from repro.netlist.backed import name_tables
 from repro.netlist.hypergraph import Netlist
 
 #: Bump when the canonical serialization (or the meaning of a report) changes
 #: so stale persisted caches are never read back under a new scheme.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Config fields that do not influence detection results.
 _EXECUTION_ONLY_FIELDS = frozenset({"workers"})
@@ -57,32 +62,43 @@ def _hash_update_str(digest: "hashlib._Hash", text: str) -> None:
 def fingerprint_netlist(netlist: Netlist) -> str:
     """SHA-256 fingerprint of a netlist's full content.
 
-    Covers cell names, areas, pin counts, fixed flags, net names and net
-    membership (in index order — netlists are immutable, so index order is
-    part of the content).
+    One hash over the canonical sections, in this order: ``net_ptr``,
+    ``net_cells``, ``areas``, ``pin_counts``, ``fixed_mask``, then the
+    cell and the net name tables (offsets, then UTF-8 blob), all
+    little-endian, each prefixed with its byte length, after the cell and
+    net counts.  That covers every cell's name and attributes and every
+    net's name and members in index order (netlists are immutable, so
+    index order is part of the content); the derived arrays are left out.
+    Any netlist yields the same sections, so a builder-made, pack-loaded,
+    spliced or pickled copy of one design shares one fingerprint.
 
     Memoized in ``netlist.derived_cache`` (immutability makes that sound);
     pack files store this very fingerprint in their header, so loading one
-    pre-seeds the memo and no content walk ever happens.
+    pre-seeds the memo and no hash is computed at all.
     """
     cached = netlist.derived_cache.get(FINGERPRINT_CACHE_KEY)
     if cached is not None:
         return cached
+    arrays = netlist.arrays
+    cell_table, net_table = name_tables(netlist)
     digest = hashlib.sha256()
     digest.update(b"repro-netlist-v%d" % FINGERPRINT_VERSION)
     digest.update(netlist.num_cells.to_bytes(8, "little"))
     digest.update(netlist.num_nets.to_bytes(8, "little"))
-    for index in range(netlist.num_cells):
-        _hash_update_str(digest, netlist.cell_name(index))
-        _hash_update_str(digest, repr(netlist.cell_area(index)))
-        digest.update(netlist.cell_pin_count(index).to_bytes(8, "little"))
-        digest.update(b"\x01" if netlist.cell_is_fixed(index) else b"\x00")
-    for index in range(netlist.num_nets):
-        _hash_update_str(digest, netlist.net_name(index))
-        cells = netlist.cells_of_net(index)
-        digest.update(len(cells).to_bytes(8, "little"))
-        for cell in cells:
-            digest.update(cell.to_bytes(8, "little"))
+    for section, dtype in (
+        (arrays.net_ptr, "<i8"),
+        (arrays.net_cells, "<i8"),
+        (arrays.areas, "<f8"),
+        (arrays.pin_counts, "<i8"),
+        (arrays.fixed_mask, "|b1"),
+        (cell_table.offsets, "<i8"),
+        (cell_table.blob, "|u1"),
+        (net_table.offsets, "<i8"),
+        (net_table.blob, "|u1"),
+    ):
+        data = np.ascontiguousarray(section, dtype=dtype)
+        digest.update(data.nbytes.to_bytes(8, "little"))
+        digest.update(data)
     fingerprint = digest.hexdigest()
     netlist.derived_cache[FINGERPRINT_CACHE_KEY] = fingerprint
     return fingerprint

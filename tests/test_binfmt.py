@@ -8,6 +8,7 @@ compute backends.  Malformed inputs must fail with typed
 mismatches, the expected magic.
 """
 
+import os
 import pickle
 import struct
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError
-from repro.io import load_design, pack_design
+from repro.io import binfmt, load_design, pack_design
 from repro.io.binfmt import (
     FORMAT_VERSION,
     MAGIC,
@@ -192,6 +193,39 @@ def test_version_mismatch_is_rejected(tmp_path, mixed_netlist):
     message = str(excinfo.value)
     assert path in message
     assert f"version {FORMAT_VERSION + 41}" in message
+
+
+def test_format_1_packs_are_rejected_naming_both_versions(tmp_path, mixed_netlist):
+    """Format 2 stamps the bulk fingerprint; a format-1 file must be
+    re-packed, never read with its old-scheme fingerprint."""
+    path = _packed(tmp_path, mixed_netlist)
+    blob = bytearray(open(path, "rb").read())
+    struct.pack_into("<I", blob, 8, 1)
+    open(path, "wb").write(blob)
+    with pytest.raises(ParseError, match="version 1; this build reads version 2"):
+        load_packed(path)
+
+
+def test_write_packed_never_leaves_a_partial_pack(tmp_path, mixed_netlist, monkeypatch):
+    """The pack is written beside ``path`` and renamed over it: a failed
+    write keeps the previous file whole and leaves no temporary behind."""
+    path = _packed(tmp_path, mixed_netlist)
+    before = open(path, "rb").read()
+    builder = NetlistBuilder()
+    builder.add_net("n", [builder.add_cell("x"), builder.add_cell("y")])
+
+    def interrupted(source, destination):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(binfmt.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        write_packed(builder.build(), path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [os.path.basename(path)]
+    write_packed(builder.build(), path)
+    assert load_packed(path).num_cells == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [os.path.basename(path)]
 
 
 def test_truncated_payload_is_rejected(tmp_path, mixed_netlist):

@@ -14,6 +14,7 @@ from repro.finder import (
 )
 from repro.finder.candidate import CandidateGTL, scan_ordering
 from repro.finder.refine import genetic_family
+from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.ops import GroupStats
 
@@ -42,6 +43,23 @@ def test_config_defaults_valid():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(FinderError):
         FinderConfig(**kwargs)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_rent_min_prefix_below_two_is_a_finder_error(small_planted, backend):
+    """A size-1 prefix would put log(1) = 0 in the Rent fit's denominator;
+    it is refused up front, the same way on both backends."""
+    netlist, _ = small_planted
+    with forced_backend(backend):
+        for prefix in (1, 0, -3):
+            with pytest.raises(FinderError, match="rent_min_prefix"):
+                find_tangled_logic(
+                    netlist, num_seeds=4, seed=1, rent_min_prefix=prefix
+                )
+        report = find_tangled_logic(
+            netlist, num_seeds=4, seed=1, rent_min_prefix=2
+        )
+    assert report.rent_exponent == report.rent_exponent  # not NaN
 
 
 def test_config_resolve_order_length():

@@ -12,8 +12,12 @@ import logging
 import math
 import os
 import pathlib
+import pickle
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     GenerationError,
@@ -47,10 +51,18 @@ from repro.incremental.engine import (
     _head_key,
     _trace_key,
 )
+from repro.io.binfmt import (
+    load_packed,
+    netlist_from_netlist_arrays,
+    packed_fingerprint,
+    write_packed,
+)
+from repro.netlist.backed import ArrayBackedNetlist, name_tables
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.service.codec import report_to_dict
 from repro.service.fingerprint import (
+    FINGERPRINT_CACHE_KEY,
     fingerprint_config,
     fingerprint_netlist,
     job_fingerprint,
@@ -201,6 +213,210 @@ def test_delta_fingerprint_chains_base_and_edit(base):
     assert delta_fingerprint(fp, d1) == delta_fingerprint(fp, d1)
     assert delta_fingerprint(fp, d1) != delta_fingerprint(fp, d2)
     assert delta_fingerprint("other-base", d1) != delta_fingerprint(fp, d1)
+
+
+# ---------------------------------------------------------------- splice parity
+def _random_base(rng):
+    """A small builder-made netlist whose pin counts leave some slack."""
+    builder = NetlistBuilder()
+    num_cells = rng.randint(1, 10)
+    for index in range(num_cells):
+        builder.add_cell(
+            f"c{index}", area=rng.choice([0.5, 1.0, 2.25]),
+            fixed=rng.random() < 0.2,
+        )
+    degrees = [0] * num_cells
+    for index in range(rng.randint(0, 9)):
+        members = rng.sample(range(num_cells), rng.randint(1, min(4, num_cells)))
+        builder.add_net(f"n{index}", members)
+        for cell in members:
+            degrees[cell] += 1
+    for cell, degree in enumerate(degrees):
+        builder.set_pin_count(cell, degree + rng.choice([0, 3, 8]))
+    return builder.build()
+
+
+#: The ways :func:`_random_delta` can break a delta on purpose.
+_FAULTS = (
+    "duplicate cell", "area", "pin count", "duplicate net", "empty net",
+    "unknown member", "no members", "ghost cell", "ghost net", "short pins",
+)
+
+
+def _random_delta(base, rng):
+    """Random cell/net adds, removes and rewires over ``base`` (duplicate
+    members included), broken in one of the :data:`_FAULTS` ways half
+    of the time."""
+    cells = list(base.cell_names)
+    nets = list(base.net_names)
+    cells_removed = rng.sample(cells, rng.randint(0, min(2, len(cells))))
+    if rng.random() < 0.5:
+        cells_removed = []
+    added_names = [f"x{k}" for k in range(rng.randint(0, 3))]
+    if cells_removed and rng.random() < 0.3:
+        added_names.append(cells_removed[0])  # removed, then added afresh
+    live = [c for c in cells if c not in cells_removed] + added_names
+
+    def attrs(name):
+        return CellEdit(name, rng.choice([1.0, 3.5]), rng.randint(6, 12),
+                        rng.random() < 0.2)
+
+    def members():
+        picked = [rng.choice(live) for _ in range(rng.randint(1, 4))]
+        return tuple(picked + picked[:rng.randint(0, 1)])  # maybe repeat one
+
+    nets_removed = rng.sample(nets, rng.randint(0, min(2, len(nets))))
+    kept_nets = [n for n in nets if n not in nets_removed]
+    rewired = rng.sample(kept_nets, rng.randint(0, min(3, len(kept_nets)))) if live else []
+    new_nets = [f"y{k}" for k in range(rng.randint(0, 3) if live else 0)]
+    if nets_removed and live and rng.random() < 0.3:
+        new_nets.append(nets_removed[0])  # removed, then added afresh
+    delta = dict(
+        cells_added=[attrs(name) for name in added_names],
+        cells_removed=cells_removed,
+        cells_changed=[attrs(name) for name in rng.sample(cells, rng.randint(0, min(2, len(cells))))],
+        nets_added=[NetEdit(name, new_members=members()) for name in new_nets],
+        nets_removed=[NetEdit(name, old_members=("?",)) for name in nets_removed],
+        nets_changed=[NetEdit(name, ("?",), members()) for name in rewired],
+    )
+    if rng.random() < 0.5:
+        fault = rng.choice(_FAULTS)
+        if fault == "duplicate cell":
+            delta["cells_added"].append(attrs(rng.choice(live or cells)))
+        elif fault == "area":
+            delta["cells_added"].append(
+                CellEdit("bad", rng.choice([0.0, -1.0]), rng.choice([9, -1, -1]), False)
+            )
+        elif fault == "pin count":
+            delta["cells_changed"].append(CellEdit(rng.choice(cells), 1.0, -2, False))
+        elif fault == "duplicate net" and nets:
+            delta["nets_added"].append(NetEdit(rng.choice(nets), new_members=(cells[0],)))
+        elif fault == "empty net":
+            delta["nets_added"].append(NetEdit("empty", new_members=()))
+        elif fault == "unknown member" and nets:
+            delta["nets_changed"].append(NetEdit(rng.choice(nets), ("?",), ("nowhere",)))
+        elif fault == "no members" and nets:
+            delta["nets_changed"].append(NetEdit(rng.choice(nets), ("?",), None))
+            delta["nets_added"].append(NetEdit("none"))
+        elif fault == "ghost cell":
+            delta["cells_removed"].append("ghost")
+        elif fault == "ghost net":
+            delta["nets_changed"].append(NetEdit("ghost", ("?",), (cells[0],)))
+        elif fault == "short pins":
+            delta["cells_changed"].append(CellEdit(rng.choice(cells), 1.0, 0, False))
+        rng.shuffle(delta["cells_added"])
+        rng.shuffle(delta["nets_changed"])
+    return NetlistDelta(**{key: tuple(value) for key, value in delta.items()})
+
+
+def _applied(base, delta, backend):
+    """``apply_delta`` on ``backend``: the netlist, or ``(type, message)``."""
+    with forced_backend(backend):
+        try:
+            return apply_delta(base, delta)
+        except NetlistError as error:
+            return type(error), str(error)
+
+
+def _assert_same_content(netlist, reference):
+    assert netlist == reference and reference == netlist
+    for field in vars(reference.arrays):
+        ours, theirs = getattr(netlist.arrays, field), getattr(reference.arrays, field)
+        assert ours.dtype == theirs.dtype, field
+        np.testing.assert_array_equal(ours, theirs, err_msg=field)
+    assert name_tables(netlist) == name_tables(reference)
+    assert fingerprint_netlist(netlist) == fingerprint_netlist(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_splice_matches_the_builder(seed):
+    """Splice (numpy) and builder (scalar) apply agree on random deltas:
+    equal content and fingerprints, or the same error, whether the base
+    is builder-made or pack-loaded."""
+    rng = random.Random(seed)
+    built = _random_base(rng)
+    delta = _random_delta(built, rng)
+    reference = _applied(built, delta, "python")
+    for base in (built, netlist_from_netlist_arrays(built)):
+        for backend in BACKENDS:
+            outcome = _applied(base, delta, backend)
+            if isinstance(reference, tuple):
+                assert outcome == reference, (backend, type(base).__name__)
+            else:
+                _assert_same_content(outcome, reference)
+    if not isinstance(reference, tuple):
+        # The way back is a larger delta, applied to a spliced base.
+        spliced = _applied(built, delta, "numpy")
+        back = diff(reference, built)
+        _assert_same_content(
+            _applied(spliced, back, "numpy"), _applied(reference, back, "python")
+        )
+
+
+def test_splice_collapses_duplicate_members_to_first_occurrence():
+    old = _toy()
+    delta = NetlistDelta(
+        cells_changed=(CellEdit("d", 1.0, 5, True),),
+        nets_changed=(NetEdit("n1", ("a", "b"), ("d", "a", "d", "b", "a")),),
+    )
+    for backend in BACKENDS:
+        edited = _applied(old, delta, backend)
+        assert edited.cells_of_net(edited.net_index("n1")) == (3, 0, 1)
+        assert edited.nets_of_cell(3) == (0, 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_apply_delta_rejects_edits_the_base_lacks(backend):
+    """A delta meant for another base fails loudly, naming the first name
+    it edits that the base does not have."""
+    old = _toy()
+    ghosts = [
+        (NetlistDelta(cells_removed=("ghost",)), "cell 'ghost'"),
+        (NetlistDelta(cells_changed=(CellEdit("ghost", 1.0, 1, False),)),
+         "cell 'ghost'"),
+        (NetlistDelta(nets_removed=(NetEdit("ghost_net", ("a",)),)),
+         "net 'ghost_net'"),
+        (NetlistDelta(nets_changed=(NetEdit("ghost_net", ("a",), ("b",)),)),
+         "net 'ghost_net'"),
+        (NetlistDelta(
+            cells_changed=(CellEdit("b", 1.0, 9, False),
+                           CellEdit("first", 1.0, 1, False)),
+            nets_removed=(NetEdit("second", ("a",)),),
+        ), "cell 'first'"),
+    ]
+    for base in (old, netlist_from_netlist_arrays(old)):
+        for delta, named in ghosts:
+            with forced_backend(backend), pytest.raises(
+                NetlistError, match=f"delta edits {named}, which the base"
+            ):
+                apply_delta(base, delta)
+
+
+def test_one_design_has_one_fingerprint(base, tmp_path):
+    """Builder-made, pack-loaded, spliced and pickled copies of one design
+    hash alike, and the bulk hash agrees with the pack header."""
+    path = str(tmp_path / "base.nla")
+    write_packed(base, path)
+    edited = rewire_pins(base, 0.01, rng=3)
+    with forced_backend("numpy"):
+        spliced = apply_delta(edited, diff(edited, base))
+        unchanged = apply_delta(load_packed(path), NetlistDelta())
+    copies = [
+        base,
+        load_packed(path),
+        spliced,
+        unchanged,
+        pickle.loads(pickle.dumps(base)),
+        pickle.loads(pickle.dumps(load_packed(path))),
+    ]
+    assert isinstance(spliced, ArrayBackedNetlist)
+    expected = fingerprint_netlist(base)
+    assert packed_fingerprint(path) == expected
+    for copy in copies:
+        copy.derived_cache.pop(FINGERPRINT_CACHE_KEY, None)
+        assert fingerprint_netlist(copy) == expected
+    assert fingerprint_netlist(edited) != expected
 
 
 # ---------------------------------------------------------------- dirty region
@@ -431,6 +647,34 @@ def test_detect_with_reuse_ladder(base, tmp_path):
         assert counts[KIND_FINDER_TRACE] == 2
         assert counts[KIND_INCREMENTAL_PROVENANCE] == 1
         assert counts[KIND_INCREMENTAL_HEAD] == 1
+
+
+def test_unloadable_base_pack_falls_back_to_a_full_run(
+    base, tmp_path, caplog, propagating_repro_logs
+):
+    """A base pack cut short (a writer killed mid-write by an older build)
+    is dropped with one warning; the edit runs full, and that run leaves a
+    sound base behind for the next edit."""
+    edited = rewire_pins(base, 0.001, rng=1)
+    with ResultStore(str(tmp_path)) as store:
+        detect_with_reuse(base, CFG, store)
+        path = design_path(store, fingerprint_netlist(base))
+        with open(path, "r+b") as handle:
+            handle.truncate(100)
+        with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+            result = detect_with_reuse(edited, CFG, store)
+        assert result.mode == "full"
+        assert result.reason == f"unloadable base pack {path} removed"
+        assert not os.path.exists(path)
+        warnings = [r for r in caplog.records if "unloadable base pack" in r.getMessage()]
+        assert len(warnings) == 1
+        cold, _ = run_traced(edited, CFG)
+        assert _strip(result.report) == _strip(cold)
+
+        assert os.path.exists(design_path(store, fingerprint_netlist(edited)))
+        again = detect_with_reuse(rewire_pins(edited, 0.001, rng=2), CFG, store)
+        assert again.mode == "incremental"
+        assert again.base_fingerprint == fingerprint_netlist(edited)
 
 
 def test_detect_with_reuse_explicit_base(base, tmp_path):

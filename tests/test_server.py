@@ -247,6 +247,22 @@ def test_pack_corpus_repacks_touched_source(corpus, tmp_path):
     assert entries[0].packed is True
 
 
+def test_pack_corpus_repacks_packs_of_an_older_format(corpus, tmp_path):
+    """A pack an older build wrote (another format version) is packed
+    afresh, not reused under its stale index entry."""
+    import struct
+
+    path, netlist = corpus["a"]
+    out = str(tmp_path / "packed")
+    (entry,) = pack_corpus([path], out)
+    with open(entry.pack_path, "r+b") as handle:
+        handle.seek(8)
+        handle.write(struct.pack("<I", 1))
+    (again,) = pack_corpus([path], out)
+    assert again.packed is True
+    assert read_header(again.pack_path).fingerprint == fingerprint_netlist(netlist)
+
+
 def test_load_pack_index_missing_and_malformed(tmp_path):
     assert load_pack_index(str(tmp_path)) == {}
     bad = tmp_path / "pack_index.json"
@@ -679,6 +695,16 @@ def test_daemon_delta_submit_validation(corpus, daemon_factory):
         client.submit(path, kind="flow", delta={"version": 1})
     with pytest.raises(ServerError, match="bad delta payload"):
         client.submit(path, config=DELTA_CFG, delta={"version": 999})
+    # A delta meant for another base fails loudly instead of detecting the
+    # base unchanged.
+    from repro.incremental import CellEdit, NetEdit, NetlistDelta
+
+    ghost = NetlistDelta(
+        cells_changed=(CellEdit("ghost_cell", 1.0, 1, False),),
+        nets_changed=(NetEdit("ghost_net", ("a",), ("b",)),),
+    )
+    with pytest.raises(ServerError, match="bad delta payload: .*'ghost_cell'"):
+        client.submit(path, config=DELTA_CFG, delta=ghost.to_dict())
     with pytest.raises(ServerError, match="delta"):
         # Raw request with a non-dict delta (bypasses client validation).
         client._roundtrip(
