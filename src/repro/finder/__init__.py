@@ -14,7 +14,6 @@ Three phases per random seed, seeds independent:
 
 from repro.finder.config import FinderConfig
 from repro.finder.result import GTL, FinderReport
-from repro.finder.kernel import ArrayOrderingGrower
 from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering
 from repro.finder.candidate import CandidateGTL, extract_candidate
 from repro.finder.refine import refine_candidate
@@ -27,7 +26,6 @@ __all__ = [
     "FinderConfig",
     "GTL",
     "FinderReport",
-    "ArrayOrderingGrower",
     "LinearOrderingGrower",
     "grow_linear_ordering",
     "CandidateGTL",

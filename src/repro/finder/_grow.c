@@ -1,9 +1,10 @@
 /*
  * Compiled Phase I absorb kernel: one linear ordering per call.
  *
- * A C port of repro.finder.kernel.ArrayOrderingGrower over the same
- * KernelTables CSR buffers (all int64, read only).  It reproduces the
- * Python grower exactly:
+ * A port of the scalar grower's loop
+ * (repro.finder.ordering.LinearOrderingGrower) with a value-validated stale
+ * skip, over the KernelTables CSR buffers (all int64, read only).  It
+ * reproduces the scalar grower's orderings exactly:
  *
  *   - heap order is (-weight, cut delta, insertion counter); the counter is
  *     unique, so the pop sequence is a strict total order and does not

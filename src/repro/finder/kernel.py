@@ -1,9 +1,9 @@
 """Phase I on the numpy backend: the compiled absorb kernel and its fallback.
 
-Three growers produce the same orderings (see :mod:`repro.finder.ordering`
+Two growers produce the same orderings (see :mod:`repro.finder.ordering`
 for the algorithm):
 
-* the **C kernel** ``_grow.c`` — the default on the numpy backend.  It is
+* the **C kernel** ``_grow.c`` — the fast path on the numpy backend.  It is
   compiled with ``$CC`` (default ``cc``) on first use into
   ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/``, under a name keyed by the
   sha256 of its source, the compiler flags, the machine architecture and
@@ -14,16 +14,16 @@ for the algorithm):
   directory belong to the current user and neither is writable by group or
   others.  The call releases the GIL and reads the :class:`KernelTables`
   buffers in place;
-* :class:`ArrayOrderingGrower` — the same loop in Python over flat lists.
-  It runs when the kernel cannot be built or loaded (no compiler, a failed
-  compile, an unwritable cache directory, a library or directory that
-  fails the ownership check: one warning per process, then every ordering
-  falls back) and is the kernel's parity reference;
 * :class:`~repro.finder.ordering.LinearOrderingGrower` — the dict-based
-  scalar reference, selected by ``REPRO_SCALAR_BACKEND=1``.
+  scalar reference.  It is the scalar backend's grower
+  (``REPRO_SCALAR_BACKEND=1``), the kernel's parity reference, and the
+  numpy backend's fallback when the kernel cannot be built or loaded (no
+  compiler, a failed compile, an unwritable cache directory, a library or
+  directory that fails the ownership check: one warning per process, then
+  every ordering falls back).
 
-The array growers keep flat state indexed by cell id, laid out once per
-netlist from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
+The kernel keeps flat state indexed by cell id, laid out once per netlist
+from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
 
 * ``weight`` / ``cutstate`` — connection weight and folded cut-delta
   counters per cell (``cutstate`` is the sum of the reference's ``touched``
@@ -40,17 +40,12 @@ recorded weight equals the current state.  Connection weights strictly
 increase with every update, so the live entry per cell is always its most
 recent push — exactly the tie-breaking the reference's lazy heap implements
 with a shadow dict, without paying for the dict.  The insertion counter
-makes every key unique, so the pop sequence does not depend on how either
-heap is laid out, and compacting the heap to its live entries (same rule
-in both array growers) leaves it unchanged.  Updates are applied pin by pin
-in CSR slice order, the reference's exact float accumulation order, so
-orderings, weights, cut deltas and the ``heap_pushes`` telemetry are all
-bit-identical across the three growers.
-
-:class:`KernelTables` holds the CSR buffers as numpy int64 arrays, which the
-C kernel reads without copying.  The Python grower indexes one cell at a
-time, where list indexing beats numpy scalar indexing several times over,
-so it asks for ``.tolist()`` views — built only when it runs.
+makes every key unique, so the pop sequence does not depend on how the heap
+is laid out, and compacting the heap to its live entries leaves it
+unchanged.  Updates are applied pin by pin in CSR slice order, the
+reference's exact float accumulation order, so orderings and the
+``heap_pushes`` telemetry are bit-identical across the two growers (only
+the kernel compacts, so only it counts ``heap_compactions``).
 """
 
 from __future__ import annotations
@@ -67,9 +62,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from functools import cached_property
-from heapq import heapify, heappop, heappush
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +78,7 @@ _TABLES_KEY = "finder_kernel_tables"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_grow.c")
 
 #: Compiler flags.  Strict C99 with no floating-point contraction (and never
-#: ``-ffast-math``) keeps every weight bit-identical to the Python growers.
+#: ``-ffast-math``) keeps every weight bit-identical to the scalar grower.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -97,24 +90,12 @@ def check_seed(netlist: Netlist, seed: int, exclude_fixed: bool) -> None:
         raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
 
 
-class _ListViews(NamedTuple):
-    """``.tolist()`` copies of the tables for :class:`ArrayOrderingGrower`."""
-
-    degree2: List[int]
-    net_degrees: List[int]
-    cell_ptr: List[int]
-    cell_nets: List[int]
-    update_ptr: List[int]
-    update_flat: List[int]
-
-
 class KernelTables:
-    """Immutable per-netlist lookup tables shared by all array growers.
+    """Immutable per-netlist lookup tables read by the C kernel.
 
     Built once per netlist (cached on its derived-object cache) with
     vectorized passes over the CSR view.  Every table is a contiguous numpy
-    int64 array; :meth:`list_views` adds the Python grower's list copies on
-    demand.
+    int64 array.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -133,7 +114,6 @@ class KernelTables:
         # fixed pins, so pre-dropping them removes the per-pin check.  Net
         # *degrees* for the weight formula always use the full CSR.
         self._update_csr: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
-        self._list_views: Dict[bool, _ListViews] = {}
 
     def update_csr(self, exclude_fixed: bool) -> Tuple[np.ndarray, np.ndarray]:
         """``(ptr, flat)`` int64 arrays of the pin-update CSR."""
@@ -152,24 +132,6 @@ class KernelTables:
             entry = (_int64(ptr), _int64(flat))
             self._update_csr[exclude_fixed] = entry
         return entry
-
-    def list_views(self, exclude_fixed: bool) -> _ListViews:
-        """The tables as Python lists (built on first use per flag)."""
-        views = self._list_views.get(exclude_fixed)
-        if views is None:
-            ptr, flat = self.update_csr(exclude_fixed)
-            views = _ListViews(*self._static_lists, ptr.tolist(), flat.tolist())
-            self._list_views[exclude_fixed] = views
-        return views
-
-    @cached_property
-    def _static_lists(self) -> Tuple[List[int], ...]:
-        return (
-            self.degree2.tolist(),
-            self.net_degrees.tolist(),
-            self.cell_ptr.tolist(),
-            self.cell_nets.tolist(),
-        )
 
     @classmethod
     def for_netlist(cls, netlist: Netlist) -> "KernelTables":
@@ -287,7 +249,8 @@ def compiled_kernel() -> Optional[ctypes.CDLL]:
     """The loaded C kernel, or ``None`` when it cannot be built or loaded.
 
     Builds and loads at most once per process; a failure logs one warning
-    and leaves every later call on :class:`ArrayOrderingGrower`.
+    and leaves every later call on the scalar
+    :class:`~repro.finder.ordering.LinearOrderingGrower`.
     """
     state = _KernelState
     if not state.loaded:
@@ -298,7 +261,7 @@ def compiled_kernel() -> Optional[ctypes.CDLL]:
                 except (OSError, subprocess.SubprocessError) as error:
                     logger.warning(
                         "compiled Phase I kernel unavailable (%s); "
-                        "growing orderings with the Python array grower",
+                        "growing orderings with the scalar grower",
                         error,
                     )
                 state.loaded = True
@@ -314,12 +277,16 @@ def grow_ordering(
 ) -> Tuple[List[int], Dict[str, int]]:
     """One Phase I ordering and its telemetry on the numpy backend.
 
-    Runs the C kernel when it loads, else :class:`ArrayOrderingGrower`;
-    both give the same ordering and the same telemetry.
+    Runs the C kernel when it loads, else the scalar
+    :class:`~repro.finder.ordering.LinearOrderingGrower`; both give the
+    same ordering and the same ``heap_pushes``.
     """
     library = compiled_kernel()
     if library is None:
-        grower = ArrayOrderingGrower(
+        # Imported here: repro.finder.ordering imports this module.
+        from repro.finder.ordering import LinearOrderingGrower
+
+        grower = LinearOrderingGrower(
             netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
         )
         return grower.grow(max_length), grower.telemetry()
@@ -355,235 +322,7 @@ def grow_ordering(
     }
 
 
-class ArrayOrderingGrower:
-    """Flat-CSR implementation of Phase I; API-compatible with
-    :class:`~repro.finder.ordering.LinearOrderingGrower` and bit-identical
-    to it in every observable (ordering, weights, cut deltas)."""
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        seed: int,
-        lambda_skip: int = 20,
-        exclude_fixed: bool = True,
-    ) -> None:
-        check_seed(netlist, seed, exclude_fixed)
-        tables = KernelTables.for_netlist(netlist)
-        self._tables = tables.list_views(exclude_fixed)
-        self._lambda_skip = lambda_skip
-        # Heap entries are (-weight, cut_delta, counter << bits | cell):
-        # packing the insertion counter and the cell id into one int keeps
-        # entries at three slots and comparisons cheap; counter order is
-        # preserved because the cell id occupies the low bits.
-        self._cell_bits = max(1, (tables.num_cells - 1).bit_length())
-        self._cell_mask = (1 << self._cell_bits) - 1
-        # Private flat state; a fresh zero list is memset-cheap even for
-        # 100K-cell designs, so growers never share mutable scratch.
-        self._weight: List[float] = [0.0] * tables.num_cells
-        self._cutstate: List[int] = [0] * tables.num_cells
-        self._inside_count = {}  # net -> pins inside the group
-        self._in_group = set()
-        self._frontier_count = 0
-        self._heap: List[tuple] = []
-        self._counter = 0
-        self._compactions = 0
-        self._ordering: List[int] = []
-        self._absorb(seed)
-
-    # ------------------------------------------------------------------
-    @property
-    def ordering(self) -> List[int]:
-        """Cells in the order they were absorbed (seed first)."""
-        return list(self._ordering)
-
-    @property
-    def frontier_size(self) -> int:
-        """Number of candidate cells currently adjacent to the group."""
-        return self._frontier_count
-
-    def connection_weight(self, cell: int) -> float:
-        """Current connection weight of frontier cell ``cell`` (0 if absent)."""
-        if cell in self._in_group:
-            return 0.0
-        return self._weight[cell]
-
-    def cut_delta(self, cell: int) -> int:
-        """Net-cut change if frontier cell ``cell`` were absorbed now."""
-        state = 0 if cell in self._in_group else self._cutstate[cell]
-        return self._tables.degree2[cell] - state
-
-    # ------------------------------------------------------------------
-    def step(self) -> Optional[int]:
-        """Absorb the best frontier cell; return it, or ``None`` if stuck."""
-        heap = self._heap
-        weight = self._weight
-        in_group = self._in_group
-        mask = self._cell_mask
-        while heap:
-            neg_weight, _, packed = heappop(heap)
-            cell = packed & mask
-            # Live iff still outside the group and the recorded weight is
-            # current (weights strictly increase, so stale entries always
-            # record a smaller weight).
-            if cell in in_group or -neg_weight != weight[cell]:
-                continue
-            self._absorb(cell)
-            return cell
-        return None
-
-    def grow(self, max_length: int) -> List[int]:
-        """Grow until ``max_length`` cells or the frontier empties."""
-        heap = self._heap
-        weight = self._weight
-        in_group = self._in_group
-        ordering = self._ordering
-        absorb = self._absorb
-        compact = self._compact
-        mask = self._cell_mask
-        while len(ordering) < max_length and heap:
-            neg_weight, _, packed = heappop(heap)
-            cell = packed & mask
-            if cell in in_group or -neg_weight != weight[cell]:
-                continue
-            absorb(cell)
-            if len(heap) > 8192 and len(heap) > 4 * self._frontier_count:
-                compact()
-        return self.ordering
-
-    def _compact(self) -> None:
-        """Drop stale heap entries, keeping exactly the live ones.
-
-        A cell's live entry is the unique one recording its current weight
-        (weights strictly increase), so filtering by value keeps one entry
-        per frontier cell with its original counter — pop order, including
-        insertion-order tie-breaking, is unchanged.  Without compaction the
-        heap accumulates every superseded push and each push/pop sifts
-        through the garbage; the scalar reference pays exactly that cost.
-        """
-        weight = self._weight
-        in_group = self._in_group
-        mask = self._cell_mask
-        live = [
-            entry
-            for entry in self._heap
-            if (cell := entry[2] & mask) not in in_group
-            and -entry[0] == weight[cell]
-        ]
-        heapify(live)
-        self._heap[:] = live  # in place: callers hold references to the list
-        self._compactions += 1
-
-    def telemetry(self) -> Dict[str, int]:
-        """Work counters of this grower (same keys as the scalar grower).
-
-        The heap counter advances by ``1 << _cell_bits`` per push, so the
-        lifetime push count falls out of a shift — no hot-loop cost.
-        """
-        return {
-            "heap_pushes": self._counter >> self._cell_bits,
-            "heap_compactions": self._compactions,
-        }
-
-    # ------------------------------------------------------------------
-    def _absorb(self, cell: int) -> None:
-        tables = self._tables
-        in_group = self._in_group
-        weight = self._weight
-        in_group.add(cell)
-        if weight[cell] != 0.0:
-            self._frontier_count -= 1
-        self._ordering.append(cell)
-
-        inside_count = self._inside_count
-        net_degrees = tables.net_degrees
-        cutstate = self._cutstate
-        degree2 = tables.degree2
-        update_ptr = tables.update_ptr
-        update_flat = tables.update_flat
-        heap = self._heap
-        # The counter lives pre-shifted: bumping by ``counter_step`` leaves
-        # the low bits free for the cell id, so a push is one add + one or.
-        counter_step = 1 << self._cell_bits
-        counter = self._counter
-        frontier_count = self._frontier_count
-        lambda_skip = self._lambda_skip
-
-        cell_ptr = tables.cell_ptr
-        for net in tables.cell_nets[cell_ptr[cell] : cell_ptr[cell + 1]]:
-            old_inside = inside_count.get(net, 0)
-            new_inside = old_inside + 1
-            inside_count[net] = new_inside
-            degree = net_degrees[net]
-            outside = degree - new_inside
-            if outside == 0:
-                continue  # net fully absorbed; no outside pins to update
-
-            first_touch = old_inside == 0
-            if not first_touch and lambda_skip and outside >= lambda_skip:
-                # Paper's optimization: weight change 1/(lambda+1) - 1/(lambda+2)
-                # is negligible for large lambda; skip the O(|e|) update.
-                continue
-
-            span = update_flat[update_ptr[net] : update_ptr[net + 1]]
-            # Per-pin updates in CSR slice order — the reference's exact
-            # accumulation and push order (stale lower-weight entries are
-            # discarded by value validation at pop time).
-            if first_touch:
-                delta = 1.0 / (outside + 1)
-                cut_increment = 2 if outside == 1 else 1
-                for other in span:
-                    if other in in_group:
-                        continue
-                    old_weight = weight[other]
-                    if old_weight == 0.0:
-                        frontier_count += 1
-                    new_weight = old_weight + delta
-                    weight[other] = new_weight
-                    state = cutstate[other] + cut_increment
-                    cutstate[other] = state
-                    counter += counter_step
-                    heappush(
-                        heap, (-new_weight, degree2[other] - state, counter | other)
-                    )
-            else:
-                # Re-touched net: every outside pin was updated at first
-                # touch (in-group membership never reverts), so it already
-                # carries a positive weight — no frontier accounting here.
-                delta = 1.0 / (outside + 1) - 1.0 / (degree - old_inside + 1)
-                if outside == 1:
-                    for other in span:
-                        if other in in_group:
-                            continue
-                        new_weight = weight[other] + delta
-                        weight[other] = new_weight
-                        state = cutstate[other] + 1
-                        cutstate[other] = state
-                        counter += counter_step
-                        heappush(
-                            heap,
-                            (-new_weight, degree2[other] - state, counter | other),
-                        )
-                else:
-                    for other in span:
-                        if other in in_group:
-                            continue
-                        new_weight = weight[other] + delta
-                        weight[other] = new_weight
-                        counter += counter_step
-                        heappush(
-                            heap,
-                            (
-                                -new_weight,
-                                degree2[other] - cutstate[other],
-                                counter | other,
-                            ),
-                        )
-        self._counter = counter
-        self._frontier_count = frontier_count
-
-
 __all__ = [
-    "ArrayOrderingGrower",
     "KernelTables",
     "compiled_kernel",
     "grow_ordering",

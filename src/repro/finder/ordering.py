@@ -22,13 +22,12 @@ Implementation notes
   pins outside the group — their per-pin weight contribution is below
   1/21 and barely changes.  The *first* touch of a net is never skipped so
   every reachable cell enters the frontier.
-* Three growers implement this loop and grow bit-identical orderings with
+* Two growers implement this loop and grow bit-identical orderings with
   identical ``heap_pushes`` telemetry (see :mod:`repro.finder.kernel`):
-  the compiled C kernel (the numpy backend's default), its Python
-  counterpart :class:`~repro.finder.kernel.ArrayOrderingGrower` (the
-  fallback when the kernel cannot be compiled or loaded, and its parity
-  reference) and the scalar reference :class:`LinearOrderingGrower`
-  (``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`).
+  the compiled C kernel (the numpy backend's fast path) and the scalar
+  reference :class:`LinearOrderingGrower`, which runs on the scalar
+  backend (``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`)
+  and wherever the kernel cannot be compiled or loaded.
   :func:`grow_linear_ordering` picks one per call; Phase I and the
   Phase III re-growths both go through it.
 """
@@ -109,7 +108,7 @@ class LinearOrderingGrower:
         return self.ordering
 
     def telemetry(self) -> Dict[str, int]:
-        """Work counters of this grower (same keys as the array kernel)."""
+        """Work counters of this grower (same keys as the compiled kernel)."""
         return {"heap_pushes": self._heap.pushes, "heap_compactions": 0}
 
     # ------------------------------------------------------------------
@@ -168,8 +167,8 @@ def grow_linear_ordering(
 ) -> List[int]:
     """One Phase I ordering of at most ``max_length`` cells.
 
-    The numpy backend runs the compiled kernel (or its Python fallback),
-    the scalar backend :class:`LinearOrderingGrower`.
+    Runs the compiled kernel on the numpy backend when it loads, else
+    :class:`LinearOrderingGrower`.
     """
     if resolve_backend() == "numpy":
         ordering, telemetry = grow_ordering(

@@ -29,11 +29,13 @@ reference, and the splice returns equal content and raises the builder's
 :class:`~repro.errors.NetlistError` for every invalid delta.  On both, a
 delta that removes or changes a cell or net the base lacks is an error.
 
-Edits are assumed order-preserving (surviving cells and nets keep their
-relative order, the invariant every generator and ECO flow here obeys).
-When the relative order *did* change, ``diff`` degrades to a
-full-replacement delta — still correct under ``apply_delta``, merely
-maximally conservative for the dirty-region computation downstream.
+Edits are assumed order-preserving: surviving cells and nets keep their
+relative order and added ones follow them (the invariant every generator
+and ECO flow here obeys, and the layout ``apply_delta`` rebuilds).  When
+the new order is anything else — survivors reordered, or an added name
+ahead of a surviving one — ``diff`` degrades to a full-replacement delta:
+still correct under ``apply_delta``, merely maximally conservative for the
+dirty-region computation downstream.
 """
 
 from __future__ import annotations
@@ -224,15 +226,16 @@ def _member_names(netlist: Netlist, net: int) -> Tuple[str, ...]:
 
 
 def _order_preserved(old_names: Sequence[str], new_names: Sequence[str]) -> bool:
-    """True when the names common to both sequences keep their relative order."""
-    common = set(old_names) & set(new_names)
-    old_common = [n for n in old_names if n in common]
-    new_common = [n for n in new_names if n in common]
-    return old_common == new_common
+    """True when ``new_names`` is the surviving ``old_names`` in their old
+    order followed by the added names: the layout :func:`apply_delta`
+    rebuilds (survivors in base order, additions appended)."""
+    new_set = set(new_names)
+    survivors = [n for n in old_names if n in new_set]
+    return list(new_names[: len(survivors)]) == survivors
 
 
 def _full_replacement(old: Netlist, new: Netlist) -> NetlistDelta:
-    """Everything-removed-everything-added delta (degenerate reorder case)."""
+    """Everything-removed-everything-added delta (the out-of-order case)."""
     return NetlistDelta(
         cells_removed=old.cell_names,
         cells_added=tuple(_cell_edit(new, i) for i in range(new.num_cells)),

@@ -4,10 +4,10 @@ The contract (see :mod:`repro.netlist.backend`): both backends grow
 bit-identical orderings, produce identical integer prefix curves and group
 statistics, score within 1e-9 of each other, and detect the *same* GTL
 cell sets — so detection artifacts and flow caches are shared across
-backends.  On the numpy backend the compiled grow kernel and its Python
-fallback (:mod:`repro.finder.kernel`) give identical orderings, telemetry
-and reports; the loading tests cover the fallback when no kernel can be
-built and concurrent first builds.
+backends.  On the numpy backend the compiled grow kernel and its scalar
+fallback (:mod:`repro.finder.kernel`) give identical orderings, push
+counts and reports; the loading tests cover the fallback when no kernel
+can be built and concurrent first builds.
 """
 
 import json
@@ -29,12 +29,7 @@ from repro.finder import candidate as candidate_module
 from repro.finder import kernel
 from repro.finder.candidate import extract_candidate, scan_ordering
 from repro.finder.finder import _process_seed
-from repro.finder.kernel import (
-    ArrayOrderingGrower,
-    KernelTables,
-    compiled_kernel,
-    grow_ordering,
-)
+from repro.finder.kernel import KernelTables, compiled_kernel, grow_ordering
 from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering
 from repro.flow.flow import Flow
 from repro.flow.stages import DetectStage
@@ -106,45 +101,35 @@ _COMPILER = shutil.which((os.environ.get("CC") or "cc").split()[0])
 needs_compiler = pytest.mark.skipif(_COMPILER is None, reason="no C compiler")
 
 
-def _python_array_grower():
-    """Grow with :class:`ArrayOrderingGrower` inside the block (this process
-    only), so the compiled kernel can be compared with its fallback."""
+def _no_kernel():
+    """Run the numpy backend without the compiled kernel inside the block
+    (this process only), so the kernel can be compared with its fallback."""
     return mock.patch.multiple(kernel._KernelState, loaded=True, library=None)
 
 
-def _grow_three_ways(netlist, seed, max_length, lambda_skip, exclude_fixed):
-    """(ordering, telemetry) of the numpy-backend entry point, the Python
-    array grower and the scalar reference."""
+def _grow_two_ways(netlist, seed, max_length, lambda_skip, exclude_fixed):
+    """(ordering, telemetry) of the numpy-backend entry point and of the
+    scalar reference."""
     default = grow_ordering(
         netlist, seed, max_length, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
     )
-    growers = [
-        cls(netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed)
-        for cls in (ArrayOrderingGrower, LinearOrderingGrower)
-    ]
-    return [default] + [(g.grow(max_length), g.telemetry()) for g in growers]
-
-
-def _assert_three_way_parity(netlist, seed, max_length, lambda_skip, exclude_fixed):
-    (compiled, compiled_tel), (array, array_tel), (scalar, scalar_tel) = (
-        _grow_three_ways(netlist, seed, max_length, lambda_skip, exclude_fixed)
+    grower = LinearOrderingGrower(
+        netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
     )
-    assert compiled == array == scalar
-    assert compiled_tel == array_tel
+    return default, (grower.grow(max_length), grower.telemetry())
+
+
+def _assert_two_way_parity(netlist, seed, max_length, lambda_skip, exclude_fixed):
+    (compiled, compiled_tel), (scalar, scalar_tel) = _grow_two_ways(
+        netlist, seed, max_length, lambda_skip, exclude_fixed
+    )
+    assert compiled == scalar
     # The scalar lazy heap never compacts; its push count is the same.
     assert compiled_tel["heap_pushes"] == scalar_tel["heap_pushes"]
     return compiled_tel
 
 
 # ---------------------------------------------------------------- growers
-def test_array_grower_rejects_bad_seeds(mixed_netlist):
-    with pytest.raises(FinderError):
-        ArrayOrderingGrower(mixed_netlist, 99)
-    with pytest.raises(FinderError):
-        ArrayOrderingGrower(mixed_netlist, 3)  # the pad
-    assert ArrayOrderingGrower(mixed_netlist, 3, exclude_fixed=False).ordering == [3]
-
-
 def test_bad_seeds_raise_on_the_numpy_path(mixed_netlist):
     with forced_backend("numpy"):
         for bad in (99, -1, 3):  # out of range, negative, the pad
@@ -160,43 +145,24 @@ def test_kernel_tables_cached_per_netlist(mixed_netlist):
     )
 
 
-def test_grower_api_matches_reference_step_by_step(two_cliques):
-    reference = LinearOrderingGrower(two_cliques, 0, lambda_skip=0)
-    array = ArrayOrderingGrower(two_cliques, 0, lambda_skip=0)
-    while True:
-        assert array.frontier_size == reference.frontier_size
-        for cell in range(two_cliques.num_cells):
-            assert array.connection_weight(cell) == reference.connection_weight(cell)
-            assert array.cut_delta(cell) == reference.cut_delta(cell)
-        step_reference, step_array = reference.step(), array.step()
-        assert step_array == step_reference
-        if step_reference is None:
-            break
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(("random", "disconnected", "wide")))
 def test_property_orderings_bit_identical(seed, shape):
-    """The numpy entry point (the C kernel when it loads), the Python array
-    grower and the scalar reference agree on orderings and telemetry.
+    """The numpy entry point (the C kernel when it loads) and the scalar
+    reference agree on orderings and heap pushes.
 
     ``lambda_skip`` 0 never skips a re-touched net and 1 skips every one;
     3 mixes skipped and updated re-touches on the small-net designs, and the
     wide-net designs (nets of up to 40 pins) make 20 skip some as well.
     """
     rng = random.Random(seed)
-    if shape == "disconnected":
-        netlist = _disconnected_netlist(rng)
-    elif shape == "wide":
-        netlist = _random_netlist(rng, max_cells=60, max_degree=40)
-    else:
-        netlist = _random_netlist(rng)
+    netlist = _shaped_netlist(rng, shape)
     n = netlist.num_cells
     start = rng.choice(netlist.movable_cells())
     for exclude_fixed in (True, False):
         for lambda_skip in (0, 1, 3, 20):
             for max_length in (0, 1, n, n + 7):
-                _assert_three_way_parity(
+                _assert_two_way_parity(
                     netlist, start, max_length, lambda_skip, exclude_fixed
                 )
             array, scalar = _on_both_backends(
@@ -207,17 +173,77 @@ def test_property_orderings_bit_identical(seed, shape):
             assert array == scalar
 
 
+def _shaped_netlist(rng, shape):
+    if shape == "disconnected":
+        return _disconnected_netlist(rng)
+    if shape == "wide":
+        return _random_netlist(rng, max_cells=60, max_degree=40)
+    return _random_netlist(rng)
+
+
+def _assert_capped_orderings_are_prefixes(
+    netlist, start, caps, lambda_skip, exclude_fixed
+):
+    """On both backends, the ordering grown with cap ``L`` is the first
+    ``min(L, len)`` cells of the uncapped one."""
+    for backend in ("numpy", "python"):
+        with forced_backend(backend):
+            full = grow_linear_ordering(
+                netlist, start, netlist.num_cells, lambda_skip, exclude_fixed
+            )
+            for cap in caps:
+                capped = grow_linear_ordering(
+                    netlist, start, cap, lambda_skip, exclude_fixed
+                )
+                assert capped == full[:cap], (backend, cap)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(("random", "disconnected", "wide")))
+def test_property_capped_orderings_are_prefixes(seed, shape):
+    """A cap only stops growth, so a shorter-capped ordering is always a
+    prefix of a longer-capped one (a disconnected design's ordering may end
+    before either cap)."""
+    rng = random.Random(seed)
+    netlist = _shaped_netlist(rng, shape)
+    n = netlist.num_cells
+    start = rng.choice(netlist.movable_cells())
+    caps = sorted({1, 2, rng.randint(1, n), rng.randint(1, n), n + 3})
+    for exclude_fixed in (True, False):
+        for lambda_skip in (0, 1, 3, 20):
+            _assert_capped_orderings_are_prefixes(
+                netlist, start, caps, lambda_skip, exclude_fixed
+            )
+
+
 # ---------------------------------------------------------------- C kernel
+def _compacting_design():
+    """Big enough for the kernel's heap to pass 8192 entries and be compacted."""
+    return planted_gtl_graph(4000, [200], seed=7)
+
+
+def test_capped_orderings_are_prefixes_through_heap_compactions():
+    """The prefix property holds across a kernel heap compaction."""
+    netlist, truth = _compacting_design()
+    start = sorted(truth[0])[0]
+    caps = (150, 1200, 3500)
+    for lambda_skip in (0, 20):
+        _assert_capped_orderings_are_prefixes(netlist, start, caps, lambda_skip, True)
+        # The longest cap is reached only after the kernel compacted its heap.
+        _, telemetry = grow_ordering(netlist, start, caps[-1], lambda_skip=lambda_skip)
+        assert (telemetry["heap_compactions"] > 0) == (compiled_kernel() is not None)
+
+
 def test_compiled_parity_through_heap_compactions():
-    # Big enough for the heap to pass 8192 entries and be compacted.
-    netlist, truth = planted_gtl_graph(4000, [200], seed=7)
+    netlist, truth = _compacting_design()
     n = netlist.num_cells
     compactions = 0
     for start in (0, sorted(truth[0])[0], n // 2):
         for lambda_skip in (0, 20):
-            telemetry = _assert_three_way_parity(netlist, start, n, lambda_skip, True)
+            telemetry = _assert_two_way_parity(netlist, start, n, lambda_skip, True)
             compactions += telemetry["heap_compactions"]
-    assert compactions > 0
+    # Only the kernel compacts; the scalar fallback's lazy heap never does.
+    assert (compactions > 0) == (compiled_kernel() is not None)
 
 
 def test_fixed_pad_seed_and_frontier_end_on_compiled_path(mixed_netlist):
@@ -232,10 +258,6 @@ def test_compiler_present_means_the_kernel_loads(mixed_netlist):
     library = compiled_kernel()
     assert library is not None
     assert os.path.dirname(library._name) == kernel.kernel_cache_dir()
-    # The compiled path never builds the Python grower's list views.
-    netlist = _random_netlist(random.Random(5), with_fixed=False)
-    grow_ordering(netlist, 0, netlist.num_cells)
-    assert KernelTables.for_netlist(netlist)._list_views == {}
 
 
 def test_kernel_tables_hold_contiguous_int64_arrays(mixed_netlist):
@@ -250,8 +272,6 @@ def test_kernel_tables_hold_contiguous_int64_arrays(mixed_netlist):
         )
         for array in arrays:
             assert array.dtype == "int64" and array.flags["C_CONTIGUOUS"]
-        views = tables.list_views(exclude_fixed)
-        assert views.update_flat == tables.update_csr(exclude_fixed)[1].tolist()
     assert tables.degree2.tolist() == [2, 2, 2, 1]
 
 
@@ -342,19 +362,19 @@ def _finish(process):
 
 
 def _expected_child_output():
+    """The child's output computed in this process, on the compiled kernel
+    whenever a compiler is present: a child without a kernel must match it
+    bit for bit."""
     netlist, _ = planted_gtl_graph(600, [80], seed=3)
-    with _python_array_grower():
-        orderings = [
-            grow_ordering(netlist, s, 300, lambda_skip=l)
-            for s in (0, 17)
-            for l in (0, 20)
-        ]
-        with forced_backend("numpy"):
-            report = report_to_dict(
-                find_tangled_logic(
-                    netlist, FinderConfig(num_seeds=4, seed=7, min_gtl_size=20)
-                )
+    orderings = [
+        grow_ordering(netlist, s, 300, lambda_skip=l) for s in (0, 17) for l in (0, 20)
+    ]
+    with forced_backend("numpy"):
+        report = report_to_dict(
+            find_tangled_logic(
+                netlist, FinderConfig(num_seeds=4, seed=7, min_gtl_size=20)
             )
+        )
     report.pop("runtime_seconds")
     return json.loads(json.dumps({"orderings": orderings, "report": report}))
 
@@ -370,6 +390,7 @@ def test_no_kernel_falls_back_with_one_warning(tmp_path, failure):
         (tmp_path / "cache").write_text("not a directory")
     result, err = _finish(_run_child(env))
     assert result.pop("library") is None
+    assert (compiled_kernel() is None) == (_COMPILER is None)
     assert result == _expected_child_output()
     warnings = [line for line in err.splitlines() if "kernel unavailable" in line]
     assert len(warnings) == 1, err
@@ -474,9 +495,9 @@ def test_property_finder_reports_identical_on_planted(seed):
         scalar_report = find_tangled_logic(netlist, config)
     with forced_backend("numpy"):
         array_report = find_tangled_logic(netlist, config)
-        with _python_array_grower():
+        with _no_kernel():
             fallback_report = find_tangled_logic(netlist, config)
-    # Compiled kernel vs Python array grower: the whole report is identical.
+    # Compiled kernel vs scalar fallback: the whole report is identical.
     assert _comparable(array_report) == _comparable(fallback_report)
     assert [set(g.cells) for g in scalar_report.gtls] == [
         set(g.cells) for g in array_report.gtls

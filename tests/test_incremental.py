@@ -196,6 +196,34 @@ def test_diff_reorder_degrades_to_full_replacement():
         fingerprint_netlist(new)
 
 
+def _named_ring(cell_names, net_names):
+    """Net ``i`` joins cells ``i`` and ``i + 1`` (mod the cell count)."""
+    builder = NetlistBuilder()
+    for name in cell_names:
+        builder.add_cell(name)
+    for index, name in enumerate(net_names):
+        builder.add_net(name, [index % len(cell_names), (index + 1) % len(cell_names)])
+    return builder.build()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["cells", "nets"])
+def test_diff_inverts_an_addition_ahead_of_a_survivor(backend, kind):
+    """``apply_delta`` appends additions, so an added name ahead of a
+    surviving one (``n2`` before ``n3``) must make ``diff`` fall back to a
+    full replacement rather than emit a delta that reorders the design."""
+    old_names, new_names = ("n0", "n1", "y0", "n3"), ("n0", "n1", "n2", "n3")
+    others = ("e0", "e1", "e2", "e3")
+    if kind == "cells":
+        old, new = _named_ring(old_names, others), _named_ring(new_names, others)
+    else:
+        old, new = _named_ring(others, old_names), _named_ring(others, new_names)
+    with forced_backend(backend):
+        rebuilt = apply_delta(old, diff(old, new))
+    assert (rebuilt.cell_names, rebuilt.net_names) == (new.cell_names, new.net_names)
+    assert fingerprint_netlist(rebuilt) == fingerprint_netlist(new)
+
+
 def test_delta_codec_roundtrip(base):
     _, delta = rewire_pins(base, 0.02, rng=4, return_delta=True)
     wire = json.loads(json.dumps(delta.to_dict()))
@@ -352,6 +380,11 @@ def test_splice_matches_the_builder(seed):
         _assert_same_content(
             _applied(spliced, back, "numpy"), _applied(reference, back, "python")
         )
+        # ... and it leads back to exactly the base, on either backend.
+        for backend in BACKENDS:
+            with forced_backend(backend):
+                restored = apply_delta(reference, diff(reference, built))
+            assert fingerprint_netlist(restored) == fingerprint_netlist(built)
 
 
 def test_splice_collapses_duplicate_members_to_first_occurrence():
