@@ -19,8 +19,7 @@ The 50K scenario is measured in two finder configurations:
 * ``exact`` — ``lambda_skip=0``, the paper's exact connection-weight
   algorithm with no update skipping.  The numpy backend must be **>= 5x**
   faster than the scalar reference at full scale (the scalar path drowns
-  in per-pin dict updates, O(degree) cut-delta recounts and a
-  garbage-clogged lazy heap).
+  in per-pin dict updates and a garbage-clogged lazy heap).
 * ``lambda20`` — the default skip optimization, which shrinks update
   volume for both backends and narrows the gap; no floor asserted.
 

@@ -64,7 +64,6 @@ from repro.incremental import (
     run_traced,
 )
 from repro.io import load_packed, write_packed
-from repro.netlist.backed import name_tables
 from repro.netlist.backend import forced_backend
 from repro.service.codec import report_to_dict
 from repro.service.fingerprint import fingerprint_netlist
@@ -244,7 +243,8 @@ def _apply_scenario(spec, seed=7, repeats=5):
         assert np.array_equal(
             getattr(splice.arrays, field), getattr(builder.arrays, field)
         ), field
-    assert name_tables(splice) == name_tables(builder)
+    assert splice.cell_table == builder.cell_table
+    assert splice.net_table == builder.net_table
     assert timings["builder"][2] == timings["splice"][2]
     row = {"cells": splice.num_cells, "nets": splice.num_nets,
            "pins_rewired": len(delta.nets_changed),

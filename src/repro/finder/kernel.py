@@ -29,8 +29,8 @@ from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
   counters per cell (``cutstate`` is the sum of the reference's ``touched``
   and ``absorbable`` counters; only their sum enters the cut delta);
 * ``degree2`` — per cell, the number of incident nets with >= 2 pins (the
-  constant term of the cut delta, precomputed in :class:`KernelTables` so a
-  heap push is O(1) instead of the reference's O(cell degree) recount);
+  constant term of the cut delta, precomputed by :func:`multi_pin_degrees`
+  for both growers, so a heap push is O(1));
 * an *update CSR* — ``net_ptr``/``net_cells`` with fixed pins pre-dropped
   when ``exclude_fixed`` is set, so the absorb loop never re-tests pins.
 
@@ -90,6 +90,14 @@ def check_seed(netlist: Netlist, seed: int, exclude_fixed: bool) -> None:
         raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
 
 
+def multi_pin_degrees(arrays) -> np.ndarray:
+    """Per cell, the number of incident nets with >= 2 pins (int64)."""
+    multi = (arrays.net_degrees[arrays.cell_nets] > 1).astype(np.int64)
+    running = np.zeros(len(multi) + 1, dtype=np.int64)
+    np.cumsum(multi, out=running[1:])
+    return running[arrays.cell_ptr[1:]] - running[arrays.cell_ptr[:-1]]
+
+
 class KernelTables:
     """Immutable per-netlist lookup tables read by the C kernel.
 
@@ -106,10 +114,7 @@ class KernelTables:
         self.cell_ptr = _int64(arrays.cell_ptr)
         self.cell_nets = _int64(arrays.cell_nets)
         self.net_degrees = _int64(arrays.net_degrees)
-        multi = (self.net_degrees[self.cell_nets] > 1).astype(np.int64)
-        running = np.zeros(len(multi) + 1, dtype=np.int64)
-        np.cumsum(multi, out=running[1:])
-        self.degree2 = running[self.cell_ptr[1:]] - running[self.cell_ptr[:-1]]
+        self.degree2 = multi_pin_degrees(arrays)
         # Update CSRs keyed by exclude_fixed: the absorb loop never updates
         # fixed pins, so pre-dropping them removes the per-pin check.  Net
         # *degrees* for the weight formula always use the full CSR.
@@ -324,6 +329,7 @@ def grow_ordering(
 
 __all__ = [
     "KernelTables",
+    "multi_pin_degrees",
     "compiled_kernel",
     "grow_ordering",
 ]

@@ -34,13 +34,16 @@ Implementation notes
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.finder.kernel import check_seed, grow_ordering
+from repro.finder.kernel import check_seed, grow_ordering, multi_pin_degrees
 from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.utils.lazyheap import LazyMaxHeap
+
+#: Key of the scalar grower's per-netlist lists inside ``derived_cache``.
+_SCALAR_TABLES_KEY = "finder_scalar_grower_tables"
 
 
 class LinearOrderingGrower:
@@ -55,6 +58,7 @@ class LinearOrderingGrower:
     ) -> None:
         check_seed(netlist, seed, exclude_fixed)
         self._netlist = netlist
+        self._net_degree, self._fixed, self._degree2 = _scalar_tables(netlist)
         self._lambda_skip = lambda_skip
         self._exclude_fixed = exclude_fixed
         self._in_group: Set[int] = set()
@@ -84,10 +88,7 @@ class LinearOrderingGrower:
 
     def cut_delta(self, cell: int) -> int:
         """Net-cut change if frontier cell ``cell`` were absorbed now."""
-        degree2 = sum(
-            1 for e in self._netlist.nets_of_cell(cell) if self._netlist.net_degree(e) > 1
-        )
-        newly_cut = degree2 - self._touched.get(cell, 0)
+        newly_cut = self._degree2[cell] - self._touched.get(cell, 0)
         return newly_cut - self._absorbable.get(cell, 0)
 
     # ------------------------------------------------------------------
@@ -114,6 +115,7 @@ class LinearOrderingGrower:
     # ------------------------------------------------------------------
     def _absorb(self, cell: int) -> None:
         netlist = self._netlist
+        net_degree, fixed = self._net_degree, self._fixed
         self._in_group.add(cell)
         self._ordering.append(cell)
         self._weight.pop(cell, None)
@@ -122,7 +124,7 @@ class LinearOrderingGrower:
         self._heap.discard(cell)
 
         for net in netlist.nets_of_cell(cell):
-            degree = netlist.net_degree(net)
+            degree = net_degree[net]
             old_inside = self._inside_count.get(net, 0)
             new_inside = old_inside + 1
             self._inside_count[net] = new_inside
@@ -144,7 +146,7 @@ class LinearOrderingGrower:
             for other in netlist.cells_of_net(net):
                 if other in self._in_group:
                     continue
-                if self._exclude_fixed and netlist.cell_is_fixed(other):
+                if self._exclude_fixed and fixed[other]:
                     continue
                 self._weight[other] = self._weight.get(other, 0.0) + delta
                 if first_touch:
@@ -156,6 +158,24 @@ class LinearOrderingGrower:
     def _push(self, cell: int) -> None:
         # Secondary priority favors min cut: larger -cut_delta wins ties.
         self._heap.push(cell, self._weight[cell], float(-self.cut_delta(cell)))
+
+
+def _scalar_tables(netlist: Netlist) -> Tuple[List[int], List[bool], List[int]]:
+    """Net degrees, fixed flags and per-cell multi-pin net counts as lists.
+
+    Built once per netlist from its CSR arrays and kept in its
+    ``derived_cache``: the grower reads plain list items, not numpy
+    scalars, and a heap push reads ``degree2`` instead of recounting.
+    """
+    tables = netlist.derived_cache.get(_SCALAR_TABLES_KEY)
+    if tables is None:
+        arrays = netlist.arrays
+        tables = netlist.derived_cache[_SCALAR_TABLES_KEY] = (
+            arrays.net_degrees.tolist(),
+            arrays.fixed_mask.tolist(),
+            multi_pin_degrees(arrays).tolist(),
+        )
+    return tables
 
 
 def grow_linear_ordering(

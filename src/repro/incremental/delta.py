@@ -22,8 +22,9 @@ CSR arrays, overwrites the rewired net segments (or rebuilds ``net_ptr``
 when nets, cells or degrees change), rebuilds the cell-major side with
 one stable argsort of ``net_cells``, and shares the base's name tables
 (and their name -> index dicts) when no cell or net is added or removed.
-The result is an :class:`~repro.netlist.backed.ArrayBackedNetlist`, on
-any base.  The scalar backend replays the edited design through a
+The splice and the builder make the result's arrays with one constructor,
+:meth:`~repro.netlist.arrays.NetlistArrays.from_net_major`.  The scalar
+backend replays the edited design through a
 :class:`~repro.netlist.builder.NetlistBuilder`; that path is the
 reference, and the splice returns equal content and raises the builder's
 :class:`~repro.errors.NetlistError` for every invalid delta.  On both, a
@@ -48,8 +49,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import NetlistError
-from repro.netlist.arrays import NetlistArrays, gather_segments
-from repro.netlist.backed import ArrayBackedNetlist, NameTable, name_tables
+from repro.netlist.arrays import NameTable, NetlistArrays, gather_segments
 from repro.netlist.backend import resolve_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
@@ -560,7 +560,7 @@ def _spliced_names(
     return NameTable(offsets, blob)
 
 
-def _apply_splice(base: Netlist, delta: NetlistDelta) -> ArrayBackedNetlist:
+def _apply_splice(base: Netlist, delta: NetlistDelta) -> Netlist:
     """:func:`apply_delta` on the numpy backend: splice the delta into the
     base's CSR arrays and name tables.
 
@@ -570,7 +570,7 @@ def _apply_splice(base: Netlist, delta: NetlistDelta) -> ArrayBackedNetlist:
     raises the builder's message.
     """
     arrays = base.arrays
-    cell_table, net_table = name_tables(base)
+    cell_table, net_table = base.cell_table, base.net_table
     base_cell_index = cell_table.index()
     base_net_index = net_table.index()
 
@@ -721,9 +721,7 @@ def _apply_splice(base: Netlist, delta: NetlistDelta) -> ArrayBackedNetlist:
                 for index, cells in members.items())
     ):
         # No cell shifted, same nets, same degrees: overwrite the segments.
-        net_ptr, net_degrees, pin_net = (
-            arrays.net_ptr, arrays.net_degrees, arrays.pin_net
-        )
+        net_ptr = arrays.net_ptr
         net_cells = arrays.net_cells.copy()
         for index, cells in members.items():
             net_cells[net_ptr[index]:net_ptr[index + 1]] = cells
@@ -734,7 +732,6 @@ def _apply_splice(base: Netlist, delta: NetlistDelta) -> ArrayBackedNetlist:
             net_degrees[index] = len(cells)
         net_ptr = np.zeros(num_nets + 1, dtype=np.int64)
         np.cumsum(net_degrees, out=net_ptr[1:])
-        pin_net = np.repeat(np.arange(num_nets, dtype=np.int64), net_degrees)
         net_cells = np.empty(int(net_ptr[-1]), dtype=np.int64)
         pins = np.flatnonzero(untouched[arrays.pin_net])
         owners = arrays.pin_net[pins]
@@ -754,39 +751,21 @@ def _apply_splice(base: Netlist, delta: NetlistDelta) -> ArrayBackedNetlist:
                 count=int(lengths.sum()),
             )
 
-    # -- cell-major CSR: one stable sort of the pins by cell -------------
-    cell_degrees = np.bincount(net_cells, minlength=num_cells)
-    short = np.flatnonzero(pin_counts < cell_degrees)
-    if short.size:
-        name, _, pin_count = given(int(short[0]))
-        raise NetlistError(
-            f"cell {name!r} declares {pin_count} pins but touches "
-            f"{int(cell_degrees[short[0]])} nets"
-        )
-    cell_ptr = np.zeros(num_cells + 1, dtype=np.int64)
-    np.cumsum(cell_degrees, out=cell_ptr[1:])
-    cell_nets = pin_net[np.argsort(net_cells, kind="stable")]
-
-    spliced = NetlistArrays(
+    spliced = NetlistArrays.from_net_major(
         net_ptr=net_ptr,
         net_cells=net_cells,
-        cell_ptr=cell_ptr,
-        cell_nets=cell_nets,
-        net_degrees=net_degrees,
-        pin_net=pin_net,
         areas=areas,
         pin_counts=pin_counts,
         fixed_mask=fixed_mask,
+        describe=lambda index: given(index)[::2],  # (name, pin count)
     )
-    for array in vars(spliced).values():
-        array.setflags(write=False)
     if num_kept != base.num_cells or added:
         cell_table = _spliced_names(cell_table, ~removed, [e.name for e in added])
     if num_kept_nets != base.num_nets or delta.nets_added:
         net_table = _spliced_names(
             net_table, ~removed_nets, [e.name for e in delta.nets_added]
         )
-    return ArrayBackedNetlist(spliced, cell_table, net_table)
+    return Netlist(spliced, cell_table, net_table)
 
 
 __all__ = [

@@ -3,8 +3,9 @@
 One layout serves everything that moves a design between processes: pack
 files on disk (``.nla``, loaded zero-copy through ``mmap``) — which is also
 how :mod:`repro.service.pool` reaches its workers, through the design's own
-pack file or an anonymous one it writes — and the pickle form of
-:class:`~repro.netlist.backed.ArrayBackedNetlist`, which is this blob.
+pack file or an anonymous one it writes — and the pickle form of a
+:class:`~repro.netlist.hypergraph.Netlist`, which is this blob.  A loaded
+netlist keeps its arrays and name tables as views into the blob.
 
 Layout (all integers little-endian)::
 
@@ -73,8 +74,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from repro.errors import ParseError
-from repro.netlist.arrays import NetlistArrays
-from repro.netlist.backed import ArrayBackedNetlist, NameTable, name_tables
+from repro.netlist.arrays import NameTable, NetlistArrays
 from repro.netlist.hypergraph import Netlist
 
 #: First 8 bytes of every pack file / blob.
@@ -164,7 +164,7 @@ class PackedHeader:
 def _section_arrays(netlist: Netlist) -> Dict[str, np.ndarray]:
     """The thirteen section arrays of ``netlist``, in layout order."""
     arrays = netlist.arrays
-    cell_table, net_table = name_tables(netlist)
+    cell_table, net_table = netlist.cell_table, netlist.net_table
     sections = {name: getattr(arrays, name) for name in _ARRAY_FIELDS}
     sections["cell_name_offsets"] = cell_table.offsets
     sections["cell_name_bytes"] = cell_table.blob
@@ -402,14 +402,14 @@ def _netlist_from_views(
     fingerprint: str,
     owner: object,
     source: str,
-) -> ArrayBackedNetlist:
+) -> Netlist:
     arrays = NetlistArrays(**{name: views[name] for name in _ARRAY_FIELDS})
     for array in vars(arrays).values():
         array.setflags(write=False)
     for name in ("cell_name_offsets", "cell_name_bytes",
                  "net_name_offsets", "net_name_bytes"):
         views[name].setflags(write=False)
-    netlist = ArrayBackedNetlist(
+    netlist = Netlist(
         arrays,
         NameTable(views["cell_name_offsets"], views["cell_name_bytes"]),
         NameTable(views["net_name_offsets"], views["net_name_bytes"]),
@@ -424,8 +424,8 @@ def _netlist_from_views(
 
 def netlist_from_buffer(
     buf, source: str = "<buffer>", owner: object = None
-) -> ArrayBackedNetlist:
-    """Build an :class:`ArrayBackedNetlist` over ``buf`` without copying.
+) -> Netlist:
+    """Build a :class:`Netlist` over ``buf`` without copying.
 
     ``buf`` is any buffer holding one pack blob (a ``bytes`` object, an
     ``mmap.mmap``, a memoryview).  Every array of the returned netlist is a
@@ -440,12 +440,12 @@ def netlist_from_buffer(
     )
 
 
-def netlist_from_bytes(blob: bytes) -> ArrayBackedNetlist:
+def netlist_from_bytes(blob: bytes) -> Netlist:
     """Rebuild a netlist from :func:`serialize_netlist` output (pickle hook)."""
     return netlist_from_buffer(blob, source="<pickled pack blob>", owner=blob)
 
 
-def load_packed(path: str) -> ArrayBackedNetlist:
+def load_packed(path: str) -> Netlist:
     """Load a ``.nla`` pack file zero-copy through ``mmap``.
 
     The file's pages are faulted in on demand and shared read-only with
@@ -467,13 +467,6 @@ def load_packed(path: str) -> ArrayBackedNetlist:
                                mapped, path)
 
 
-def netlist_from_netlist_arrays(netlist: Netlist) -> ArrayBackedNetlist:
-    """Re-house any netlist as an :class:`ArrayBackedNetlist` (one copy)."""
-    if isinstance(netlist, ArrayBackedNetlist):
-        return netlist
-    return netlist_from_bytes(serialize_netlist(netlist))
-
-
 __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
@@ -484,7 +477,6 @@ __all__ = [
     "load_packed",
     "netlist_from_buffer",
     "netlist_from_bytes",
-    "netlist_from_netlist_arrays",
     "packed_fingerprint",
     "read_header",
     "serialize_netlist",

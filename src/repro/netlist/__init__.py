@@ -6,12 +6,7 @@ A netlist is modeled as a hypergraph ``G = (V, E)``: ``V`` is a set of cells
 operate on.
 """
 
-from repro.netlist.arrays import (
-    NetlistArrays,
-    build_netlist_arrays,
-    gather_segments,
-)
-from repro.netlist.backed import ArrayBackedNetlist, NameTable
+from repro.netlist.arrays import NameTable, NetlistArrays, gather_segments
 from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Cell, Net, Netlist
 from repro.netlist.builder import NetlistBuilder
@@ -35,14 +30,12 @@ from repro.netlist.stats import NetlistStats, netlist_stats
 from repro.netlist.validate import validate_netlist
 
 __all__ = [
-    "ArrayBackedNetlist",
     "Cell",
     "NameTable",
     "Net",
     "Netlist",
     "NetlistArrays",
     "NetlistBuilder",
-    "build_netlist_arrays",
     "gather_segments",
     "resolve_backend",
     "GroupStats",

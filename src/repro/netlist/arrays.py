@@ -1,33 +1,30 @@
-"""Array-backed view of a :class:`~repro.netlist.hypergraph.Netlist`.
+"""Flat-array (CSR) storage of a :class:`~repro.netlist.hypergraph.Netlist`.
 
-The geometry hot paths (HPWL, RUDY demand spreading, quadratic system
-assembly) all reduce to per-net scans over pin coordinates.  Instead of
-looping over ``cells_of_net`` tuples in Python, they operate on one shared
-CSR-style flat view of the hypergraph:
+Every netlist holds its content in one :class:`NetlistArrays` plus two
+:class:`NameTable` objects, whichever way it was made (builder, pack
+file, ECO splice):
 
 * ``net_ptr`` / ``net_cells`` — net -> member cells, net-major;
 * ``cell_ptr`` / ``cell_nets`` — cell -> incident nets, cell-major;
-* ``areas`` / ``pin_counts`` / ``fixed_mask`` — per-cell attributes.
+* ``areas`` / ``pin_counts`` / ``fixed_mask`` — per-cell attributes;
+* cell and net names as one UTF-8 blob plus offsets each.
 
 With the flat pin arrays, per-net bounding boxes are two ``reduceat`` calls
 and spring index arrays are ``repeat``/``triu_indices`` gathers — no Python
-loop over pins anywhere.
-
-The view is built lazily on first use and cached on the netlist (the cache
-slot is excluded from pickling, so shipping a netlist to a worker process
-never ships the arrays).  All arrays are marked read-only: the netlist is
-immutable and its array view must be too.
+loop over pins anywhere.  :meth:`NetlistArrays.from_net_major` is the one
+constructor: callers supply the net-major side and the cell attributes,
+and it derives the rest.  All arrays are read-only: the netlist is
+immutable and so is its storage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netlist.hypergraph import Netlist
+from repro.errors import NetlistError
 
 
 def gather_segments(
@@ -112,57 +109,121 @@ class NetlistArrays:
             np.maximum.reduceat(ys, starts),
         )
 
+    @classmethod
+    def from_net_major(
+        cls,
+        net_ptr: np.ndarray,
+        net_cells: np.ndarray,
+        areas: np.ndarray,
+        pin_counts: np.ndarray,
+        fixed_mask: np.ndarray,
+        describe: Callable[[int], Tuple[str, object]],
+        implicit_pins: Optional[np.ndarray] = None,
+    ) -> "NetlistArrays":
+        """Read-only arrays from the net-major side and the cell attributes.
 
-def _csr(segments, count: int, total: int):
-    ptr = np.zeros(count + 1, dtype=np.int64)
-    lengths = np.fromiter(
-        (len(segment) for segment in segments), dtype=np.int64, count=count
-    )
-    np.cumsum(lengths, out=ptr[1:])
-    flat = np.fromiter(
-        (item for segment in segments for item in segment),
-        dtype=np.int64,
-        count=total,
-    )
-    return ptr, flat, lengths
+        Derives the net degrees, ``pin_net`` and the cell-major side (one
+        stable argsort of the pins by cell, so each cell lists its nets in
+        net order).  Cells flagged in ``implicit_pins`` take their incidence
+        degree as pin count; any other cell declaring fewer pins than it
+        has nets raises :class:`NetlistError`, naming the first such cell
+        through ``describe(index) -> (name, declared pin count)``.
+        """
+        num_cells, num_nets = len(areas), len(net_ptr) - 1
+        net_degrees = np.diff(net_ptr)
+        pin_net = np.repeat(np.arange(num_nets, dtype=np.int64), net_degrees)
+        cell_degrees = np.bincount(net_cells, minlength=num_cells)
+        if implicit_pins is not None:
+            pin_counts = np.where(implicit_pins, cell_degrees, pin_counts)
+        short = np.flatnonzero(pin_counts < cell_degrees)
+        if short.size:
+            name, declared = describe(int(short[0]))
+            raise NetlistError(
+                f"cell {name!r} declares {declared} pins but touches "
+                f"{int(cell_degrees[short[0]])} nets"
+            )
+        cell_ptr = np.zeros(num_cells + 1, dtype=np.int64)
+        np.cumsum(cell_degrees, out=cell_ptr[1:])
+        arrays = cls(
+            net_ptr=net_ptr,
+            net_cells=net_cells,
+            cell_ptr=cell_ptr,
+            cell_nets=pin_net[np.argsort(net_cells, kind="stable")],
+            net_degrees=net_degrees,
+            pin_net=pin_net,
+            areas=areas,
+            pin_counts=pin_counts,
+            fixed_mask=fixed_mask,
+        )
+        for array in vars(arrays).values():
+            array.setflags(write=False)
+        return arrays
 
 
-def build_netlist_arrays(netlist: "Netlist") -> NetlistArrays:
-    """Build the flat-array view of ``netlist`` (use ``netlist.arrays``)."""
-    num_cells = netlist.num_cells
-    num_nets = netlist.num_nets
-    net_segments = [netlist.cells_of_net(n) for n in range(num_nets)]
-    cell_segments = [netlist.nets_of_cell(c) for c in range(num_cells)]
-    total = sum(len(segment) for segment in net_segments)
-    net_ptr, net_cells, net_degrees = _csr(net_segments, num_nets, total)
-    cell_ptr, cell_nets, _ = _csr(cell_segments, num_cells, total)
-    pin_net = np.repeat(np.arange(num_nets, dtype=np.int64), net_degrees)
-    areas = np.fromiter(
-        (netlist.cell_area(c) for c in range(num_cells)),
-        dtype=np.float64,
-        count=num_cells,
-    )
-    pin_counts = np.fromiter(
-        (netlist.cell_pin_count(c) for c in range(num_cells)),
-        dtype=np.int64,
-        count=num_cells,
-    )
-    fixed_mask = np.fromiter(
-        (netlist.cell_is_fixed(c) for c in range(num_cells)),
-        dtype=bool,
-        count=num_cells,
-    )
-    arrays = NetlistArrays(
-        net_ptr=net_ptr,
-        net_cells=net_cells,
-        cell_ptr=cell_ptr,
-        cell_nets=cell_nets,
-        net_degrees=net_degrees,
-        pin_net=pin_net,
-        areas=areas,
-        pin_counts=pin_counts,
-        fixed_mask=fixed_mask,
-    )
-    for array in vars(arrays).values():
-        array.setflags(write=False)
-    return arrays
+class NameTable:
+    """Immutable name list stored as one UTF-8 blob plus offsets.
+
+    ``offsets`` is an int64 array of ``len + 1`` byte offsets into
+    ``blob`` (uint8); name ``i`` is ``blob[offsets[i]:offsets[i+1]]``.
+    This is also the pack-file layout — decoding happens per lookup, the
+    full tuple and the name->index dict only on demand.
+    """
+
+    __slots__ = ("offsets", "blob", "_names", "_index")
+
+    def __init__(self, offsets: np.ndarray, blob: np.ndarray) -> None:
+        self.offsets = offsets
+        self.blob = blob
+        self._names: Optional[Tuple[str, ...]] = None
+        self._index: Optional[Dict[str, int]] = None
+
+    @classmethod
+    def from_names(cls, names) -> "NameTable":
+        encoded = [name.encode("utf-8") for name in names]
+        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)),
+            out=offsets[1:],
+        )
+        blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        table = cls(offsets, blob)
+        table._names = tuple(names)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def name(self, index: int) -> str:
+        if self._names is not None:
+            return self._names[index]
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        start, end = int(self.offsets[index]), int(self.offsets[index + 1])
+        return self.blob[start:end].tobytes().decode("utf-8")
+
+    def names(self) -> Tuple[str, ...]:
+        """All names as a tuple (decoded once, then cached)."""
+        if self._names is None:
+            data = self.blob.tobytes()
+            bounds = self.offsets.tolist()
+            self._names = tuple(
+                data[bounds[i]:bounds[i + 1]].decode("utf-8")
+                for i in range(len(self))
+            )
+        return self._names
+
+    def index(self) -> Dict[str, int]:
+        """The name -> position dict (built once, on demand)."""
+        if self._index is None:
+            self._index = {name: i for i, name in enumerate(self.names())}
+        return self._index
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NameTable):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
+            self.blob, other.blob
+        )
+
+    def __hash__(self) -> int:
+        return hash((len(self), int(self.offsets[-1]) if len(self.offsets) else 0))

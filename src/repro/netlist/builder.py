@@ -7,9 +7,13 @@ parsers and the synthetic-workload generators.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import NetlistError
+from repro.netlist.arrays import NameTable, NetlistArrays
 from repro.netlist.hypergraph import Netlist
 
 
@@ -145,40 +149,33 @@ class NetlistBuilder:
             drop_singleton_nets: silently discard nets with a single pin
                 (they can never be cut and carry no connectivity).
         """
-        net_names: List[str] = []
-        net_cells: List[Tuple[int, ...]] = []
-        for name, members in zip(self._net_names, self._net_cells):
-            if drop_singleton_nets and len(members) < 2:
-                continue
-            net_names.append(name)
-            net_cells.append(members)
-
-        cell_nets: List[List[int]] = [[] for _ in range(len(self._cell_names))]
-        for net_index, members in enumerate(net_cells):
-            for cell in members:
-                cell_nets[cell].append(net_index)
-
-        pin_counts: List[int] = []
-        for cell, explicit in enumerate(self._cell_pin_counts):
-            incident = len(cell_nets[cell])
-            if explicit is None:
-                pin_counts.append(incident)
-            else:
-                if explicit < incident:
-                    raise NetlistError(
-                        f"cell {self._cell_names[cell]!r} declares {explicit} pins "
-                        f"but touches {incident} nets"
-                    )
-                pin_counts.append(explicit)
-
+        kept = [
+            index
+            for index, members in enumerate(self._net_cells)
+            if not (drop_singleton_nets and len(members) < 2)
+        ]
+        net_cells = [self._net_cells[index] for index in kept]
+        net_ptr = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, net_cells), dtype=np.int64, count=len(kept)),
+            out=net_ptr[1:],
+        )
+        explicit = self._cell_pin_counts
+        arrays = NetlistArrays.from_net_major(
+            net_ptr=net_ptr,
+            net_cells=np.fromiter(
+                chain.from_iterable(net_cells), dtype=np.int64, count=int(net_ptr[-1])
+            ),
+            areas=np.array(self._cell_areas, dtype=np.float64),
+            pin_counts=np.array([p or 0 for p in explicit], dtype=np.int64),
+            fixed_mask=np.array(self._cell_fixed, dtype=bool),
+            describe=lambda cell: (self._cell_names[cell], explicit[cell]),
+            implicit_pins=np.array([p is None for p in explicit], dtype=bool),
+        )
         return Netlist(
-            cell_names=self._cell_names,
-            cell_areas=self._cell_areas,
-            cell_pin_counts=pin_counts,
-            cell_fixed=self._cell_fixed,
-            net_names=net_names,
-            net_cells=net_cells,
-            cell_nets=[tuple(nets) for nets in cell_nets],
+            arrays,
+            NameTable.from_names(self._cell_names),
+            NameTable.from_names([self._net_names[index] for index in kept]),
         )
 
 

@@ -1,9 +1,19 @@
 """Core hypergraph netlist data structure.
 
 Cells and nets are integer-indexed for speed; names are optional decoration.
-The structure is immutable after construction (build with
-:class:`repro.netlist.builder.NetlistBuilder`), which lets the finder and the
-metrics share it freely across (process) parallel seed runs.
+A :class:`Netlist` holds its content in one read-only CSR
+:class:`~repro.netlist.arrays.NetlistArrays` plus two
+:class:`~repro.netlist.arrays.NameTable` objects, however it was made: by
+:class:`repro.netlist.builder.NetlistBuilder`, by loading a pack file
+(:mod:`repro.io.binfmt`, possibly views over an ``mmap``) or by splicing
+an ECO delta (:func:`repro.incremental.apply_delta`).  The structure is
+immutable, which lets the finder and the metrics share it freely across
+(process) parallel seed runs; pickling ships the pack blob.
+
+Per-attribute accessors answer from the arrays.  ``nets_of_cell``,
+``cells_of_net`` and ``neighbors`` answer from a tuple adjacency that is
+built from the arrays on the first call to one of them (the scalar paths
+use it; the array kernels never do) and is never pickled.
 
 Pin model
 ---------
@@ -19,9 +29,12 @@ representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import NetlistError
+from repro.netlist.arrays import NameTable, NetlistArrays
 
 
 @dataclass(frozen=True)
@@ -67,50 +80,101 @@ class Netlist:
     """Immutable hypergraph netlist ``G = (V, E)``.
 
     Do not call this constructor directly in application code; use
-    :class:`repro.netlist.builder.NetlistBuilder` which validates its input.
+    :class:`repro.netlist.builder.NetlistBuilder`, which validates its
+    input, or :func:`repro.io.binfmt.load_packed`.
+
+    Args:
+        arrays: the CSR storage of the connectivity and the per-cell
+            attributes (may be views over an mmap).
+        cell_names / net_names: the name tables, one name per cell / net.
+        owner: optional object keeping the arrays' backing buffer alive (an
+            ``mmap.mmap`` or the ``bytes`` blob).
+        source: human-readable origin (the pack-file path), used in error
+            messages and by the pool to ship the file to its workers.
     """
 
     __slots__ = (
-        "_cell_names",
-        "_cell_areas",
-        "_cell_pin_counts",
-        "_cell_fixed",
-        "_cell_nets",
-        "_net_names",
-        "_net_cells",
-        "_name_to_cell",
-        "_name_to_net",
-        "_total_pins",
         "_arrays",
+        "_cell_table",
+        "_net_table",
+        "_owner",
+        "source",
+        "_total_pins",
+        "_adjacency",
         "_derived",
     )
 
     def __init__(
         self,
-        cell_names: Sequence[str],
-        cell_areas: Sequence[float],
-        cell_pin_counts: Sequence[int],
-        cell_fixed: Sequence[bool],
-        net_names: Sequence[str],
-        net_cells: Sequence[Tuple[int, ...]],
-        cell_nets: Sequence[Tuple[int, ...]],
+        arrays: NetlistArrays,
+        cell_names: NameTable,
+        net_names: NameTable,
+        owner: object = None,
+        source: str = "",
     ) -> None:
-        self._cell_names: Tuple[str, ...] = tuple(cell_names)
-        self._cell_areas: Tuple[float, ...] = tuple(cell_areas)
-        self._cell_pin_counts: Tuple[int, ...] = tuple(cell_pin_counts)
-        self._cell_fixed: Tuple[bool, ...] = tuple(cell_fixed)
-        self._net_names: Tuple[str, ...] = tuple(net_names)
-        self._net_cells: Tuple[Tuple[int, ...], ...] = tuple(net_cells)
-        self._cell_nets: Tuple[Tuple[int, ...], ...] = tuple(cell_nets)
-        self._name_to_cell: Dict[str, int] = {
-            name: i for i, name in enumerate(self._cell_names)
-        }
-        self._name_to_net: Dict[str, int] = {
-            name: i for i, name in enumerate(self._net_names)
-        }
-        self._total_pins = sum(self._cell_pin_counts)
-        self._arrays = None  # lazy NetlistArrays cache (see arrays property)
-        self._derived = {}  # derived-object cache (see derived_cache property)
+        if len(cell_names) != arrays.num_cells:
+            raise NetlistError(
+                f"name table has {len(cell_names)} cell names for "
+                f"{arrays.num_cells} cells"
+            )
+        if len(net_names) != arrays.num_nets:
+            raise NetlistError(
+                f"name table has {len(net_names)} net names for "
+                f"{arrays.num_nets} nets"
+            )
+        self._arrays = arrays
+        self._cell_table = cell_names
+        self._net_table = net_names
+        self._owner = owner
+        self.source = source
+        self._total_pins = int(arrays.pin_counts.sum())
+        # (cells of each net, nets of each cell) as tuples, built on demand.
+        self._adjacency: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
+        self._derived: Dict = {}  # derived-object cache (see derived_cache)
+
+    # ------------------------------------------------------------------
+    # Storage
+    # ------------------------------------------------------------------
+    @property
+    def arrays(self) -> NetlistArrays:
+        """The read-only CSR :class:`~repro.netlist.arrays.NetlistArrays`."""
+        return self._arrays
+
+    @property
+    def cell_table(self) -> NameTable:
+        """Cell names as a :class:`~repro.netlist.arrays.NameTable`."""
+        return self._cell_table
+
+    @property
+    def net_table(self) -> NameTable:
+        """Net names as a :class:`~repro.netlist.arrays.NameTable`."""
+        return self._net_table
+
+    @property
+    def derived_cache(self) -> Dict:
+        """Mutable cache of derived per-netlist objects, keyed by the caller.
+
+        Safe because the netlist is immutable: entries never invalidate.
+        Used for memoized :class:`~repro.metrics.gtl_score.ScoreContext`
+        instances, the detection kernel's tables and the fingerprint memo.
+        Never pickled.
+        """
+        return self._derived
+
+    def _incidence(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        if self._adjacency is None:
+            arrays = self._arrays
+            sides = []
+            for ptr, flat in (
+                (arrays.net_ptr, arrays.net_cells),
+                (arrays.cell_ptr, arrays.cell_nets),
+            ):
+                bounds, items = ptr.tolist(), flat.tolist()
+                sides.append(
+                    tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+                )
+            self._adjacency = tuple(sides)
+        return self._adjacency
 
     # ------------------------------------------------------------------
     # Sizes and global statistics
@@ -118,12 +182,12 @@ class Netlist:
     @property
     def num_cells(self) -> int:
         """|V| — number of cells including fixed pads."""
-        return len(self._cell_names)
+        return self._arrays.num_cells
 
     @property
     def num_nets(self) -> int:
         """|E| — number of nets."""
-        return len(self._net_names)
+        return self._arrays.num_nets
 
     @property
     def num_pins(self) -> int:
@@ -133,14 +197,14 @@ class Netlist:
     @property
     def num_incidences(self) -> int:
         """Total number of (cell, net) incidences (connected pins)."""
-        return sum(len(nets) for nets in self._cell_nets)
+        return len(self._arrays.net_cells)
 
     @property
     def average_pins_per_cell(self) -> float:
         """``A(G)`` from the paper: total pins divided by |V|."""
-        if not self._cell_names:
+        if not self.num_cells:
             raise NetlistError("average_pins_per_cell of an empty netlist")
-        return self._total_pins / len(self._cell_names)
+        return self._total_pins / self.num_cells
 
     # ------------------------------------------------------------------
     # Cell accessors
@@ -149,10 +213,10 @@ class Netlist:
         """Read-only view of cell ``index``."""
         return Cell(
             index=index,
-            name=self._cell_names[index],
-            area=self._cell_areas[index],
-            pin_count=self._cell_pin_counts[index],
-            fixed=self._cell_fixed[index],
+            name=self.cell_name(index),
+            area=self.cell_area(index),
+            pin_count=self.cell_pin_count(index),
+            fixed=self.cell_is_fixed(index),
         )
 
     def cells(self) -> Iterator[Cell]:
@@ -163,53 +227,54 @@ class Netlist:
     @property
     def cell_names(self) -> Tuple[str, ...]:
         """All cell names in index order (one tuple, no per-cell calls)."""
-        return self._cell_names
+        return self._cell_table.names()
 
     def cell_name(self, index: int) -> str:
         """Name of cell ``index``."""
-        return self._cell_names[index]
+        return self._cell_table.name(index)
 
     def cell_area(self, index: int) -> float:
         """Placement area of cell ``index``."""
-        return self._cell_areas[index]
+        return float(self._arrays.areas[index])
 
     def cell_pin_count(self, index: int) -> int:
         """Pin count of cell ``index`` (explicit or incidence degree)."""
-        return self._cell_pin_counts[index]
+        return int(self._arrays.pin_counts[index])
 
     def cell_is_fixed(self, index: int) -> bool:
         """True when cell ``index`` is a fixed terminal (IO pad)."""
-        return self._cell_fixed[index]
+        return bool(self._arrays.fixed_mask[index])
 
     def cell_index(self, name: str) -> int:
         """Index of the cell called ``name``; raises :class:`NetlistError`."""
         try:
-            return self._name_to_cell[name]
+            return self._cell_table.index()[name]
         except KeyError:
             raise NetlistError(f"unknown cell name {name!r}") from None
 
     def nets_of_cell(self, index: int) -> Tuple[int, ...]:
         """Indices of nets incident to cell ``index``."""
-        return self._cell_nets[index]
+        return self._incidence()[1][index]
 
     def cell_degree(self, index: int) -> int:
         """Number of nets incident to cell ``index``."""
-        return len(self._cell_nets[index])
+        cell_ptr = self._arrays.cell_ptr
+        return int(cell_ptr[index + 1] - cell_ptr[index])
 
     def movable_cells(self) -> List[int]:
         """Indices of all non-fixed cells."""
-        return [i for i in range(self.num_cells) if not self._cell_fixed[i]]
+        return np.flatnonzero(~self._arrays.fixed_mask).tolist()
 
     def fixed_cells(self) -> List[int]:
         """Indices of all fixed cells (pads)."""
-        return [i for i in range(self.num_cells) if self._cell_fixed[i]]
+        return np.flatnonzero(self._arrays.fixed_mask).tolist()
 
     # ------------------------------------------------------------------
     # Net accessors
     # ------------------------------------------------------------------
     def net(self, index: int) -> Net:
         """Read-only view of net ``index``."""
-        return Net(index=index, name=self._net_names[index], cells=self._net_cells[index])
+        return Net(index=index, name=self.net_name(index), cells=self.cells_of_net(index))
 
     def nets(self) -> Iterator[Net]:
         """Iterate over all nets as read-only views."""
@@ -219,86 +284,51 @@ class Netlist:
     @property
     def net_names(self) -> Tuple[str, ...]:
         """All net names in index order (one tuple, no per-net calls)."""
-        return self._net_names
+        return self._net_table.names()
 
     def net_name(self, index: int) -> str:
         """Name of net ``index``."""
-        return self._net_names[index]
+        return self._net_table.name(index)
 
     def net_index(self, name: str) -> int:
         """Index of the net called ``name``; raises :class:`NetlistError`."""
         try:
-            return self._name_to_net[name]
+            return self._net_table.index()[name]
         except KeyError:
             raise NetlistError(f"unknown net name {name!r}") from None
 
     def cells_of_net(self, index: int) -> Tuple[int, ...]:
         """Member cell indices of net ``index``."""
-        return self._net_cells[index]
+        return self._incidence()[0][index]
 
     def net_degree(self, index: int) -> int:
         """|e| — number of pins on net ``index``."""
-        return len(self._net_cells[index])
+        return int(self._arrays.net_degrees[index])
 
     # ------------------------------------------------------------------
     # Neighborhood
     # ------------------------------------------------------------------
     def neighbors(self, index: int) -> List[int]:
         """Distinct cells sharing at least one net with cell ``index``."""
+        net_cells, cell_nets = self._incidence()
         seen = {index}
         result: List[int] = []
-        for net in self._cell_nets[index]:
-            for other in self._net_cells[net]:
+        for net in cell_nets[index]:
+            for other in net_cells[net]:
                 if other not in seen:
                     seen.add(other)
                     result.append(other)
         return result
 
     # ------------------------------------------------------------------
-    # Array-backed view
-    # ------------------------------------------------------------------
-    @property
-    def arrays(self):
-        """Cached :class:`~repro.netlist.arrays.NetlistArrays` flat view.
-
-        Built lazily on first access; the cache never invalidates because
-        the netlist is immutable.  Excluded from pickles (workers rebuild
-        it locally on demand).
-        """
-        if self._arrays is None:
-            from repro.netlist.arrays import build_netlist_arrays
-
-            self._arrays = build_netlist_arrays(self)
-        return self._arrays
-
-    @property
-    def derived_cache(self) -> Dict:
-        """Mutable cache of derived per-netlist objects, keyed by the caller.
-
-        Safe because the netlist is immutable: entries never invalidate.
-        Used for memoized :class:`~repro.metrics.gtl_score.ScoreContext`
-        instances and the detection kernel's scratch workspace.  Like
-        :attr:`arrays`, the cache is excluded from pickles.
-        """
-        return self._derived
-
-    # ------------------------------------------------------------------
     # Dunder conveniences
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        # The array view and derived-object cache are rebuildable, possibly
-        # large, and numpy-backed — keep pickles lean and portable without
-        # them.
-        excluded = ("_arrays", "_derived")
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot not in excluded
-        }
+    def __reduce__(self):
+        # Pickling ships the pack blob; the receiving process rebuilds the
+        # netlist over it in place.
+        from repro.io.binfmt import netlist_from_bytes, serialize_netlist
 
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-        object.__setattr__(self, "_arrays", None)
-        object.__setattr__(self, "_derived", {})
+        return (netlist_from_bytes, (serialize_netlist(self),))
 
     def __repr__(self) -> str:
         return (
@@ -309,14 +339,16 @@ class Netlist:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Netlist):
             return NotImplemented
+        mine, theirs = self._arrays, other._arrays
         return (
-            self._cell_names == other._cell_names
-            and self._cell_areas == other._cell_areas
-            and self._cell_pin_counts == other._cell_pin_counts
-            and self._cell_fixed == other._cell_fixed
-            and self._net_names == other._net_names
-            and self._net_cells == other._net_cells
+            np.array_equal(mine.net_ptr, theirs.net_ptr)
+            and np.array_equal(mine.net_cells, theirs.net_cells)
+            and np.array_equal(mine.areas, theirs.areas)
+            and np.array_equal(mine.pin_counts, theirs.pin_counts)
+            and np.array_equal(mine.fixed_mask, theirs.fixed_mask)
+            and self._cell_table == other._cell_table
+            and self._net_table == other._net_table
         )
 
     def __hash__(self) -> int:
-        return hash((self._cell_names, self._net_cells))
+        return hash((self.num_cells, self.num_nets, self.num_incidences))

@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.finder.config import FinderConfig
-from repro.netlist.backed import name_tables
 from repro.netlist.hypergraph import Netlist
 
 #: Bump when the canonical serialization (or the meaning of a report) changes
@@ -69,8 +68,9 @@ def fingerprint_netlist(netlist: Netlist) -> str:
     net counts.  That covers every cell's name and attributes and every
     net's name and members in index order (netlists are immutable, so
     index order is part of the content); the derived arrays are left out.
-    Any netlist yields the same sections, so a builder-made, pack-loaded,
-    spliced or pickled copy of one design shares one fingerprint.
+    Every netlist stores exactly these sections, so a builder-made,
+    pack-loaded, spliced or pickled copy of one design shares one
+    fingerprint.
 
     Memoized in ``netlist.derived_cache`` (immutability makes that sound);
     pack files store this very fingerprint in their header, so loading one
@@ -80,7 +80,7 @@ def fingerprint_netlist(netlist: Netlist) -> str:
     if cached is not None:
         return cached
     arrays = netlist.arrays
-    cell_table, net_table = name_tables(netlist)
+    cell_table, net_table = netlist.cell_table, netlist.net_table
     digest = hashlib.sha256()
     digest.update(b"repro-netlist-v%d" % FINGERPRINT_VERSION)
     digest.update(netlist.num_cells.to_bytes(8, "little"))

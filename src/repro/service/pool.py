@@ -15,8 +15,9 @@ A design reaches the workers one way: as a pack file (the layout of
 share one page-cache copy of the arrays.  The first batch a worker sees
 for a design also carries the file's path:
 
-* a netlist loaded from a pack file that still exists with a matching
-  header fingerprint ships that file's own path — nothing is serialized;
+* a netlist whose ``source`` is a pack file that still exists with a
+  matching header fingerprint ships that file's own path — nothing is
+  serialized;
 * any other netlist is serialized once into an anonymous temporary file
   (on ``/dev/shm`` when it exists and has room) and the pool ships its
   ``/proc/<pid>/fd/<n>`` path.  No name ever appears in a directory, so
@@ -56,7 +57,6 @@ from repro.errors import ParseError, ServiceError
 from repro.finder.config import FinderConfig
 from repro.finder.finder import _process_batch, _process_seed, _SeedOutcome
 from repro.io.binfmt import load_packed, packed_fingerprint, serialize_netlist
-from repro.netlist.backed import ArrayBackedNetlist
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.service.fingerprint import fingerprint_netlist
@@ -274,7 +274,7 @@ class WorkerPool:
         file; any other design is serialized once into a pool-owned
         anonymous file, reached through this process's ``/proc`` fd entry.
         """
-        if isinstance(netlist, ArrayBackedNetlist) and os.path.isfile(netlist.source):
+        if os.path.isfile(netlist.source):
             try:
                 if packed_fingerprint(netlist.source) == key:
                     return os.path.abspath(netlist.source)

@@ -29,7 +29,7 @@ from repro.io.binfmt import (
     write_packed,
 )
 from repro.io.hgr import write_hgr
-from repro.netlist import ArrayBackedNetlist, NetlistBuilder
+from repro.netlist import Netlist, NetlistBuilder
 from repro.netlist.backend import forced_backend
 from repro.service.fingerprint import fingerprint_netlist
 
@@ -89,7 +89,7 @@ def _assert_bit_identical(loaded, original):
 @given(netlists())
 def test_bytes_roundtrip_bit_identical(netlist):
     loaded = netlist_from_bytes(serialize_netlist(netlist))
-    assert isinstance(loaded, ArrayBackedNetlist)
+    assert isinstance(loaded, Netlist)
     _assert_bit_identical(loaded, netlist)
 
 
@@ -123,7 +123,7 @@ def test_load_design_dispatches_packed(tmp_path, mixed_netlist):
     path = str(tmp_path / "design.nla")
     write_packed(mixed_netlist, path)
     loaded = load_design(path)
-    assert isinstance(loaded, ArrayBackedNetlist)
+    assert isinstance(loaded, Netlist)
     assert loaded == mixed_netlist
 
 
@@ -152,7 +152,7 @@ def test_packed_netlist_pickles_through_blob(tmp_path, mixed_netlist):
     write_packed(mixed_netlist, path)
     loaded = load_packed(path)
     clone = pickle.loads(pickle.dumps(loaded))
-    assert isinstance(clone, ArrayBackedNetlist)
+    assert isinstance(clone, Netlist)
     _assert_bit_identical(clone, mixed_netlist)
 
 

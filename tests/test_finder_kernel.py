@@ -48,6 +48,7 @@ from repro.netlist.ops import (
     scan_ordering_curves,
 )
 from repro.service.codec import report_to_dict
+from repro.service.fingerprint import FINGERPRINT_CACHE_KEY
 from repro.service.store import ResultStore
 
 
@@ -616,7 +617,12 @@ def test_derived_cache_not_pickled(mixed_netlist):
     ScoreContext.for_netlist(mixed_netlist, 0.6)
     KernelTables.for_netlist(mixed_netlist)
     clone = pickle.loads(pickle.dumps(mixed_netlist))
-    assert clone.derived_cache == {}
+    # Only the fingerprint memo, read from the pack header, comes along.
+    assert set(clone.derived_cache) == {FINGERPRINT_CACHE_KEY}
+    assert not any(
+        isinstance(value, (ScoreContext, KernelTables))
+        for value in clone.derived_cache.values()
+    )
 
 
 # ---------------------------------------------------------------- flow

@@ -79,13 +79,13 @@ def test_netlist_arrays_cached_and_readonly(mixed_netlist):
         arrays.net_cells[0] = 7
 
 
-def test_netlist_pickle_drops_arrays_cache(mixed_netlist):
-    _ = mixed_netlist.arrays
+def test_netlist_pickle_roundtrip_keeps_arrays_readonly(mixed_netlist):
     clone = pickle.loads(pickle.dumps(mixed_netlist))
     assert clone == mixed_netlist
-    assert clone._arrays is None  # cache not shipped
-    # The clone lazily rebuilds an equivalent view.
-    np.testing.assert_array_equal(clone.arrays.net_cells, mixed_netlist.arrays.net_cells)
+    for field in vars(clone.arrays):
+        array = getattr(clone.arrays, field)
+        np.testing.assert_array_equal(array, getattr(mixed_netlist.arrays, field))
+        assert not array.flags.writeable, field
 
 
 def _gather_general(flat, starts, lengths):

@@ -24,7 +24,9 @@ from repro.errors import (
     NetlistError,
     ServiceError,
 )
+from repro.finder import find_tangled_logic
 from repro.finder.config import FinderConfig
+from repro.finder.kernel import compiled_kernel
 from repro.generators.perturb import rewire_pins
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.incremental import (
@@ -53,13 +55,14 @@ from repro.incremental.engine import (
 )
 from repro.io.binfmt import (
     load_packed,
-    netlist_from_netlist_arrays,
+    netlist_from_bytes,
     packed_fingerprint,
+    serialize_netlist,
     write_packed,
 )
-from repro.netlist.backed import ArrayBackedNetlist, name_tables
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
+from repro.netlist.hypergraph import Netlist
 from repro.service.codec import report_to_dict
 from repro.service.fingerprint import (
     FINGERPRINT_CACHE_KEY,
@@ -352,7 +355,8 @@ def _assert_same_content(netlist, reference):
         ours, theirs = getattr(netlist.arrays, field), getattr(reference.arrays, field)
         assert ours.dtype == theirs.dtype, field
         np.testing.assert_array_equal(ours, theirs, err_msg=field)
-    assert name_tables(netlist) == name_tables(reference)
+    assert netlist.cell_table == reference.cell_table
+    assert netlist.net_table == reference.net_table
     assert fingerprint_netlist(netlist) == fingerprint_netlist(reference)
 
 
@@ -366,7 +370,7 @@ def test_splice_matches_the_builder(seed):
     built = _random_base(rng)
     delta = _random_delta(built, rng)
     reference = _applied(built, delta, "python")
-    for base in (built, netlist_from_netlist_arrays(built)):
+    for base in (built, netlist_from_bytes(serialize_netlist(built))):
         for backend in BACKENDS:
             outcome = _applied(base, delta, backend)
             if isinstance(reference, tuple):
@@ -418,7 +422,7 @@ def test_apply_delta_rejects_edits_the_base_lacks(backend):
             nets_removed=(NetEdit("second", ("a",)),),
         ), "cell 'first'"),
     ]
-    for base in (old, netlist_from_netlist_arrays(old)):
+    for base in (old, netlist_from_bytes(serialize_netlist(old))):
         for delta, named in ghosts:
             with forced_backend(backend), pytest.raises(
                 NetlistError, match=f"delta edits {named}, which the base"
@@ -443,13 +447,37 @@ def test_one_design_has_one_fingerprint(base, tmp_path):
         pickle.loads(pickle.dumps(base)),
         pickle.loads(pickle.dumps(load_packed(path))),
     ]
-    assert isinstance(spliced, ArrayBackedNetlist)
+    assert isinstance(spliced, Netlist)
     expected = fingerprint_netlist(base)
     assert packed_fingerprint(path) == expected
     for copy in copies:
         copy.derived_cache.pop(FINGERPRINT_CACHE_KEY, None)
         assert fingerprint_netlist(copy) == expected
     assert fingerprint_netlist(edited) != expected
+
+
+def test_kernel_paths_never_build_the_tuple_adjacency(tmp_path):
+    """A detect on a pack-loaded design, an ECO splice into it and an
+    incremental re-detect read only the CSR arrays: the tuple adjacency
+    behind ``nets_of_cell``/``cells_of_net``/``neighbors`` stays unbuilt."""
+    if compiled_kernel() is None:
+        pytest.skip("the scalar grower fallback reads the tuple adjacency")
+    built, _ = planted_gtl_graph(4000, [150], seed=7)
+    _, delta = rewire_pins(built, 0.001, rng=1, return_delta=True)
+    path = str(tmp_path / "base.nla")
+    write_packed(built, path)
+    base = load_packed(path)
+    config = FinderConfig(num_seeds=8, seed=1)
+    with forced_backend("numpy"):
+        find_tangled_logic(base, config)
+        edited = apply_delta(base, delta)
+        with ResultStore(str(tmp_path / "cache")) as store:
+            detect_with_reuse(base, config, store)
+            result = detect_with_reuse(
+                edited, config, store, base=base, delta=delta
+            )
+    assert result.mode == "incremental"
+    assert base._adjacency is None and edited._adjacency is None
 
 
 # ---------------------------------------------------------------- dirty region

@@ -118,7 +118,7 @@ def test_basic_accessors(mixed_netlist):
     assert mixed_netlist.cell_index("a") == 0
     assert mixed_netlist.net_index("n2") == 1
     assert mixed_netlist.cell_is_fixed(3)
-    assert mixed_netlist.cell("a" == "a") is not None
+    assert mixed_netlist.cell(0).name == "a"
 
 
 def test_unknown_names_raise(mixed_netlist):
