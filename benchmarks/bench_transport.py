@@ -114,7 +114,7 @@ def _measure_cold_load(tmp_dir, netlist):
 
 def _measure_pool(netlist, workers, serial_report):
     """One traced pool run: timing, worker memory and shipped bytes."""
-    config = FinderConfig(num_seeds=NUM_SEEDS, seed=1, workers=workers)
+    config = FinderConfig(num_seeds=NUM_SEEDS, seed=1)
     trace.enable()
     try:
         with WorkerPool(workers) as pool:

@@ -38,6 +38,11 @@ Subcommands:
   against an already-known base design.
 * ``status``       — query a running daemon (server stats or one job).
 
+``--workers N`` (``batch``, ``sweep``, ``flow run``, ``detect``, ``serve``)
+sizes the :class:`~repro.service.pool.WorkerPool` that runs the seed
+trials.  It is not part of any finder config: reports and cache keys are
+the same for every N.
+
 Examples::
 
     tangled-logic detect design.aux --seeds 100 --metric gtl_sd --no-cache
@@ -744,6 +749,7 @@ def _write_membership(path: str, netlist, report) -> None:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.incremental import detect_with_reuse
+    from repro.service.pool import WorkerPool
 
     netlist = _load_design(args.design)
     config = FinderConfig(
@@ -751,7 +757,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         metric=args.metric,
         max_order_length=args.max_order_length,
         min_gtl_size=args.min_size,
-        workers=args.workers,
         seed=args.seed,
     )
     base_netlist = None
@@ -763,15 +768,17 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             base_fingerprint = args.base  # a netlist fingerprint from a prior run
 
     def execute(store):
-        result = detect_with_reuse(
-            netlist,
-            config,
-            store,
-            base=base_netlist,
-            base_fingerprint=base_fingerprint,
-            halo=args.halo,
-            full_threshold=args.full_threshold,
-        )
+        # One pool for the whole command: a full run and an incremental
+        # patch's dirty seeds both fan out over it.
+        with WorkerPool(args.workers) as pool:
+            result = detect_with_reuse(
+                netlist,
+                config,
+                store,
+                base=base_netlist,
+                base_fingerprint=base_fingerprint,
+                pool=pool,
+            )
         lines = [result.report.summary(), result.summary()]
         if result.base_fingerprint:
             lines.append(f"base fingerprint: {result.base_fingerprint[:12]}, "
@@ -972,18 +979,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base to patch from: a design file, or the "
                         "netlist fingerprint of a prior cached run "
                         "(default: the per-config head pointer)")
-    detect.add_argument("--halo", type=int, default=0,
-                        help="extra dirty-region hops (conservatism knob; "
-                        "never changes results)")
-    detect.add_argument("--full-threshold", type=float, default=0.25,
-                        help="dirty fraction above which a full recompute "
-                        "is cheaper than patching")
     detect.add_argument("--seeds", type=int, default=100, dest="seeds")
     detect.add_argument("--metric", choices=("gtl_s", "ngtl_s", "gtl_sd"),
                         default="gtl_sd")
     detect.add_argument("--max-order-length", type=int, default=0)
     detect.add_argument("--min-size", type=int, default=30)
-    detect.add_argument("--workers", type=int, default=1)
+    detect.add_argument("--workers", type=int, default=1,
+                        help="parallel seed trials (full run and patch)")
     detect.add_argument("--seed", type=int, default=0,
                         help="RNG seed (incremental reuse requires one)")
     detect.add_argument("--cache-dir", default="",

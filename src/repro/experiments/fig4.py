@@ -54,15 +54,12 @@ def run_fig4(
     scale: float = 0.25,
     num_seeds: int = 64,
     seed: int = 2010,
-    workers: int = 1,
     show_map: bool = True,
 ) -> ExperimentResult:
     """Reproduce Figure 4 on the bigblue1-like design."""
     spec = default_bigblue1_like(scale)
     netlist, _ = generate_ispd_like(spec, seed=seed)
-    report = detect(
-        netlist, FinderConfig(num_seeds=num_seeds, seed=seed + 1, workers=workers)
-    )
+    report = detect(netlist, FinderConfig(num_seeds=num_seeds, seed=seed + 1))
     placement = place(netlist)
 
     rng = ensure_rng(seed + 2)

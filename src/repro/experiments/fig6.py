@@ -46,16 +46,13 @@ def run_fig6(
     spec: Optional[IndustrialSpec] = None,
     num_seeds: int = 128,
     seed: int = 2010,
-    workers: int = 1,
     show_map: bool = True,
 ) -> ExperimentResult:
     """Reproduce Figures 1 and 6 on the industrial-like design."""
     if spec is None:
         spec = IndustrialSpec()
     netlist, _ = generate_industrial(spec, seed=seed)
-    report = detect(
-        netlist, FinderConfig(num_seeds=num_seeds, seed=seed + 1, workers=workers)
-    )
+    report = detect(netlist, FinderConfig(num_seeds=num_seeds, seed=seed + 1))
     placement = place(netlist, utilization=UTILIZATION)
     cmap = build_congestion_map(
         placement, grid=GRID, target_average_occupancy=TARGET_AVERAGE_OCCUPANCY

@@ -34,16 +34,13 @@ def run_fig7(
     num_seeds: int = 128,
     seed: int = 2010,
     inflation: float = 4.0,
-    workers: int = 1,
     show_maps: bool = False,
 ) -> ExperimentResult:
     """Reproduce Figure 7 (and the congestion numbers of Section 5.1.3)."""
     if spec is None:
         spec = IndustrialSpec()
     netlist, _ = generate_industrial(spec, seed=seed)
-    report = detect(
-        netlist, FinderConfig(num_seeds=num_seeds, seed=seed + 1, workers=workers)
-    )
+    report = detect(netlist, FinderConfig(num_seeds=num_seeds, seed=seed + 1))
     gtl_cells = set()
     for gtl in report.gtls:
         gtl_cells.update(gtl.cells)

@@ -47,7 +47,6 @@ def run_table1(
     scale: float = 0.1,
     num_seeds: int = 100,
     seed: int = 2010,
-    workers: int = 1,
     cases: Optional[Sequence[Tuple[int, Sequence[int]]]] = None,
 ) -> ExperimentResult:
     """Reproduce Table 1.
@@ -56,7 +55,6 @@ def run_table1(
         scale: size multiplier on the paper's graphs (0.1 default).
         num_seeds: finder seeds per case (paper: 100).
         seed: RNG seed for generation and the finder.
-        workers: process-parallel seed runs.
         cases: explicit ``(num_cells, gtl_sizes)`` cases (overrides scale).
     """
     if cases is None:
@@ -82,9 +80,7 @@ def run_table1(
         netlist, truth = planted_gtl_graph(
             num_cells, list(gtl_sizes), seed=seed + case_index
         )
-        config = FinderConfig(
-            num_seeds=num_seeds, seed=seed + 100 + case_index, workers=workers
-        )
+        config = FinderConfig(num_seeds=num_seeds, seed=seed + 100 + case_index)
         report = detect(netlist, config)
         matches = match_to_ground_truth(truth, report.gtls)
         detected = sum(1 for m in matches if m.detected)

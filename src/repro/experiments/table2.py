@@ -24,7 +24,6 @@ def run_table2(
     scale: float = 0.25,
     num_seeds: int = 100,
     seed: int = 2010,
-    workers: int = 1,
     top_k: int = 3,
     netlists: Optional[Sequence[Tuple[str, Netlist]]] = None,
 ) -> ExperimentResult:
@@ -35,7 +34,6 @@ def run_table2(
             ~17K-65K cells per design — the paper's designs are ~15x that).
         num_seeds: finder seeds per benchmark (paper: 100).
         seed: RNG seed.
-        workers: process-parallel seed runs (paper: 8 pthreads).
         top_k: how many top GTLs to report per benchmark (paper: 3).
         netlists: optional explicit ``(name, netlist)`` benchmarks, e.g.
             parsed from real ISPD Bookshelf files.
@@ -65,9 +63,7 @@ def run_table2(
         benches = list(netlists)
 
     for bench_index, (name, netlist) in enumerate(benches):
-        config = FinderConfig(
-            num_seeds=num_seeds, seed=seed + bench_index, workers=workers
-        )
+        config = FinderConfig(num_seeds=num_seeds, seed=seed + bench_index)
         report = detect(netlist, config)
         # The report's own runtime, not wall clock around detect(): a cache
         # hit must still show the detection time the paper column compares.

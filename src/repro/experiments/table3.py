@@ -26,7 +26,6 @@ def run_table3(
     spec: Optional[IndustrialSpec] = None,
     num_seeds: int = 128,
     seed: int = 2010,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Reproduce Table 3.
 
@@ -35,12 +34,11 @@ def run_table3(
             ROMs, four large + one small, in ~12K gates of modular glue).
         num_seeds: finder seeds (the small block needs ~100+ to be hit).
         seed: RNG seed.
-        workers: process-parallel seed runs.
     """
     if spec is None:
         spec = IndustrialSpec()
     netlist, truth = generate_industrial(spec, seed=seed)
-    config = FinderConfig(num_seeds=num_seeds, seed=seed + 1, workers=workers)
+    config = FinderConfig(num_seeds=num_seeds, seed=seed + 1)
     report = detect(netlist, config)
     matches = match_to_ground_truth(truth, report.gtls)
 

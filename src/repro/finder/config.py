@@ -19,6 +19,10 @@ DEFAULT_RENT_EXPONENT = 0.6
 class FinderConfig:
     """All knobs of :class:`repro.finder.finder.TangledLogicFinder`.
 
+    Every field can change the report.  How many processes run the seed
+    trials is not a config field: it is the size of the
+    :class:`~repro.service.pool.WorkerPool` the run is handed.
+
     Attributes:
         num_seeds: ``m``, number of independent random seed runs (the paper
             uses 100 for every experiment).
@@ -49,8 +53,6 @@ class FinderConfig:
             orderings; GTLs are logic structures.
         rent_min_prefix: smallest prefix size used by the Rent-exponent
             estimator (at least 2).
-        workers: process-parallel seed runs (1 = serial; the paper uses 8
-            pthreads).
         seed_strategy: how seed cells are drawn — ``"uniform"`` (the
             paper), ``"pin_density"``, ``"clustering"`` or ``"stratified"``
             (see :mod:`repro.finder.seeding`).
@@ -68,7 +70,6 @@ class FinderConfig:
     refine_length_factor: float = 2.0
     exclude_fixed: bool = True
     rent_min_prefix: int = 8
-    workers: int = 1
     seed_strategy: str = "uniform"
     seed: Optional[int] = None
 
@@ -97,8 +98,6 @@ class FinderConfig:
         if self.rent_min_prefix < 2:
             # A size-1 prefix puts log(1) = 0 in the Rent fit's denominator.
             raise FinderError("rent_min_prefix must be >= 2")
-        if self.workers < 1:
-            raise FinderError("workers must be >= 1")
         from repro.finder.seeding import STRATEGIES
 
         if self.seed_strategy not in STRATEGIES:

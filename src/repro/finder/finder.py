@@ -1,12 +1,12 @@
 """The full tangled-logic finder pipeline (Algorithm, Chapter IV).
 
 Each random seed runs Phases I-III independently — the paper exploits this
-with 8 pthreads; here seed runs are distributed over a
-:class:`repro.service.pool.WorkerPool` when ``config.workers > 1`` (default
-serial, which is deterministic and has no pickling overhead for small
-designs).  Batch drivers (:class:`repro.service.jobs.BatchRunner`) pass a
-persistent pool into :meth:`TangledLogicFinder.run` so many detections share
-one set of worker processes.
+with 8 pthreads; here :meth:`TangledLogicFinder.run` distributes the seed
+runs over the :class:`repro.service.pool.WorkerPool` it is handed, and runs
+them serially without one.  Parallelism is the pool's choice, never the
+config's: the report is identical either way.  Batch drivers
+(:class:`repro.service.jobs.BatchRunner`) keep one persistent pool so many
+detections share one set of worker processes.
 
 Rent-exponent handling: Phase II estimates a Rent exponent per ordering (the
 paper's estimator) from the same single prefix scan that yields the
@@ -227,9 +227,8 @@ class TangledLogicFinder:
         """Execute Phases I-III for all seeds and return the report.
 
         Args:
-            pool: a persistent :class:`repro.service.pool.WorkerPool` to run
-                the seed trials on; ``None`` executes serially or, when
-                ``config.workers > 1``, on an ephemeral pool.
+            pool: a :class:`repro.service.pool.WorkerPool` to run the seed
+                trials on; ``None`` runs them serially in this process.
         """
         config = self.config
         with Timer() as timer, trace.span(
@@ -239,8 +238,6 @@ class TangledLogicFinder:
 
             if pool is not None:
                 outcomes = pool.run_seed_jobs(self.netlist, config, jobs)
-            elif config.workers > 1 and len(jobs) > 1:
-                outcomes = self._run_parallel(jobs)
             else:
                 outcomes = _process_batch(self.netlist, config, jobs)
 
@@ -259,15 +256,6 @@ class TangledLogicFinder:
             runtime_seconds=timer.elapsed,
             rent_fallback=rent_fallback,
         )
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, jobs: List[Tuple[int, int]]) -> List[_SeedOutcome]:
-        """One-shot parallel run on an ephemeral service pool."""
-        from repro.service.pool import WorkerPool
-
-        workers = min(self.config.workers, len(jobs))
-        with WorkerPool(workers) as pool:
-            return pool.run_seed_jobs(self.netlist, self.config, jobs)
 
 
 def find_tangled_logic(

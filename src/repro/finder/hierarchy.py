@@ -106,7 +106,6 @@ def _descend(
         num_seeds=min(sub_seeds, max(2, sub_netlist.num_cells - 1)),
         max_order_length=max(min_size + 1, sub_netlist.num_cells // 2),
         min_gtl_size=min_size,
-        workers=1,
     )
     sub_report = TangledLogicFinder(sub_netlist, sub_config).run()
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import FlowError, ReproError, ServiceError
+from repro.flow.artifacts import decode_artifact, encode_artifact
 from repro.flow.context import FlowContext
 from repro.flow.stage import Stage, StageResult
 from repro.netlist.hypergraph import Netlist
@@ -244,7 +245,7 @@ class Flow:
         if payload is None:
             return None
         try:
-            return stage.decode_artifact(payload, ctx)
+            return decode_artifact(stage.kind, payload, ctx)
         except ReproError as error:
             # Structurally valid JSON that no longer decodes (artifact codec
             # skew): drop the row and recompute.
@@ -262,7 +263,7 @@ class Flow:
         try:
             store.put_payload(
                 fingerprint,
-                stage.encode_artifact(artifact),
+                encode_artifact(stage.kind, artifact),
                 kind=stage.kind,
                 num_items=stage.cache_items(artifact),
                 runtime_seconds=elapsed,

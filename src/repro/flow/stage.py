@@ -109,16 +109,11 @@ class Stage:
 
         DetectStage(FinderConfig(num_seeds=64, seed=1))
         PartitionStage(balance_tolerance=0.2)
-
-    Attributes:
-        execution_only: config fields excluded from the fingerprint because
-            they affect speed, never results (e.g. ``workers``).
     """
 
     name: str = ""
     kind: str = ""
     Config: type = StageConfig
-    execution_only: frozenset = frozenset()
 
     def __init__(self, config=None, **overrides) -> None:
         if config is not None and not isinstance(config, self.Config):
@@ -140,7 +135,7 @@ class Stage:
 
     def config_fingerprint(self) -> str:
         """Content fingerprint of this stage's config."""
-        return fingerprint_frozen_config(self.config, self.execution_only)
+        return fingerprint_frozen_config(self.config)
 
     def fingerprint(self, inputs: Sequence[str]) -> str:
         """Store key of this stage's artifact, given the design fingerprint
@@ -166,23 +161,6 @@ class Stage:
     def cache_items(self, artifact: Any) -> int:
         """Item count recorded next to the cached payload (store metadata)."""
         return 0
-
-    def decode_artifact(self, payload: Dict[str, Any], ctx) -> Any:
-        """Rebuild this stage's artifact from its stored payload.
-
-        The default defers to the kind's registered codec; stages may
-        override to post-process (e.g. normalizing execution-only config
-        fields on a cached detection report).
-        """
-        from repro.flow.artifacts import decode_artifact
-
-        return decode_artifact(self.kind, payload, ctx)
-
-    def encode_artifact(self, artifact: Any) -> Dict[str, Any]:
-        """JSON-safe payload of ``artifact`` (defers to the kind codec)."""
-        from repro.flow.artifacts import encode_artifact
-
-        return encode_artifact(self.kind, artifact)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -19,7 +19,6 @@ detection report), so the same stage composes into many flows.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -43,15 +42,14 @@ from repro.service.fingerprint import stage_fingerprint
 class DetectStage(Stage):
     """Run the paper's three-phase GTL finder on the current design.
 
-    Its config *is* :class:`~repro.finder.config.FinderConfig`; ``workers``
-    is execution-only (excluded from the fingerprint), and a shared flow
-    worker pool is used for the seed trials when the context carries one.
+    Its config *is* :class:`~repro.finder.config.FinderConfig`; the seed
+    trials run on the flow's worker pool when the context carries one, and
+    serially otherwise.
     """
 
     name = "detect"
     kind = artifacts.KIND_FINDER_REPORT
     Config = FinderConfig
-    execution_only = frozenset({"workers"})
 
     @property
     def deterministic(self) -> bool:
@@ -59,15 +57,6 @@ class DetectStage(Stage):
 
     def compute(self, ctx):
         return TangledLogicFinder(ctx.netlist, self.config).run(pool=ctx.pool)
-
-    def decode_artifact(self, payload, ctx):
-        report = super().decode_artifact(payload, ctx)
-        # The fingerprint ignores execution-only fields (workers), so a hit
-        # may have been computed under a different worker count: report the
-        # *requesting* stage's config, not the producer's.
-        if report.config != self.config:
-            report = dataclasses.replace(report, config=self.config)
-        return report
 
     def metadata(self, report) -> Dict[str, object]:
         from repro.netlist.backend import resolve_backend
@@ -96,10 +85,8 @@ class IncrementalDetectStage(DetectStage):
     therefore the same store key — but computes a miss through
     :func:`repro.incremental.engine.run_with_reuse`: when the flow's
     result store holds a traced base run under this config, only the
-    seeds the netlist edit could have influenced are re-run.  ``halo`` and
-    ``full_threshold`` tune reuse, not results, so they stay outside the
-    stage fingerprint; without a store it degrades to a plain full
-    detection.
+    seeds the netlist edit could have influenced are re-run.  Without a
+    store it degrades to a plain full detection.
 
     The base defaults to the config's latest traced run.  In-process
     callers that know it set the ``base`` (a netlist) or
@@ -109,16 +96,8 @@ class IncrementalDetectStage(DetectStage):
 
     name = "incremental_detect"
 
-    def __init__(self, config=None, *, halo: int = 0,
-                 full_threshold: Optional[float] = None, **overrides):
-        from repro.incremental.engine import DEFAULT_FULL_THRESHOLD
-
+    def __init__(self, config=None, **overrides):
         super().__init__(config, **overrides)
-        self.halo = int(halo)
-        self.full_threshold = (
-            DEFAULT_FULL_THRESHOLD if full_threshold is None
-            else float(full_threshold)
-        )
         self.base = None
         self.base_fingerprint = ""
         self.delta = None
@@ -141,8 +120,6 @@ class IncrementalDetectStage(DetectStage):
             base=self.base,
             base_fingerprint=self.base_fingerprint,
             delta=self.delta,
-            halo=self.halo,
-            full_threshold=self.full_threshold,
             pool=ctx.pool,
         )
         self._last_incremental = result

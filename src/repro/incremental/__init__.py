@@ -26,7 +26,6 @@ from repro.incremental.dirty import (
     expand_frontier,
 )
 from repro.incremental.engine import (
-    DEFAULT_FULL_THRESHOLD,
     KIND_FINDER_TRACE,
     KIND_INCREMENTAL_HEAD,
     KIND_INCREMENTAL_PROVENANCE,
@@ -41,7 +40,6 @@ from repro.incremental.engine import (
 
 __all__ = [
     "DELTA_VERSION",
-    "DEFAULT_FULL_THRESHOLD",
     "KIND_FINDER_TRACE",
     "KIND_INCREMENTAL_HEAD",
     "KIND_INCREMENTAL_PROVENANCE",

@@ -7,11 +7,9 @@ growth, prefix cut/pin curves, group statistics of the genetic family —
 reads only nets incident to absorbed cells or to their immediate frontier.
 So an edit can change the job's outcome only if some *endpoint* of an
 edited net (or an attribute-changed cell) lies within one hypergraph hop
-of the footprint.  Equivalently: expand the endpoints by ``1 + halo``
-frontier hops on the edited netlist and test intersection with the
-footprint.  ``halo`` (default 0) is the conservatism knob — extra hops
-never change results (parity is the invariant either way), they only
-trade reuse for safety margin against future kernel changes.
+of the footprint.  Equivalently: expand the endpoints by
+:data:`DIRTY_HOPS` (one) frontier hop on the edited netlist and test
+intersection with the footprint.
 
 The expansion is one CSR frontier pass per hop on the array backend
 (cells → incident nets → member cells, exactly the
@@ -31,20 +29,22 @@ from repro.obs import trace
 
 from repro.incremental.delta import NetlistDelta
 
+#: Frontier hops the edit endpoints are expanded by: frontier-weight
+#: effects reach exactly one hop beyond an edited net's endpoints.
+DIRTY_HOPS = 1
+
 
 @dataclass(frozen=True)
 class DirtyRegion:
-    """The cells an edit could have influenced, plus bookkeeping.
+    """The cells an edit could have influenced.
 
     Attributes:
         cells: dirty cell indices on the *edited* netlist.
         fraction: ``len(cells) / num_cells`` of the edited netlist.
-        hops: frontier hops the endpoints were expanded by (``1 + halo``).
     """
 
     cells: FrozenSet[int]
     fraction: float
-    hops: int
 
     def intersects(self, footprint: Iterable[int]) -> bool:
         """True when any footprint cell is dirty."""
@@ -134,27 +134,20 @@ def expand_frontier(netlist: Netlist, cells: Set[int], hops: int) -> Set[int]:
     return dirty
 
 
-def dirty_region(new: Netlist, delta: NetlistDelta, halo: int = 0) -> DirtyRegion:
-    """Compute the :class:`DirtyRegion` of ``delta`` on the edited netlist.
-
-    ``halo`` adds conservative extra hops on top of the one hop required
-    for correctness (frontier-weight effects reach one hop beyond the
-    edited nets' endpoints).
-    """
-    if halo < 0:
-        raise NetlistError("halo must be >= 0")
-    hops = 1 + halo
-    with trace.span("incremental.dirty", halo=halo):
+def dirty_region(new: Netlist, delta: NetlistDelta) -> DirtyRegion:
+    """Compute the :class:`DirtyRegion` of ``delta`` on the edited netlist."""
+    with trace.span("incremental.dirty"):
         endpoints = delta_endpoint_cells(new, delta)
-        cells = expand_frontier(new, endpoints, hops)
+        cells = expand_frontier(new, endpoints, DIRTY_HOPS)
         fraction = len(cells) / new.num_cells if new.num_cells else 0.0
         if trace.enabled():
             trace.counter("incremental.dirty_cells").add(len(cells))
             trace.gauge("incremental.dirty_fraction").set(fraction)
-    return DirtyRegion(cells=frozenset(cells), fraction=fraction, hops=hops)
+    return DirtyRegion(cells=frozenset(cells), fraction=fraction)
 
 
 __all__ = [
+    "DIRTY_HOPS",
     "DirtyRegion",
     "delta_endpoint_cells",
     "dirty_region",

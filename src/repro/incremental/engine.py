@@ -21,8 +21,8 @@ when they are not:
   exponent, coupling every group's score to the whole netlist);
 * the per-index seed plan diverged (weighted seed strategies sample by
   netlist statistics) — per-seed, not global;
-* the dirty fraction exceeds ``full_threshold`` (patching would re-run
-  nearly everything anyway, so skip the bookkeeping).
+* the dirty fraction exceeds :data:`FULL_THRESHOLD` (patching would
+  re-run nearly everything anyway, so skip the bookkeeping).
 
 Persistence: :func:`detect_with_reuse` runs a one-stage
 :class:`~repro.flow.flow.Flow`, which looks up and records the report
@@ -88,9 +88,10 @@ KIND_INCREMENTAL_HEAD = "incremental_head"
 #: Version of the persisted seed-trace payload.
 TRACE_VERSION = 1
 
-#: Default dirty-fraction ceiling beyond which patching falls back to a
-#: full recompute.
-DEFAULT_FULL_THRESHOLD = 0.25
+#: Dirty-fraction ceiling beyond which patching falls back to a full
+#: recompute.  Like every reuse decision it changes how many seeds re-run,
+#: never the report.
+FULL_THRESHOLD = 0.25
 
 #: Subdirectory of the store's cache dir holding packed base designs.
 DESIGNS_SUBDIR = "designs"
@@ -300,8 +301,6 @@ def incremental_detect(
     config: Optional[FinderConfig] = None,
     *,
     delta: Optional[NetlistDelta] = None,
-    halo: int = 0,
-    full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
 ) -> IncrementalResult:
     """Patch a traced base run onto the edited netlist ``new``.
@@ -367,11 +366,11 @@ def incremental_detect(
         ):
             return _full("fixed flags changed")
 
-        region = dirty_region(new, delta, halo=halo)
-        if region.fraction > full_threshold:
+        region = dirty_region(new, delta)
+        if region.fraction > FULL_THRESHOLD:
             return _full(
                 f"dirty fraction {region.fraction:.1%} exceeds "
-                f"threshold {full_threshold:.1%}",
+                f"threshold {FULL_THRESHOLD:.1%}",
                 region,
             )
 
@@ -509,8 +508,6 @@ def run_with_reuse(
     base: Optional[Netlist] = None,
     base_fingerprint: str = "",
     delta: Optional[NetlistDelta] = None,
-    halo: int = 0,
-    full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
 ) -> IncrementalResult:
     """Compute a detection the report cache missed, patching when sound.
@@ -531,8 +528,7 @@ def run_with_reuse(
         result = _try_incremental(
             netlist, config, store,
             base=base, base_fingerprint=base_fingerprint, delta=delta,
-            netlist_fp=fingerprint_netlist(netlist), halo=halo,
-            full_threshold=full_threshold, pool=pool,
+            netlist_fp=fingerprint_netlist(netlist), pool=pool,
         )
     else:
         result = "no result store" if store is None else "unpinned seed"
@@ -559,8 +555,6 @@ def detect_with_reuse(
     base: Optional[Netlist] = None,
     base_fingerprint: str = "",
     delta: Optional[NetlistDelta] = None,
-    halo: int = 0,
-    full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
 ) -> IncrementalResult:
     """Detect on ``netlist``, reusing whatever the store makes sound.
@@ -577,9 +571,7 @@ def detect_with_reuse(
 
     if store is None:
         return run_with_reuse(netlist, config, None, pool=pool)
-    stage = IncrementalDetectStage(
-        config, halo=halo, full_threshold=full_threshold
-    )
+    stage = IncrementalDetectStage(config)
     stage.base, stage.base_fingerprint, stage.delta = base, base_fingerprint, delta
     outcome = Flow([stage], name="detect").run(netlist, store=store, pool=pool)
     return stage.incremental_result(outcome.results[0])
@@ -594,8 +586,6 @@ def _try_incremental(
     base_fingerprint: str,
     delta: Optional[NetlistDelta],
     netlist_fp: str,
-    halo: int,
-    full_threshold: float,
     pool: Optional[Any],
 ) -> Union[IncrementalResult, str]:
     """Resolve a usable base + trace and patch; without one, the reason
@@ -634,15 +624,13 @@ def _try_incremental(
                 os.unlink(path)
             return f"unloadable base pack {path} removed"
     return incremental_detect(
-        base, netlist, seed_trace, config,
-        delta=delta, halo=halo, full_threshold=full_threshold,
-        pool=pool,
+        base, netlist, seed_trace, config, delta=delta, pool=pool
     )
 
 
 __all__ = [
-    "DEFAULT_FULL_THRESHOLD",
     "DESIGNS_SUBDIR",
+    "FULL_THRESHOLD",
     "KIND_FINDER_TRACE",
     "KIND_INCREMENTAL_HEAD",
     "KIND_INCREMENTAL_PROVENANCE",

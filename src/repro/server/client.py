@@ -180,9 +180,11 @@ class Client:
                 time.sleep(busy.retry_after_s)
 
     def detect(self, design: str, **config: Any) -> Dict[str, Any]:
-        """Convenience: synchronous detect submit with config kwargs.
+        """Convenience: synchronous detect submit with config kwargs
+        (:class:`~repro.finder.config.FinderConfig` fields; the daemon's
+        pool decides parallelism).
 
-        >>> client.detect("a.hgr", seed=7, workers=2)  # doctest: +SKIP
+        >>> client.detect("a.hgr", seed=7, num_seeds=16)  # doctest: +SKIP
         """
         return self.submit(design, kind="detect", config=config)
 

@@ -12,9 +12,9 @@ Three levels of key:
 * :func:`fingerprint_netlist` — the full content of a design, one bulk
   hash over its canonical CSR arrays and name tables (no Python walk over
   cells or nets);
-* :func:`fingerprint_frozen_config` — any frozen config dataclass, with
-  execution-only knobs (e.g. ``workers``: they change how fast a stage
-  runs, never what it returns) excluded;
+* :func:`fingerprint_frozen_config` — any frozen config dataclass, over
+  all of its fields (a config holds only what decides the result; how
+  many processes compute it is the worker pool's business);
 * :func:`stage_fingerprint` — one flow stage: its name, its config
   fingerprint and the fingerprints of everything upstream of it (the
   design plus every prior stage), so *any* stage artifact — not just a
@@ -41,9 +41,6 @@ from repro.netlist.hypergraph import Netlist
 #: Bump when the canonical serialization (or the meaning of a report) changes
 #: so stale persisted caches are never read back under a new scheme.
 FINGERPRINT_VERSION = 2
-
-#: Config fields that do not influence detection results.
-_EXECUTION_ONLY_FIELDS = frozenset({"workers"})
 
 #: ``Netlist.derived_cache`` key memoizing :func:`fingerprint_netlist`.
 #: Netlists are immutable, so the fingerprint is computed at most once per
@@ -144,21 +141,17 @@ def _normalize_config_value(value, field_type) -> object:
     return value
 
 
-def fingerprint_frozen_config(
-    config, execution_only: frozenset = frozenset()
-) -> str:
+def fingerprint_frozen_config(config) -> str:
     """SHA-256 fingerprint of any frozen config dataclass.
 
     The canonical form is a sorted compact-JSON dump of the config's
-    fields with ``execution_only`` fields dropped, numeric values
-    normalized to their declared types (see :func:`_normalize_config_value`)
-    and the config's class name mixed in (two stage configs with identical
-    fields must not collide).
+    fields, numeric values normalized to their declared types (see
+    :func:`_normalize_config_value`), with the config's class name mixed
+    in (two stage configs with identical fields must not collide).
     """
     fields = {
         field.name: _normalize_config_value(getattr(config, field.name), field.type)
         for field in dataclasses.fields(config)
-        if field.name not in execution_only
     }
     canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"), default=list)
     digest = hashlib.sha256()
@@ -169,9 +162,8 @@ def fingerprint_frozen_config(
 
 
 def fingerprint_config(config: FinderConfig) -> str:
-    """SHA-256 fingerprint of the result-relevant fields of a
-    :class:`FinderConfig` (``workers`` excluded)."""
-    return fingerprint_frozen_config(config, execution_only=_EXECUTION_ONLY_FIELDS)
+    """SHA-256 fingerprint of a :class:`FinderConfig`."""
+    return fingerprint_frozen_config(config)
 
 
 def stage_fingerprint(

@@ -37,8 +37,8 @@ class DetectionJob:
 
     Attributes:
         netlist: the design to scan.
-        config: finder configuration (its ``workers`` field is ignored by
-            the batch path — the runner's pool decides parallelism).
+        config: finder configuration (the runner's pool decides
+            parallelism).
         label: caller-facing name (e.g. the design file), carried through to
             the result; not part of the fingerprint.
     """

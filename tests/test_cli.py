@@ -273,3 +273,70 @@ def test_cli_diff_identical_designs(tmp_path, capsys):
     write_hgr(netlist, path)
     assert main(["diff", path, path]) == 0
     assert "netlists identical" in capsys.readouterr().out
+
+
+def test_cli_detect_workers_patches_on_the_pool(tmp_path, capsys, monkeypatch):
+    """``detect --workers 2`` runs an incremental patch's dirty seeds on
+    its pool, and the patched report equals a serial cold run."""
+    from repro.finder import FinderConfig, TangledLogicFinder
+    from repro.generators.perturb import rewire_pins
+    from repro.io import load_design
+    from repro.service import ResultStore, job_fingerprint
+    from repro.service import pool as pool_module
+    from repro.service.codec import report_to_dict
+
+    pools = []
+
+    class RecordingPool(pool_module.WorkerPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(pool_module, "WorkerPool", RecordingPool)
+
+    netlist, _ = planted_gtl_graph(800, [60], seed=5)
+    base_path = str(tmp_path / "base.hgr")
+    write_hgr(netlist, base_path)
+    edited_path = str(tmp_path / "edited.hgr")
+    write_hgr(rewire_pins(load_design(base_path), 0.003, rng=1), edited_path)
+
+    cache = str(tmp_path / "cache")
+    common = ["--seeds", "8", "--seed", "3", "--max-order-length", "20",
+              "--cache-dir", cache, "--workers", "2"]
+    assert main(["detect", base_path] + common) == 0
+    assert "full recompute" in capsys.readouterr().out
+    assert main(["detect", edited_path] + common) == 0
+    out = capsys.readouterr().out
+    assert "incremental: 4/8 seed(s) re-run" in out
+    assert [pool.workers for pool in pools] == [2, 2]
+    assert pools[1].stats.batches > 0
+
+    edited = load_design(edited_path)
+    config = FinderConfig(num_seeds=8, seed=3, max_order_length=20)
+    cold = report_to_dict(TangledLogicFinder(edited, config).run())
+    with ResultStore(cache) as store:
+        row = store.get_payload(job_fingerprint(edited, config), kind="finder_report")
+    assert {**row, "runtime_seconds": 0} == {**cold, "runtime_seconds": 0}
+
+
+@pytest.mark.parametrize(
+    "verb, manifest",
+    [
+        ("batch", {"defaults": {"workers": 2}, "jobs": [{"design": "g.hgr"}]}),
+        ("batch", {"jobs": [{"design": "g.hgr", "workers": 2}]}),
+        ("sweep", {"designs": ["g.hgr"], "base": {"workers": 2},
+                   "grid": {"seed": [1]}}),
+    ],
+)
+def test_manifests_naming_workers_are_rejected(
+    verb, manifest, planted_hgr, tmp_path, capsys
+):
+    """``workers`` is the verb's ``--workers`` flag, not a config field: a
+    manifest that names it fails loudly instead of being ignored."""
+    import json
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main([verb, str(path), "--no-cache", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown FinderConfig field" in err and "workers" in err

@@ -17,6 +17,7 @@ from repro.finder.refine import genetic_family
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.ops import GroupStats
+from repro.service.pool import WorkerPool
 
 
 # ---------------------------------------------------------------- config
@@ -37,7 +38,6 @@ def test_config_defaults_valid():
         {"lambda_skip": -1},
         {"refine_count": -1},
         {"refine_length_factor": 0.5},
-        {"workers": 0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -275,8 +275,11 @@ def test_finder_deterministic_with_seed(small_planted):
 
 def test_finder_parallel_matches_serial(small_planted):
     netlist, _ = small_planted
-    serial = find_tangled_logic(netlist, num_seeds=8, seed=11, workers=1)
-    parallel = find_tangled_logic(netlist, num_seeds=8, seed=11, workers=2)
+    config = FinderConfig(num_seeds=8, seed=11)
+    serial = TangledLogicFinder(netlist, config).run()
+    with WorkerPool(2) as pool:
+        parallel = TangledLogicFinder(netlist, config).run(pool=pool)
+        assert pool.stats.batches > 0
     assert [g.cells for g in serial.gtls] == [g.cells for g in parallel.gtls]
 
 

@@ -109,13 +109,6 @@ def test_job_fingerprint_is_the_one_stage_detect_key(small):
         assert Flow([stage]).fingerprints(fingerprint_netlist(netlist)) == [expected]
 
 
-def test_workers_is_execution_only(small):
-    assert (
-        DetectStage(CFG).config_fingerprint()
-        == DetectStage(CFG.with_overrides(workers=8)).config_fingerprint()
-    )
-
-
 def test_manifest_and_api_share_one_fingerprint_space():
     """Configs built from JSON manifests (ints for floats, die as a list)
     must fingerprint identically to equal API-built configs."""
@@ -396,6 +389,47 @@ def test_flow_manifest_cannot_set_the_incremental_base(key, value):
             "designs": ["x.hgr"],
             "stages": [{"stage": "incremental_detect", key: value}],
         })
+
+
+@pytest.mark.parametrize(
+    "stage, key",
+    [
+        ("detect", "workers"),
+        ("incremental_detect", "workers"),
+        ("incremental_detect", "halo"),
+        ("incremental_detect", "full_threshold"),
+    ],
+)
+def test_flow_manifest_rejects_removed_detect_knobs(stage, key):
+    """Pool size and reuse tuning are not stage fields: a manifest that
+    names one gets the typed unknown-field error, not silence."""
+    with pytest.raises(FinderError, match=f"unknown FinderConfig field.*'{key}'"):
+        flow_from_manifest({"designs": ["x.hgr"], "stages": [{"stage": stage, key: 1}]})
+
+
+def test_report_row_with_a_workers_config_is_demoted_and_rewritten(small, tmp_path):
+    """A report row stored while ``FinderConfig`` still had ``workers``
+    fails to decode with a typed error; the flow demotes it, recomputes,
+    rewrites the row, and the next lookup hits."""
+    from repro.errors import ServiceError
+    from repro.service import job_fingerprint, report_from_dict, report_to_dict
+
+    netlist, _ = small
+    key = job_fingerprint(netlist, CFG)
+    old_row = report_to_dict(find_tangled_logic(netlist, CFG))
+    old_row["config"]["workers"] = 1
+    with pytest.raises(ServiceError, match="unknown FinderConfig fields"):
+        report_from_dict(old_row)
+    with ResultStore(str(tmp_path)) as store:
+        store.put_payload(key, old_row, kind="finder_report")
+        (first,) = Flow([DetectStage(CFG)]).run(netlist, store=store).results
+        assert not first.cached
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert "workers" not in store.get_payload(key, kind="finder_report")["config"]
+        (second,) = Flow([DetectStage(CFG)]).run(netlist, store=store).results
+        assert second.cached
+    assert second.artifact == first.artifact
+    assert first.artifact.config == CFG
 
 
 def test_cli_flow_run_cold_then_warm(small, tmp_path, capsys):

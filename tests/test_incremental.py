@@ -40,13 +40,13 @@ from repro.incremental import (
     detect_with_reuse,
     design_path,
     diff,
-    dirty_region,
     expand_frontier,
     incremental_detect,
     load_trace,
     run_traced,
 )
 from repro.incremental.engine import (
+    FULL_THRESHOLD,
     KIND_FINDER_TRACE,
     KIND_INCREMENTAL_HEAD,
     KIND_INCREMENTAL_PROVENANCE,
@@ -63,7 +63,7 @@ from repro.io.binfmt import (
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
-from repro.service.codec import report_to_dict
+from repro.service.codec import config_to_dict, report_to_dict
 from repro.service.fingerprint import (
     FINGERPRINT_CACHE_KEY,
     fingerprint_config,
@@ -496,19 +496,6 @@ def test_dirty_endpoints_cover_both_sides_of_a_rewire():
     assert {new.cell_name(i) for i in endpoints} == {"a", "b", "c"}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dirty_region_halo_is_monotonic(base, backend):
-    edited, delta = rewire_pins(base, 0.001, rng=2, return_delta=True)
-    with forced_backend(backend):
-        r0 = dirty_region(edited, delta, halo=0)
-        r1 = dirty_region(edited, delta, halo=1)
-    assert r0.hops == 1 and r1.hops == 2
-    assert r0.cells <= r1.cells
-    assert 0.0 < r0.fraction <= r1.fraction <= 1.0
-    with pytest.raises(NetlistError):
-        dirty_region(edited, delta, halo=-1)
-
-
 def test_expand_frontier_backends_agree(base):
     seed_cells = {3, 77, 191}
     for hops in (0, 1, 2):
@@ -539,6 +526,31 @@ def test_run_traced_codec_roundtrip(base):
         assert ours[2:] == theirs[2:]
     with pytest.raises(ServiceError, match="seed-trace"):
         SeedTrace.from_dict({"version": -1})
+
+
+def test_trace_with_a_workers_config_is_evicted_and_the_edit_runs_in_full(
+    base, tmp_path
+):
+    """A seed trace stored while ``FinderConfig`` still had ``workers`` no
+    longer decodes: it is evicted, the edit runs in full (identical to a
+    cold run) and writes a trace the next edit can patch from."""
+    edited = rewire_pins(base, 0.001, rng=1)
+    with ResultStore(str(tmp_path)) as store:
+        detect_with_reuse(base, CFG, store)
+        key = _trace_key(job_fingerprint(base, CFG))
+        payload = store.get_payload(key, kind=KIND_FINDER_TRACE)
+        payload["config"]["workers"] = 1
+        store.put_payload(key, payload, kind=KIND_FINDER_TRACE)
+        with pytest.raises(ServiceError, match="unknown FinderConfig fields"):
+            SeedTrace.from_dict(payload)
+
+        result = detect_with_reuse(edited, CFG, store)
+        assert (result.mode, result.reason) == ("full", "no traced base run")
+        assert store.get_payload(key, kind=KIND_FINDER_TRACE) is None
+        edited_trace = load_trace(store, job_fingerprint(edited, CFG))
+        assert "workers" not in config_to_dict(edited_trace.config)
+    cold, _ = run_traced(edited, CFG)
+    assert _strip(result.report) == _strip(cold)
 
 
 # ---------------------------------------------------------------- parity
@@ -655,12 +667,12 @@ def test_fallback_on_total_pin_change(base):
 
 def test_fallback_on_dirty_fraction_threshold(base):
     _, seed_trace = run_traced(base, CFG)
-    edited, _ = rewire_pins(base, 0.001, rng=1, return_delta=True)
-    result = incremental_detect(
-        base, edited, seed_trace, CFG, full_threshold=0.0
-    )
+    # Rewiring 1% of the pins dirties ~40% of this design.
+    edited, _ = rewire_pins(base, 0.01, rng=1, return_delta=True)
+    result = incremental_detect(base, edited, seed_trace, CFG)
     assert result.mode == "full"
     assert "dirty fraction" in result.reason
+    assert result.dirty_fraction > FULL_THRESHOLD
     assert result.dirty_cells > 0
     cold, _ = run_traced(edited, CFG)
     assert _strip(result.report) == _strip(cold)

@@ -520,6 +520,22 @@ def test_daemon_rejects_bad_requests(corpus, daemon_factory):
         client.submit("/nonexistent/x.hgr", config=CFG)
 
 
+def test_daemon_rejects_a_workers_config(corpus, daemon_factory):
+    """The daemon's pool decides parallelism: a submit whose config names
+    ``workers`` gets the typed unknown-field error, for detect and flow
+    submits alike."""
+    daemon, client = daemon_factory()
+    path, _ = corpus["a"]
+    with pytest.raises(ServerError, match="unknown FinderConfig field.*workers"):
+        client.submit(path, config={**CFG, "workers": 2})
+    with pytest.raises(ServerError, match="unknown FinderConfig field.*workers"):
+        client.submit(
+            path, kind="flow",
+            stages=[{"stage": "detect", **CFG, "workers": 2}],
+        )
+    assert daemon.queue.submitted == 0
+
+
 def test_daemon_refuses_second_daemon_on_live_socket(corpus, daemon_factory):
     daemon, _ = daemon_factory()
     with pytest.raises(ServerError, match="already listening"):

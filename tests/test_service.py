@@ -59,8 +59,28 @@ def test_fingerprint_is_content_based(small):
     assert fingerprint_netlist(other) != fingerprint_netlist(netlist)
 
 
-def test_fingerprint_config_ignores_workers():
-    assert fingerprint_config(CFG) == fingerprint_config(CFG.with_overrides(workers=8))
+def test_fingerprints_are_pinned():
+    """Config and job keys are stable, so existing cache keys keep
+    answering.  A change to the canonical form must bump
+    ``FINGERPRINT_VERSION`` and re-record these digests."""
+    assert fingerprint_config(FinderConfig()) == (
+        "b06569b99a67b1cf8cc8442eff904d8b457227098c3ede4921bb76f704900913"
+    )
+    # An int for a float field (refine_length_factor) normalizes to 3.0.
+    custom = FinderConfig(
+        num_seeds=8, seed=3, metric="ngtl_s", lambda_skip=0, min_gtl_size=40,
+        refine_length_factor=3, seed_strategy="stratified",
+    )
+    assert fingerprint_config(custom) == (
+        "4de8e4d92edfbaa52b4312a646a24f354aaa78f3ac7321c7fc27c389805aa3e2"
+    )
+    netlist, _ = planted_gtl_graph(400, [60], seed=5)
+    assert fingerprint_netlist(netlist) == (
+        "6ffe2b319911ef9bc39b0f8cb020f310834bc491a387084e76aefcf39d2820cb"
+    )
+    assert job_fingerprint(netlist, FinderConfig(num_seeds=8, seed=1)) == (
+        "13cfe278d0f89064878f8dd28dab9b6d8e4d4f04839cf80fc785ce4ef063348b"
+    )
     assert fingerprint_config(CFG) != fingerprint_config(CFG.with_overrides(num_seeds=7))
 
 
@@ -188,8 +208,14 @@ def test_pool_matches_serial_results(small):
 def test_pool_workers_field_does_not_change_results(small):
     netlist, _ = small
     serial = find_tangled_logic(netlist, CFG)
-    parallel = find_tangled_logic(netlist, CFG.with_overrides(workers=2))
+    with WorkerPool(2) as pool:
+        parallel = TangledLogicFinder(netlist, CFG).run(pool=pool)
+        assert pool.stats.batches > 0
     assert parallel.gtls == serial.gtls
+    assert report_to_dict(parallel) == {
+        **report_to_dict(serial),
+        "runtime_seconds": parallel.runtime_seconds,
+    }
 
 
 def test_pool_serial_path_avoids_processes(small):

@@ -28,7 +28,7 @@ from repro.service.fingerprint import fingerprint_netlist
 from repro.service.pool import _MISSING_CONTEXT, WorkerPool, _worker_run_batch
 
 CFG = FinderConfig(num_seeds=8, seed=3)
-CFG2 = FinderConfig(num_seeds=8, seed=3, workers=2)
+CFG2 = FinderConfig(num_seeds=8, seed=3)
 
 
 @pytest.fixture(scope="module")
