@@ -28,6 +28,12 @@ orderings at 53K grown by the scalar grower (the numpy backend's fallback
 when no kernel can be built) and by the C kernel, which must agree on
 every ordering and push count and, at full scale, be **>= 5x** apart.
 
+``industrial50k_grow_extract`` times Phase I + II per ordering on the
+numpy backend, two ways: with the prefix curves the C kernel records
+while it grows (``kernel_curves_ms``) and with the ordering re-scanned by
+:func:`~repro.netlist.ops.scan_ordering_curves` afterwards
+(``rescan_ms``).  Both must give the same candidate and Rent estimate.
+
 Results are written to ``BENCH_finder_kernel.json`` at the repo root via
 :mod:`benchmarks._record` (the machine-readable perf trajectory).
 
@@ -43,6 +49,7 @@ try:
     from benchmarks._record import record
 except ImportError:  # invoked outside the repo root: benchmarks/ is on sys.path
     from _record import record
+from repro.finder.candidate import extract_candidate_and_rent
 from repro.finder.config import FinderConfig
 from repro.finder.finder import TangledLogicFinder, plan_seed_jobs
 from repro.finder.kernel import compiled_kernel, grow_ordering
@@ -125,20 +132,57 @@ def _measure_grow(netlist, config):
     compiled_seconds = time.perf_counter() - start
 
     assert [
-        (ordering, telemetry["heap_pushes"]) for ordering, telemetry in compiled
+        (ordering.tolist(), telemetry["heap_pushes"])
+        for ordering, telemetry, _ in compiled
     ] == scalar, "compiled and scalar orderings differ"
     return {
         "cells": netlist.num_cells,
         "orderings": len(seeds),
         "max_length": max_length,
         "lambda_skip": config.lambda_skip,
-        "absorb_steps": sum(len(ordering) for ordering, _ in compiled),
-        "heap_pushes": sum(t["heap_pushes"] for _, t in compiled),
+        "absorb_steps": sum(len(ordering) for ordering, _, _ in compiled),
+        "heap_pushes": sum(t["heap_pushes"] for _, t, _ in compiled),
         "kernel": "compiled" if compiled_kernel() is not None else "scalar-fallback",
         "cpu_count": os.cpu_count(),
         "scalar_s": round(scalar_seconds, 4),
         "compiled_s": round(compiled_seconds, 4),
         "speedup": round(scalar_seconds / max(compiled_seconds, 1e-9), 2),
+    }
+
+
+def _measure_grow_extract(netlist, config):
+    """Phase I + II per ordering: kernel-recorded curves vs. a re-scan."""
+    seeds = [cell for cell, _ in plan_seed_jobs(netlist, config)]
+    max_length = config.resolve_order_length(netlist.num_cells)
+    kwargs = dict(lambda_skip=config.lambda_skip, exclude_fixed=config.exclude_fixed)
+
+    def run(rescan):
+        outcomes = []
+        start = time.perf_counter()
+        for seed in seeds:
+            ordering, _, curves = grow_ordering(netlist, seed, max_length, **kwargs)
+            outcomes.append(
+                extract_candidate_and_rent(
+                    netlist, ordering, config, seed=seed,
+                    curves=None if rescan else curves,
+                )
+            )
+        return time.perf_counter() - start, outcomes
+
+    with forced_backend("numpy"):
+        rescan_seconds, rescanned = run(rescan=True)
+        kernel_seconds, from_kernel = run(rescan=False)
+    assert repr(from_kernel) == repr(rescanned), "kernel curves changed Phase II"
+    per_ordering = 1e3 / len(seeds)
+    return {
+        "cells": netlist.num_cells,
+        "orderings": len(seeds),
+        "max_length": max_length,
+        "kernel": "compiled" if compiled_kernel() is not None else "scalar-fallback",
+        "cpu_count": os.cpu_count(),
+        "rescan_ms": round(rescan_seconds * per_ordering, 2),
+        "kernel_curves_ms": round(kernel_seconds * per_ordering, 2),
+        "speedup": round(rescan_seconds / max(kernel_seconds, 1e-9), 2),
     }
 
 
@@ -207,6 +251,9 @@ def test_finder_kernel_scalar_vs_compiled():
     results["industrial50k_grow"] = _measure_grow(
         big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
     )
+    results["industrial50k_grow_extract"] = _measure_grow_extract(
+        big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
+    )
     tracing_row, run_report = _measure_tracing(
         big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
     )
@@ -227,6 +274,11 @@ def test_finder_kernel_scalar_vs_compiled():
     print(
         f"grow only: {grow['orderings']} orderings, scalar {grow['scalar_s']}s, "
         f"{grow['kernel']} {grow['compiled_s']}s ({grow['speedup']}x)"
+    )
+    extract = results["industrial50k_grow_extract"]
+    print(
+        f"grow + extract per ordering: re-scan {extract['rescan_ms']}ms, "
+        f"kernel curves {extract['kernel_curves_ms']}ms ({extract['speedup']}x)"
     )
     print(
         f"tracing: untraced {tracing_row['untraced_s']}s, "

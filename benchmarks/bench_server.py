@@ -11,7 +11,8 @@ then measures through the :class:`~repro.server.client.Client`:
   at full scale the warm round trip must meet the < 50 ms acceptance
   bound;
 * **priority classes** — a burst across interactive/batch/sweep, recording
-  per-class queue-wait and verifying interactive waits least.
+  per-class queue-wait and verifying that no sweep job still queued when
+  an interactive job arrived started before it.
 
 Numbers land in ``BENCH_server.json`` via :mod:`_record`.
 
@@ -43,6 +44,32 @@ PRIORITIES = ("sweep", "batch", "interactive")
 WARM_BUDGET_S = 0.050
 #: Minimum warm-vs-cold speedup asserted at full scale.
 MIN_WARM_SPEEDUP = 5.0
+
+
+def _assert_dispatch_order(submitted, jobs):
+    """No sweep job still queued when an interactive job arrived started
+    before that interactive job.
+
+    Submission order was sweep -> batch -> interactive, so FIFO would serve
+    interactive LAST.  The check reads no clock against another: one
+    scheduler thread starts jobs one at a time, so sorting by start time
+    (``created_at + wait_s``) gives the dispatch order, and a job queued at
+    position ``p`` behind nothing but this burst found ``p - 1`` of the
+    jobs submitted before it still queued — the others were the first
+    dispatches.
+    """
+    started = sorted(jobs, key=lambda j: jobs[j]["created_at"] + jobs[j]["wait_s"])
+    rank = {job_id: index for index, job_id in enumerate(started)}
+    for before, (job_id, priority, position) in enumerate(submitted):
+        if priority != "interactive":
+            continue
+        dispatched = before - (position - 1)  # burst jobs gone when it arrived
+        for other, other_priority, _ in submitted[:before]:
+            if other_priority == "sweep" and rank[other] >= dispatched:
+                assert rank[other] > rank[job_id], (
+                    f"sweep job {other} was still queued when interactive job "
+                    f"{job_id} arrived but started first: {started}"
+                )
 
 
 def test_server_cold_warm_and_priorities(tmp_path):
@@ -84,11 +111,14 @@ def test_server_cold_warm_and_priorities(tmp_path):
         assert daemon.counters["warm_hits"] == WARM_REPEATS
 
         # Priority burst: queue everything with the scheduler busy, then
-        # compare per-class queue waits.
+        # check the order the jobs were dispatched in.
         job_ids = {}
+        # Per job in submission order: (job id, priority, queue position).
+        submitted = []
         for rank, priority in enumerate(PRIORITIES):
-            job_ids[priority] = [
-                client.submit(
+            job_ids[priority] = []
+            for i in range(BURST_PER_CLASS):
+                reply = client.submit(
                     design,
                     config={
                         "num_seeds": NUM_SEEDS,
@@ -96,9 +126,10 @@ def test_server_cold_warm_and_priorities(tmp_path):
                     },
                     priority=priority,
                     wait=False,
-                )["job_id"]
-                for i in range(BURST_PER_CLASS)
-            ]
+                )
+                assert reply["event"] == "queued", reply
+                job_ids[priority].append(reply["job_id"])
+                submitted.append((reply["job_id"], priority, reply["position"]))
         deadline = time.monotonic() + 300
         while time.monotonic() < deadline:
             states = [
@@ -112,15 +143,14 @@ def test_server_cold_warm_and_priorities(tmp_path):
         else:
             raise AssertionError(f"burst did not drain: {states}")
 
+        jobs = {
+            job_id: client.status(job_id)["job"] for job_id, _, _ in submitted
+        }
         waits = {
-            priority: statistics.mean(
-                client.status(job_id)["job"]["wait_s"] for job_id in ids
-            )
+            priority: statistics.mean(jobs[job_id]["wait_s"] for job_id in ids)
             for priority, ids in job_ids.items()
         }
-        # Submission order was sweep -> batch -> interactive, so FIFO would
-        # serve interactive LAST; priority scheduling must invert that.
-        assert waits["interactive"] <= waits["sweep"]
+        _assert_dispatch_order(submitted, jobs)
 
         status = client.status()
     finally:

@@ -10,7 +10,7 @@ cut decreases monotonically, which is Fig 5's point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.finder.candidate import scan_ordering
 from repro.finder.ordering import grow_linear_ordering

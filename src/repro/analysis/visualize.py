@@ -11,7 +11,7 @@ for the two visual artifacts the paper prints:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 

@@ -11,8 +11,6 @@ Default scale is 1/10 of the paper (25K cells / 4K GTL).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.analysis.curves import agglomeration_curve
 from repro.experiments.common import ExperimentResult
 from repro.generators.random_gtl import planted_gtl_graph

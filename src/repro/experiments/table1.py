@@ -12,7 +12,6 @@ Default scale here is 1/10 of the paper (Python single-process); pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.overlap import match_to_ground_truth

@@ -11,7 +11,7 @@ netlists via ``netlists``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.flow import detect

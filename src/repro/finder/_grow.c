@@ -1,5 +1,6 @@
 /*
- * Compiled Phase I absorb kernel: one linear ordering per call.
+ * Compiled Phase I absorb kernel: one linear ordering per call, and the
+ * cut and internal-net curves of all its prefixes.
  *
  * A port of the scalar grower's loop
  * (repro.finder.ordering.LinearOrderingGrower) with a value-validated stale
@@ -14,6 +15,13 @@
  *   - after an absorb, the heap is compacted to its live entries when it
  *     holds more than 8192 entries and more than 4x the frontier;
  *   - weights are accumulated pin by pin in CSR slice order.
+ *
+ * While it absorbs a cell the kernel also counts, from the per-net inside
+ * counts it keeps anyway, the prefix statistics Phase II scores: a net of
+ * degree > 1 becomes cut on its first touch and internal (no longer cut)
+ * when its last pin is absorbed; a degree-1 net is internal on its first
+ * touch.  cuts[k] and internal[k] describe the first k + 1 cells, exactly
+ * as repro.netlist.ops.scan_ordering_curves computes them afterwards.
  *
  * Build with -std=c99 -ffp-contract=off and never -ffast-math: a fused
  * multiply-add or a reassociated sum would change the weights' last bits
@@ -52,6 +60,11 @@ typedef struct {
     int64_t frontier_count;
     int64_t *ordering;
     int64_t length;
+    /* prefix curves, one entry per absorbed cell */
+    int64_t *cuts;
+    int64_t *internal;
+    int64_t cut;
+    int64_t internal_nets;
 } grower_t;
 
 static int before(const entry_t *a, const entry_t *b)
@@ -150,6 +163,14 @@ static int absorb(grower_t *g, int64_t cell)
         int64_t new_inside = old_inside + 1;
         g->inside_count[net] = new_inside;
         int64_t degree = g->net_degrees[net];
+        if (old_inside == 0 && degree == 1) {
+            g->internal_nets++; /* a single-pin net is internal at once */
+        } else if (old_inside == 0) {
+            g->cut++; /* the net starts crossing the boundary */
+        } else if (new_inside == degree) {
+            g->cut--; /* its last pin is absorbed */
+            g->internal_nets++;
+        }
         int64_t outside = degree - new_inside;
         if (outside == 0)
             continue; /* net fully absorbed */
@@ -183,14 +204,18 @@ static int absorb(grower_t *g, int64_t cell)
                 return -1;
         }
     }
+    g->cuts[g->length - 1] = g->cut;
+    g->internal[g->length - 1] = g->internal_nets;
     return 0;
 }
 
 /*
  * Grow one ordering from `seed` until it holds `max_length` cells or the
- * frontier empties.  `ordering` must hold max(1, min(max_length, cells))
- * entries; telemetry receives [heap pushes, heap compactions].  Returns the
- * ordering length, or -1 when the working state could not be allocated.
+ * frontier empties.  `ordering`, `cuts` and `internal` must each hold
+ * max(1, min(max_length, cells)) entries; entry k of `cuts` / `internal` is
+ * the net cut / internal-net count of the first k + 1 cells.  telemetry
+ * receives [heap pushes, heap compactions].  Returns the ordering length,
+ * or -1 when the working state could not be allocated.
  */
 int64_t repro_grow_ordering(
     int64_t num_cells,
@@ -205,6 +230,8 @@ int64_t repro_grow_ordering(
     int64_t max_length,
     int64_t lambda_skip,
     int64_t *ordering,
+    int64_t *cuts,
+    int64_t *internal,
     int64_t *telemetry)
 {
     grower_t g = {0};
@@ -217,6 +244,8 @@ int64_t repro_grow_ordering(
     g.update_flat = update_flat;
     g.lambda_skip = lambda_skip;
     g.ordering = ordering;
+    g.cuts = cuts;
+    g.internal = internal;
     g.weight = calloc((size_t)num_cells, sizeof(double));
     g.cutstate = calloc((size_t)num_cells, sizeof(int64_t));
     g.in_group = calloc((size_t)num_cells, 1);

@@ -12,12 +12,15 @@ A minimum qualifies as *clear* when (i) the prefix is at least
 of the ordering — a minimum at the right end means the curve was still
 descending, which is the ratio-cut failure mode, not a GTL.
 
-Each ordering is prefix-scanned once — :func:`scan_ordering_curves` on the
-numpy backend, a :class:`PrefixScanner` pass on the scalar reference
-(``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`) — and both
-the Rent estimate and the candidate come from that scan
-(:func:`extract_candidate_and_rent`).  The two backends select the same
-prefix and agree on scores and estimates to float64 rounding.
+Each ordering's prefix statistics are computed once, and both the Rent
+estimate and the candidate come from them (:func:`extract_candidate_and_rent`).
+On the numpy backend they are the :class:`~repro.netlist.ops.PrefixCurves`
+that Phase I hands over with the ordering (the compiled grow kernel records
+them while it absorbs cells); only a caller without curves gets a
+:func:`scan_ordering_curves` pass.  The scalar reference
+(``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`) runs one
+:class:`PrefixScanner` pass.  The two backends select the same prefix and
+agree on scores and estimates to float64 rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +39,13 @@ from repro.metrics.rent import (
 )
 from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
-from repro.netlist.ops import GroupStats, PrefixScanner, scan_ordering_curves
+from repro.netlist.ops import (
+    GroupStats,
+    PrefixCurves,
+    PrefixScanner,
+    scan_ordering_curves,
+)
+from repro.obs import trace
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,9 @@ def extract_candidate_and_rent(
     config: FinderConfig,
     seed: Optional[int] = None,
     rent_exponent: Optional[float] = None,
+    curves: Optional[PrefixCurves] = None,
 ) -> Tuple[Optional[CandidateGTL], float]:
-    """Run Phase II on one ordering from a single prefix scan.
+    """Run Phase II on one ordering from its prefix statistics.
 
     Returns ``(candidate, rent)``: the candidate (``None`` when no clear
     minimum exists) and the ordering's Rent estimate taken from the same
@@ -106,21 +116,28 @@ def extract_candidate_and_rent(
         rent_exponent: force a Rent exponent instead of estimating it from
             the ordering (used by Phase III so a candidate family is scored
             consistently); it is returned as ``rent``.
+        curves: the ordering's prefix curves when the caller already has
+            them (:func:`~repro.finder.ordering.grow_with_curves`); the
+            numpy backend scans the ordering only without them.
     """
-    if not ordering:
+    if len(ordering) == 0:
         raise FinderError("extract_candidate on an empty ordering")
     if seed is None:
-        seed = ordering[0]
+        seed = int(ordering[0])
     too_short = len(ordering) < config.min_gtl_size
     if too_short and rent_exponent is not None:
         return None, rent_exponent
 
-    # One scan per ordering on either backend: the array kernel's curves or
-    # the scalar reference's per-prefix stats.  ``fallback=None`` tells an
-    # ordering without usable prefixes apart from any real estimate.
+    # One set of prefix statistics per ordering on either backend: the
+    # array curves or the scalar reference's per-prefix stats.
+    # ``fallback=None`` tells an ordering without usable prefixes apart
+    # from any real estimate.
     on_arrays = resolve_backend() == "numpy"
     if on_arrays:
-        prefixes = scan_ordering_curves(netlist, ordering)
+        if curves is None:
+            trace.counter("finder.curve_scans").add(1)
+            curves = scan_ordering_curves(netlist, ordering)
+        prefixes = curves
         estimate_rent = estimate_rent_exponent_from_curves
     else:
         prefixes = _scan_prefixes(netlist, ordering)
@@ -163,8 +180,9 @@ def extract_candidate_and_rent(
     if best_index + 1 > boundary:
         return None, rent  # minimum at the right end: still descending
 
+    cells = ordering[: best_index + 1]
     candidate = CandidateGTL(
-        cells=frozenset(ordering[: best_index + 1]),
+        cells=frozenset(cells.tolist() if isinstance(cells, np.ndarray) else cells),
         score=best_score,
         stats=stats_at_best,
         rent_exponent=estimate,
@@ -179,6 +197,7 @@ def extract_candidate(
     config: FinderConfig,
     seed: Optional[int] = None,
     rent_exponent: Optional[float] = None,
+    curves: Optional[PrefixCurves] = None,
 ) -> Optional[CandidateGTL]:
     """Run Phase II on one ordering; ``None`` when no clear minimum exists.
 
@@ -187,5 +206,6 @@ def extract_candidate(
     float64 rounding.
     """
     return extract_candidate_and_rent(
-        netlist, ordering, config, seed=seed, rent_exponent=rent_exponent
+        netlist, ordering, config, seed=seed, rent_exponent=rent_exponent,
+        curves=curves,
     )[0]

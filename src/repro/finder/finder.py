@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import FinderError
 from repro.finder.candidate import CandidateGTL, extract_candidate_and_rent
 from repro.finder.config import DEFAULT_RENT_EXPONENT, FinderConfig
-from repro.finder.ordering import grow_linear_ordering
+from repro.finder.ordering import grow_with_curves
 from repro.finder.prune import prune_overlapping
 from repro.finder.refine import refine_candidate
 from repro.finder.result import GTL, FinderReport
@@ -52,6 +54,16 @@ logger = logging.getLogger(__name__)
 _SeedOutcome = Tuple[Optional[CandidateGTL], float, int, Tuple[int, ...]]
 
 
+def _footprint(
+    netlist: Netlist, orderings: Sequence[Sequence[int]]
+) -> Tuple[int, ...]:
+    """Sorted tuple of every cell in any of ``orderings``."""
+    absorbed = np.zeros(netlist.num_cells, dtype=bool)
+    for ordering in orderings:
+        absorbed[np.asarray(ordering, dtype=np.int64)] = True
+    return tuple(np.flatnonzero(absorbed).tolist())
+
+
 def _process_seed(
     netlist: Netlist, config: FinderConfig, seed_cell: int, rng_seed: int
 ) -> _SeedOutcome:
@@ -69,20 +81,20 @@ def _process_seed(
     with trace.span("finder.seed", seed=seed_cell, backend=resolve_backend()):
         trace.counter("finder.seeds").add(1)
         with trace.span("finder.phase1"):
-            ordering = grow_linear_ordering(
+            ordering, curves = grow_with_curves(
                 netlist,
                 seed_cell,
                 max_length,
                 lambda_skip=config.lambda_skip,
                 exclude_fixed=config.exclude_fixed,
             )
-        touched: Set[int] = set(ordering)
+        touched = [ordering]
         with trace.span("finder.phase2"):
             candidate, rent = extract_candidate_and_rent(
-                netlist, ordering, config, seed=seed_cell
+                netlist, ordering, config, seed=seed_cell, curves=curves
             )
         if candidate is None:
-            return None, rent, 1, tuple(sorted(touched))
+            return None, rent, 1, _footprint(netlist, touched)
         trace.counter("finder.candidates").add(1)
 
         with trace.span("finder.phase3"):
@@ -94,8 +106,11 @@ def _process_seed(
                 rng=rng_seed,
                 touched=touched,
             )
-        return refined, candidate.rent_exponent, 1 + config.refine_count, tuple(
-            sorted(touched)
+        return (
+            refined,
+            candidate.rent_exponent,
+            1 + config.refine_count,
+            _footprint(netlist, touched),
         )
 
 

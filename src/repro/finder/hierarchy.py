@@ -18,7 +18,7 @@ it (a repeated sub-block of a large dissolved ROM, for instance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.finder.config import FinderConfig
 from repro.finder.finder import TangledLogicFinder

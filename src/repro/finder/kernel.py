@@ -3,7 +3,10 @@
 Two growers produce the same orderings (see :mod:`repro.finder.ordering`
 for the algorithm):
 
-* the **C kernel** ``_grow.c`` — the fast path on the numpy backend.  It is
+* the **C kernel** ``_grow.c`` — the fast path on the numpy backend.  While
+  it absorbs a cell it also records the cut and internal-net count of the
+  prefix so far, so :func:`grow_ordering` hands Phase II the ordering's
+  :class:`~repro.netlist.ops.PrefixCurves` without a second scan.  It is
   compiled with ``$CC`` (default ``cc``) on first use into
   ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/``, under a name keyed by the
   sha256 of its source, the compiler flags, the machine architecture and
@@ -20,7 +23,9 @@ for the algorithm):
   numpy backend's fallback when the kernel cannot be built or loaded (no
   compiler, a failed compile, an unwritable cache directory, a library or
   directory that fails the ownership check: one warning per process, then
-  every ordering falls back).
+  every ordering falls back).  The fallback's curves come from
+  :func:`~repro.netlist.ops.scan_ordering_curves`, which is also the test
+  oracle of the kernel's curves.
 
 The kernel keeps flat state indexed by cell id, laid out once per netlist
 from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
@@ -68,6 +73,8 @@ import numpy as np
 
 from repro.errors import FinderError
 from repro.netlist.hypergraph import Netlist
+from repro.netlist.ops import PrefixCurves, scan_ordering_curves
+from repro.obs import trace
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +252,7 @@ def _load() -> ctypes.CDLL:
     function = library.repro_grow_ordering
     function.restype = ctypes.c_int64
     function.argtypes = (
-        [ctypes.c_int64] * 2 + [table] * 6 + [ctypes.c_int64] * 3 + [out] * 2
+        [ctypes.c_int64] * 2 + [table] * 6 + [ctypes.c_int64] * 3 + [out] * 4
     )
     return library
 
@@ -279,12 +286,15 @@ def grow_ordering(
     max_length: int,
     lambda_skip: int = 20,
     exclude_fixed: bool = True,
-) -> Tuple[List[int], Dict[str, int]]:
-    """One Phase I ordering and its telemetry on the numpy backend.
+) -> Tuple[np.ndarray, Dict[str, int], PrefixCurves]:
+    """One Phase I ordering, its telemetry and its prefix curves on the
+    numpy backend.
 
     Runs the C kernel when it loads, else the scalar
-    :class:`~repro.finder.ordering.LinearOrderingGrower`; both give the
-    same ordering and the same ``heap_pushes``.
+    :class:`~repro.finder.ordering.LinearOrderingGrower` followed by
+    :func:`~repro.netlist.ops.scan_ordering_curves`; both give the same
+    ordering (an int64 array), the same ``heap_pushes`` and the same
+    curves.
     """
     library = compiled_kernel()
     if library is None:
@@ -294,11 +304,16 @@ def grow_ordering(
         grower = LinearOrderingGrower(
             netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
         )
-        return grower.grow(max_length), grower.telemetry()
+        ordering = np.array(grower.grow(max_length), dtype=np.int64)
+        trace.counter("finder.curve_scans").add(1)
+        return ordering, grower.telemetry(), scan_ordering_curves(netlist, ordering)
     check_seed(netlist, seed, exclude_fixed)
     tables = KernelTables.for_netlist(netlist)
     limit = min(max_length, tables.num_cells)
-    ordering = np.empty(max(1, limit), dtype=np.int64)
+    # The seed is absorbed even when the limit is 0.
+    ordering, cuts, internal = (
+        np.empty(max(1, limit), dtype=np.int64) for _ in range(3)
+    )
     telemetry = np.zeros(2, dtype=np.int64)
     update_ptr, update_flat = tables.update_csr(exclude_fixed)
     length = library.repro_grow_ordering(
@@ -314,6 +329,8 @@ def grow_ordering(
         limit,
         lambda_skip,
         ordering,
+        cuts,
+        internal,
         telemetry,
     )
     if length < 0:
@@ -321,10 +338,18 @@ def grow_ordering(
             f"Phase I kernel could not allocate its working state "
             f"({tables.num_cells} cells, {tables.num_nets} nets)"
         )
-    return ordering[:length].tolist(), {
+    ordering = ordering[:length]
+    curves = PrefixCurves(
+        sizes=np.arange(1, length + 1, dtype=np.int64),
+        cuts=cuts[:length],
+        pins=np.cumsum(tables.arrays.pin_counts[ordering], dtype=np.int64),
+        internal=internal[:length],
+    )
+    telemetry = {
         "heap_pushes": int(telemetry[0]),
         "heap_compactions": int(telemetry[1]),
     }
+    return ordering, telemetry, curves
 
 
 __all__ = [

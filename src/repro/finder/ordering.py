@@ -28,17 +28,20 @@ Implementation notes
   reference :class:`LinearOrderingGrower`, which runs on the scalar
   backend (``REPRO_SCALAR_BACKEND=1``, see :mod:`repro.netlist.backend`)
   and wherever the kernel cannot be compiled or loaded.
-  :func:`grow_linear_ordering` picks one per call; Phase I and the
-  Phase III re-growths both go through it.
+  :func:`grow_with_curves` picks one per call; Phase I and the Phase III
+  re-growths both go through it.  On the numpy backend it also returns the
+  ordering's prefix curves, which the C kernel records while it grows, so
+  Phase II never re-scans an ordering the kernel grew.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.finder.kernel import check_seed, grow_ordering, multi_pin_degrees
 from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
+from repro.netlist.ops import PrefixCurves
 from repro.obs import trace
 from repro.utils.lazyheap import LazyMaxHeap
 
@@ -178,20 +181,25 @@ def _scalar_tables(netlist: Netlist) -> Tuple[List[int], List[bool], List[int]]:
     return tables
 
 
-def grow_linear_ordering(
+def grow_with_curves(
     netlist: Netlist,
     seed: int,
     max_length: int,
     lambda_skip: int = 20,
     exclude_fixed: bool = True,
-) -> List[int]:
-    """One Phase I ordering of at most ``max_length`` cells.
+) -> Tuple[Sequence[int], Optional[PrefixCurves]]:
+    """One Phase I ordering of at most ``max_length`` cells, and its curves.
 
-    Runs the compiled kernel on the numpy backend when it loads, else
-    :class:`LinearOrderingGrower`.
+    On the numpy backend: an int64 array and its
+    :class:`~repro.netlist.ops.PrefixCurves` from
+    :func:`~repro.finder.kernel.grow_ordering` (the compiled kernel when
+    it loads).  On the scalar backend: a list from
+    :class:`LinearOrderingGrower` and ``None`` (Phase II scans it with
+    :class:`~repro.netlist.ops.PrefixScanner`).
     """
+    curves = None
     if resolve_backend() == "numpy":
-        ordering, telemetry = grow_ordering(
+        ordering, telemetry, curves = grow_ordering(
             netlist,
             seed,
             max_length,
@@ -209,4 +217,22 @@ def grow_linear_ordering(
         trace.counter("finder.absorb_steps").add(len(ordering))
         for name, value in telemetry.items():
             trace.counter(f"finder.{name}").add(value)
-    return ordering
+    return ordering, curves
+
+
+def grow_linear_ordering(
+    netlist: Netlist,
+    seed: int,
+    max_length: int,
+    lambda_skip: int = 20,
+    exclude_fixed: bool = True,
+) -> List[int]:
+    """One Phase I ordering of at most ``max_length`` cells, as a list.
+
+    Runs the compiled kernel on the numpy backend when it loads, else
+    :class:`LinearOrderingGrower`.
+    """
+    ordering, _ = grow_with_curves(
+        netlist, seed, max_length, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
+    )
+    return ordering if isinstance(ordering, list) else ordering.tolist()

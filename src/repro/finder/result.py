@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Tuple
 
 from repro.finder.config import FinderConfig
 from repro.utils.tables import format_table

@@ -15,12 +15,11 @@ designed-vs-found comparison of Table 3 is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import GenerationError
 from repro.generators.circuit_builder import CircuitBuilder
 from repro.generators.structures import (
-    StructurePorts,
     build_dissolved_rom,
     build_modular_glue,
 )

@@ -13,8 +13,8 @@ with :mod:`repro.io.bookshelf` and run the same experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import GenerationError
 from repro.generators.circuit_builder import CircuitBuilder
@@ -26,7 +26,6 @@ from repro.generators.structures import (
     build_modular_glue,
     build_multiplier,
     build_mux_tree,
-    build_random_glue,
 )
 from repro.netlist.hypergraph import Netlist
 from repro.utils.rng import RngLike, ensure_rng

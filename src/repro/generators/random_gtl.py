@@ -25,9 +25,8 @@ with net degrees drawn from ``net_degree_weights`` and an average of
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import GenerationError
 from repro.netlist.builder import NetlistBuilder

@@ -211,7 +211,7 @@ def load_pack_index(path: str) -> Dict[str, PackedEntry]:
     data = read_json_file(index_path)
     if not isinstance(data, dict) or not isinstance(data.get("designs"), dict):
         raise ParseError(
-            f'pack index must be {{"version": ..., "designs": {{...}}}}',
+            'pack index must be {"version": ..., "designs": {...}}',
             path=index_path,
         )
     if data.get("version") != PACK_INDEX_VERSION:

@@ -20,7 +20,7 @@ the paper's Rent-based scores replace them.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, Set
 
 import networkx as nx
 

@@ -14,7 +14,7 @@ sample source nodes, which preserves the average within sampling error.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.errors import MetricError
 from repro.netlist.hypergraph import Netlist

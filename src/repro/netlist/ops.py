@@ -12,6 +12,14 @@ implementations, and CSR-array versions over
 curves (:func:`scan_ordering_curves`) or one group's statistics
 (:func:`group_stats`) in a handful of vectorized expressions.  All group
 statistics are integers, so the two backends agree bit for bit.
+
+The finder itself rarely calls the array versions any more: its compiled
+grow kernel records an ordering's :class:`PrefixCurves` while it grows it
+(:func:`repro.finder.kernel.grow_ordering`), and Phase III scores a whole
+candidate family in one signature pass (:mod:`repro.finder.refine`).
+:func:`scan_ordering_curves` is the numpy backend's fallback when the
+kernel cannot be loaded, and the oracle the kernel's curves are tested
+against.
 """
 
 from __future__ import annotations
@@ -226,28 +234,35 @@ def _group_connected_arrays(netlist: Netlist, group: Iterable[int]) -> bool:
     if not members.size:
         return False
     arrays = netlist.arrays
-    in_group = np.zeros(arrays.num_cells, dtype=bool)
-    in_group[members] = True
-    visited = np.zeros(arrays.num_cells, dtype=bool)
-    net_seen = np.zeros(arrays.num_nets, dtype=bool)
+    # ``unvisited`` starts as the group; ``open_nets`` as every net.  Each
+    # level's newly reached nets and cells are deduplicated through a
+    # whole-design mask (no sort).
+    unvisited = np.zeros(arrays.num_cells, dtype=bool)
+    unvisited[members] = True
+    open_nets = np.ones(arrays.num_nets, dtype=bool)
     frontier = members[:1]
-    visited[frontier] = True
+    unvisited[frontier] = False
     reached = 1
     while frontier.size:
         starts = arrays.cell_ptr[frontier]
         nets = gather_segments(
             arrays.cell_nets, starts, arrays.cell_ptr[frontier + 1] - starts
         )
-        nets = np.unique(nets[~net_seen[nets]])
-        net_seen[nets] = True
+        level = np.zeros(arrays.num_nets, dtype=bool)
+        level[nets] = True
+        level &= open_nets
+        open_nets &= ~level
+        nets = np.flatnonzero(level)
         starts = arrays.net_ptr[nets]
         cells = gather_segments(
             arrays.net_cells, starts, arrays.net_ptr[nets + 1] - starts
         )
-        cells = np.unique(cells[in_group[cells] & ~visited[cells]])
-        visited[cells] = True
-        reached += int(cells.size)
-        frontier = cells
+        level = np.zeros(arrays.num_cells, dtype=bool)
+        level[cells] = True
+        level &= unvisited
+        unvisited &= ~level
+        frontier = np.flatnonzero(level)
+        reached += int(frontier.size)
     return reached == int(members.size)
 
 
@@ -438,6 +453,9 @@ class PrefixCurves:
 def scan_ordering_curves(netlist: Netlist, ordering: Sequence[int]) -> PrefixCurves:
     """Vectorized equivalent of a full :class:`PrefixScanner` sweep.
 
+    The finder's curves normally come out of the compiled grow kernel;
+    this scan gives them to the kernel-less fallback and to any caller
+    holding only an ordering, and it is the kernel's test oracle.
     Computes the cut/pins/internal statistics of *every* prefix of
     ``ordering`` from the CSR view: each incident net contributes a ``+1``
     cut event at the step that first touches it and a ``-1`` at the step

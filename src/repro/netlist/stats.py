@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.netlist.hypergraph import Netlist
 from repro.netlist.ops import connected_components

@@ -8,8 +8,6 @@ executable statement of the invariants for tests.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.errors import ValidationError
 from repro.netlist.hypergraph import Netlist
 

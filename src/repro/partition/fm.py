@@ -274,7 +274,6 @@ class FMPartitioner:
             # Standard FM gain updates on critical nets.
             for net in self._cell_nets[chosen]:
                 count_to = counts[net][to_side]
-                count_from = counts[net][from_side]
                 members = self._nets[net]
                 if count_to == 0:
                     for other in members:

@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import PlacementError
 from repro.placement.region import Die
 
 

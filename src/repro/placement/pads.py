@@ -8,7 +8,7 @@ synthetic generators conceive of them.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import PlacementError
 from repro.netlist.hypergraph import Netlist

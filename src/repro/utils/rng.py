@@ -9,7 +9,7 @@ is supplied.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 RngLike = Union[None, int, random.Random]
 

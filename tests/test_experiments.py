@@ -16,7 +16,6 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.generators import IndustrialSpec
-from repro.generators.ispd_like import default_bigblue1_like
 
 
 @pytest.fixture(scope="module")

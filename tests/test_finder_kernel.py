@@ -10,6 +10,7 @@ counts and reports; the loading tests cover the fallback when no kernel
 can be built and concurrent first builds.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from repro.errors import FinderError
 from repro.finder import FinderConfig, find_tangled_logic
 from repro.finder import candidate as candidate_module
 from repro.finder import kernel
+from repro.finder import refine as refine_module
 from repro.finder.candidate import extract_candidate, scan_ordering
 from repro.finder.finder import _process_seed
 from repro.finder.kernel import KernelTables, compiled_kernel, grow_ordering
@@ -111,13 +113,13 @@ def _no_kernel():
 def _grow_two_ways(netlist, seed, max_length, lambda_skip, exclude_fixed):
     """(ordering, telemetry) of the numpy-backend entry point and of the
     scalar reference."""
-    default = grow_ordering(
+    ordering, telemetry, _ = grow_ordering(
         netlist, seed, max_length, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
     )
     grower = LinearOrderingGrower(
         netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
     )
-    return default, (grower.grow(max_length), grower.telemetry())
+    return (ordering.tolist(), telemetry), (grower.grow(max_length), grower.telemetry())
 
 
 def _assert_two_way_parity(netlist, seed, max_length, lambda_skip, exclude_fixed):
@@ -231,7 +233,9 @@ def test_capped_orderings_are_prefixes_through_heap_compactions():
     for lambda_skip in (0, 20):
         _assert_capped_orderings_are_prefixes(netlist, start, caps, lambda_skip, True)
         # The longest cap is reached only after the kernel compacted its heap.
-        _, telemetry = grow_ordering(netlist, start, caps[-1], lambda_skip=lambda_skip)
+        _, telemetry, _ = grow_ordering(
+            netlist, start, caps[-1], lambda_skip=lambda_skip
+        )
         assert (telemetry["heap_compactions"] > 0) == (compiled_kernel() is not None)
 
 
@@ -250,8 +254,10 @@ def test_compiled_parity_through_heap_compactions():
 def test_fixed_pad_seed_and_frontier_end_on_compiled_path(mixed_netlist):
     # exclude_fixed=False may start at the pad; exclude_fixed=True never
     # absorbs it, so the ordering ends when the frontier empties.
-    assert grow_ordering(mixed_netlist, 3, 10, exclude_fixed=False)[0] == [3, 0, 1, 2]
-    assert grow_ordering(mixed_netlist, 0, 10)[0] == [0, 1, 2]
+    assert grow_ordering(mixed_netlist, 3, 10, exclude_fixed=False)[0].tolist() == [
+        3, 0, 1, 2
+    ]
+    assert grow_ordering(mixed_netlist, 0, 10)[0].tolist() == [0, 1, 2]
 
 
 @needs_compiler
@@ -325,9 +331,14 @@ _CHILD = textwrap.dedent(
     from repro.generators.random_gtl import planted_gtl_graph
     from repro.service.codec import report_to_dict
 
+    def grown(seed, lambda_skip):
+        ordering, telemetry, curves = grow_ordering(
+            netlist, seed, 300, lambda_skip=lambda_skip)
+        return [ordering.tolist(), telemetry, curves.cuts.tolist(),
+                curves.pins.tolist(), curves.internal.tolist()]
+
     netlist, _ = planted_gtl_graph(600, [80], seed=3)
-    orderings = [grow_ordering(netlist, s, 300, lambda_skip=l)
-                 for s in (0, 17) for l in (0, 20)]
+    orderings = [grown(s, l) for s in (0, 17) for l in (0, 20)]
     report = report_to_dict(find_tangled_logic(
         netlist, FinderConfig(num_seeds=4, seed=7, min_gtl_size=20)
     ))
@@ -367,9 +378,17 @@ def _expected_child_output():
     whenever a compiler is present: a child without a kernel must match it
     bit for bit."""
     netlist, _ = planted_gtl_graph(600, [80], seed=3)
-    orderings = [
-        grow_ordering(netlist, s, 300, lambda_skip=l) for s in (0, 17) for l in (0, 20)
-    ]
+    orderings = []
+    for s in (0, 17):
+        for l in (0, 20):
+            ordering, telemetry, curves = grow_ordering(netlist, s, 300, lambda_skip=l)
+            orderings.append([
+                ordering.tolist(),
+                telemetry,
+                curves.cuts.tolist(),
+                curves.pins.tolist(),
+                curves.internal.tolist(),
+            ])
     with forced_backend("numpy"):
         report = report_to_dict(
             find_tangled_logic(
@@ -414,6 +433,75 @@ def test_racing_first_use_loads_one_library(tmp_path):
 
 
 # ---------------------------------------------------------------- curves
+def _curve_netlist(rng):
+    """Two components (the frontier empties before it covers the design),
+    fixed pads, explicit pin counts, degree-1 nets and isolated cells."""
+    builder = NetlistBuilder()
+    num_cells = rng.randint(4, 40)
+    cells = [
+        builder.add_cell(f"c{i}", fixed=(i > 0 and rng.random() < 0.15))
+        for i in range(num_cells)
+    ]
+    degree = dict.fromkeys(cells, 0)
+    split = rng.randint(1, num_cells - 1)
+    for part in (cells[:split], cells[split:]):
+        for _ in range(rng.randint(0, 3 * len(part))):
+            members = rng.sample(part, rng.randint(1, min(len(part), 10)))
+            builder.add_net(None, members)
+            for cell in members:
+                degree[cell] += 1
+    for cell in cells:
+        if rng.random() < 0.2:
+            builder.set_pin_count(cell, degree[cell] + rng.randint(0, 5))
+    return builder.build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_property_kernel_curves_equal_the_scan(seed):
+    """The curves the grow kernel records while it absorbs cells equal a
+    :func:`scan_ordering_curves` pass over the ordering it grew."""
+    rng = random.Random(seed)
+    netlist = _curve_netlist(rng)
+    n = netlist.num_cells
+    start = rng.choice(netlist.movable_cells())
+    for exclude_fixed in (True, False):
+        for lambda_skip in (0, 1, 3, 20):
+            for max_length in (1, rng.randint(1, n), n):
+                ordering, _, curves = grow_ordering(
+                    netlist,
+                    start,
+                    max_length,
+                    lambda_skip=lambda_skip,
+                    exclude_fixed=exclude_fixed,
+                )
+                expected = scan_ordering_curves(netlist, ordering)
+                for field in ("sizes", "cuts", "pins", "internal"):
+                    assert getattr(curves, field).tolist() == getattr(
+                        expected, field
+                    ).tolist(), (field, exclude_fixed, lambda_skip, max_length)
+
+
+def test_kernel_curves_cover_single_pin_nets_and_pads():
+    builder = NetlistBuilder()
+    a = builder.add_cell("a", pin_count=5)
+    b, c = builder.add_cell("b"), builder.add_cell("c")
+    pad = builder.add_cell("pad", fixed=True)
+    builder.add_net("solo", [a])
+    builder.add_net("ab", [a, b])
+    builder.add_net("bcp", [b, c, pad])
+    netlist = builder.build()
+    ordering, _, curves = grow_ordering(netlist, a, 10)
+    assert ordering.tolist() == [a, b, c]  # the frontier empties at the pad
+    assert curves.cuts.tolist() == [1, 1, 1]
+    assert curves.internal.tolist() == [1, 2, 2]
+    assert curves.pins.tolist() == [5, 7, 8]
+    ordering, _, curves = grow_ordering(netlist, a, 10, exclude_fixed=False)
+    assert ordering.tolist() == [a, b, c, pad]
+    assert curves.cuts.tolist() == [1, 1, 1, 0]
+    assert curves.internal.tolist() == [1, 2, 2, 3]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_property_prefix_curves_match_scanner_exactly(seed):
@@ -477,6 +565,73 @@ def test_property_group_stats_and_connectivity_parity(seed):
     assert _on_both_backends(lambda: group_connected(netlist, [])) == (False, False)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 6))
+def test_property_signature_pass_picks_the_reference_member(seed, refine_count):
+    """The numpy backend's signature pass returns the cells, score and
+    :class:`GroupStats` the set-based family loop returns, with duplicate,
+    empty, undersized and disconnected members in the family."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        netlist = _disconnected_netlist(rng)
+    else:
+        netlist = _random_netlist(rng, with_fixed=False)
+    cells = list(range(netlist.num_cells))
+    sets = [frozenset(rng.sample(cells, rng.randint(1, len(cells))))]
+    for _ in range(refine_count):
+        roll = rng.random()
+        outside = [c for c in cells if c not in sets[0]]
+        if roll < 0.2:
+            sets.append(rng.choice(sets))  # duplicate members
+        elif roll < 0.4 and outside:
+            # disjoint from the candidate: an empty intersection
+            sets.append(frozenset(rng.sample(outside, rng.randint(1, len(outside)))))
+        else:
+            sets.append(frozenset(rng.sample(cells, rng.randint(1, len(cells)))))
+    min_size = rng.randint(2, max(2, len(cells) // 2))
+    for metric in ("gtl_s", "ngtl_s", "gtl_sd"):
+        rent = rng.uniform(0.3, 0.9)
+        context = ScoreContext.for_netlist(netlist, rent, metric=metric)
+        with forced_backend("numpy"):
+            array = refine_module._best_member_signatures(
+                netlist, sets, context, min_size
+            )
+        with forced_backend("python"):
+            scalar = refine_module._best_member_sets(netlist, sets, context, min_size)
+        assert array == scalar
+
+
+def test_signature_pass_skips_a_better_disconnected_member():
+    """Two cliques with no net between them: the best-scoring members glue
+    them together, so both passes fall through to the connected clique
+    that ties with a disconnected member on score and comes first."""
+    builder = NetlistBuilder()
+    cells = builder.add_cells(11)
+    for group in (cells[0:4], cells[4:8]):
+        for i, x in enumerate(group):
+            for y in group[i + 1:]:
+                builder.add_net(None, [x, y])
+    for pair in ((0, 8), (8, 9), (5, 10)):
+        builder.add_net(None, pair)
+    netlist = builder.build()
+    sets = [
+        frozenset({0, 1, 2, 3, 4, 8}),
+        frozenset(range(8)),  # both cliques: scores 0.25, disconnected
+        frozenset(range(4)),  # one clique: scores 0.25, connected
+    ]
+    context = ScoreContext.for_netlist(netlist, 1.0, metric="gtl_s")
+    family = refine_module.genetic_family(sets)
+    union = frozenset(range(9))
+    assert union in family and context.score(group_stats(netlist, union)) < 0.25
+    assert not group_connected(netlist, union)
+    with forced_backend("numpy"):
+        array = refine_module._best_member_signatures(netlist, sets, context, 4)
+    with forced_backend("python"):
+        scalar = refine_module._best_member_sets(netlist, sets, context, 4)
+    assert array == scalar
+    assert array[0] == frozenset(range(4)) and array[2] == 0.25
+
+
 # ---------------------------------------------------------------- pipeline
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**31 - 1))
@@ -532,7 +687,7 @@ def test_extract_candidate_parity_includes_stats(small_planted):
         assert abs(array.score - scalar.score) <= 1e-9
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("backend", ["numpy", "python", "fallback"])
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -545,16 +700,22 @@ def test_extract_candidate_parity_includes_stats(small_planted):
 def test_candidate_less_seed_scans_its_ordering_once(
     small_planted, monkeypatch, backend, overrides
 ):
-    """Phase II prefix-scans a candidate-less seed's ordering exactly once
-    on either backend, and the seed still reports the ordering's Rent
-    estimate from that backend's estimator (NaN without a usable prefix)."""
+    """A candidate-less seed's prefix statistics are computed exactly once,
+    and the seed still reports the ordering's Rent estimate from that
+    backend's estimator (NaN without a usable prefix).
+
+    With the compiled kernel the curves come out of the grow loop, so no
+    curve scan runs at all; the numpy backend without a kernel
+    (``fallback``) scans the ordering once; the scalar backend feeds it
+    once through a :class:`PrefixScanner`.
+    """
     netlist, truth = small_planted
     outside = next(c for c in range(netlist.num_cells) if c not in truth[0])
     config = FinderConfig(
         **{"max_order_length": 400, "min_gtl_size": 30, **overrides}
     )
     curve_scans, added = [], []
-    real_scan = candidate_module.scan_ordering_curves
+    real_scan = scan_ordering_curves
     real_add = PrefixScanner.add
 
     def counting_scan(netlist, ordering):
@@ -565,34 +726,40 @@ def test_candidate_less_seed_scans_its_ordering_once(
         added.append(cell)
         real_add(scanner, cell)
 
-    with forced_backend(backend):
+    with forced_backend("python" if backend == "python" else "numpy"), (
+        _no_kernel() if backend == "fallback" else contextlib.nullcontext()
+    ):
         ordering = grow_linear_ordering(
             netlist, outside, config.resolve_order_length(netlist.num_cells)
         )
-        if backend == "numpy":
-            expected = estimate_rent_exponent_from_curves(
-                scan_ordering_curves(netlist, ordering),
-                min_size=config.rent_min_prefix,
-                fallback=float("nan"),
-            )
-        else:
+        if backend == "python":
             expected = estimate_rent_exponent_from_prefixes(
                 scan_ordering(netlist, ordering),
                 min_size=config.rent_min_prefix,
                 fallback=float("nan"),
             )
+        else:
+            expected = estimate_rent_exponent_from_curves(
+                scan_ordering_curves(netlist, ordering),
+                min_size=config.rent_min_prefix,
+                fallback=float("nan"),
+            )
         monkeypatch.setattr(candidate_module, "scan_ordering_curves", counting_scan)
+        monkeypatch.setattr(kernel, "scan_ordering_curves", counting_scan)
         monkeypatch.setattr(PrefixScanner, "add", counting_add)
         candidate, rent, orderings, footprint = _process_seed(
             netlist, config, outside, 0
         )
+        kernel_loaded = compiled_kernel() is not None
 
     assert candidate is None and orderings == 1
     assert footprint == tuple(sorted(ordering))
-    if backend == "numpy":
-        assert (curve_scans, added) == ([len(ordering)], [])
-    else:
+    if backend == "python":
         assert (curve_scans, added) == ([], ordering)
+    elif backend == "numpy" and kernel_loaded:
+        assert (curve_scans, added) == ([], [])
+    else:
+        assert (curve_scans, added) == ([len(ordering)], [])
     if "rent_min_prefix" in overrides:
         assert math.isnan(rent) and math.isnan(expected)
     else:

@@ -258,7 +258,7 @@ def test_dissolved_rom_structure():
 def test_dissolved_rom_is_tangled():
     circuit = CircuitBuilder()
     ports = build_dissolved_rom(circuit, 5, 24, rng=1)
-    glue = build_random_glue(circuit, 2000, rng=2)
+    build_random_glue(circuit, 2000, rng=2)
     # Tie the ROM to the glue minimally so the score is meaningful.
     netlist = circuit.finish()
     score = normalized_gtl_score(netlist, ports.cells, 0.65)

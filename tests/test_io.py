@@ -1,7 +1,5 @@
 """Tests for Bookshelf, edge-list and hgr IO."""
 
-import os
-
 import pytest
 
 from repro.errors import ParseError

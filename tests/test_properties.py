@@ -3,7 +3,6 @@
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.finder.candidate import CandidateGTL
@@ -12,7 +11,7 @@ from repro.finder.refine import genetic_family
 from repro.finder.result import FinderReport, GTL
 from repro.finder.config import FinderConfig
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.ops import GroupStats, cut_size, group_stats
+from repro.netlist.ops import GroupStats, cut_size
 from repro.placement.region import Die
 from repro.placement.spreading import spread_cells
 

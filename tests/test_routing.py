@@ -12,7 +12,7 @@ from repro.routing import build_congestion_map, congestion_stats
 
 def _manual_placement(cells, nets, positions, die=None):
     builder = NetlistBuilder()
-    ids = builder.add_cells(cells)
+    builder.add_cells(cells)
     for i, members in enumerate(nets):
         builder.add_net(f"n{i}", members)
     netlist = builder.build()

@@ -14,7 +14,6 @@ from repro.finder.seeding import (
     uniform_seeds,
 )
 from repro.generators.perturb import rewire_pins
-from repro.generators.random_gtl import planted_gtl_graph
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.validate import validate_netlist
 from repro.placement import Die
