@@ -105,8 +105,7 @@ def test_server_cold_warm_and_priorities(tmp_path):
             assert warm["cached"] is True
             assert warm["report"] == cold["report"]
         warm_s = statistics.median(warm_samples)
-        # Warm requests never reach the pool (no process involvement) and
-        # never enter the queue.
+        # Warm requests never reach the pool and never enter the queue.
         assert daemon.pool.stats.batches == pool_batches
         assert daemon.counters["warm_hits"] == WARM_REPEATS
 

@@ -14,9 +14,13 @@ deterministic jobs) executed cold through :class:`SweepCoordinator` at 1,
   so the trajectory stays interpretable) but cannot exceed ~1x and is
   not an acceptance failure of the coordinator.
 
+The record also times the same sweep in one process on two seed threads
+(``seconds_1_shard_2_threads``, parity asserted), the in-process
+alternative to shard processes.
+
 Results land in ``BENCH_sweep.json`` (headline: ``speedup_4_shards``),
 with the 4-shard run's :class:`RunReport` embedded so the record shows
-the per-shard span breakdown (``sweep.shard``) and merge/plan phases.
+the per-shard span breakdown (``sweep.shard``) and the plan phase.
 ``REPRO_BENCH_SMOKE=1`` shrinks the designs and skips the floor.
 """
 
@@ -46,6 +50,9 @@ else:
 
 SHARD_COUNTS = (1, 2, 4)
 
+#: Seed threads of the one-process comparison run.
+THREADS = 2
+
 #: Full-scale floor: a 4-shard cold sweep on >= 4 CPUs must at least
 #: halve the single-process wall clock.
 SPEEDUP_FLOOR = 2.0
@@ -69,11 +76,11 @@ def _comparable_rows(outcome):
     return rows
 
 
-def _run_cold(designs, num_shards, cache_dir):
+def _run_cold(designs, num_shards, cache_dir, workers=1):
     start = time.perf_counter()
-    outcome = SweepCoordinator(num_shards, cache_dir=cache_dir).run(
-        designs, BASE, GRID
-    )
+    outcome = SweepCoordinator(
+        num_shards, cache_dir=cache_dir, workers=workers
+    ).run(designs, BASE, GRID)
     seconds = time.perf_counter() - start
     assert all(result.ok for result in outcome.job_results)
     assert not outcome.failed_shards
@@ -113,6 +120,14 @@ def run(tmp_dir):
             f"({aggregate.jobs} job(s), {len(aggregate.shards)} shard(s))"
         )
 
+    # The same sweep in one process with two seed threads per job: the
+    # in-process alternative to shard processes.
+    outcome, threads_seconds = _run_cold(
+        designs, 1, os.path.join(tmp_dir, "cache-threads"), workers=THREADS
+    )
+    assert _comparable_rows(outcome) == reference_rows
+    print(f"shards=1, {THREADS} seed threads: {threads_seconds:.2f}s cold")
+
     cpu_count = os.cpu_count() or 1
     speedup = round(seconds_by_count[1] / max(seconds_by_count[4], 1e-9), 2)
     results = {
@@ -124,6 +139,7 @@ def run(tmp_dir):
             for count, seconds in seconds_by_count.items()
         },
         "speedup_4_shards": speedup,
+        f"seconds_1_shard_{THREADS}_threads": round(threads_seconds, 4),
         "parity": True,  # asserted above at every shard count
         "smoke": SMOKE,
     }

@@ -39,8 +39,8 @@ Subcommands:
 * ``status``       — query a running daemon (server stats or one job).
 
 ``--workers N`` (``batch``, ``sweep``, ``flow run``, ``detect``, ``serve``)
-sizes the :class:`~repro.service.pool.WorkerPool` that runs the seed
-trials.  It is not part of any finder config: reports and cache keys are
+sizes the :class:`~repro.service.pool.WorkerPool`, the seed threads that
+run the seed trials.  It is not part of any finder config: reports and cache keys are
 the same for every N.
 
 Examples::
@@ -913,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         svc = sub.add_parser(name, help=help_text)
         svc.add_argument("manifest", help="JSON manifest file")
         svc.add_argument("--workers", type=int, default=1,
-                         help="parallel seed trials per job")
+                         help="seed threads per job")
         svc.add_argument("--cache-dir", default="",
                          help="result cache directory (default .repro-cache)")
         svc.add_argument("--no-cache", action="store_true",
@@ -949,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flow_run.add_argument("manifest", help="JSON flow manifest file")
     flow_run.add_argument("--workers", type=int, default=1,
-                          help="parallel seed trials inside detection stages")
+                          help="seed threads inside detection stages")
     flow_run.add_argument("--cache-dir", default="",
                           help="result cache directory (default .repro-cache)")
     flow_run.add_argument("--no-cache", action="store_true",
@@ -985,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--max-order-length", type=int, default=0)
     detect.add_argument("--min-size", type=int, default=30)
     detect.add_argument("--workers", type=int, default=1,
-                        help="parallel seed trials (full run and patch)")
+                        help="seed threads (full run and patch)")
     detect.add_argument("--seed", type=int, default=0,
                         help="RNG seed (incremental reuse requires one)")
     detect.add_argument("--cache-dir", default="",
@@ -1053,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--socket", default=DEFAULT_SOCKET,
                        help="Unix socket to listen on")
     serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes in the shared pool")
+                       help="seed threads in the shared pool")
     serve.add_argument("--cache-dir", default="",
                        help="result cache directory (default .repro-cache)")
     serve.add_argument("--max-queue-depth", type=int, default=64,

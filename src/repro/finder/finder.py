@@ -1,12 +1,12 @@
 """The full tangled-logic finder pipeline (Algorithm, Chapter IV).
 
 Each random seed runs Phases I-III independently — the paper exploits this
-with 8 pthreads; here :meth:`TangledLogicFinder.run` distributes the seed
-runs over the :class:`repro.service.pool.WorkerPool` it is handed, and runs
-them serially without one.  Parallelism is the pool's choice, never the
-config's: the report is identical either way.  Batch drivers
-(:class:`repro.service.jobs.BatchRunner`) keep one persistent pool so many
-detections share one set of worker processes.
+with 8 pthreads, and so does :meth:`TangledLogicFinder.run`: it hands the
+seed runs to the :class:`repro.service.pool.WorkerPool` it is given (a
+thread pool in this process), and runs them serially without one.
+Parallelism is the pool's choice, never the config's: the report is
+identical either way.  Batch drivers (:class:`repro.service.jobs.BatchRunner`)
+keep one persistent pool so many detections share one set of seed threads.
 
 Rent-exponent handling: Phase II estimates a Rent exponent per ordering (the
 paper's estimator) from the same single prefix scan that yields the
@@ -117,7 +117,7 @@ def _process_seed(
 def _process_batch(
     netlist: Netlist, config: FinderConfig, jobs: Sequence[Tuple[int, int]]
 ) -> List[_SeedOutcome]:
-    """Process several ``(seed_cell, rng_seed)`` jobs in one worker."""
+    """Process several ``(seed_cell, rng_seed)`` jobs serially."""
     return [_process_seed(netlist, config, cell, rng) for cell, rng in jobs]
 
 

@@ -12,8 +12,8 @@ for the algorithm):
   sha256 of its source, the compiler flags, the machine architecture and
   the resolved compiler binary, and loaded through :mod:`ctypes`.  Each
   build writes a temporary file in that directory and ``os.replace``-s it
-  into place, so pool workers and shard processes that race on first use
-  all load one complete library.  A library is loaded only when it and its
+  into place, so shard processes that race on first use all load one
+  complete library.  A library is loaded only when it and its
   directory belong to the current user and neither is writable by group or
   others.  The call releases the GIL and reads the :class:`KernelTables`
   buffers in place;
@@ -78,7 +78,7 @@ from repro.obs import trace
 
 logger = logging.getLogger(__name__)
 
-#: Key of the shared static tables inside ``netlist.derived_cache``.
+#: :meth:`Netlist.derived` key of the shared static tables.
 _TABLES_KEY = "finder_kernel_tables"
 
 #: The kernel's C source, compiled on first use.
@@ -108,9 +108,9 @@ def multi_pin_degrees(arrays) -> np.ndarray:
 class KernelTables:
     """Immutable per-netlist lookup tables read by the C kernel.
 
-    Built once per netlist (cached on its derived-object cache) with
-    vectorized passes over the CSR view.  Every table is a contiguous numpy
-    int64 array.
+    Built once per netlist (:meth:`Netlist.derived`) with vectorized
+    passes over the CSR view.  Every table is a contiguous numpy int64
+    array.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -125,34 +125,25 @@ class KernelTables:
         # Update CSRs keyed by exclude_fixed: the absorb loop never updates
         # fixed pins, so pre-dropping them removes the per-pin check.  Net
         # *degrees* for the weight formula always use the full CSR.
-        self._update_csr: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
+        full = (_int64(arrays.net_ptr), _int64(arrays.net_cells))
+        movable = full
+        if arrays.fixed_mask.any():
+            keep = ~arrays.fixed_mask[arrays.net_cells]
+            running = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(keep, out=running[1:])
+            movable = (
+                _int64(running[arrays.net_ptr]), _int64(arrays.net_cells[keep])
+            )
+        self._update_csr = {False: full, True: movable}
 
     def update_csr(self, exclude_fixed: bool) -> Tuple[np.ndarray, np.ndarray]:
         """``(ptr, flat)`` int64 arrays of the pin-update CSR."""
-        entry = self._update_csr.get(exclude_fixed)
-        if entry is None:
-            arrays = self.arrays
-            if exclude_fixed and arrays.fixed_mask.any():
-                keep = ~arrays.fixed_mask[arrays.net_cells]
-                flat = arrays.net_cells[keep]
-                running = np.zeros(len(keep) + 1, dtype=np.int64)
-                np.cumsum(keep, out=running[1:])
-                ptr = running[arrays.net_ptr]
-            else:
-                flat = arrays.net_cells
-                ptr = arrays.net_ptr
-            entry = (_int64(ptr), _int64(flat))
-            self._update_csr[exclude_fixed] = entry
-        return entry
+        return self._update_csr[exclude_fixed]
 
     @classmethod
     def for_netlist(cls, netlist: Netlist) -> "KernelTables":
-        """The netlist's cached tables (built on first use)."""
-        tables = netlist.derived_cache.get(_TABLES_KEY)
-        if tables is None:
-            tables = cls(netlist)
-            netlist.derived_cache[_TABLES_KEY] = tables
-        return tables
+        """The netlist's tables (built on first use)."""
+        return netlist.derived(_TABLES_KEY, lambda: cls(netlist))
 
 
 def _int64(array: np.ndarray) -> np.ndarray:

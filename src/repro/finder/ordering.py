@@ -45,7 +45,7 @@ from repro.netlist.ops import PrefixCurves
 from repro.obs import trace
 from repro.utils.lazyheap import LazyMaxHeap
 
-#: Key of the scalar grower's per-netlist lists inside ``derived_cache``.
+#: :meth:`Netlist.derived` key of the scalar grower's per-netlist lists.
 _SCALAR_TABLES_KEY = "finder_scalar_grower_tables"
 
 
@@ -166,19 +166,19 @@ class LinearOrderingGrower:
 def _scalar_tables(netlist: Netlist) -> Tuple[List[int], List[bool], List[int]]:
     """Net degrees, fixed flags and per-cell multi-pin net counts as lists.
 
-    Built once per netlist from its CSR arrays and kept in its
-    ``derived_cache``: the grower reads plain list items, not numpy
-    scalars, and a heap push reads ``degree2`` instead of recounting.
+    Built once per netlist from its CSR arrays (:meth:`Netlist.derived`):
+    the grower reads plain list items, not numpy scalars, and a heap push
+    reads ``degree2`` instead of recounting.
     """
-    tables = netlist.derived_cache.get(_SCALAR_TABLES_KEY)
-    if tables is None:
-        arrays = netlist.arrays
-        tables = netlist.derived_cache[_SCALAR_TABLES_KEY] = (
+    arrays = netlist.arrays
+    return netlist.derived(
+        _SCALAR_TABLES_KEY,
+        lambda: (
             arrays.net_degrees.tolist(),
             arrays.fixed_mask.tolist(),
             multi_pin_degrees(arrays).tolist(),
-        )
-    return tables
+        ),
+    )
 
 
 def grow_with_curves(

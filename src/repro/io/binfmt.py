@@ -418,7 +418,7 @@ def _netlist_from_views(
     )
     from repro.service.fingerprint import FINGERPRINT_CACHE_KEY
 
-    netlist.derived_cache[FINGERPRINT_CACHE_KEY] = fingerprint
+    netlist.derived(FINGERPRINT_CACHE_KEY, lambda: fingerprint)
     return netlist
 
 

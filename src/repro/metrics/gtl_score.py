@@ -102,17 +102,14 @@ class ScoreContext:
         cache — re-scoring many candidates of one netlist reuses one
         instance per exponent/metric pair.
         """
-        key = ("score_context", rent_exponent, metric)
-        cache = netlist.derived_cache
-        context = cache.get(key)
-        if context is None:
-            context = cls(
+        return netlist.derived(
+            ("score_context", rent_exponent, metric),
+            lambda: cls(
                 rent_exponent=rent_exponent,
                 avg_pins_per_cell=netlist.average_pins_per_cell,
                 metric=metric,
-            )
-            cache[key] = context
-        return context
+            ),
+        )
 
     def score(self, stats: GroupStats) -> float:
         """Score a group from its :class:`GroupStats` (lower = more tangled)."""

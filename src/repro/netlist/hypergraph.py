@@ -8,7 +8,9 @@ A :class:`Netlist` holds its content in one read-only CSR
 (:mod:`repro.io.binfmt`, possibly views over an ``mmap``) or by splicing
 an ECO delta (:func:`repro.incremental.apply_delta`).  The structure is
 immutable, which lets the finder and the metrics share it freely across
-(process) parallel seed runs; pickling ships the pack blob.
+the seed threads of :mod:`repro.service.pool`; derived per-netlist objects
+(kernel tables, score contexts, the fingerprint) are built once each
+through :meth:`Netlist.derived`.  Pickling ships the pack blob.
 
 Per-attribute accessors answer from the arrays.  ``nets_of_cell``,
 ``cells_of_net`` and ``neighbors`` answer from a tuple adjacency that is
@@ -28,13 +30,16 @@ representable.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.errors import NetlistError
 from repro.netlist.arrays import NameTable, NetlistArrays
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,7 @@ class Netlist:
         "_total_pins",
         "_adjacency",
         "_derived",
+        "_derived_lock",
     )
 
     def __init__(
@@ -130,7 +136,8 @@ class Netlist:
         self._total_pins = int(arrays.pin_counts.sum())
         # (cells of each net, nets of each cell) as tuples, built on demand.
         self._adjacency: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
-        self._derived: Dict = {}  # derived-object cache (see derived_cache)
+        self._derived: Dict = {}  # derived-object cache (see derived)
+        self._derived_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Storage
@@ -150,15 +157,30 @@ class Netlist:
         """Net names as a :class:`~repro.netlist.arrays.NameTable`."""
         return self._net_table
 
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The derived object stored under ``key``, made by ``build()`` on
+        first use.
+
+        Sound because the netlist is immutable: entries never invalidate.
+        Builds run under the netlist's lock, so threads that touch a fresh
+        netlist at once build each entry exactly once; a hit takes no lock.
+        Used for the :class:`~repro.metrics.gtl_score.ScoreContext`
+        instances, the growers' tables and the fingerprint memo.  Never
+        pickled.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        with self._derived_lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]
+
     @property
     def derived_cache(self) -> Dict:
-        """Mutable cache of derived per-netlist objects, keyed by the caller.
-
-        Safe because the netlist is immutable: entries never invalidate.
-        Used for memoized :class:`~repro.metrics.gtl_score.ScoreContext`
-        instances, the detection kernel's tables and the fingerprint memo.
-        Never pickled.
-        """
+        """The entries :meth:`derived` has built, keyed by the caller (for
+        inspection; build entries through :meth:`derived`)."""
         return self._derived
 
     def _incidence(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:

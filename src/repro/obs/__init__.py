@@ -7,7 +7,7 @@ telemetry primitives from:
   propagation, a process-global :class:`~repro.obs.trace.Tracer`, and a
   no-op fast path when tracing is disabled (the default).
 * :mod:`repro.obs.metrics` — typed ``Counter``/``Gauge``/``Histogram``
-  aggregates with snapshot/merge for cross-process collection.
+  aggregates, thread-safe, with snapshot/merge.
 * :mod:`repro.obs.report` — :class:`~repro.obs.report.RunReport`, the
   aggregated view (span tree, per-phase totals, counter totals) exported
   by the CLI's ``--profile`` flag and embedded into benchmark records.

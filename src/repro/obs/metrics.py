@@ -3,8 +3,9 @@
 Metrics are cheap running aggregates, not event streams: a counter is one
 integer, a histogram is a handful of bucket counts.  Every metric can
 :meth:`snapshot` itself into a plain dict (JSON-serializable, picklable)
-and :meth:`merge` a snapshot back in, which is how worker processes ship
-their tallies to the parent (see :meth:`repro.obs.trace.Tracer.capture`).
+and :meth:`merge` a snapshot back in.  Updates and the registry's
+get-or-create are serialized by a lock, so the seed threads of
+:mod:`repro.service.pool` tally into one registry without losing counts.
 
 A :class:`MetricRegistry` names metrics and creates them on first use.
 When tracing is disabled, the module-level accessors in
@@ -14,6 +15,7 @@ so instrumented code never branches on "is telemetry on?" itself.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from typing import Any, Dict, Mapping, Tuple
 
@@ -29,15 +31,17 @@ DEFAULT_BOUNDS: Tuple[float, ...] = (
 class Counter:
     """A monotonically growing tally."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_lock")
     kind = "counter"
 
     def __init__(self) -> None:
         self.value = 0
+        self._lock = threading.Lock()
 
     def add(self, amount: int = 1) -> None:
         """Increase the tally by ``amount``."""
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
@@ -49,17 +53,19 @@ class Counter:
 class Gauge:
     """A last-written value (e.g. a queue depth, a configuration knob)."""
 
-    __slots__ = ("value", "updates")
+    __slots__ = ("value", "updates", "_lock")
     kind = "gauge"
 
     def __init__(self) -> None:
         self.value = 0.0
         self.updates = 0
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         """Record the current value."""
-        self.value = value
-        self.updates += 1
+        with self._lock:
+            self.value = value
+            self.updates += 1
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value, "updates": self.updates}
@@ -80,10 +86,11 @@ class Histogram:
     is the overflow bucket.
     """
 
-    __slots__ = ("count", "total", "min", "max", "buckets", "bounds")
+    __slots__ = ("count", "total", "min", "max", "buckets", "bounds", "_lock")
     kind = "histogram"
 
     def __init__(self, bounds: Tuple[float, ...] = DEFAULT_BOUNDS) -> None:
+        self._lock = threading.Lock()
         self.bounds = tuple(bounds)
         self.count = 0
         self.total = 0.0
@@ -93,13 +100,14 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.buckets[bisect_right(self.bounds, value)] += 1
+        with self._lock:
+            self.count += 1
+            self.total += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+            self.buckets[bisect_right(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -142,6 +150,7 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
+        self._lock = threading.Lock()  # guards get-or-create
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -153,8 +162,11 @@ class MetricRegistry:
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls()
-        elif not isinstance(metric, cls):
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = cls()
+        if not isinstance(metric, cls):
             raise ReproError(
                 f"metric {name!r} already registered as {metric.kind}, "
                 f"not {cls.kind}"
@@ -178,8 +190,8 @@ class MetricRegistry:
         return {name: metric.snapshot() for name, metric in self._metrics.items()}
 
     def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry, creating metrics that only the snapshot knows about."""
+        """Fold a :meth:`snapshot` into this registry, creating metrics
+        that only the snapshot knows about."""
         for name, snap in snapshot.items():
             kind = snap.get("kind")
             cls = _KINDS.get(kind)

@@ -11,8 +11,9 @@ plus a metric snapshot.  :class:`RunReport` turns that into:
 * :meth:`summary` — the renderable profile (span tree + counter totals)
   printed by the CLI's ``--profile`` flag.
 
-Spans merged from worker processes carry per-process clocks, so only
-durations — never raw ``start`` values — are compared across spans.
+Traces written by different processes (shard workers, the daemon) carry
+per-process clocks, so only durations — never raw ``start`` values — are
+compared across spans.
 """
 
 from __future__ import annotations

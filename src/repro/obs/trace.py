@@ -14,10 +14,10 @@ Design constraints, in order:
 2. **Telemetry never changes results.**  Nothing here feeds back into the
    algorithms or the content fingerprints; enabling tracing is observably
    a no-op apart from the trace itself (regression-tested).
-3. **Works across process boundaries.**  Worker processes wrap their work
-   in :meth:`Tracer.capture` and ship plain-dict spans/metric snapshots
-   back; the parent re-parents them under its own task span with
-   :meth:`Tracer.adopt` (see :mod:`repro.service.pool`).
+3. **Works across threads.**  A span opened on a pool thread names its
+   parent explicitly (``span(..., parent_id=...)``), so seed work on the
+   :mod:`repro.service.pool` threads hangs under the submitting thread's
+   span; finished spans and metric updates are serialized by locks.
 
 The one monotonic clock of the codebase is :func:`clock`;
 :class:`repro.utils.timer.Timer` wraps it too, so every reported duration
@@ -31,8 +31,7 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import (
     NULL_COUNTER,
@@ -48,28 +47,38 @@ def clock() -> float:
 
 
 def _new_span_id() -> str:
-    # Random ids (not a counter) so ids stay unique across worker
-    # processes whose spans are merged into one trace.
+    # Random ids (not a counter) so ids stay unique across the shard
+    # processes and daemon whose traces may be read side by side.
     return uuid.uuid4().hex[:16]
+
+
+_CURRENT = object()  # sentinel: "parent under the calling thread's span"
 
 
 class Span:
     """One traced unit of work; a context manager.
 
     Entering records the start time and pushes the span onto the calling
-    thread's context stack (setting ``parent_id`` from the previous top);
-    exiting computes the duration, pops the stack and hands the finished
-    record to the tracer's sinks.
+    thread's context stack (setting ``parent_id`` from the previous top,
+    unless the span was opened with an explicit parent); exiting computes
+    the duration, pops the stack and hands the finished record to the
+    tracer's sinks.
     """
 
     __slots__ = ("name", "span_id", "parent_id", "attrs", "start", "duration", "_tracer")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
+    def __init__(
+        self,
+        tracer: "Tracer",
+        name: str,
+        attrs: Dict[str, Any],
+        parent_id: Any = _CURRENT,
+    ) -> None:
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
         self.span_id = _new_span_id()
-        self.parent_id: Optional[str] = None
+        self.parent_id: Any = parent_id
         self.start = 0.0
         self.duration = 0.0
 
@@ -85,7 +94,8 @@ class Span:
 
     def __enter__(self) -> "Span":
         stack = self._tracer._stack()
-        self.parent_id = stack[-1].span_id if stack else None
+        if self.parent_id is _CURRENT:
+            self.parent_id = stack[-1].span_id if stack else None
         stack.append(self)
         self.start = clock()
         return self
@@ -152,17 +162,6 @@ class JsonlSink:
             self._handle = None
 
 
-class Capture:
-    """Spans and metric snapshots collected by :meth:`Tracer.capture`."""
-
-    def __init__(self) -> None:
-        self.spans: List[Dict[str, Any]] = []
-        self.metrics: Dict[str, Dict[str, Any]] = {}
-
-
-_CURRENT = object()  # sentinel: "parent under the calling thread's span"
-
-
 class Tracer:
     """Produces spans and owns the in-memory collector + optional sink."""
 
@@ -172,6 +171,7 @@ class Tracer:
         self._sink: Optional[JsonlSink] = None
         self._spans: List[Dict[str, Any]] = []
         self._local = threading.local()
+        self._lock = threading.Lock()  # guards _spans and the sink
 
     # -- internal ------------------------------------------------------
     def _stack(self) -> List[Span]:
@@ -181,9 +181,10 @@ class Tracer:
         return stack
 
     def _finish(self, span_dict: Dict[str, Any]) -> None:
-        self._spans.append(span_dict)
-        if self._sink is not None:
-            self._sink.emit(span_dict)
+        with self._lock:
+            self._spans.append(span_dict)
+            if self._sink is not None:
+                self._sink.emit(span_dict)
 
     # -- lifecycle -----------------------------------------------------
     def enable(self, jsonl_path: Optional[str] = None) -> None:
@@ -205,11 +206,15 @@ class Tracer:
             self._sink = None
 
     # -- span creation -------------------------------------------------
-    def span(self, name: str, **attrs: Any):
-        """A context-managed span, or :data:`NULL_SPAN` when disabled."""
+    def span(self, name: str, parent_id: Any = _CURRENT, **attrs: Any):
+        """A context-managed span, or :data:`NULL_SPAN` when disabled.
+
+        ``parent_id`` defaults to the calling thread's current span; pass
+        the id of a span open on another thread to hang this one under it.
+        """
         if not self.enabled:
             return NULL_SPAN
-        return Span(self, name, attrs)
+        return Span(self, name, attrs, parent_id)
 
     def record(
         self,
@@ -222,7 +227,7 @@ class Tracer:
         """Emit an already-measured span and return its id.
 
         For work whose lifetime does not nest in the calling frame (e.g.
-        overlapping pool tasks measured by their futures).  ``parent_id``
+        overlapping shard processes measured by their futures).  ``parent_id``
         defaults to the calling thread's current span.
         """
         if not self.enabled:
@@ -242,53 +247,9 @@ class Tracer:
         self._finish(span_dict)
         return span_dict["span_id"]
 
-    def adopt(
-        self, span_dicts: Iterable[Dict[str, Any]], parent_id: Optional[str]
-    ) -> None:
-        """Ingest spans captured elsewhere (a worker process), re-parenting
-        their roots — spans whose parent is not in the shipped set — under
-        ``parent_id``."""
-        if not self.enabled:
-            return
-        span_dicts = list(span_dicts)
-        local_ids = {d["span_id"] for d in span_dicts}
-        for span_dict in span_dicts:
-            if span_dict.get("parent_id") not in local_ids:
-                span_dict = dict(span_dict)
-                span_dict["parent_id"] = parent_id
-            self._finish(span_dict)
-
-    def merge_metrics(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold a worker's metric snapshot into this tracer's registry."""
-        if not self.enabled:
-            return
-        self.metrics.merge(snapshot)
-
     def finished_spans(self) -> List[Dict[str, Any]]:
         """All spans finished since the last :meth:`enable` (copy)."""
         return list(self._spans)
-
-    @contextmanager
-    def capture(self):
-        """Collect spans/metrics into a :class:`Capture`, isolated from —
-        and restoring — whatever tracing state was active before.
-
-        Worker processes use this so their telemetry travels back as data
-        instead of being written to a sink they do not own.
-        """
-        saved = (self.enabled, self.metrics, self._spans, self._sink, self._local)
-        self.enabled = True
-        self.metrics = MetricRegistry()
-        self._spans = []
-        self._sink = None
-        self._local = threading.local()
-        result = Capture()
-        try:
-            yield result
-        finally:
-            result.spans = self._spans
-            result.metrics = self.metrics.snapshot()
-            (self.enabled, self.metrics, self._spans, self._sink, self._local) = saved
 
 
 _TRACER = Tracer()
@@ -314,9 +275,9 @@ def disable() -> None:
     _TRACER.disable()
 
 
-def span(name: str, **attrs: Any):
+def span(name: str, parent_id: Any = _CURRENT, **attrs: Any):
     """A span on the global tracer (:data:`NULL_SPAN` when disabled)."""
-    return _TRACER.span(name, **attrs)
+    return _TRACER.span(name, parent_id=parent_id, **attrs)
 
 
 def record(
@@ -352,7 +313,6 @@ def histogram(name: str):
 
 
 __all__ = [
-    "Capture",
     "JsonlSink",
     "NULL_SPAN",
     "Span",

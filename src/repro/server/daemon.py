@@ -17,7 +17,10 @@ Threading model:
 * one **scheduler thread** dispatches queued jobs priority-first
   (starvation-free) and executes them against the shared pool + store,
   publishing ``started``/``progress``/``result`` events that streaming
-  connections relay as JSONL.
+  connections relay as JSONL;
+* the pool's **seed threads** run each job's seed trials.  A seed that
+  raises fails its job with a typed error and the daemon serves on; a
+  crash inside the compiled kernel ends the daemon process.
 
 Shutdown is graceful by default: on SIGTERM (or a ``shutdown`` request)
 the daemon stops accepting work, lets the scheduler finish everything
@@ -75,7 +78,7 @@ class ServerConfig:
     Attributes:
         socket_path: Unix socket the daemon listens on.
         cache_dir: result-store directory (shared, WAL-mode safe).
-        workers: worker processes in the shared pool.
+        workers: seed threads in the shared pool.
         max_queue_depth: queued jobs admitted before backpressure.
         starvation_limit: scheduler dispatches a class may be passed over.
         retry_after_s: base backpressure retry hint.

@@ -8,10 +8,10 @@ Turns the one-shot in-process finder into a batch service:
 * :mod:`repro.service.store` — persistent SQLite result store with
   hit/miss accounting; one per cache dir, shared by every process that
   runs over it (CLI runs, shard workers, the daemon).
-* :mod:`repro.service.pool` — a reusable worker pool that ships each
-  netlist to the workers once and then streams bare seed batches.
+* :mod:`repro.service.pool` — a reusable in-process thread pool that runs
+  the seed trials of many detections over shared netlists.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and
-  the retrying, cache-consulting ``BatchRunner``.
+  the cache-consulting ``BatchRunner``.
 * :mod:`repro.service.sweep` — parameter-grid expansion with
   fingerprint-level job deduplication.
 * :mod:`repro.service.shard` — stable fingerprint-keyed partitioning of a

@@ -185,7 +185,7 @@ class SweepCoordinator:
         cache_dir: sweep cache directory; every shard process opens its
             one store.  ``None`` disables persistence.
         use_cache: master cache switch (the ``--no-cache`` path).
-        workers: parallel seed trials *inside* each shard (usually 1 —
+        workers: seed threads *inside* each shard (usually 1 —
             sharding is the parallelism axis).  Every shard of a wave
             runs concurrently, one process (or daemon submit) each.
         max_shard_attempts: dispatch attempts per shard before its jobs

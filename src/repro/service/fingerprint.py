@@ -42,7 +42,7 @@ from repro.netlist.hypergraph import Netlist
 #: so stale persisted caches are never read back under a new scheme.
 FINGERPRINT_VERSION = 2
 
-#: ``Netlist.derived_cache`` key memoizing :func:`fingerprint_netlist`.
+#: :meth:`Netlist.derived` key memoizing :func:`fingerprint_netlist`.
 #: Netlists are immutable, so the fingerprint is computed at most once per
 #: object — and pack-file loads seed it straight from the header, making
 #: cache lookups on mmap-loaded designs O(1) instead of O(content).
@@ -69,13 +69,15 @@ def fingerprint_netlist(netlist: Netlist) -> str:
     pack-loaded, spliced or pickled copy of one design shares one
     fingerprint.
 
-    Memoized in ``netlist.derived_cache`` (immutability makes that sound);
+    Memoized with :meth:`Netlist.derived` (immutability makes that sound);
     pack files store this very fingerprint in their header, so loading one
     pre-seeds the memo and no hash is computed at all.
     """
-    cached = netlist.derived_cache.get(FINGERPRINT_CACHE_KEY)
-    if cached is not None:
-        return cached
+    return netlist.derived(FINGERPRINT_CACHE_KEY, lambda: _hash_netlist(netlist))
+
+
+def _hash_netlist(netlist: Netlist) -> str:
+    """The :func:`fingerprint_netlist` digest, computed from the content."""
     arrays = netlist.arrays
     cell_table, net_table = netlist.cell_table, netlist.net_table
     digest = hashlib.sha256()
@@ -96,9 +98,7 @@ def fingerprint_netlist(netlist: Netlist) -> str:
         data = np.ascontiguousarray(section, dtype=dtype)
         digest.update(data.nbytes.to_bytes(8, "little"))
         digest.update(data)
-    fingerprint = digest.hexdigest()
-    netlist.derived_cache[FINGERPRINT_CACHE_KEY] = fingerprint
-    return fingerprint
+    return digest.hexdigest()
 
 
 def _normalize_config_value(value, field_type) -> object:

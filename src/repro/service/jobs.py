@@ -6,9 +6,8 @@ A :class:`DetectionJob` names one ``(netlist, config)`` detection;
 ``Flow([DetectStage(config)])``, so the flow's stage loop looks the report
 up in the :class:`~repro.service.store.ResultStore`, computes a miss and
 records it — the same row a ``repro flow run``, ``repro detect`` or daemon
-submit of that ``(design, config)`` reads.  Worker crashes are retried
-inside the pool (``WorkerPool.max_retries``); a job that still fails is
-recorded once, with its error.
+submit of that ``(design, config)`` reads.  A job whose seed raises fails
+once, with its error, and the batch goes on.
 
 Caching is only sound for deterministic runs: a job whose config has
 ``seed=None`` is executed unconditionally and never stored.
@@ -107,7 +106,7 @@ class BatchRunner:
     """Execute many detection jobs with shared workers and a shared cache.
 
     Args:
-        workers: parallel seed trials per job (one pool shared by all jobs).
+        workers: seed threads per job (one pool shared by all jobs).
         store: result store for cache lookup/insert (``None`` = no caching).
         use_cache: master switch; ``False`` bypasses the store entirely —
             no lookups and no inserts (the ``--no-cache`` path).
@@ -150,9 +149,8 @@ class BatchRunner:
     def run_one(self, job: DetectionJob) -> JobResult:
         """Execute a single job (cache lookup, run, cache insert).
 
-        The pool already replays batches lost to worker crashes, so an
-        error reaching this point is deterministic: the job fails once,
-        with its error, and the batch goes on.
+        Detection is deterministic, so an error is never retried: the job
+        fails once, with its error, and the batch goes on.
         """
         from repro.flow.flow import Flow
         from repro.flow.stages import DetectStage

@@ -12,7 +12,7 @@ Only this script rewrites the file, and only when asked to::
         --scenario industrial53k --config default [--workers 2] [--pack]
 
 ``check`` exits 1 and prints the first differing entry when a run does not
-match.  ``--workers N`` runs the seeds on an ``N``-process
+match.  ``--workers N`` runs the seeds on an ``N``-thread
 :class:`~repro.service.pool.WorkerPool`; ``--pack`` loads the design from a
 binary pack file instead of using the generated netlist.  The tier-1 test
 ``tests/test_golden_reports.py`` checks every scenario marked ``tier1``.

@@ -340,3 +340,31 @@ def test_manifests_naming_workers_are_rejected(
     assert main([verb, str(path), "--no-cache", "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "unknown FinderConfig field" in err and "workers" in err
+
+
+def test_cli_pack_and_detect_from_packed(planted_hgr, tmp_path, capsys):
+    source, _ = planted_hgr
+    packed = str(tmp_path / "design.nla")
+    assert main(["pack", source, "--out", packed]) == 0
+    out = capsys.readouterr().out
+    assert "fingerprint:" in out
+    assert os.path.exists(packed)
+
+    membership_a = str(tmp_path / "a.txt")
+    membership_b = str(tmp_path / "b.txt")
+    assert main([
+        "detect", source, "--seeds", "6", "--seed", "3", "--no-cache",
+        "--out", membership_a,
+    ]) == 0
+    assert main([
+        "detect", packed, "--seeds", "6", "--seed", "3", "--no-cache",
+        "--out", membership_b,
+    ]) == 0
+    with open(membership_a) as a, open(membership_b) as b:
+        assert a.read() == b.read()
+
+
+def test_cli_pack_default_output_path(planted_hgr, tmp_path, capsys):
+    source, _ = planted_hgr
+    assert main(["pack", source]) == 0
+    assert os.path.exists(str(tmp_path / "g.nla"))

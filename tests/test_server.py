@@ -457,6 +457,32 @@ def test_daemon_flow_cold_then_warm(corpus, daemon_factory):
     ]
 
 
+def test_daemon_fails_a_raising_seed_and_serves_on(
+    corpus, daemon_factory, monkeypatch
+):
+    """A seed that raises on a pool thread fails its job with a typed
+    error; the daemon answers the next submit with the offline report."""
+    from repro.service import pool as pool_module
+
+    def broken_seed(*args):
+        raise RuntimeError("injected seed failure")
+
+    daemon, client = daemon_factory(workers=2)
+    path, netlist = corpus["b"]
+    monkeypatch.setattr(pool_module, "_process_seed", broken_seed)
+    with pytest.raises(ServerError, match="RuntimeError: injected seed failure"):
+        client.submit(path, config=CFG)
+    assert daemon.counters["failed"] == 1
+    monkeypatch.undo()
+
+    answer = client.submit(path, config=CFG)
+    assert answer["event"] == "result" and answer["cached"] is False
+    offline = report_to_dict(find_tangled_logic(netlist, FinderConfig(**CFG)))
+    assert {**answer["report"], "runtime_seconds": 0} == {
+        **offline, "runtime_seconds": 0,
+    }
+
+
 def test_daemon_backpressure_rejection(corpus, daemon_factory):
     daemon, client = daemon_factory(max_queue_depth=1, start_scheduler=False)
     first = client.submit(

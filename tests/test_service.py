@@ -200,9 +200,7 @@ def test_pool_matches_serial_results(small):
     assert report.gtls == serial.gtls
     assert report.rent_exponent == serial.rent_exponent
     assert again.gtls == serial.gtls
-    # The context is shipped on the first run only; later runs stream bare
-    # seed batches (modulo unprimed-worker misses, which re-ship).
-    assert pool.stats.context_shipments <= 2 + pool.stats.context_misses
+    assert pool.stats.batches == 2 * CFG.num_seeds  # one task per seed
 
 
 def test_pool_workers_field_does_not_change_results(small):
@@ -230,8 +228,46 @@ def test_pool_serial_path_avoids_processes(small):
 def test_pool_validates_arguments():
     with pytest.raises(ServiceError):
         WorkerPool(0)
-    with pytest.raises(ServiceError):
-        WorkerPool(1, max_retries=-1)
+
+
+def test_pool_reraises_a_failing_seed_and_stays_usable(small, monkeypatch):
+    """A seed that raises surfaces as that very exception; the run's seeds
+    that had not started are cancelled, and the same pool then runs the
+    next job bit-identically to a serial run."""
+    import threading
+    import time
+
+    from repro.service import pool as pool_module
+
+    netlist, _ = small
+    config = FinderConfig(num_seeds=8, seed=3)
+    jobs = [(cell, 100 + cell) for cell in netlist.movable_cells()[:8]]
+    boom = RuntimeError("seed failed")
+    started = []
+    lock = threading.Lock()
+
+    def flaky_seed(netlist, config, seed_cell, rng_seed):
+        with lock:
+            started.append(seed_cell)
+        if seed_cell == jobs[0][0]:
+            raise boom
+        time.sleep(0.3)  # keep both threads busy past the cancellation
+        return None, float("nan"), 1, ()
+
+    with WorkerPool(2) as pool:
+        monkeypatch.setattr(pool_module, "_process_seed", flaky_seed)
+        with pytest.raises(RuntimeError) as excinfo:
+            pool.run_seed_jobs(netlist, config, jobs)
+        assert excinfo.value is boom
+        assert len(started) < len(jobs)  # the pending seeds never ran
+        monkeypatch.undo()
+
+        report = TangledLogicFinder(netlist, CFG).run(pool=pool)
+    serial = find_tangled_logic(netlist, CFG)
+    assert report_to_dict(report) == {
+        **report_to_dict(serial),
+        "runtime_seconds": report.runtime_seconds,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -375,35 +411,6 @@ def test_plan_sweep_never_deduplicates_nondeterministic_points(small):
     assert len(plan.points) == 2
     assert len(plan.jobs) == 2
     assert plan.num_deduplicated == 0
-
-
-def test_worker_context_memo_is_bounded(tmp_path):
-    from repro.io.binfmt import write_packed
-    from repro.service import pool as pool_module
-
-    limit = pool_module._WORKER_CONTEXT_LIMIT
-    designs = []
-    for i in range(limit + 2):
-        netlist, _ = planted_gtl_graph(60, [12], seed=i)
-        path = str(tmp_path / f"d{i}.nla")
-        write_packed(netlist, path)
-        designs.append((fingerprint_netlist(netlist), path))
-    saved = dict(pool_module._WORKER_CONTEXTS)
-    pool_module._WORKER_CONTEXTS.clear()
-    try:
-        for key, path in designs:
-            assert pool_module._worker_run_batch(key, CFG, [], path=path) == []
-        assert len(pool_module._WORKER_CONTEXTS) == limit
-        # The oldest designs were evicted; a bare batch for one bounces.
-        first_key = designs[0][0]
-        assert pool_module._worker_run_batch(first_key, CFG, []) == (
-            pool_module._MISSING_CONTEXT
-        )
-        # A retained one still answers without its path.
-        assert pool_module._worker_run_batch(designs[-1][0], CFG, []) == []
-    finally:
-        pool_module._WORKER_CONTEXTS.clear()
-        pool_module._WORKER_CONTEXTS.update(saved)
 
 
 def test_run_sweep_fans_results_back_to_points(tmp_path, small):
