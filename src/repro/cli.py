@@ -8,11 +8,10 @@ Subcommands:
 * ``batch``        — run a manifest of detection jobs through the batch
   service (shared worker pool, persistent result cache).
 * ``sweep``        — expand a parameter grid over a set of designs,
-  deduplicate identical jobs, and run them through the batch service;
-  ``--shards N`` splits the plan across parallel worker processes that
-  share the cache dir's result store (``--via-daemon`` dispatches the
-  shards to a running daemon as priority-class-``sweep`` jobs instead),
-  and ``--aggregate`` publishes per-axis/per-shard statistics as JSON.
+  deduplicate identical jobs, and run them through the batch service on
+  ``--workers N`` seed threads (``--via-daemon`` submits them to a running
+  daemon as priority-class-``sweep`` jobs instead); ``--aggregate``
+  publishes totals and per-axis statistics as JSON.
 * ``flow run``     — execute a declared multi-stage flow manifest
   (detect / partition / place / congestion / soft_blocks / resynthesis)
   over one or more designs, with per-stage fingerprint caching.
@@ -50,7 +49,7 @@ Examples::
     tangled-logic experiment table1 --scale 0.1
     tangled-logic batch jobs.json --workers 4 --cache-dir .repro-cache
     tangled-logic sweep sweep.json --jsonl points.jsonl
-    tangled-logic sweep sweep.json --shards 4 --aggregate stats.json
+    tangled-logic sweep sweep.json --workers 2 --aggregate stats.json
     tangled-logic cache merge other-host-cache/ --cache-dir .repro-cache
     tangled-logic flow run flow.json --cache-dir .repro-cache --workers 4
     tangled-logic flow run flow.json --trace trace.jsonl --profile
@@ -158,32 +157,34 @@ def _manifest_config(data, context: str):
         raise ServiceError(f"bad {context}: {error}") from error
 
 
-def _make_runner(args: argparse.Namespace, store):
-    from repro.service.jobs import BatchProgress, BatchRunner
+def _print_progress(event) -> None:
+    """Per-job progress line on stderr (a runner's ``BatchProgress``)."""
+    result = event.result
+    status = "cached" if result.cached else ("ok" if result.ok else "FAILED")
+    label = result.job.label or result.job.fingerprint[:12]
+    print(
+        f"[{event.done}/{event.total}] {label}: {status} "
+        f"({result.runtime_seconds:.2f}s)",
+        file=sys.stderr,
+    )
 
-    def _progress(event: BatchProgress) -> None:
-        result = event.result
-        status = "cached" if result.cached else ("ok" if result.ok else "FAILED")
-        label = result.job.label or result.job.fingerprint[:12]
-        print(
-            f"[{event.done}/{event.total}] {label}: {status} "
-            f"({result.runtime_seconds:.2f}s)",
-            file=sys.stderr,
-        )
+
+def _make_runner(args: argparse.Namespace, store):
+    from repro.service.jobs import BatchRunner
 
     return BatchRunner(
         workers=args.workers,
         store=store,
         use_cache=not args.no_cache,
-        progress=_progress if not args.quiet else None,
+        progress=None if args.quiet else _print_progress,
     )
 
 
 def _open_store(args: argparse.Namespace):
     from repro.service.store import ResultStore
 
-    if args.no_cache:
-        return None
+    if args.no_cache or getattr(args, "via_daemon", False):
+        return None  # --via-daemon: the daemon's store does the caching
     return ResultStore(args.cache_dir or ".repro-cache")
 
 
@@ -263,9 +264,10 @@ def _run_command(args: argparse.Namespace, root: str, execute) -> int:
 
     ``execute(store)`` runs inside the ``--trace``/``--profile`` root span
     ``cli.<root>`` with the cache dir's one store (``None`` under
-    ``--no-cache``) and returns ``(lines, jsonl_rows, ok)``: the command's
-    own output, printed before the ``cache:`` line and the run-report
-    epilogue, and the rows ``--jsonl`` writes.  Exit code 0 only when ok.
+    ``--no-cache`` and ``--via-daemon``) and returns ``(lines, jsonl_rows,
+    ok)``: the command's own output, printed before the ``cache:`` line and
+    the run-report epilogue, and the rows ``--jsonl`` writes.  Exit code 0
+    only when ok.
     """
     from repro.utils.jsonio import write_jsonl
 
@@ -275,9 +277,13 @@ def _run_command(args: argparse.Namespace, root: str, execute) -> int:
         with obs:
             lines, jsonl_rows, ok = execute(store)
     finally:
-        cache_line = "cache disabled" if store is None else store.stats.summary()
         if store is not None:
+            cache_line = store.stats.summary()
             store.close()
+        elif getattr(args, "via_daemon", False):
+            cache_line = "the daemon's store"
+        else:
+            cache_line = "cache disabled"
     for line in lines:
         print(line)
     print(f"cache: {cache_line}")
@@ -353,7 +359,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _sweep_output(args: argparse.Namespace, outcome):
-    """:func:`_run_command` output of one sweep outcome (sharded or not)."""
+    """:func:`_run_command` output of one sweep outcome."""
     from repro.service.aggregate import (
         aggregate_sweep,
         point_rows,
@@ -377,15 +383,6 @@ def _sweep_output(args: argparse.Namespace, outcome):
         f"({outcome.plan.num_deduplicated} deduplicated); "
         + summarize_results(outcome.job_results),
     ]
-    if hasattr(outcome, "shard_stats"):  # the coordinator's outcome
-        for stats in outcome.shard_stats:
-            status = "ok" if stats.ok else f"FAILED ({stats.error})"
-            lines.append(
-                f"shard {stats.shard_id}: {stats.num_jobs} job(s), "
-                f"{stats.attempts} attempt(s), {stats.wall_seconds:.2f}s, "
-                f"{stats.cache_hits} hit(s), {status}"
-            )
-        lines.append(f"mode: {outcome.mode}, {outcome.wall_seconds:.2f}s wall")
     if args.aggregate:
         write_aggregate(args.aggregate, aggregate_sweep(outcome))
         lines.append(f"wrote aggregate stats to {args.aggregate}")
@@ -422,49 +419,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.service.sweep import run_sweep
 
     designs, base, grid, design_paths = _parse_sweep_manifest(args)
-    if args.shards > 1 or args.via_daemon:
-        return _cmd_sweep_sharded(args, designs, base, grid, design_paths)
 
     def execute(store):
-        with _make_runner(args, store) as runner:
+        if args.via_daemon:
+            from repro.server.client import DaemonRunner
+
+            runner = DaemonRunner(
+                args.socket, design_paths,
+                progress=None if args.quiet else _print_progress,
+            )
+        else:
+            runner = _make_runner(args, store)
+        with runner:
             outcome = run_sweep(designs, base, grid, runner)
-        return _sweep_output(args, outcome)
-
-    return _run_command(args, "sweep", execute)
-
-
-def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
-    """The coordinator path of ``sweep``: ``--shards N`` / ``--via-daemon``."""
-    from repro.service.coordinator import SweepCoordinator
-
-    def progress(event) -> None:
-        if event.kind == "shard-start":
-            print(f"[shard {event.shard_id}] started "
-                  f"({event.num_jobs} job(s))", file=sys.stderr)
-        elif event.kind == "shard-done":
-            status = f"FAILED: {event.error}" if event.error else "done"
-            print(f"[shard {event.shard_id}] {status} "
-                  f"({event.done_shards}/{event.total_shards} shard(s))",
-                  file=sys.stderr)
-
-    def execute(store):
-        coordinator = SweepCoordinator(
-            num_shards=args.shards,
-            cache_dir=None if store is None else store.cache_dir,
-            use_cache=store is not None,
-            workers=args.workers,
-            max_shard_attempts=args.shard_attempts,
-            progress=None if args.quiet else progress,
-            daemon_socket=args.socket if args.via_daemon else None,
-        )
-        outcome = coordinator.run(designs, base, grid, design_paths=design_paths)
-        if store is not None:
-            # The shards' lookups are this command's: count them on the
-            # ``cache:`` line like a single-process sweep's.
-            for stats in outcome.shard_stats:
-                store.stats.hits += stats.cache_hits
-                store.stats.misses += stats.cache_misses
-                store.stats.puts += stats.cache_puts
         return _sweep_output(args, outcome)
 
     return _run_command(args, "sweep", execute)
@@ -926,21 +893,15 @@ def build_parser() -> argparse.ArgumentParser:
         service_parsers[name] = svc
 
     sweep_p = service_parsers["sweep"]
-    sweep_p.add_argument("--shards", type=int, default=1,
-                         help="split the deduplicated plan into N shards "
-                         "executed by parallel worker processes over the "
-                         "cache dir's store")
-    sweep_p.add_argument("--shard-attempts", type=int, default=2,
-                         help="dispatch attempts per shard before its jobs "
-                         "are reported failed")
     sweep_p.add_argument("--via-daemon", action="store_true",
-                         help="dispatch shards as priority-class-sweep jobs "
-                         "to a running daemon instead of local processes")
+                         help="submit the jobs as priority-class-sweep jobs "
+                         "to a running daemon (its pool and store do the "
+                         "work) instead of running them here")
     sweep_p.add_argument("--socket", default=DEFAULT_SOCKET,
                          help="daemon socket for --via-daemon")
     sweep_p.add_argument("--aggregate", default="",
-                         help="write aggregate sweep stats (per-axis "
-                         "summaries, per-shard wall-clock) as JSON here")
+                         help="write aggregate sweep stats (totals, cache "
+                         "hits, wall clock, per-axis summaries) as JSON here")
 
     flow = sub.add_parser("flow", help="declared multi-stage flows")
     flow_sub = flow.add_subparsers(dest="flow_command", required=True)
@@ -1104,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the raw status response as JSON")
     status.add_argument("--group", default="",
                         help="only list jobs of this job group "
-                        "(e.g. a sharded sweep's sweep/shard-3)")
+                        "(e.g. sweep, every sweep --via-daemon job)")
     status.add_argument("--shutdown", action="store_true",
                         help="ask the daemon to drain and stop")
     status.add_argument("--no-drain", action="store_true",

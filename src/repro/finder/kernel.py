@@ -12,8 +12,8 @@ for the algorithm):
   sha256 of its source, the compiler flags, the machine architecture and
   the resolved compiler binary, and loaded through :mod:`ctypes`.  Each
   build writes a temporary file in that directory and ``os.replace``-s it
-  into place, so shard processes that race on first use all load one
-  complete library.  A library is loaded only when it and its
+  into place, so processes (CLI runs, a daemon) that race on first use
+  all load one complete library.  A library is loaded only when it and its
   directory belong to the current user and neither is writable by group or
   others.  The call releases the GIL and reads the :class:`KernelTables`
   buffers in place;

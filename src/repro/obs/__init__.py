@@ -7,7 +7,7 @@ telemetry primitives from:
   propagation, a process-global :class:`~repro.obs.trace.Tracer`, and a
   no-op fast path when tracing is disabled (the default).
 * :mod:`repro.obs.metrics` — typed ``Counter``/``Gauge``/``Histogram``
-  aggregates, thread-safe, with snapshot/merge.
+  aggregates, thread-safe, with snapshots.
 * :mod:`repro.obs.report` — :class:`~repro.obs.report.RunReport`, the
   aggregated view (span tree, per-phase totals, counter totals) exported
   by the CLI's ``--profile`` flag and embedded into benchmark records.
@@ -39,7 +39,6 @@ from repro.obs.trace import (
     gauge,
     get_tracer,
     histogram,
-    record,
     span,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "gauge",
     "get_tracer",
     "histogram",
-    "record",
     "span",
     "trace",
 ]

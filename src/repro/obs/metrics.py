@@ -2,10 +2,10 @@
 
 Metrics are cheap running aggregates, not event streams: a counter is one
 integer, a histogram is a handful of bucket counts.  Every metric can
-:meth:`snapshot` itself into a plain dict (JSON-serializable, picklable)
-and :meth:`merge` a snapshot back in.  Updates and the registry's
-get-or-create are serialized by a lock, so the seed threads of
-:mod:`repro.service.pool` tally into one registry without losing counts.
+:meth:`snapshot` itself into a plain dict (JSON-serializable).  Updates
+and the registry's get-or-create are serialized by a lock, so the seed
+threads of :mod:`repro.service.pool` tally into one registry without
+losing counts.
 
 A :class:`MetricRegistry` names metrics and creates them on first use.
 When tracing is disabled, the module-level accessors in
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ReproError
 
@@ -46,9 +46,6 @@ class Counter:
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
 
-    def merge(self, snap: Mapping[str, Any]) -> None:
-        self.value += snap["value"]
-
 
 class Gauge:
     """A last-written value (e.g. a queue depth, a configuration knob)."""
@@ -69,13 +66,6 @@ class Gauge:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value, "updates": self.updates}
-
-    def merge(self, snap: Mapping[str, Any]) -> None:
-        # A merged snapshot that was never written must not clobber a live
-        # local value; otherwise the incoming (later) value wins.
-        if snap.get("updates"):
-            self.value = snap["value"]
-            self.updates += snap["updates"]
 
 
 class Histogram:
@@ -125,28 +115,9 @@ class Histogram:
             "bounds": list(self.bounds),
         }
 
-    def merge(self, snap: Mapping[str, Any]) -> None:
-        if tuple(snap["bounds"]) != self.bounds:
-            raise ReproError("cannot merge histograms with different bounds")
-        if not snap["count"]:
-            return
-        if not self.count:
-            self.min = snap["min"]
-            self.max = snap["max"]
-        else:
-            self.min = min(self.min, snap["min"])
-            self.max = max(self.max, snap["max"])
-        self.count += snap["count"]
-        self.total += snap["total"]
-        for index, bucket in enumerate(snap["buckets"]):
-            self.buckets[index] += bucket
-
-
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
-
 
 class MetricRegistry:
-    """Named metrics, created on first use, snapshot/merge as one unit."""
+    """Named metrics, created on first use, snapshot as one unit."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
@@ -186,18 +157,8 @@ class MetricRegistry:
         return self._get(name, Histogram)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Plain-dict (picklable) state of every metric."""
+        """Plain-dict state of every metric."""
         return {name: metric.snapshot() for name, metric in self._metrics.items()}
-
-    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` into this registry, creating metrics
-        that only the snapshot knows about."""
-        for name, snap in snapshot.items():
-            kind = snap.get("kind")
-            cls = _KINDS.get(kind)
-            if cls is None:
-                raise ReproError(f"unknown metric kind {kind!r} for {name!r}")
-            self._get(name, cls).merge(snap)
 
 
 class _NullCounter:

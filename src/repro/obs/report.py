@@ -11,7 +11,7 @@ plus a metric snapshot.  :class:`RunReport` turns that into:
 * :meth:`summary` — the renderable profile (span tree + counter totals)
   printed by the CLI's ``--profile`` flag.
 
-Traces written by different processes (shard workers, the daemon) carry
+Traces written by different processes (CLI runs, the daemon) carry
 per-process clocks, so only durations — never raw ``start`` values — are
 compared across spans.
 """

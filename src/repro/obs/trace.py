@@ -47,8 +47,8 @@ def clock() -> float:
 
 
 def _new_span_id() -> str:
-    # Random ids (not a counter) so ids stay unique across the shard
-    # processes and daemon whose traces may be read side by side.
+    # Random ids (not a counter) so ids stay unique across the CLI runs
+    # and daemon whose traces may be read side by side.
     return uuid.uuid4().hex[:16]
 
 
@@ -216,37 +216,6 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, attrs, parent_id)
 
-    def record(
-        self,
-        name: str,
-        duration: float,
-        parent_id: Any = _CURRENT,
-        start: float = 0.0,
-        **attrs: Any,
-    ) -> Optional[str]:
-        """Emit an already-measured span and return its id.
-
-        For work whose lifetime does not nest in the calling frame (e.g.
-        overlapping shard processes measured by their futures).  ``parent_id``
-        defaults to the calling thread's current span.
-        """
-        if not self.enabled:
-            return None
-        if parent_id is _CURRENT:
-            stack = self._stack()
-            parent_id = stack[-1].span_id if stack else None
-        span_dict = {
-            "name": name,
-            "span_id": _new_span_id(),
-            "parent_id": parent_id,
-            "start": start,
-            "duration": duration,
-            "pid": os.getpid(),
-            "attrs": attrs,
-        }
-        self._finish(span_dict)
-        return span_dict["span_id"]
-
     def finished_spans(self) -> List[Dict[str, Any]]:
         """All spans finished since the last :meth:`enable` (copy)."""
         return list(self._spans)
@@ -278,17 +247,6 @@ def disable() -> None:
 def span(name: str, parent_id: Any = _CURRENT, **attrs: Any):
     """A span on the global tracer (:data:`NULL_SPAN` when disabled)."""
     return _TRACER.span(name, parent_id=parent_id, **attrs)
-
-
-def record(
-    name: str,
-    duration: float,
-    parent_id: Any = _CURRENT,
-    start: float = 0.0,
-    **attrs: Any,
-) -> Optional[str]:
-    """Emit an already-measured span on the global tracer."""
-    return _TRACER.record(name, duration, parent_id=parent_id, start=start, **attrs)
 
 
 def counter(name: str):
@@ -325,6 +283,5 @@ __all__ = [
     "gauge",
     "get_tracer",
     "histogram",
-    "record",
     "span",
 ]

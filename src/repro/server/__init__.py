@@ -6,10 +6,11 @@ detect/flow jobs over a local Unix socket: a bounded priority queue with
 explicit backpressure, starvation-free scheduling, streamed JSONL
 lifecycle events and graceful drain on shutdown.  Talk to it with
 :class:`~repro.server.client.Client` or the ``repro serve`` / ``repro
-submit`` / ``repro status`` CLI.
+submit`` / ``repro status`` CLI; :class:`~repro.server.client.DaemonRunner`
+runs a batch or sweep plan on it (``repro sweep --via-daemon``).
 """
 
-from repro.server.client import Client
+from repro.server.client import Client, DaemonRunner
 from repro.server.daemon import (
     DEFAULT_SOCKET,
     DesignCache,
@@ -25,6 +26,7 @@ from repro.server.queue import (
 
 __all__ = [
     "Client",
+    "DaemonRunner",
     "DEFAULT_PRIORITY",
     "DEFAULT_SOCKET",
     "DesignCache",

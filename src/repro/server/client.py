@@ -20,16 +20,29 @@ and returns the terminal ``result`` payload, raising
 Backpressure: a ``rejected`` response makes ``submit`` sleep the
 advertised ``retry_after_s`` and retry, up to ``busy_retries`` times,
 before surfacing :class:`~repro.errors.ServerBusy` to the caller.
+
+:class:`DaemonRunner` puts a :class:`Client` behind the
+:class:`~repro.service.jobs.BatchRunner` contract, so
+:func:`~repro.service.sweep.run_sweep` can execute a sweep plan on a
+daemon exactly as it does in this process (``repro sweep --via-daemon``).
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
-from repro.errors import ServerBusy, ServerError
+from repro.errors import ReproError, ServerBusy, ServerError, ServiceError
 from repro.server import protocol
+from repro.service.codec import config_to_dict, report_from_dict
+from repro.service.jobs import (
+    BatchProgress,
+    DetectionJob,
+    JobResult,
+    ProgressCallback,
+)
+from repro.utils.timer import Timer
 
 EventCallback = Callable[[Dict[str, Any]], None]
 
@@ -100,7 +113,7 @@ class Client:
         """Server-level stats, or one job's lifecycle record.
 
         ``group`` filters the server-level ``jobs`` listing to one job
-        group (e.g. a sharded sweep's ``"sweep/shard-3"``).
+        group (e.g. :data:`SWEEP_GROUP`, every ``--via-daemon`` sweep job).
         """
         request: Dict[str, Any] = {"op": "status"}
         if job_id is not None:
@@ -231,4 +244,90 @@ class Client:
         pass  # connections are per-call; nothing held open
 
 
-__all__ = ["Client", "EventCallback"]
+#: Job group of every :class:`DaemonRunner` submit (``repro status --group``).
+SWEEP_GROUP = "sweep"
+
+
+class DaemonRunner:
+    """Run detection jobs on a daemon, with :class:`BatchRunner`'s contract.
+
+    Jobs are submitted one at a time from one client at priority class
+    ``sweep`` and job group :data:`SWEEP_GROUP`; the daemon's scheduler runs
+    one job at a time anyway, and its store does the caching.  The daemon
+    loads each design itself, so the netlists never cross the socket.
+
+    Args:
+        socket_path: the daemon's Unix socket.
+        design_paths: job label -> design file the daemon can load.
+        progress: callback invoked after every finished job.
+    """
+
+    def __init__(
+        self,
+        socket_path: str,
+        design_paths: Mapping[str, str],
+        progress: Optional[ProgressCallback] = None,
+    ) -> None:
+        self.design_paths = design_paths
+        self.progress = progress
+        self._client = Client(socket_path, busy_retries=8)
+
+    def run(self, jobs: Sequence[DetectionJob]) -> List[JobResult]:
+        """Execute ``jobs`` in order and return one result per job.
+
+        A submit the daemon fails (or that cannot reach it) is that job's
+        failed result; a bug on this side propagates.
+        """
+        missing = sorted(
+            {job.label for job in jobs if job.label not in self.design_paths}
+        )
+        if missing:
+            raise ServiceError(
+                f"daemon dispatch has no design path for label(s): "
+                f"{', '.join(missing)}"
+            )
+        results: List[JobResult] = []
+        for job in jobs:
+            results.append(self._run_one(job))
+            if self.progress is not None:
+                self.progress(
+                    BatchProgress(done=len(results), total=len(jobs), result=results[-1])
+                )
+        return results
+
+    def _run_one(self, job: DetectionJob) -> JobResult:
+        timer = Timer()
+        try:
+            with timer:
+                payload = self._client.submit(
+                    self.design_paths[job.label],
+                    config=config_to_dict(job.config),
+                    priority="sweep",
+                    label=job.label,
+                    group=SWEEP_GROUP,
+                )
+        except ReproError as failure:
+            return JobResult(
+                job=job, report=None, cached=False,
+                runtime_seconds=timer.elapsed, error=str(failure),
+            )
+        cached = bool(payload.get("cached"))
+        return JobResult(
+            job=job,
+            report=report_from_dict(payload["report"]),
+            cached=cached,
+            runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
+            attempts=0 if cached else 1,
+        )
+
+    def close(self) -> None:
+        """Nothing to release: connections are per submit."""
+
+    def __enter__(self) -> "DaemonRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+__all__ = ["SWEEP_GROUP", "Client", "DaemonRunner", "EventCallback"]

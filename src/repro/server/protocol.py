@@ -48,10 +48,10 @@ run through incremental detection (dirty-region seed reuse, see
 carries ``incremental`` provenance (mode, seeds recomputed, dirty cells).
 
 Job groups (protocol 2, optional): a ``submit`` may carry a ``"group"``
-string tagging the job as part of a larger unit of work — e.g. one shard
-of a sharded sweep (``"sweep/shard-3"``).  A ``status`` request with a
-``"group"`` restricts its ``jobs`` listing to that group, so a queued
-sweep's shards are observable while they wait.  Absent fields keep the
+string tagging the job as part of a larger unit of work — e.g. every job
+of a ``repro sweep --via-daemon`` run (``"sweep"``).  A ``status`` request
+with a ``"group"`` restricts its ``jobs`` listing to that group, so a
+queued sweep is observable while it waits.  Absent fields keep the
 pre-group behaviour, so version 2 stays wire-compatible.
 """
 

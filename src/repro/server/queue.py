@@ -72,8 +72,8 @@ class JobRecord:
         kind: ``"detect"`` or ``"flow"``.
         priority: one of :data:`PRIORITIES`.
         label: caller-facing name (defaults to the design path).
-        group: caller-assigned job-group tag (e.g. one sharded sweep's
-            ``sweep/shard-3``); empty for ungrouped jobs.  Status queries
+        group: caller-assigned job-group tag (e.g. ``sweep`` for every
+            ``repro sweep --via-daemon`` job); empty for ungrouped jobs.  Status queries
             can filter the recent-jobs listing by it.
         request: the parsed submit request (design path, config, ...).
         state: current lifecycle state.

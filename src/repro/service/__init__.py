@@ -7,20 +7,18 @@ Turns the one-shot in-process finder into a batch service:
 * :mod:`repro.service.codec` — lossless JSON codecs for finder reports.
 * :mod:`repro.service.store` — persistent SQLite result store with
   hit/miss accounting; one per cache dir, shared by every process that
-  runs over it (CLI runs, shard workers, the daemon).
+  runs over it (CLI runs, the daemon).
 * :mod:`repro.service.pool` — a reusable in-process thread pool that runs
   the seed trials of many detections over shared netlists.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and
   the cache-consulting ``BatchRunner``.
 * :mod:`repro.service.sweep` — parameter-grid expansion with
-  fingerprint-level job deduplication.
-* :mod:`repro.service.shard` — stable fingerprint-keyed partitioning of a
-  sweep plan into balanced shards.
-* :mod:`repro.service.coordinator` — sharded sweep dispatch: one worker
-  process per shard, all over the cache dir's one store (or
-  priority-class-``sweep`` daemon submits), retry/failure accounting.
+  fingerprint-level job deduplication; :func:`run_sweep` executes the
+  plan through a ``BatchRunner`` (seed threads in this process) or a
+  :class:`~repro.server.client.DaemonRunner` (priority-class-``sweep``
+  submits to a running daemon).
 * :mod:`repro.service.aggregate` — sweep aggregation/publishing: canonical
-  per-point rows, per-axis summaries, per-shard wall-clock stats.
+  per-point rows, per-axis summaries, the sweep's wall clock.
 
 The CLI's ``batch`` and ``sweep`` subcommands are thin wrappers over this
 package, and :meth:`repro.finder.TangledLogicFinder.run` delegates its
@@ -56,12 +54,6 @@ from repro.service.sweep import (
     plan_sweep,
     run_sweep,
 )
-from repro.service.shard import SweepShard, partition_plan, shard_sort_key
-from repro.service.coordinator import (
-    ShardStats,
-    ShardedSweepOutcome,
-    SweepCoordinator,
-)
 from repro.service.aggregate import (
     SweepAggregate,
     aggregate_sweep,
@@ -93,12 +85,6 @@ __all__ = [
     "expand_grid",
     "plan_sweep",
     "run_sweep",
-    "SweepShard",
-    "partition_plan",
-    "shard_sort_key",
-    "SweepCoordinator",
-    "ShardStats",
-    "ShardedSweepOutcome",
     "SweepAggregate",
     "aggregate_sweep",
     "point_rows",

@@ -1,19 +1,19 @@
 """Sweep aggregation and publishing (the results-publisher layer).
 
 Modelled on opensearch-benchmark's ``aggregator.py`` +
-``results_publisher.py`` split: the coordinator produces a
-:class:`~repro.service.sweep.SweepOutcome` (or its sharded subclass) in
-plan point order, and this module turns it into publishable artifacts —
+``results_publisher.py`` split: :func:`~repro.service.sweep.run_sweep`
+produces a :class:`~repro.service.sweep.SweepOutcome` in plan point
+order, and this module turns it into publishable artifacts —
 
-* :func:`point_rows` — the canonical per-point JSONL rows.  Both the
-  single-process ``repro sweep`` and every sharded mode go through this
-  one builder, which is what makes "4-shard output is bit-identical to
-  the unsharded sweep" a diffable property rather than a hope.
+* :func:`point_rows` — the canonical per-point JSONL rows.  Every runner
+  (local seed threads at any count, daemon submits) goes through this one
+  builder, which is what makes "2 seed threads are bit-identical to 1"
+  and "daemon rows equal local rows" diffable properties.
 * :func:`aggregate_sweep` — roll the outcome up into a
   :class:`SweepAggregate`: totals, cache effectiveness (counted from the
-  job results, whichever process ran them), per-shard wall-clock/attempt
-  accounting and per-axis response summaries (how did ``lambda_skip=20``
-  do across every design and other-axis value?).
+  job results, whichever process ran them), the sweep's wall clock and
+  per-axis response summaries (how did ``lambda_skip=20`` do across
+  every design and other-axis value?).
 * :func:`write_aggregate` — publish the aggregate as one JSON document.
 """
 
@@ -26,9 +26,9 @@ from typing import Any, Dict, List
 from repro.service.codec import report_to_dict
 from repro.service.sweep import SweepOutcome
 
-#: Version stamp of the published aggregate document (2: no ``merge``
-#: block — shards write the main store, nothing is merged back).
-AGGREGATE_SCHEMA = 2
+#: Version stamp of the published aggregate document (3: no ``shards``
+#: or ``mode``; ``wall_seconds`` is the sweep's own wall clock).
+AGGREGATE_SCHEMA = 3
 
 
 def point_rows(outcome: SweepOutcome) -> List[Dict[str, Any]]:
@@ -93,12 +93,7 @@ class AxisValueSummary:
 
 @dataclass
 class SweepAggregate:
-    """Rolled-up statistics of one executed sweep.
-
-    ``shards``/``mode`` are populated when the outcome came from the
-    sharded coordinator; an unsharded sweep aggregates as one implicit
-    shard-less run.
-    """
+    """Rolled-up statistics of one executed sweep."""
 
     points: int
     jobs: int
@@ -107,9 +102,7 @@ class SweepAggregate:
     cache_hits: int
     cache_misses: int
     wall_seconds: float
-    mode: str
     per_axis: Dict[str, Dict[str, Dict[str, Any]]]
-    shards: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -120,29 +113,21 @@ class SweepAggregate:
             "failed_points": self.failed_points,
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "wall_seconds": self.wall_seconds,
-            "mode": self.mode,
             "per_axis": self.per_axis,
-            "shards": self.shards,
         }
 
     def summary(self) -> str:
         """One-line human-readable form."""
-        line = (
+        return (
             f"{self.points} point(s), {self.jobs} job(s) "
             f"({self.deduplicated} deduplicated), "
             f"{self.failed_points} failed, "
             f"{self.cache_hits} cache hit(s), {self.wall_seconds:.2f}s wall"
         )
-        if self.shards:
-            dead = sum(1 for shard in self.shards if not shard.get("ok"))
-            line += f", {len(self.shards)} shard(s)"
-            if dead:
-                line += f" ({dead} FAILED)"
-        return line
 
 
 def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
-    """Aggregate ``outcome`` (sharded or not) into publishable stats."""
+    """Aggregate ``outcome`` into publishable stats."""
     per_axis: Dict[str, Dict[str, AxisValueSummary]] = {}
     failed_points = 0
     for point, result in outcome.point_results():
@@ -155,7 +140,6 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
             summary.add(result)
 
     cache_hits = sum(1 for r in outcome.job_results if r.cached)
-    shard_stats = getattr(outcome, "shard_stats", None) or []
     return SweepAggregate(
         points=len(outcome.plan.points),
         jobs=len(outcome.plan.jobs),
@@ -163,8 +147,7 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
         failed_points=failed_points,
         cache_hits=cache_hits,
         cache_misses=len(outcome.job_results) - cache_hits,
-        wall_seconds=float(getattr(outcome, "wall_seconds", 0.0)),
-        mode=str(getattr(outcome, "mode", "single")),
+        wall_seconds=outcome.wall_seconds,
         per_axis={
             axis: {
                 value: summary.to_dict()
@@ -172,7 +155,6 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
             }
             for axis, values in sorted(per_axis.items())
         },
-        shards=[stats.to_dict() for stats in shard_stats],
     )
 
 

@@ -19,6 +19,7 @@ from repro.errors import FinderError, ServiceError
 from repro.finder.config import FinderConfig
 from repro.netlist.hypergraph import Netlist
 from repro.service.jobs import BatchRunner, DetectionJob, JobResult
+from repro.utils.timer import Timer
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,12 @@ class SweepOutcome:
     Attributes:
         plan: the executed plan.
         job_results: one result per deduplicated job (plan order).
+        wall_seconds: wall clock of planning and executing the sweep.
     """
 
     plan: SweepPlan
     job_results: List[JobResult]
+    wall_seconds: float = 0.0
 
     def point_results(self) -> List[Tuple[SweepPoint, JobResult]]:
         """Every grid point paired with the result that answers it."""
@@ -159,7 +162,13 @@ def run_sweep(
     grid: Mapping[str, Sequence[object]],
     runner: BatchRunner,
 ) -> SweepOutcome:
-    """Plan and execute a sweep through ``runner``."""
-    plan = plan_sweep(designs, base, grid)
-    results = runner.run(plan.jobs)
-    return SweepOutcome(plan=plan, job_results=results)
+    """Plan and execute a sweep through ``runner``.
+
+    ``runner`` is a :class:`BatchRunner` (seed threads in this process) or
+    anything with its ``run(jobs)`` contract, such as
+    :class:`~repro.server.client.DaemonRunner`.
+    """
+    with Timer() as timer:
+        plan = plan_sweep(designs, base, grid)
+        results = runner.run(plan.jobs)
+    return SweepOutcome(plan=plan, job_results=results, wall_seconds=timer.elapsed)

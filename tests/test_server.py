@@ -756,7 +756,7 @@ def test_daemon_delta_submit_validation(corpus, daemon_factory):
 
 
 # ----------------------------------------------------------------------
-# Job groups and per-class depths (sharded sweeps over the daemon)
+# Job groups, per-class depths and sweeps over the daemon
 # ----------------------------------------------------------------------
 def test_status_reports_per_priority_class_depths(corpus, daemon_factory):
     daemon, client = daemon_factory(start_scheduler=False)
@@ -774,75 +774,142 @@ def test_cli_status_prints_per_class_depths(corpus, daemon_factory, capsys):
     daemon, client = daemon_factory(start_scheduler=False)
     path, _ = corpus["a"]
     client.submit(path, config={"num_seeds": 6, "seed": 50},
-                  priority="sweep", wait=False, group="sweep/shard-0")
+                  priority="sweep", wait=False, group="sweep")
     assert main(["status", "--socket", daemon.config.socket_path]) == 0
     out = capsys.readouterr().out
     assert "(interactive=0 batch=0 sweep=1)" in out
-    assert "[sweep/shard-0]" in out
+    assert "[sweep]" in out
 
 
 def test_status_group_filter(corpus, daemon_factory):
     daemon, client = daemon_factory(start_scheduler=False)
     path, _ = corpus["a"]
     client.submit(path, config={"num_seeds": 6, "seed": 60},
-                  priority="sweep", wait=False, group="night/shard-0")
+                  priority="sweep", wait=False, group="night/a")
     client.submit(path, config={"num_seeds": 6, "seed": 61},
-                  priority="sweep", wait=False, group="night/shard-1")
+                  priority="sweep", wait=False, group="night/b")
     client.submit(path, config={"num_seeds": 6, "seed": 62}, wait=False)
-    grouped = client.status(group="night/shard-1")["jobs"]
+    grouped = client.status(group="night/b")["jobs"]
     assert len(grouped) == 1
-    assert grouped[0]["group"] == "night/shard-1"
+    assert grouped[0]["group"] == "night/b"
     assert len(client.status()["jobs"]) == 3
 
 
-def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
-    """--via-daemon parity: priority-class-sweep submits, merged back into
-    point order, bit-identical to the local coordinator."""
+def _sweep_rows(outcome):
     from repro.service.aggregate import point_rows
-    from repro.service.coordinator import SweepCoordinator
 
-    daemon, _ = daemon_factory()
+    rows = point_rows(outcome)
+    for row in rows:
+        row.pop("runtime_seconds")
+        row.pop("cached")
+        row["report"].pop("runtime_seconds")
+    return rows
+
+
+def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
+    """--via-daemon parity: run_sweep through a DaemonRunner (priority-class
+    sweep submits) gives the rows of run_sweep through a BatchRunner."""
+    from repro.server import DaemonRunner
+    from repro.service import BatchProgress, BatchRunner, run_sweep
+
+    daemon, client = daemon_factory()
+    # One sweep-priority job outside the sweep's group.
+    client.submit(
+        corpus["a"][0], config={"num_seeds": 4, "seed": 9}, priority="sweep"
+    )
     designs = [("a", corpus["a"][1]), ("b", corpus["b"][1])]
     design_paths = {"a": corpus["a"][0], "b": corpus["b"][0]}
     base = FinderConfig(num_seeds=4, seed=3)
     grid = {"lambda_skip": [0, 10]}
 
-    remote = SweepCoordinator(
-        2, cache_dir=None, use_cache=False,
-        daemon_socket=daemon.config.socket_path, group="parity",
-    ).run(designs, base, grid, design_paths=design_paths)
-    assert remote.mode == "daemon"
-    assert all(result.ok for result in remote.job_results)
-    local = SweepCoordinator(2, cache_dir=None, use_cache=False).run(
-        designs, base, grid
-    )
+    events = []
+    with DaemonRunner(
+        daemon.config.socket_path, design_paths, progress=events.append
+    ) as runner:
+        remote = run_sweep(designs, base, grid, runner)
+    assert all(result.ok and not result.cached for result in remote.job_results)
+    assert all(isinstance(event, BatchProgress) for event in events)
+    assert [(e.done, e.total) for e in events] == [(i, 4) for i in range(1, 5)]
+    with BatchRunner(use_cache=False) as runner:
+        local = run_sweep(designs, base, grid, runner)
+    assert _sweep_rows(remote) == _sweep_rows(local)
 
-    def rows(outcome):
-        out = point_rows(outcome)
-        for row in out:
-            row.pop("runtime_seconds")
-            row.pop("cached")
-            row["report"].pop("runtime_seconds")
-        return out
+    # A re-run is answered from the daemon's store.
+    with DaemonRunner(daemon.config.socket_path, design_paths) as runner:
+        warm = run_sweep(designs, base, grid, runner)
+    assert all(result.cached for result in warm.job_results)
+    assert _sweep_rows(warm) == _sweep_rows(local)
 
-    assert rows(remote) == rows(local)
-    # Every daemon-side job carries the coordinator's shard group.
-    with Client(daemon.config.socket_path) as client:
-        jobs = client.status(group="parity/shard-0")["jobs"]
-    assert jobs and all(job["priority"] == "sweep" for job in jobs)
+    # The sweep group lists the sweep's jobs, all at priority class sweep,
+    # and not the other sweep-priority job.
+    jobs = client.status(group="sweep")["jobs"]
+    assert len(client.status()["jobs"]) > len(jobs) >= len(remote.plan.jobs)
+    assert all(job["group"] == "sweep" for job in jobs)
+    assert all(job["priority"] == "sweep" for job in jobs)
 
 
 def test_via_daemon_requires_design_paths(corpus, daemon_factory):
     from repro.errors import ServiceError
-    from repro.service.coordinator import SweepCoordinator
+    from repro.server import DaemonRunner
+    from repro.service import run_sweep
 
     daemon, _ = daemon_factory()
-    coordinator = SweepCoordinator(
-        2, cache_dir=None, use_cache=False,
-        daemon_socket=daemon.config.socket_path,
-    )
-    with pytest.raises(ServiceError, match="design_paths"):
-        coordinator.run(
+    runner = DaemonRunner(daemon.config.socket_path, {"b": corpus["b"][0]})
+    with pytest.raises(ServiceError, match="no design path for label"):
+        run_sweep(
             [("a", corpus["a"][1])], FinderConfig(num_seeds=4, seed=3),
-            {"lambda_skip": [0]},
+            {"lambda_skip": [0]}, runner,
         )
+
+
+def test_daemon_runner_fails_every_job_without_a_daemon(
+    corpus, tmp_path, monkeypatch, capsys
+):
+    """A submit that cannot reach the daemon is that job's failed result;
+    ``repro sweep --via-daemon`` then exits non-zero."""
+    import json
+
+    from repro.server import DaemonRunner
+    from repro.service import run_sweep
+
+    socket_path = str(tmp_path / "nobody-listens.sock")
+    with DaemonRunner(socket_path, {"a": corpus["a"][0]}) as runner:
+        outcome = run_sweep(
+            [("a", corpus["a"][1])], FinderConfig(num_seeds=4, seed=3),
+            {"lambda_skip": [0, 10]}, runner,
+        )
+    assert len(outcome.job_results) == 2
+    for result in outcome.job_results:
+        assert not result.ok and "cannot reach daemon" in result.error
+
+    manifest = tmp_path / "sweep.json"
+    manifest.write_text(json.dumps({
+        "designs": [corpus["a"][0]], "base": {"num_seeds": 4, "seed": 3},
+        "grid": {"lambda_skip": [0, 10]},
+    }))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", str(manifest), "--via-daemon", "--socket",
+                 socket_path, "--quiet"]) == 1
+    out = capsys.readouterr().out
+    assert "2 job(s): 0 cache hit(s), 0 computed, 2 failed" in out
+    assert "cache: the daemon's store" in out
+    assert not os.path.exists(tmp_path / ".repro-cache")  # no local store
+
+
+def test_daemon_runner_propagates_bugs(corpus, daemon_factory, monkeypatch):
+    """Only typed (ReproError) submit failures become failed results; a bug
+    on this side propagates out of run()."""
+    import repro.server.client as client_module
+    from repro.server import DaemonRunner
+    from repro.service import DetectionJob
+
+    daemon, _ = daemon_factory()
+
+    def broken(payload):
+        raise TypeError("decoder bug")
+
+    monkeypatch.setattr(client_module, "report_from_dict", broken)
+    job = DetectionJob(corpus["a"][1], FinderConfig(num_seeds=4, seed=3), "a")
+    with DaemonRunner(daemon.config.socket_path, {"a": corpus["a"][0]}) as runner:
+        with pytest.raises(TypeError, match="decoder bug"):
+            runner.run([job])

@@ -1,4 +1,5 @@
-"""Sharded sweep execution: partitioner, coordinator, store merge, aggregate."""
+"""Sweep execution: plan properties, seed-thread parity, store merge,
+aggregate and the CLI."""
 
 import json
 import os
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.errors import ServiceError
 from repro.finder.config import FinderConfig
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.io.hgr import write_hgr
@@ -17,9 +17,7 @@ from repro.service.aggregate import (
     point_rows,
     write_aggregate,
 )
-from repro.service.coordinator import SweepCoordinator, _execute_shard
 from repro.service.jobs import BatchRunner
-from repro.service.shard import partition_plan, shard_sort_key
 from repro.service.store import (
     KIND_FINDER_REPORT,
     MergeStats,
@@ -44,47 +42,8 @@ _TINY, _ = planted_gtl_graph(200, [30], seed=1)
 
 
 # ----------------------------------------------------------------------
-# Partitioner
+# Plan properties
 # ----------------------------------------------------------------------
-def test_partition_covers_every_job_exactly_once(small):
-    netlist, _ = small
-    plan = plan_sweep([("d", netlist)], CFG, GRID)
-    shards = partition_plan(plan, 3)
-    assert len(shards) == 3
-    covered = sorted(i for shard in shards for i in shard.job_indices)
-    assert covered == list(range(len(plan.jobs)))
-    for shard in shards:
-        # Local order preserves global plan order.
-        assert shard.job_indices == sorted(shard.job_indices)
-        assert [plan.jobs[i] for i in shard.job_indices] == shard.jobs
-
-
-def test_partition_is_stable_and_balanced(small):
-    netlist, _ = small
-    plan = plan_sweep([("d", netlist)], CFG, GRID)
-    first = partition_plan(plan, 3)
-    # Re-plan from scratch: identical content -> identical placement.
-    again = partition_plan(plan_sweep([("d", netlist)], CFG, GRID), 3)
-    assert [s.job_indices for s in first] == [s.job_indices for s in again]
-    loads = [s.num_jobs for s in first]
-    assert max(loads) - min(loads) <= 1
-
-
-def test_partition_rejects_bad_shard_count(small):
-    netlist, _ = small
-    plan = plan_sweep([("d", netlist)], CFG, {"lambda_skip": [0]})
-    with pytest.raises(ServiceError):
-        partition_plan(plan, 0)
-
-
-def test_shard_sort_key_separates_nondet_ordinals():
-    fp = "ab" * 32
-    assert shard_sort_key(fp, 0) == fp
-    assert shard_sort_key(fp, 1) != fp
-    assert shard_sort_key(fp, 1) != shard_sort_key(fp, 2)
-    assert shard_sort_key(fp, 1) == shard_sort_key(fp, 1)
-
-
 _AXIS_POOL = {
     "num_seeds": (2, 4, 6, 8),
     "lambda_skip": (0, 10, 20),
@@ -112,48 +71,30 @@ def _grids(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(grid=_grids(), num_shards=st.integers(1, 5))
-def test_property_deterministic_dedup_survives_sharding(grid, num_shards):
-    """Deterministic points dedup in the plan; sharding never re-splits or
-    re-executes them — every deduplicated job lives on exactly one shard."""
+@given(grid=_grids())
+def test_property_deterministic_dedup_survives_sharding(grid):
+    """Deterministic points dedup in the plan: one job per distinct
+    fingerprint, every point answered by one of them."""
     plan = plan_sweep([("d", _TINY)], CFG, grid)
-    # Deterministic planning: one job per distinct fingerprint.
     fingerprints = [job.fingerprint for job in plan.jobs]
     assert len(set(fingerprints)) == len(fingerprints)
     assert len(plan.points) >= len(plan.jobs)
-    shards = partition_plan(plan, num_shards)
-    covered = sorted(i for shard in shards for i in shard.job_indices)
-    assert covered == list(range(len(plan.jobs)))  # exactly-once
-    loads = [s.num_jobs for s in shards]
-    assert max(loads) - min(loads) <= 1
-    # No fingerprint appears on two shards.
-    owner = {}
-    for shard in shards:
-        for job in shard.jobs:
-            assert job.fingerprint not in owner
-            owner[job.fingerprint] = shard.shard_id
+    assert {p.job_index for p in plan.points} == set(range(len(plan.jobs)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(grid=_grids(), num_shards=st.integers(1, 5))
-def test_property_nondet_points_never_merge_across_shards(grid, num_shards):
+@given(grid=_grids())
+def test_property_nondet_points_never_merge_across_shards(grid):
     """seed=None points are independent samples: one job each in the plan,
-    and sharding keeps every one of them (no collapse, no loss)."""
+    even when their configs collide."""
     base = FinderConfig(num_seeds=4, seed=None)
     plan = plan_sweep([("d", _TINY)], base, grid)
     assert len(plan.jobs) == len(plan.points)  # never deduplicated
     assert [p.job_index for p in plan.points] == list(range(len(plan.jobs)))
-    shards = partition_plan(plan, num_shards)
-    covered = sorted(i for shard in shards for i in shard.job_indices)
-    assert covered == list(range(len(plan.jobs)))  # none merged away
-    # Colliding fingerprints are distinct jobs even when they land on the
-    # same shard.
-    total = sum(shard.num_jobs for shard in shards)
-    assert total == len(plan.points)
 
 
 # ----------------------------------------------------------------------
-# Coordinator: local dispatch
+# Execution: seed threads
 # ----------------------------------------------------------------------
 def _strip_volatile(rows):
     for row in rows:
@@ -164,16 +105,19 @@ def _strip_volatile(rows):
     return rows
 
 
+def _sweep(designs, cache_dir, workers):
+    with ResultStore(cache_dir) as store, BatchRunner(
+        workers=workers, store=store
+    ) as runner:
+        return run_sweep(designs, CFG, GRID, runner)
+
+
 def test_sharded_sweep_matches_single_process(small, tmp_path):
+    """Two seed threads give the rows of one, point for point."""
     netlist, _ = small
     designs = [("d", netlist)]
-    with ResultStore(str(tmp_path / "single")) as store, BatchRunner(
-        store=store
-    ) as runner:
-        reference = run_sweep(designs, CFG, GRID, runner)
-    coordinator = SweepCoordinator(4, cache_dir=str(tmp_path / "sharded"))
-    outcome = coordinator.run(designs, CFG, GRID)
-    assert outcome.mode == "local"
+    reference = _sweep(designs, str(tmp_path / "serial"), workers=1)
+    outcome = _sweep(designs, str(tmp_path / "threads"), workers=2)
     assert all(result.ok for result in outcome.job_results)
     assert _strip_volatile(point_rows(outcome)) == _strip_volatile(
         point_rows(reference)
@@ -188,97 +132,17 @@ def test_sharded_rerun_is_warm_through_the_main_store(small, tmp_path):
     netlist, _ = small
     designs = [("d", netlist)]
     cache = str(tmp_path / "cache")
-    cold = SweepCoordinator(4, cache_dir=cache).run(designs, CFG, GRID)
+    cold = _sweep(designs, cache, workers=2)
     assert _hits(cold) == 0
-    # Every shard process recorded its rows in the cache dir's one store.
-    assert not os.path.exists(os.path.join(cache, "shards"))
     with ResultStore(cache) as store:
         assert all(job.fingerprint in store for job in cold.plan.jobs)
-    # Any shard count replays warm: the store is not keyed by shard.
-    for num_shards in (4, 3):
-        warm = SweepCoordinator(num_shards, cache_dir=cache).run(
-            designs, CFG, GRID
-        )
+    # Any worker count replays warm: the store is not keyed by it.
+    for workers in (2, 1):
+        warm = _sweep(designs, cache, workers=workers)
         assert _hits(warm) == len(warm.plan.jobs)
-        assert sum(stats.cache_hits for stats in warm.shard_stats) == _hits(warm)
-    # And so does an unsharded sweep.
-    with ResultStore(cache) as store, BatchRunner(store=store) as runner:
-        single = run_sweep(designs, CFG, GRID, runner)
-        assert all(result.cached for result in single.job_results)
-
-
-def test_more_shards_than_jobs(small, tmp_path):
-    netlist, _ = small
-    outcome = SweepCoordinator(6, cache_dir=str(tmp_path / "c")).run(
-        [("d", netlist)], CFG, {"lambda_skip": [0, 10]}
-    )
-    assert all(result.ok for result in outcome.job_results)
-    assert len(outcome.shard_stats) == 6
-    assert not outcome.failed_shards  # empty shards are vacuously ok
-
-
-def test_coordinator_validates_arguments():
-    with pytest.raises(ServiceError):
-        SweepCoordinator(0)
-    with pytest.raises(ServiceError):
-        SweepCoordinator(2, max_shard_attempts=0)
-
-
-# Injected shard runners must be module-level so worker processes can
-# unpickle them by reference.
-def _fail_shard_zero(shard, cache_dir, use_cache, workers):
-    if shard.shard_id == 0:
-        raise RuntimeError("injected shard failure")
-    return _execute_shard(shard, cache_dir, use_cache, workers)
-
-
-def _flaky_first_attempt(shard, cache_dir, use_cache, workers):
-    os.makedirs(cache_dir, exist_ok=True)
-    marker = os.path.join(cache_dir, f"attempted-{shard.shard_id}")
-    if not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("1")
-        raise RuntimeError("flaky first attempt")
-    return _execute_shard(shard, cache_dir, use_cache, workers)
-
-
-def test_dead_shard_fails_loudly_without_sinking_the_sweep(small, tmp_path):
-    netlist, _ = small
-    coordinator = SweepCoordinator(
-        2, cache_dir=str(tmp_path / "c"), max_shard_attempts=1
-    )
-    coordinator._shard_runner = _fail_shard_zero
-    outcome = coordinator.run([("d", netlist)], CFG, GRID)
-    dead = outcome.failed_shards
-    assert [stats.shard_id for stats in dead] == [0]
-    assert "injected shard failure" in dead[0].error
-    # Shard 0's points carry an error naming the shard; shard 1's stand.
-    by_shard = {0: [], 1: []}
-    shards = partition_plan(outcome.plan, 2)
-    for shard in shards:
-        for index in shard.job_indices:
-            by_shard[shard.shard_id].append(outcome.job_results[index])
-    assert all(not r.ok and "shard 0" in r.error for r in by_shard[0])
-    assert all(r.ok for r in by_shard[1])
-    assert by_shard[0] and by_shard[1]
-    # The aggregate records the failure.
-    aggregate = aggregate_sweep(outcome)
-    assert aggregate.failed_points == sum(
-        1 for r in outcome.job_results if not r.ok
-    )
-    assert "FAILED" in aggregate.summary()
-
-
-def test_failed_shard_is_retried_and_recovers(small, tmp_path):
-    netlist, _ = small
-    coordinator = SweepCoordinator(
-        2, cache_dir=str(tmp_path / "c"), max_shard_attempts=2
-    )
-    coordinator._shard_runner = _flaky_first_attempt
-    outcome = coordinator.run([("d", netlist)], CFG, GRID)
-    assert all(result.ok for result in outcome.job_results)
-    assert not outcome.failed_shards
-    assert all(stats.attempts == 2 for stats in outcome.shard_stats)
+        assert _strip_volatile(point_rows(warm)) == _strip_volatile(
+            point_rows(cold)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +234,7 @@ def test_merge_stats_combined():
 # ----------------------------------------------------------------------
 def test_aggregate_per_axis_and_schema(small, tmp_path):
     netlist, _ = small
-    outcome = SweepCoordinator(2, cache_dir=str(tmp_path / "c")).run(
-        [("d", netlist)], CFG, GRID
-    )
+    outcome = _sweep([("d", netlist)], str(tmp_path / "c"), workers=2)
     aggregate = aggregate_sweep(outcome)
     assert aggregate.points == 4 and aggregate.jobs == 4
     assert set(aggregate.per_axis) == {"lambda_skip", "min_gtl_size"}
@@ -381,16 +243,15 @@ def test_aggregate_per_axis_and_schema(small, tmp_path):
         for value in values.values():
             assert value["ok"] == value["points"]
             assert value["mean_num_gtls"] > 0
-    assert aggregate.mode == "local"
-    assert len(aggregate.shards) == 2
-    assert aggregate.wall_seconds > 0
+    assert aggregate.wall_seconds == outcome.wall_seconds > 0
 
     path = str(tmp_path / "agg.json")
     write_aggregate(path, aggregate)
     data = json.load(open(path))
     assert data["schema"] == AGGREGATE_SCHEMA
+    assert data["schema"] == 3
     assert data["cache"] == {"hits": 0, "misses": 4}
-    assert "merge" not in data
+    assert not {"merge", "shards", "mode"} & set(data)
 
 
 def test_aggregate_works_on_plain_outcome(small, tmp_path):
@@ -398,9 +259,8 @@ def test_aggregate_works_on_plain_outcome(small, tmp_path):
     with BatchRunner() as runner:
         outcome = run_sweep([("d", netlist)], CFG, {"lambda_skip": [0]}, runner)
     aggregate = aggregate_sweep(outcome)
-    assert aggregate.mode == "single"
-    assert aggregate.shards == []
     assert aggregate.points == 1
+    assert aggregate.wall_seconds > 0
 
 
 # ----------------------------------------------------------------------
@@ -423,20 +283,21 @@ def sweep_manifest(tmp_path):
 def test_cli_sharded_sweep_parity_and_aggregate(sweep_manifest, capsys):
     tmp_path, manifest = sweep_manifest
     single = str(tmp_path / "single.jsonl")
-    sharded = str(tmp_path / "sharded.jsonl")
+    threaded = str(tmp_path / "threaded.jsonl")
     aggregate = str(tmp_path / "agg.json")
     assert main(["sweep", manifest, "--quiet", "--jsonl", single,
                  "--cache-dir", str(tmp_path / "c1")]) == 0
-    assert main(["sweep", manifest, "--quiet", "--shards", "4",
-                 "--jsonl", sharded, "--aggregate", aggregate,
+    assert main(["sweep", manifest, "--quiet", "--workers", "2",
+                 "--jsonl", threaded, "--aggregate", aggregate,
                  "--cache-dir", str(tmp_path / "c2")]) == 0
     out = capsys.readouterr().out
-    assert "shard 0:" in out and "mode: local" in out
+    assert "4 job(s): 0 cache hit(s), 4 computed, 0 failed" in out
     rows_single = _strip_volatile([json.loads(l) for l in open(single)])
-    rows_sharded = _strip_volatile([json.loads(l) for l in open(sharded)])
-    assert rows_sharded == rows_single
+    rows_threaded = _strip_volatile([json.loads(l) for l in open(threaded)])
+    assert rows_threaded == rows_single
     data = json.load(open(aggregate))
-    assert data["points"] == 4 and len(data["shards"]) == 4
+    assert data["points"] == 4 and data["failed_points"] == 0
+    assert data["schema"] == AGGREGATE_SCHEMA and data["wall_seconds"] > 0
 
 
 def test_batch_then_sharded_sweep_on_one_cache_dir_is_all_hits(
@@ -455,7 +316,7 @@ def test_batch_then_sharded_sweep_on_one_cache_dir_is_all_hits(
     aggregate = str(tmp_path / "agg.json")
     assert main(["batch", str(batch), "--quiet", "--cache-dir", cache]) == 0
     capsys.readouterr()
-    assert main(["sweep", manifest, "--quiet", "--shards", "2",
+    assert main(["sweep", manifest, "--quiet", "--workers", "2",
                  "--cache-dir", cache, "--aggregate", aggregate]) == 0
     out = capsys.readouterr().out
     assert "4 job(s): 4 cache hit(s), 0 computed, 0 failed" in out
@@ -476,7 +337,7 @@ def test_cli_cache_merge(sweep_manifest, capsys):
     }))
     first, second = str(tmp_path / "c1"), str(tmp_path / "c2")
     rows_first, rows_second = str(tmp_path / "1.jsonl"), str(tmp_path / "2.jsonl")
-    assert main(["sweep", manifest, "--quiet", "--shards", "2",
+    assert main(["sweep", manifest, "--quiet", "--workers", "2",
                  "--cache-dir", first, "--jsonl", rows_first]) == 0
     assert main(["sweep", str(other), "--quiet",
                  "--cache-dir", second, "--jsonl", rows_second]) == 0
