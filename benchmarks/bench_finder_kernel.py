@@ -43,6 +43,7 @@ checks always run.
 """
 
 import os
+import pickle
 import time
 
 try:
@@ -52,7 +53,7 @@ except ImportError:  # invoked outside the repo root: benchmarks/ is on sys.path
 from repro.finder.candidate import extract_candidate_and_rent
 from repro.finder.config import FinderConfig
 from repro.finder.finder import TangledLogicFinder, plan_seed_jobs
-from repro.finder.kernel import compiled_kernel, grow_ordering
+from repro.finder.kernel import KernelTables, compiled_kernel, grow_ordering
 from repro.finder.ordering import LinearOrderingGrower
 from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.netlist.backend import forced_backend
@@ -195,15 +196,23 @@ def _measure_tracing(netlist, config):
     within 5% wall-clock at full scale (sub-second smoke runs get a
     looser bound because fixed costs don't amortize).
     """
+    # Each run gets its own copy of the design with the kernel tables
+    # built, so both grow every ordering (the ordering memo is per netlist
+    # object, and the earlier rows warmed it on ``netlist``).
+    untraced_netlist, traced_netlist = (
+        pickle.loads(pickle.dumps(netlist)) for _ in range(2)
+    )
+    for copy in (untraced_netlist, traced_netlist):
+        KernelTables.for_netlist(copy)
     with forced_backend("numpy"):
         start = time.perf_counter()
-        untraced_report = TangledLogicFinder(netlist, config).run()
+        untraced_report = TangledLogicFinder(untraced_netlist, config).run()
         untraced_seconds = time.perf_counter() - start
 
         trace.enable()
         try:
             start = time.perf_counter()
-            traced_report = TangledLogicFinder(netlist, config).run()
+            traced_report = TangledLogicFinder(traced_netlist, config).run()
             traced_seconds = time.perf_counter() - start
             run_report = RunReport.from_tracer()
         finally:

@@ -185,8 +185,12 @@ def _run_scenario(spec, backend, seed=7):
         full_report, _ = run_traced(edited, config)
         full_seconds = time.perf_counter() - start
 
+        # The patch runs on its own copy of the edited design, as a freshly
+        # applied edit would: on ``edited`` the ordering memo would hand it
+        # the orderings the cold re-run just grew.
+        patch_target = apply_delta(base, delta)
         start = time.perf_counter()
-        result = incremental_detect(base, edited, seed_trace, config)
+        result = incremental_detect(base, patch_target, seed_trace, config)
         incremental_seconds = time.perf_counter() - start
 
     assert _comparable(result.report) == _comparable(full_report), (

@@ -1,10 +1,11 @@
-"""Sweep scaling: ``run_sweep`` wall clock on 1 vs 2 seed threads.
+"""Sweep benchmarks: seed-thread scaling, and ordering reuse on one design.
 
-One deduplicated sweep (2 designs x a 4-point config grid = 8 distinct
-deterministic jobs) executed cold through :func:`run_sweep` on a
-:class:`BatchRunner` with 1 and with 2 seed threads (no result store, so
-every run computes every job). Each thread count gets one untimed warm-up
-run, then the median of :data:`REPEATS` timed runs. Two claims:
+**Scaling.** One deduplicated sweep (2 designs x a 4-point config grid =
+8 distinct deterministic jobs) executed cold through :func:`run_sweep` on
+a :class:`BatchRunner` with 1 and with 2 seed threads (no result store,
+and every run on fresh copies of the designs, so every run grows every
+ordering). Each thread count gets one untimed warm-up run, then the
+median of :data:`REPEATS` timed runs. Two claims:
 
 * **Parity** — the point rows are bit-identical on 1 and 2 threads
   (modulo wall-clock fields). Asserted at every scale; this is the same
@@ -15,6 +16,16 @@ run, then the median of :data:`REPEATS` timed runs. Two claims:
   loads; elsewhere the measured ratio is recorded (with ``cpu_count`` and
   whether the kernel loaded) but is not an acceptance failure.
 
+**Reuse.** The perfbench ``sweep-grid`` grid (finder seed x
+``lambda_skip`` {20, 10} x ``min_gtl_size`` {30, 60}, 4 seeds per point)
+on the 53K-cell industrial scenario, run two ways on 2 seed threads with
+no result store: all points on one loaded netlist, where the ordering
+memo of :func:`~repro.finder.ordering.grow_with_curves` hands the
+``min_gtl_size`` 60 points the orderings the 30 points grew, and every
+point on its own fresh load of the same pack file, where the memo starts
+cold each time. The rows are asserted bit-identical; the record keeps
+both wall clocks, ``finder.absorb_steps`` and ``finder.ordering_reuses``.
+
 Results land in ``BENCH_sweep.json`` (headline: ``speedup_2_threads``),
 with the 2-thread warm-up run's :class:`RunReport` embedded so the record
 shows where the time went (``pool.task``, ``finder.seed``, ...).
@@ -22,7 +33,9 @@ shows where the time went (``pool.task``, ``finder.seed``, ...).
 """
 
 import os
+import pickle
 import statistics
+import tempfile
 import time
 
 try:
@@ -31,7 +44,9 @@ except ImportError:  # invoked outside the repo root: benchmarks/ is on sys.path
     from _record import record
 from repro.finder.config import FinderConfig
 from repro.finder.kernel import compiled_kernel
+from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.generators.random_gtl import planted_gtl_graph
+from repro.io.binfmt import load_packed, write_packed
 from repro.obs import RunReport, trace
 from repro.service.aggregate import aggregate_sweep, point_rows
 from repro.service.jobs import BatchRunner
@@ -44,11 +59,25 @@ if SMOKE:
     BASE = FinderConfig(num_seeds=4, seed=7)
     GRID = {"lambda_skip": [0, 10], "min_gtl_size": [20, 30]}
     REPEATS = 1
+    REUSE_SPEC = IndustrialSpec(glue_gates=1200, rom_blocks=((4, 10),))
+    REUSE_SEEDS = 2
 else:
     DESIGN_CELLS = (5_000, 6_000)
     BASE = FinderConfig(num_seeds=16, seed=7)
     GRID = {"lambda_skip": [0, 10], "num_seeds": [16, 24]}
     REPEATS = 3
+    # perfbench's 53K-cell scenario design and sweep-grid shape.
+    REUSE_SPEC = IndustrialSpec(
+        glue_gates=30000, rom_blocks=((10, 384), (10, 384), (9, 192))
+    )
+    REUSE_SEEDS = 4
+
+REUSE_BASE = FinderConfig(num_seeds=4)
+REUSE_GRID = {
+    "seed": list(range(101, 101 + REUSE_SEEDS)),
+    "lambda_skip": [20, 10],
+    "min_gtl_size": [30, 60],
+}
 
 THREAD_COUNTS = (1, 2)
 
@@ -75,14 +104,87 @@ def _comparable_rows(outcome):
     return rows
 
 
-def _run_cold(designs, workers):
+def _fresh(designs):
+    """Equal copies of ``designs`` that share no ordering memo entries."""
+    return [(label, pickle.loads(pickle.dumps(netlist))) for label, netlist in designs]
+
+
+def _run_cold(designs, workers, base=BASE, grid=GRID):
     start = time.perf_counter()
     with BatchRunner(workers=workers, use_cache=False) as runner:
-        outcome = run_sweep(designs, BASE, GRID, runner)
+        outcome = run_sweep(designs, base, grid, runner)
     seconds = time.perf_counter() - start
     assert all(result.ok for result in outcome.job_results)
     assert aggregate_sweep(outcome).failed_points == 0
     return outcome, seconds
+
+
+def _traced(call):
+    """``(call(), counters)`` with tracing on for the call."""
+    trace.enable()
+    try:
+        result = call()
+        counters = RunReport.from_tracer().counters()
+    finally:
+        trace.disable()
+    return result, counters
+
+
+def _point_key(row):
+    return repr(sorted(row["overrides"].items()))
+
+
+def run_reuse():
+    """The reuse row: one netlist against a fresh load per point."""
+    netlist, _ = generate_industrial(REUSE_SPEC, seed=1)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "design.nla")
+        write_packed(netlist, path)
+        (shared, shared_s), shared_counters = _traced(
+            lambda: _run_cold([("design", load_packed(path))], 2, REUSE_BASE, REUSE_GRID)
+        )
+
+        def one_load_per_point():
+            rows, seconds = [], 0.0
+            for seed in REUSE_GRID["seed"]:
+                for skip in REUSE_GRID["lambda_skip"]:
+                    for size in REUSE_GRID["min_gtl_size"]:
+                        point = {"seed": [seed], "lambda_skip": [skip],
+                                 "min_gtl_size": [size]}
+                        outcome, point_s = _run_cold(
+                            [("design", load_packed(path))], 2, REUSE_BASE, point
+                        )
+                        rows += _comparable_rows(outcome)
+                        seconds += point_s
+            return rows, seconds
+
+        (fresh_rows, fresh_s), fresh_counters = _traced(one_load_per_point)
+    shared_rows = _comparable_rows(shared)
+    assert sorted(shared_rows, key=_point_key) == sorted(fresh_rows, key=_point_key), (
+        "rows on one netlist differ from rows on a fresh load per point"
+    )
+    reuses = shared_counters.get("finder.ordering_reuses", 0)
+    assert reuses > 0
+    assert shared_counters["finder.absorb_steps"] < fresh_counters["finder.absorb_steps"]
+    result = {
+        "cells": netlist.num_cells,
+        "points": len(shared_rows),
+        "seconds_one_netlist": round(shared_s, 4),
+        "seconds_fresh_loads": round(fresh_s, 4),
+        "speedup": round(fresh_s / max(shared_s, 1e-9), 2),
+        "absorb_steps_one_netlist": shared_counters["finder.absorb_steps"],
+        "absorb_steps_fresh_loads": fresh_counters["finder.absorb_steps"],
+        "ordering_reuses_one_netlist": reuses,
+        "ordering_reuses_fresh_loads": fresh_counters.get("finder.ordering_reuses", 0),
+        "parity": True,  # asserted above
+    }
+    print(
+        f"reuse: {result['points']} points at {result['cells']} cells, one netlist "
+        f"{shared_s:.2f}s vs fresh loads {fresh_s:.2f}s; absorb steps "
+        f"{result['absorb_steps_one_netlist']} vs {result['absorb_steps_fresh_loads']}, "
+        f"{reuses} ordering reuse(s)"
+    )
+    return result
 
 
 def run():
@@ -96,15 +198,15 @@ def run():
         if workers == max(THREAD_COUNTS):
             trace.enable()
             try:
-                _run_cold(designs, workers)
+                _run_cold(_fresh(designs), workers)
                 run_report = RunReport.from_tracer()
             finally:
                 trace.disable()
         else:
-            _run_cold(designs, workers)
+            _run_cold(_fresh(designs), workers)
         samples = []
         for _ in range(REPEATS):
-            outcome, seconds = _run_cold(designs, workers)
+            outcome, seconds = _run_cold(_fresh(designs), workers)
             samples.append(seconds)
             rows = _comparable_rows(outcome)
             if reference_rows is None:
@@ -133,6 +235,7 @@ def run():
         },
         "speedup_2_threads": speedup,
         "parity": True,  # asserted above at every thread count
+        "reuse": run_reuse(),
         "smoke": SMOKE,
     }
     if not SMOKE and cpu_count >= 4 and kernel:
@@ -153,7 +256,8 @@ def run():
 
 
 def test_sweep_thread_scaling():
-    """Pytest entry point (CI smoke runs this with REPRO_BENCH_SMOKE=1)."""
+    """Pytest entry point (CI smoke runs this with REPRO_BENCH_SMOKE=1):
+    the scaling and the reuse rows."""
     run()
 
 

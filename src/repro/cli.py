@@ -10,7 +10,8 @@ Subcommands:
 * ``sweep``        — expand a parameter grid over a set of designs,
   deduplicate identical jobs, and run them through the batch service on
   ``--workers N`` seed threads (``--via-daemon`` submits them to a running
-  daemon as priority-class-``sweep`` jobs instead); ``--aggregate``
+  daemon as priority-class-``sweep`` jobs instead, and refuses
+  ``--workers``, ``--cache-dir`` and ``--no-cache``); ``--aggregate``
   publishes totals and per-axis statistics as JSON.
 * ``flow run``     — execute a declared multi-stage flow manifest
   (detect / partition / place / congestion / soft_blocks / resynthesis)
@@ -416,8 +417,20 @@ def _parse_sweep_manifest(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.errors import ServiceError
     from repro.service.sweep import run_sweep
 
+    if args.via_daemon:
+        for flag, given in (
+            ("--workers", args.workers != 1),
+            ("--cache-dir", bool(args.cache_dir)),
+            ("--no-cache", args.no_cache),
+        ):
+            if given:
+                raise ServiceError(
+                    f"--via-daemon cannot be combined with {flag}: the "
+                    "daemon's pool and store run the jobs"
+                )
     designs, base, grid, design_paths = _parse_sweep_manifest(args)
 
     def execute(store):
@@ -896,7 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--via-daemon", action="store_true",
                          help="submit the jobs as priority-class-sweep jobs "
                          "to a running daemon (its pool and store do the "
-                         "work) instead of running them here")
+                         "work, so --workers, --cache-dir and --no-cache "
+                         "are refused) instead of running them here")
     sweep_p.add_argument("--socket", default=DEFAULT_SOCKET,
                          help="daemon socket for --via-daemon")
     sweep_p.add_argument("--aggregate", default="",

@@ -32,11 +32,34 @@ Implementation notes
   re-growths both go through it.  On the numpy backend it also returns the
   ordering's prefix curves, which the C kernel records while it grows, so
   Phase II never re-scans an ordering the kernel grew.
+* An ordering depends only on the design, the seed cell, ``lambda_skip``,
+  ``exclude_fixed`` and its cap, and a cap only stops growth: an ordering
+  capped at ``L`` and its curves are the first ``L`` entries of any
+  longer-capped one, and an ordering whose frontier emptied before its cap
+  (a *complete* one) is what every longer cap grows.  So
+  :func:`grow_with_curves` keeps one process-wide memo of grown orderings
+  (:class:`OrderingMemo`): per (netlist, seed cell, ``lambda_skip``,
+  ``exclude_fixed``, backend) the longest ordering grown so far, with its
+  cut and internal-net curves on the numpy backend, as one int32 table.
+  A request is answered from the memo when the entry is at least as long
+  as its cap or complete; anything else grows, and the longer ordering
+  replaces the entry.  Answers are bit-identical to growing: ``pins`` is
+  rebuilt with one ``cumsum`` and ``sizes`` with one ``arange``.  Entries
+  hang off a per-netlist token (:meth:`Netlist.derived`), so an edited,
+  reloaded or unpickled design starts cold and the memo never enters a
+  fingerprint; the least recently used entries (first of all those of
+  netlists that are gone, which are never hit again) are evicted to keep
+  the whole memo under :data:`MEMO_BUDGET_BYTES`.  A ``lambda_skip`` x ``min_gtl_size``
+  sweep therefore grows each ordering once per design.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import threading
+from collections import OrderedDict
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.finder.kernel import check_seed, grow_ordering, multi_pin_degrees
 from repro.netlist.backend import resolve_backend
@@ -47,6 +70,13 @@ from repro.utils.lazyheap import LazyMaxHeap
 
 #: :meth:`Netlist.derived` key of the scalar grower's per-netlist lists.
 _SCALAR_TABLES_KEY = "finder_scalar_grower_tables"
+
+#: :meth:`Netlist.derived` key of the netlist's ordering-memo token.
+_MEMO_TOKEN_KEY = "finder_ordering_memo_token"
+
+#: Byte budget of the process-wide ordering memo: 8 MiB holds about 50
+#: orderings of a 53K-cell design's default cap (13,250 cells x 3 int32).
+MEMO_BUDGET_BYTES = 8 << 20
 
 
 class LinearOrderingGrower:
@@ -181,6 +211,93 @@ def _scalar_tables(netlist: Netlist) -> Tuple[List[int], List[bool], List[int]]:
     )
 
 
+class _Entry(NamedTuple):
+    """One memo entry: rows (ordering[, cuts, internal]) x cells, and
+    whether growth stopped before the cap because the frontier emptied."""
+
+    table: np.ndarray
+    complete: bool
+
+
+class OrderingMemo:
+    """Grown orderings under a least-recently-used byte budget.
+
+    Thread-safe: lookups and stores take one lock, growing happens outside
+    it.  When two threads miss on one key at once both grow, and the longer
+    ordering is kept (equal ones are identical).
+    """
+
+    def __init__(self, budget_bytes: int) -> None:
+        self.budget_bytes = budget_bytes
+        self.nbytes = 0
+        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, cap: int) -> Optional[np.ndarray]:
+        """The first ``cap`` columns of the entry under ``key`` when it
+        answers a request capped at ``cap``, else ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or (entry.table.shape[1] < cap and not entry.complete):
+                return None
+            self._entries.move_to_end(key)
+            return entry.table[:, :cap]
+
+    def put(self, key: Hashable, table: np.ndarray, complete: bool) -> None:
+        """Store ``table`` under ``key`` unless the entry there already
+        answers everything it does, then evict down to the budget."""
+        if table.nbytes > self.budget_bytes:
+            return
+        with self._lock:
+            old = self._entries.get(key)
+            if old is not None:
+                length, old_length = table.shape[1], old.table.shape[1]
+                if old.complete or old_length > length or (
+                    old_length == length and not complete
+                ):
+                    return
+                self.nbytes -= old.table.nbytes
+            self._entries[key] = _Entry(table, complete)
+            self._entries.move_to_end(key)
+            self.nbytes += table.nbytes
+            while self.nbytes > self.budget_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self.nbytes -= evicted.table.nbytes
+
+
+#: The process-wide memo behind :func:`grow_with_curves`.
+ORDERING_MEMO = OrderingMemo(MEMO_BUDGET_BYTES)
+
+
+def _memo_table(
+    netlist: Netlist, ordering: Sequence[int], curves: Optional[PrefixCurves]
+) -> np.ndarray:
+    """``ordering`` (and the curves that are not rebuilt on a hit) as one
+    compact table: int32 unless the design is too large for it."""
+    int32_max = np.iinfo(np.int32).max
+    small = max(netlist.num_cells, netlist.num_nets) <= int32_max
+    rows = [ordering] if curves is None else [ordering, curves.cuts, curves.internal]
+    table = np.empty((len(rows), len(ordering)), dtype=np.int32 if small else np.int64)
+    for row, values in zip(table, rows):
+        row[:] = values
+    return table
+
+
+def _from_table(netlist: Netlist, table: np.ndarray, with_curves: bool):
+    """The ``(ordering, curves)`` a grower returns, rebuilt from a memo table."""
+    if not with_curves:
+        return table[0].tolist(), None
+    ordering = table[0].astype(np.int64)
+    length = len(ordering)
+    curves = PrefixCurves(
+        sizes=np.arange(1, length + 1, dtype=np.int64),
+        cuts=table[1].astype(np.int64),
+        pins=np.cumsum(netlist.arrays.pin_counts[ordering], dtype=np.int64),
+        internal=table[2].astype(np.int64),
+    )
+    return ordering, curves
+
+
 def grow_with_curves(
     netlist: Netlist,
     seed: int,
@@ -195,10 +312,22 @@ def grow_with_curves(
     :func:`~repro.finder.kernel.grow_ordering` (the compiled kernel when
     it loads).  On the scalar backend: a list from
     :class:`LinearOrderingGrower` and ``None`` (Phase II scans it with
-    :class:`~repro.netlist.ops.PrefixScanner`).
+    :class:`~repro.netlist.ops.PrefixScanner`).  Either is answered from
+    :data:`ORDERING_MEMO` when it holds a long enough or complete ordering
+    for the same netlist object and parameters; only grown orderings count
+    as ``finder.orderings`` work, a memo answer counts one
+    ``finder.ordering_reuses``.
     """
+    with_curves = resolve_backend() == "numpy"
+    cap = max(1, max_length)  # the seed is absorbed even with a cap of 0
+    token = netlist.derived(_MEMO_TOKEN_KEY, object)
+    key = (token, seed, lambda_skip, bool(exclude_fixed), with_curves)
+    table = ORDERING_MEMO.get(key, cap)
+    if table is not None:
+        trace.counter("finder.ordering_reuses").add(1)
+        return _from_table(netlist, table, with_curves)
     curves = None
-    if resolve_backend() == "numpy":
+    if with_curves:
         ordering, telemetry, curves = grow_ordering(
             netlist,
             seed,
@@ -212,6 +341,9 @@ def grow_with_curves(
         )
         ordering = grower.grow(max_length)
         telemetry = grower.telemetry()
+    ORDERING_MEMO.put(
+        key, _memo_table(netlist, ordering, curves), complete=len(ordering) < cap
+    )
     if trace.enabled():
         trace.counter("finder.orderings").add(1)
         trace.counter("finder.absorb_steps").add(len(ordering))

@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import pickle
 import random
 import shutil
 import subprocess
@@ -21,6 +22,7 @@ import sys
 import textwrap
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +112,11 @@ def _no_kernel():
     return mock.patch.multiple(kernel._KernelState, loaded=True, library=None)
 
 
+def _fresh_copy(netlist):
+    """An equal netlist that shares no derived state (nor memo entries)."""
+    return pickle.loads(pickle.dumps(netlist))
+
+
 def _grow_two_ways(netlist, seed, max_length, lambda_skip, exclude_fixed):
     """(ordering, telemetry) of the numpy-backend entry point and of the
     scalar reference."""
@@ -184,29 +191,84 @@ def _shaped_netlist(rng, shape):
     return _random_netlist(rng)
 
 
+def _raw_grows(netlist, start, cap, lambda_skip, exclude_fixed):
+    """``{path: (ordering list, curves or None)}`` straight from each grower,
+    never through :func:`grow_with_curves` and its memo: the C kernel when
+    it loads, the numpy backend's no-compiler fallback (grower plus curve
+    scan), and the scalar reference."""
+    paths = [("fallback", _no_kernel)]
+    if compiled_kernel() is not None:
+        paths.append(("kernel", contextlib.nullcontext))
+    grows = {}
+    for path, context in paths:
+        with context():
+            ordering, _, curves = grow_ordering(
+                netlist, start, cap, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
+            )
+        grows[path] = (ordering.tolist(), curves)
+    grower = LinearOrderingGrower(
+        netlist, start, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
+    )
+    grows["scalar"] = (grower.grow(cap), None)
+    return grows
+
+
+def _curve_lists(curves, length):
+    """The first ``length`` entries of each curve array, as lists."""
+    arrays = (curves.sizes, curves.cuts, curves.pins, curves.internal)
+    assert all(array.dtype == np.int64 for array in arrays)
+    return [array[:length].tolist() for array in arrays]
+
+
 def _assert_capped_orderings_are_prefixes(
     netlist, start, caps, lambda_skip, exclude_fixed
 ):
-    """On both backends, the ordering grown with cap ``L`` is the first
-    ``min(L, len)`` cells of the uncapped one."""
-    for backend in ("numpy", "python"):
-        with forced_backend(backend):
-            full = grow_linear_ordering(
-                netlist, start, netlist.num_cells, lambda_skip, exclude_fixed
-            )
-            for cap in caps:
-                capped = grow_linear_ordering(
-                    netlist, start, cap, lambda_skip, exclude_fixed
-                )
-                assert capped == full[:cap], (backend, cap)
+    """On every grower, the ordering grown with cap ``L`` is the first
+    ``min(L, len)`` cells of the uncapped one, and its curves are the first
+    ``min(L, len)`` entries of the uncapped curves."""
+    full = _raw_grows(netlist, start, netlist.num_cells, lambda_skip, exclude_fixed)
+    for cap in caps:
+        capped = _raw_grows(netlist, start, cap, lambda_skip, exclude_fixed)
+        for path, (ordering, curves) in capped.items():
+            full_ordering, full_curves = full[path]
+            assert ordering == full_ordering[:cap], (path, cap)
+            if curves is not None:
+                assert _curve_lists(curves, len(ordering)) == _curve_lists(
+                    full_curves, len(ordering)
+                ), (path, cap)
+
+
+def _assert_complete_orderings_are_final(netlist, start, lambda_skip, exclude_fixed):
+    """On every grower, an ordering that stops before its cap (a *complete*
+    one: its frontier emptied) equals, curves included, the ordering grown
+    with every longer cap."""
+    caps = range(1, netlist.num_cells + 4)
+    grows = [_raw_grows(netlist, start, cap, lambda_skip, exclude_fixed) for cap in caps]
+    complete = 0
+    for index, cap in enumerate(caps):
+        for path, (ordering, curves) in grows[index].items():
+            if len(ordering) == cap:
+                continue  # stopped by its cap
+            complete += 1
+            for longer in grows[index + 1 :]:
+                other, other_curves = longer[path]
+                assert other == ordering, (path, cap)
+                if curves is not None:
+                    assert _curve_lists(other_curves, len(other)) == _curve_lists(
+                        curves, len(ordering)
+                    ), (path, cap)
+    assert complete  # the cap n + 3 always outlives the frontier
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(("random", "disconnected", "wide")))
 def test_property_capped_orderings_are_prefixes(seed, shape):
-    """A cap only stops growth, so a shorter-capped ordering is always a
-    prefix of a longer-capped one (a disconnected design's ordering may end
-    before either cap)."""
+    """A cap only stops growth, so a shorter-capped ordering and its prefix
+    curves are always a prefix of a longer-capped one's (a disconnected
+    design's ordering may end before either cap), and an ordering that
+    stopped before its cap is final.  The ordering memo of
+    :func:`~repro.finder.ordering.grow_with_curves` answers short requests
+    from long entries on these two facts."""
     rng = random.Random(seed)
     netlist = _shaped_netlist(rng, shape)
     n = netlist.num_cells
@@ -217,6 +279,15 @@ def test_property_capped_orderings_are_prefixes(seed, shape):
             _assert_capped_orderings_are_prefixes(
                 netlist, start, caps, lambda_skip, exclude_fixed
             )
+    # Two components with fixed pads and isolated cells: each seed's
+    # frontier empties inside its own component.
+    netlist = _disconnected_netlist(rng)
+    for start in (0, netlist.num_cells - 1):
+        for exclude_fixed in (True, False):
+            for lambda_skip in (0, 1, 20):
+                _assert_complete_orderings_are_final(
+                    netlist, start, lambda_skip, exclude_fixed
+                )
 
 
 # ---------------------------------------------------------------- C kernel
@@ -652,7 +723,9 @@ def test_property_finder_reports_identical_on_planted(seed):
     with forced_backend("numpy"):
         array_report = find_tangled_logic(netlist, config)
         with _no_kernel():
-            fallback_report = find_tangled_logic(netlist, config)
+            # A fresh copy: on ``netlist`` the ordering memo would answer
+            # every grow with the kernel's orderings.
+            fallback_report = find_tangled_logic(_fresh_copy(netlist), config)
     # Compiled kernel vs scalar fallback: the whole report is identical.
     assert _comparable(array_report) == _comparable(fallback_report)
     assert [set(g.cells) for g in scalar_report.gtls] == [
@@ -747,8 +820,10 @@ def test_candidate_less_seed_scans_its_ordering_once(
         monkeypatch.setattr(candidate_module, "scan_ordering_curves", counting_scan)
         monkeypatch.setattr(kernel, "scan_ordering_curves", counting_scan)
         monkeypatch.setattr(PrefixScanner, "add", counting_add)
+        # A copy no earlier grow touched, so the ordering memo is cold and
+        # the seed grows (and, on the fallback, scans) exactly once.
         candidate, rent, orderings, footprint = _process_seed(
-            netlist, config, outside, 0
+            _fresh_copy(netlist), config, outside, 0
         )
         kernel_loaded = compiled_kernel() is not None
 
@@ -779,8 +854,6 @@ def test_score_context_memoized_per_netlist(mixed_netlist):
 
 
 def test_derived_cache_not_pickled(mixed_netlist):
-    import pickle
-
     ScoreContext.for_netlist(mixed_netlist, 0.6)
     KernelTables.for_netlist(mixed_netlist)
     clone = pickle.loads(pickle.dumps(mixed_netlist))
@@ -854,8 +927,6 @@ def test_derived_builds_once_under_concurrent_first_use(small_planted):
     import threading
     import time
     from concurrent.futures import ThreadPoolExecutor
-
-    import pickle
 
     rebuilt = pickle.loads(pickle.dumps(small_planted[0]))  # nothing derived
     builds = []

@@ -3,6 +3,7 @@ aggregate and the CLI."""
 
 import json
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +73,7 @@ def _grids(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(grid=_grids())
-def test_property_deterministic_dedup_survives_sharding(grid):
+def test_property_deterministic_points_dedup_to_one_job(grid):
     """Deterministic points dedup in the plan: one job per distinct
     fingerprint, every point answered by one of them."""
     plan = plan_sweep([("d", _TINY)], CFG, grid)
@@ -84,7 +85,7 @@ def test_property_deterministic_dedup_survives_sharding(grid):
 
 @settings(max_examples=30, deadline=None)
 @given(grid=_grids())
-def test_property_nondet_points_never_merge_across_shards(grid):
+def test_property_nondet_points_never_merge(grid):
     """seed=None points are independent samples: one job each in the plan,
     even when their configs collide."""
     base = FinderConfig(num_seeds=4, seed=None)
@@ -112,12 +113,15 @@ def _sweep(designs, cache_dir, workers):
         return run_sweep(designs, CFG, GRID, runner)
 
 
-def test_sharded_sweep_matches_single_process(small, tmp_path):
-    """Two seed threads give the rows of one, point for point."""
+def test_two_thread_sweep_matches_one_thread(small, tmp_path):
+    """Two seed threads give the rows of one, point for point.  The
+    2-thread sweep runs on an equal copy of the design, so it grows its
+    orderings itself instead of reading the 1-thread run's from the
+    ordering memo."""
     netlist, _ = small
-    designs = [("d", netlist)]
-    reference = _sweep(designs, str(tmp_path / "serial"), workers=1)
-    outcome = _sweep(designs, str(tmp_path / "threads"), workers=2)
+    reference = _sweep([("d", netlist)], str(tmp_path / "serial"), workers=1)
+    copy = pickle.loads(pickle.dumps(netlist))
+    outcome = _sweep([("d", copy)], str(tmp_path / "threads"), workers=2)
     assert all(result.ok for result in outcome.job_results)
     assert _strip_volatile(point_rows(outcome)) == _strip_volatile(
         point_rows(reference)
@@ -128,7 +132,7 @@ def _hits(outcome):
     return sum(1 for result in outcome.job_results if result.cached)
 
 
-def test_sharded_rerun_is_warm_through_the_main_store(small, tmp_path):
+def test_rerun_is_warm_through_the_store(small, tmp_path):
     netlist, _ = small
     designs = [("d", netlist)]
     cache = str(tmp_path / "cache")
@@ -280,7 +284,7 @@ def sweep_manifest(tmp_path):
     return tmp_path, str(manifest)
 
 
-def test_cli_sharded_sweep_parity_and_aggregate(sweep_manifest, capsys):
+def test_cli_sweep_thread_parity_and_aggregate(sweep_manifest, capsys):
     tmp_path, manifest = sweep_manifest
     single = str(tmp_path / "single.jsonl")
     threaded = str(tmp_path / "threaded.jsonl")
@@ -300,7 +304,7 @@ def test_cli_sharded_sweep_parity_and_aggregate(sweep_manifest, capsys):
     assert data["schema"] == AGGREGATE_SCHEMA and data["wall_seconds"] > 0
 
 
-def test_batch_then_sharded_sweep_on_one_cache_dir_is_all_hits(
+def test_batch_then_sweep_on_one_cache_dir_is_all_hits(
     sweep_manifest, capsys
 ):
     tmp_path, manifest = sweep_manifest
@@ -367,3 +371,22 @@ def test_cli_sweep_unknown_axis_lists_fields(sweep_manifest, capsys):
     err = capsys.readouterr().err
     assert "bogus_axis" in err and "valid fields" in err
     assert "num_seeds" in err and "lambda_skip" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--workers", "4"], ["--cache-dir", "elsewhere"], ["--no-cache"]],
+    ids=["workers", "cache-dir", "no-cache"],
+)
+def test_cli_via_daemon_refuses_local_execution_flags(sweep_manifest, capsys, flags):
+    """The daemon's pool and store run a ``--via-daemon`` sweep, so the
+    local execution flags are a usage error naming the flag, raised before
+    any daemon is contacted."""
+    tmp_path, manifest = sweep_manifest
+    socket_path = str(tmp_path / "no-daemon.sock")
+    assert main(["sweep", manifest, "--via-daemon", "--socket", socket_path,
+                 "--quiet", *flags]) == 2
+    captured = capsys.readouterr()
+    assert f"--via-daemon cannot be combined with {flags[0]}" in captured.err
+    assert "job(s)" not in captured.out
+    assert not os.path.exists(tmp_path / "elsewhere")
