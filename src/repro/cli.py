@@ -176,7 +176,6 @@ def _make_runner(args: argparse.Namespace, store):
     return BatchRunner(
         workers=args.workers,
         store=store,
-        use_cache=not args.no_cache,
         progress=None if args.quiet else _print_progress,
     )
 
@@ -480,7 +479,6 @@ def _cmd_flow_run(args: argparse.Namespace) -> int:
                 outcome = manifest.flow.run(
                     netlist,
                     store=store,
-                    use_cache=not args.no_cache,
                     pool=pool,
                     progress=None if args.quiet else _progress,
                 )

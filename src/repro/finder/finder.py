@@ -1,9 +1,16 @@
 """The full tangled-logic finder pipeline (Algorithm, Chapter IV).
 
 Each random seed runs Phases I-III independently — the paper exploits this
-with 8 pthreads, and so does :meth:`TangledLogicFinder.run`: it hands the
-seed runs to the :class:`repro.service.pool.WorkerPool` it is given (a
-thread pool in this process), and runs them serially without one.
+with 8 pthreads.  Every detection has the same shape: plan the
+``(seed_cell, rng_seed)`` jobs (:func:`plan_seed_jobs`), run them, reduce
+the per-seed outcomes into a report.  :func:`run_seed_plan` is the one
+place that runs and reduces: it takes the planned jobs, an optional
+:class:`repro.service.pool.WorkerPool` (a thread pool in this process;
+``None`` runs the seeds serially) and the outcomes already known by job
+index, runs only the jobs without one and returns the report with the
+full outcome list.  A cold run (:meth:`TangledLogicFinder.run`,
+:func:`repro.incremental.engine.run_traced`) knows no outcome; an
+incremental patch knows every seed its edit could not reach.
 Parallelism is the pool's choice, never the config's: the report is
 identical either way.  Batch drivers (:class:`repro.service.jobs.BatchRunner`)
 keep one persistent pool so many detections share one set of seed threads.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,13 +121,6 @@ def _process_seed(
         )
 
 
-def _process_batch(
-    netlist: Netlist, config: FinderConfig, jobs: Sequence[Tuple[int, int]]
-) -> List[_SeedOutcome]:
-    """Process several ``(seed_cell, rng_seed)`` jobs serially."""
-    return [_process_seed(netlist, config, cell, rng) for cell, rng in jobs]
-
-
 def _draw_seed_cells(netlist: Netlist, config: FinderConfig) -> List[int]:
     from repro.finder.seeding import draw_seeds
 
@@ -148,6 +148,8 @@ def plan_seed_jobs(
     detection can re-plan the jobs on an edited netlist and match them
     index-by-index against a recorded trace.
     """
+    if netlist.num_cells < 2:
+        raise FinderError("netlist too small for GTL detection")
     seed_cells = _draw_seed_cells(netlist, config)
     rng = ensure_rng(config.seed)
     return [(cell, rng.randrange(2**63)) for cell in seed_cells]
@@ -192,9 +194,8 @@ def reduce_outcomes(
     """The finder's reduce step over per-seed outcomes.
 
     Returns ``(gtls, global_rent, num_candidates, num_orderings,
-    rent_fallback)``.  Pure in its inputs: incremental detection replays it
-    over a merge of reused and recomputed outcomes and obtains the same
-    report a cold run would.
+    rent_fallback)``.  Pure in its inputs, so a merge of known and freshly
+    run outcomes reduces to the same report a cold run would.
     """
     with trace.span("finder.reduce"):
         candidates = [c for c, _, _, _ in outcomes if c is not None]
@@ -217,6 +218,54 @@ def reduce_outcomes(
     return gtls, global_rent, len(candidates), orderings, rent_fallback
 
 
+def run_seed_plan(
+    netlist: Netlist,
+    config: FinderConfig,
+    jobs: Sequence[Tuple[int, int]],
+    pool: Optional["WorkerPool"] = None,
+    known: Optional[Mapping[int, _SeedOutcome]] = None,
+) -> Tuple[FinderReport, List[_SeedOutcome]]:
+    """Run the planned seed jobs and reduce them: the finder's one seed path.
+
+    Args:
+        jobs: the ``(seed_cell, rng_seed)`` plan (:func:`plan_seed_jobs`).
+        pool: a :class:`repro.service.pool.WorkerPool` to run the seed
+            trials on; ``None`` runs them serially in this process.
+        known: outcomes already known, by job index; only the other jobs
+            run.  A cold run knows none, an incremental patch every seed
+            its edit could not reach.
+
+    Returns the report and the outcome of every job, in job order.
+    """
+    known = known or {}
+    outcomes: List[Optional[_SeedOutcome]] = [known.get(i) for i in range(len(jobs))]
+    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    with Timer() as timer, trace.span(
+        "finder.run", seeds=len(jobs), known=len(known)
+    ):
+        todo_jobs = [jobs[i] for i in todo]
+        if pool is not None:
+            fresh = pool.run_seed_jobs(netlist, config, todo_jobs)
+        else:
+            fresh = [_process_seed(netlist, config, *job) for job in todo_jobs]
+        for index, outcome in zip(todo, fresh):
+            outcomes[index] = outcome
+        gtls, global_rent, num_candidates, orderings, rent_fallback = (
+            reduce_outcomes(netlist, config, outcomes)
+        )
+
+    report = FinderReport(
+        gtls=gtls,
+        config=config,
+        rent_exponent=global_rent,
+        num_orderings=orderings,
+        num_candidates=num_candidates,
+        runtime_seconds=timer.elapsed,
+        rent_fallback=rent_fallback,
+    )
+    return report, outcomes
+
+
 class TangledLogicFinder:
     """Finds all groups of tangled logic in a netlist.
 
@@ -232,10 +281,6 @@ class TangledLogicFinder:
             raise FinderError("netlist too small for GTL detection")
         self.netlist = netlist
         self.config = config or FinderConfig()
-        #: Jobs and per-seed outcomes of the most recent :meth:`run` —
-        #: the raw material of a :class:`repro.incremental.engine.SeedTrace`.
-        self.last_jobs: List[Tuple[int, int]] = []
-        self.last_outcomes: List[_SeedOutcome] = []
 
     # ------------------------------------------------------------------
     def run(self, pool: Optional["WorkerPool"] = None) -> FinderReport:
@@ -245,32 +290,9 @@ class TangledLogicFinder:
             pool: a :class:`repro.service.pool.WorkerPool` to run the seed
                 trials on; ``None`` runs them serially in this process.
         """
-        config = self.config
-        with Timer() as timer, trace.span(
-            "finder.run", seeds=config.num_seeds
-        ):
-            jobs = plan_seed_jobs(self.netlist, config)
-
-            if pool is not None:
-                outcomes = pool.run_seed_jobs(self.netlist, config, jobs)
-            else:
-                outcomes = _process_batch(self.netlist, config, jobs)
-
-            self.last_jobs = list(jobs)
-            self.last_outcomes = list(outcomes)
-            gtls, global_rent, num_candidates, orderings, rent_fallback = (
-                reduce_outcomes(self.netlist, config, outcomes)
-            )
-
-        return FinderReport(
-            gtls=gtls,
-            config=config,
-            rent_exponent=global_rent,
-            num_orderings=orderings,
-            num_candidates=num_candidates,
-            runtime_seconds=timer.elapsed,
-            rent_fallback=rent_fallback,
-        )
+        jobs = plan_seed_jobs(self.netlist, self.config)
+        report, _ = run_seed_plan(self.netlist, self.config, jobs, pool)
+        return report
 
 
 def find_tangled_logic(

@@ -138,7 +138,6 @@ class Flow:
         self,
         netlist: Netlist,
         store: Optional[ResultStore] = None,
-        use_cache: bool = True,
         pool=None,
         progress: Optional[ProgressCallback] = None,
     ) -> FlowResult:
@@ -148,14 +147,11 @@ class Flow:
             netlist: the design to run the flow on.
             store: result store consulted/filled per stage (``None`` = no
                 caching).
-            use_cache: master switch; ``False`` bypasses the store entirely.
             pool: shared :class:`~repro.service.pool.WorkerPool` handed to
                 stages with internal parallelism.
             progress: callback invoked after every finished stage.
         """
-        return self._run(
-            netlist, store if use_cache else None, pool, progress, compute=True
-        )
+        return self._run(netlist, store, pool, progress, compute=True)
 
     def run_cached(
         self, netlist: Netlist, store: ResultStore

@@ -4,25 +4,31 @@ The full finder is embarrassingly parallel over seeds, and each seed's
 outcome depends only on its footprint's neighborhood (see
 :mod:`repro.incremental.dirty`).  So an edited netlist needs Phase I–III
 re-run only for the seeds whose footprint intersects the edit's dirty
-region; every other per-seed outcome is replayed from a recorded
-:class:`SeedTrace` and the finder's reduce step
-(:func:`repro.finder.finder.reduce_outcomes`) is re-run over the merged
-outcome list.  Because the reduce is pure in its inputs, the patched
-report is **identical** to a cold run on the edited netlist — the parity
-invariant every test here asserts, on both kernel backends.
+region, or whose planned ``(seed_cell, rng_seed)`` job diverged (weighted
+seed strategies sample by netlist statistics).  A patch is therefore an
+ordinary finder run over recorded outcomes: :func:`incremental_detect`
+only decides what to reuse — validate, diff, dirty region, re-plan, pick
+the dirty seeds — and hands the plan, with every other outcome of the
+recorded :class:`SeedTrace` as known, to
+:func:`repro.finder.finder.run_seed_plan`, the one function that runs
+seed jobs and reduces them (a cold run and :func:`run_traced` go through
+it too).  Because the reduce is pure in its inputs, the patched report is
+**identical** to a cold run on the edited netlist — the parity invariant
+every test here asserts, on both kernel backends.
 
 Reuse is only sound when the netlist-global inputs of a seed job are
-unchanged; :func:`incremental_detect` falls back to a full traced run
-when they are not:
+unchanged; :func:`incremental_detect` runs every seed (a full traced run)
+when they are not, or when patching would not pay:
 
-* cells added or removed, or any cell's ``fixed`` flag flipped (the
-  eligible-seed set, growth exclusion and index space shift);
+* cells added or removed, or the cell count changed (the eligible-seed
+  set and index space shift);
 * the total pin count changed (it parametrizes the density-aware score
   exponent, coupling every group's score to the whole netlist);
-* the per-index seed plan diverged (weighted seed strategies sample by
-  netlist statistics) — per-seed, not global;
+* any cell's ``fixed`` flag flipped (the eligible-seed set and growth
+  exclusion shift);
 * the dirty fraction exceeds :data:`FULL_THRESHOLD` (patching would
-  re-run nearly everything anyway, so skip the bookkeeping).
+  re-run nearly everything anyway, so skip the bookkeeping);
+* the seed plan changed size.
 
 Persistence: :func:`detect_with_reuse` runs a one-stage
 :class:`~repro.flow.flow.Flow`, which looks up and records the report
@@ -49,19 +55,13 @@ import contextlib
 import logging
 import math
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParseError, ServiceError
 from repro.finder.candidate import CandidateGTL
 from repro.finder.config import FinderConfig
-from repro.finder.finder import (
-    TangledLogicFinder,
-    _process_batch,
-    _SeedOutcome,
-    plan_seed_jobs,
-    reduce_outcomes,
-)
+from repro.finder.finder import _SeedOutcome, plan_seed_jobs, run_seed_plan
 from repro.finder.result import FinderReport
 from repro.netlist.hypergraph import Netlist
 from repro.netlist.ops import GroupStats
@@ -218,17 +218,8 @@ def run_traced(
     pool: Optional[Any] = None,
 ) -> Tuple[FinderReport, SeedTrace]:
     """One full finder run, returning the report plus its seed trace."""
-    finder = TangledLogicFinder(netlist, config)
-    report = finder.run(pool=pool)
-    seed_trace = SeedTrace(
-        netlist_fingerprint=fingerprint_netlist(netlist),
-        config=config,
-        num_cells=netlist.num_cells,
-        num_pins=netlist.num_pins,
-        jobs=tuple(finder.last_jobs),
-        outcomes=tuple(finder.last_outcomes),
-    )
-    return report, seed_trace
+    result = _traced_run(netlist, config, plan_seed_jobs(netlist, config), pool)
+    return result.report, result.trace
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +274,64 @@ class IncrementalResult:
         return f"full recompute ({self.reason or 'no base'})"
 
 
+def _traced_run(
+    netlist: Netlist,
+    config: FinderConfig,
+    jobs: Sequence[Tuple[int, int]],
+    pool: Optional[Any],
+    known: Optional[Dict[int, _SeedOutcome]] = None,
+    **fields: Any,
+) -> IncrementalResult:
+    """Run the ``jobs`` without a ``known`` outcome and reduce
+    (:func:`~repro.finder.finder.run_seed_plan`), as a traced result;
+    ``fields`` are its mode, reason and provenance."""
+    report, outcomes = run_seed_plan(netlist, config, jobs, pool, known)
+    return IncrementalResult(
+        report=report,
+        trace=SeedTrace(
+            netlist_fingerprint=fingerprint_netlist(netlist),
+            config=config,
+            num_cells=netlist.num_cells,
+            num_pins=netlist.num_pins,
+            jobs=tuple(jobs),
+            outcomes=tuple(outcomes),
+        ),
+        seeds_total=len(jobs),
+        seeds_recomputed=len(jobs) - len(known or {}),
+        **fields,
+    )
+
+
 def _full_fallback_reason(
-    new: Netlist, seed_trace: SeedTrace, delta: NetlistDelta
+    base: Netlist,
+    new: Netlist,
+    seed_trace: SeedTrace,
+    delta: NetlistDelta,
+    region: DirtyRegion,
+    jobs: Sequence[Tuple[int, int]],
 ) -> Optional[str]:
-    """Why per-seed reuse would be unsound for this edit, or ``None``."""
+    """Why this edit runs in full instead of being patched, or ``None``
+    (the reasons are listed in the module docstring)."""
     if delta.cells_added or delta.cells_removed:
         return "cell set changed"
     if new.num_cells != seed_trace.num_cells:
         return "cell count changed"
+    if new.num_pins != seed_trace.num_pins:
+        # Total pins parametrize the gtl_sd score exponent: every group's
+        # score shifts, so nothing recorded can be reused.
+        return "total pin count changed"
+    if any(
+        edit.fixed != base.cell_is_fixed(base.cell_index(edit.name))
+        for edit in delta.cells_changed
+    ):
+        return "fixed flags changed"
+    if region.fraction > FULL_THRESHOLD:
+        return (
+            f"dirty fraction {region.fraction:.1%} exceeds "
+            f"threshold {FULL_THRESHOLD:.1%}"
+        )
+    if len(jobs) != len(seed_trace.jobs):
+        return "seed plan size changed"
     return None
 
 
@@ -307,9 +348,11 @@ def incremental_detect(
 
     Re-runs Phase I–III only for seeds whose recorded footprint intersects
     the edit's dirty region (or whose planned ``(seed_cell, rng_seed)``
-    job diverged), replays every other outcome from ``seed_trace``, and
-    re-reduces.  The returned report is identical to a cold run on ``new``
-    — full-recompute parity is the invariant, not an approximation.
+    job diverged): every other outcome is known from ``seed_trace``, and
+    :func:`~repro.finder.finder.run_seed_plan` runs the rest and reduces.
+    The returned report is identical to a cold run on ``new`` —
+    full-recompute parity is the invariant, not an approximation.  Its
+    ``runtime_seconds`` covers the whole ``incremental.detect`` span.
     """
     config = config or seed_trace.config
     if config.seed is None:
@@ -334,108 +377,43 @@ def incremental_detect(
         with trace.span("incremental.diff"):
             if delta is None:
                 delta = diff(base, new)
-        delta_fp = delta_fingerprint(base_fp, delta)
-
-        def _full(reason: str, region: Optional[DirtyRegion] = None) -> IncrementalResult:
+        region = dirty_region(new, delta)
+        jobs = plan_seed_jobs(new, config)
+        provenance = dict(
+            base_fingerprint=base_fp,
+            delta_fingerprint=delta_fingerprint(base_fp, delta),
+            dirty_cells=len(region.cells),
+            dirty_fraction=region.fraction,
+        )
+        reason = _full_fallback_reason(base, new, seed_trace, delta, region, jobs)
+        if reason is not None:
             if trace.enabled():
                 trace.counter("incremental.full_fallbacks").add(1)
-            report, new_trace = run_traced(new, config, pool=pool)
-            return IncrementalResult(
-                report=report,
-                trace=new_trace,
-                mode="full",
-                reason=reason,
-                base_fingerprint=base_fp,
-                delta_fingerprint=delta_fp,
-                dirty_cells=len(region.cells) if region else 0,
-                dirty_fraction=region.fraction if region else 0.0,
-                seeds_total=len(new_trace.jobs),
-                seeds_recomputed=len(new_trace.jobs),
-            )
-
-        reason = _full_fallback_reason(new, seed_trace, delta)
-        if reason is not None:
-            return _full(reason)
-        if new.num_pins != seed_trace.num_pins:
-            # Total pins parametrize the gtl_sd score exponent: every
-            # group's score shifts, so nothing recorded can be reused.
-            return _full("total pin count changed")
-        if any(
-            edit.fixed != base.cell_is_fixed(base.cell_index(edit.name))
-            for edit in delta.cells_changed
-        ):
-            return _full("fixed flags changed")
-
-        region = dirty_region(new, delta)
-        if region.fraction > FULL_THRESHOLD:
-            return _full(
-                f"dirty fraction {region.fraction:.1%} exceeds "
-                f"threshold {FULL_THRESHOLD:.1%}",
-                region,
-            )
-
-        jobs = plan_seed_jobs(new, config)
-        if len(jobs) != len(seed_trace.jobs):
-            return _full("seed plan size changed", region)
-
-        dirty_indices = [
-            i
-            for i, job in enumerate(jobs)
-            if job != seed_trace.jobs[i]
-            or region.intersects(seed_trace.outcomes[i][3])
-        ]
-
-        with trace.span(
-            "incremental.patch",
-            dirty_seeds=len(dirty_indices),
-            total_seeds=len(jobs),
-        ):
-            merged: List[_SeedOutcome] = list(seed_trace.outcomes)
-            if dirty_indices:
-                dirty_jobs = [jobs[i] for i in dirty_indices]
-                if pool is not None:
-                    recomputed = pool.run_seed_jobs(new, config, dirty_jobs)
-                else:
-                    recomputed = _process_batch(new, config, dirty_jobs)
-                for index, outcome in zip(dirty_indices, recomputed):
-                    merged[index] = outcome
-            gtls, global_rent, num_candidates, orderings, rent_fallback = (
-                reduce_outcomes(new, config, merged)
-            )
-        if trace.enabled():
-            trace.counter("incremental.seeds_reused").add(
-                len(jobs) - len(dirty_indices)
-            )
-            trace.counter("incremental.seeds_recomputed").add(len(dirty_indices))
-
-    report = FinderReport(
-        gtls=gtls,
-        config=config,
-        rent_exponent=global_rent,
-        num_orderings=orderings,
-        num_candidates=num_candidates,
-        runtime_seconds=timer.elapsed,
-        rent_fallback=rent_fallback,
-    )
-    new_trace = SeedTrace(
-        netlist_fingerprint=fingerprint_netlist(new),
-        config=config,
-        num_cells=new.num_cells,
-        num_pins=new.num_pins,
-        jobs=tuple(jobs),
-        outcomes=tuple(merged),
-    )
-    return IncrementalResult(
-        report=report,
-        trace=new_trace,
-        mode="incremental",
-        base_fingerprint=base_fp,
-        delta_fingerprint=delta_fp,
-        dirty_cells=len(region.cells),
-        dirty_fraction=region.fraction,
-        seeds_total=len(jobs),
-        seeds_recomputed=len(dirty_indices),
-    )
+            result = _traced_run(new, config, jobs, pool, reason=reason, **provenance)
+        else:
+            known = {
+                index: outcome
+                for index, (job, outcome) in enumerate(
+                    zip(seed_trace.jobs, seed_trace.outcomes)
+                )
+                if job == jobs[index] and not region.intersects(outcome[3])
+            }
+            with trace.span(
+                "incremental.patch",
+                dirty_seeds=len(jobs) - len(known),
+                total_seeds=len(jobs),
+            ):
+                result = _traced_run(
+                    new, config, jobs, pool, known,
+                    mode="incremental", **provenance,
+                )
+            if trace.enabled():
+                trace.counter("incremental.seeds_reused").add(len(known))
+                trace.counter("incremental.seeds_recomputed").add(
+                    result.seeds_recomputed
+                )
+    result.report = replace(result.report, runtime_seconds=timer.elapsed)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -489,7 +467,7 @@ def _persist(
     netlist_fp = fingerprint_netlist(netlist)
     store.put_payload(
         _head_key(fingerprint_config(config)),
-        {"netlist_fingerprint": netlist_fp, "job_fingerprint": job_fp},
+        {"netlist_fingerprint": netlist_fp},
         kind=KIND_INCREMENTAL_HEAD,
     )
     path = design_path(store, netlist_fp)
@@ -522,28 +500,49 @@ def run_with_reuse(
     nothing.  Looking up and recording the report is the caller's flow's
     job (:class:`~repro.flow.stages.IncrementalDetectStage`).
     """
-    deterministic = config.seed is not None
-    persist = store is not None and deterministic
-    if persist:
-        result = _try_incremental(
-            netlist, config, store,
-            base=base, base_fingerprint=base_fingerprint, delta=delta,
-            netlist_fp=fingerprint_netlist(netlist), pool=pool,
+    if store is None or config.seed is None:
+        reason = "no result store" if store is None else "unpinned seed"
+        return _traced_run(
+            netlist, config, plan_seed_jobs(netlist, config), pool, reason=reason
+        )
+
+    reason, seed_trace = "no traced base run", None
+    base_fp = base_fingerprint
+    if base is not None and not base_fp:
+        base_fp = fingerprint_netlist(base)
+    if not base_fp:
+        head = store.get_payload(
+            _head_key(fingerprint_config(config)), kind=KIND_INCREMENTAL_HEAD
+        )
+        base_fp = str((head or {}).get("netlist_fingerprint", ""))
+    # An "edit" that is the identical netlist has nothing to patch from.
+    if base_fp and base_fp != fingerprint_netlist(netlist):
+        seed_trace = load_trace(
+            store, job_fingerprint(netlist, config, netlist_fingerprint=base_fp)
+        )
+    path = design_path(store, base_fp)
+    if seed_trace is not None and base is None and os.path.exists(path):
+        from repro.io import load_packed
+
+        try:
+            base = load_packed(path)
+        except (ParseError, OSError) as error:
+            # A pack cut short or left by an older build: drop it, so the
+            # full run this falls back to writes a sound one in its place.
+            logger.warning("removing unloadable base pack %s: %s", path, error)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            reason = f"unloadable base pack {path} removed"
+
+    if seed_trace is not None and base is not None:
+        result = incremental_detect(
+            base, netlist, seed_trace, config, delta=delta, pool=pool
         )
     else:
-        result = "no result store" if store is None else "unpinned seed"
-    if isinstance(result, str):
-        report, seed_trace = run_traced(netlist, config, pool=pool)
-        result = IncrementalResult(
-            report=report,
-            trace=seed_trace,
-            mode="full",
-            reason=result,
-            seeds_total=len(seed_trace.jobs),
-            seeds_recomputed=len(seed_trace.jobs),
+        result = _traced_run(
+            netlist, config, plan_seed_jobs(netlist, config), pool, reason=reason
         )
-    if persist:
-        _persist(store, netlist, config, job_fingerprint(netlist, config), result)
+    _persist(store, netlist, config, job_fingerprint(netlist, config), result)
     return result
 
 
@@ -575,57 +574,6 @@ def detect_with_reuse(
     stage.base, stage.base_fingerprint, stage.delta = base, base_fingerprint, delta
     outcome = Flow([stage], name="detect").run(netlist, store=store, pool=pool)
     return stage.incremental_result(outcome.results[0])
-
-
-def _try_incremental(
-    netlist: Netlist,
-    config: FinderConfig,
-    store: ResultStore,
-    *,
-    base: Optional[Netlist],
-    base_fingerprint: str,
-    delta: Optional[NetlistDelta],
-    netlist_fp: str,
-    pool: Optional[Any],
-) -> Union[IncrementalResult, str]:
-    """Resolve a usable base + trace and patch; without one, the reason
-    for a full run."""
-    no_base = "no traced base run"
-    base_fp = base_fingerprint
-    if base is not None and not base_fp:
-        base_fp = fingerprint_netlist(base)
-    if not base_fp:
-        head = store.get_payload(
-            _head_key(fingerprint_config(config)), kind=KIND_INCREMENTAL_HEAD
-        )
-        if not head:
-            return no_base
-        base_fp = str(head.get("netlist_fingerprint", ""))
-    if not base_fp or base_fp == netlist_fp:
-        return no_base  # no base, or "edit" is the identical netlist
-
-    base_job_fp = job_fingerprint(netlist, config, netlist_fingerprint=base_fp)
-    seed_trace = load_trace(store, base_job_fp)
-    if seed_trace is None:
-        return no_base
-    if base is None:
-        path = design_path(store, base_fp)
-        if not os.path.exists(path):
-            return no_base
-        from repro.io import load_packed
-
-        try:
-            base = load_packed(path)
-        except (ParseError, OSError) as error:
-            # A pack cut short or left by an older build: drop it, so the
-            # full run this falls back to writes a sound one in its place.
-            logger.warning("removing unloadable base pack %s: %s", path, error)
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-            return f"unloadable base pack {path} removed"
-    return incremental_detect(
-        base, netlist, seed_trace, config, delta=delta, pool=pool
-    )
 
 
 __all__ = [

@@ -714,8 +714,7 @@ class ServerDaemon:
                     runtime_seconds=result.runtime_seconds,
                 )
         outcome = flow.run(
-            netlist, store=self.store, use_cache=True, pool=self.pool,
-            progress=progress,
+            netlist, store=self.store, pool=self.pool, progress=progress
         )
         record.cached = outcome.all_cached
         return self._response(record, outcome, outcome.runtime_seconds)

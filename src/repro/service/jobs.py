@@ -107,9 +107,8 @@ class BatchRunner:
 
     Args:
         workers: seed threads per job (one pool shared by all jobs).
-        store: result store for cache lookup/insert (``None`` = no caching).
-        use_cache: master switch; ``False`` bypasses the store entirely —
-            no lookups and no inserts (the ``--no-cache`` path).
+        store: result store for cache lookup/insert (``None`` = no caching,
+            the ``--no-cache`` path).
         progress: callback invoked after every finished job.
         pool: inject a pre-built :class:`WorkerPool` (owned by the caller);
             otherwise the runner creates and owns one.
@@ -119,12 +118,10 @@ class BatchRunner:
         self,
         workers: int = 1,
         store: Optional[ResultStore] = None,
-        use_cache: bool = True,
         progress: Optional[ProgressCallback] = None,
         pool: Optional[WorkerPool] = None,
     ) -> None:
         self.store = store
-        self.use_cache = use_cache
         self.progress = progress
         self._pool = pool or WorkerPool(workers)
         self._owns_pool = pool is None
@@ -163,8 +160,7 @@ class BatchRunner:
         with job_span, Timer() as timer:
             try:
                 (result,) = flow.run(
-                    job.netlist, store=self.store, use_cache=self.use_cache,
-                    pool=self._pool,
+                    job.netlist, store=self.store, pool=self._pool,
                 ).results
             except ReproError as failure:
                 error = str(failure)

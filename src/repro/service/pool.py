@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.finder.config import FinderConfig
-from repro.finder.finder import _process_batch, _process_seed, _SeedOutcome
+from repro.finder.finder import _process_seed, _SeedOutcome
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 
@@ -79,7 +79,7 @@ class WorkerPool:
         if self.workers <= 1 or len(jobs) == 1:
             self.stats.serial_runs += 1
             with trace.span("pool.serial", jobs=len(jobs)):
-                return _process_batch(netlist, config, jobs)
+                return [_process_seed(netlist, config, *job) for job in jobs]
 
         if self._executor is None:
             self._executor = concurrent.futures.ThreadPoolExecutor(

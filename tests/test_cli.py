@@ -153,6 +153,22 @@ def test_batch_no_cache_bypass(batch_setup, capsys):
     assert "cache: cache disabled" in out
 
 
+def test_batch_no_cache_creates_no_result_store(batch_setup, capsys):
+    """--no-cache opens no store at all: nothing is looked up, put or
+    even created under --cache-dir, and every run recomputes."""
+    from repro.service.store import ResultStore
+
+    tmp_path, batch, _ = batch_setup
+    cache = tmp_path / "untouched"
+    args = ["batch", batch, "--cache-dir", str(cache), "--no-cache", "--quiet"]
+    for _ in range(2):
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "3 job(s): 0 cache hit(s), 3 computed" in out
+    assert not (cache / ResultStore.DB_NAME).exists()
+    assert not cache.exists()
+
+
 def test_batch_with_an_empty_store_still_reports_it(batch_setup, capsys):
     # Unpinned seeds are never cached, so the store stays empty; an empty
     # store is still the cache, not "cache disabled".

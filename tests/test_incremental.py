@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import (
     GenerationError,
@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.finder import find_tangled_logic
 from repro.finder.config import FinderConfig
+from repro.finder.finder import plan_seed_jobs, run_seed_plan
 from repro.finder.kernel import compiled_kernel
 from repro.generators.perturb import rewire_pins
 from repro.generators.random_gtl import planted_gtl_graph
@@ -63,6 +64,7 @@ from repro.io.binfmt import (
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
+from repro.obs import RunReport, trace
 from repro.service.codec import config_to_dict, report_to_dict
 from repro.service.fingerprint import (
     FINGERPRINT_CACHE_KEY,
@@ -70,6 +72,7 @@ from repro.service.fingerprint import (
     fingerprint_netlist,
     job_fingerprint,
 )
+from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
 
 BACKENDS = ("numpy", "python")
@@ -572,6 +575,76 @@ def test_incremental_matches_cold_run(base, backend):
     assert result.delta_fingerprint == delta_fingerprint(
         fingerprint_netlist(base), delta
     )
+
+
+@pytest.fixture(scope="module", params=BACKENDS)
+def cold_plan(request, base):
+    """``(backend, jobs, report, outcomes)`` of a cold run on ``base``."""
+    with forced_backend(request.param):
+        jobs = plan_seed_jobs(base, CFG)
+        report, outcomes = run_seed_plan(base, CFG, jobs)
+    return request.param, jobs, report, outcomes
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    known_mask=st.lists(
+        st.booleans(), min_size=CFG.num_seeds, max_size=CFG.num_seeds
+    ),
+    pooled=st.booleans(),
+)
+@example(known_mask=[True] * CFG.num_seeds, pooled=False)
+@example(known_mask=[True] * CFG.num_seeds, pooled=True)
+@example(known_mask=[False] * CFG.num_seeds, pooled=False)
+@example(known_mask=[False] * CFG.num_seeds, pooled=True)
+def test_run_seed_plan_runs_exactly_the_unknown_seeds(
+    base, cold_plan, known_mask, pooled
+):
+    """Any subset of a cold run's outcomes, taken as known, gives the cold
+    report back and runs exactly the other seeds — none when all are
+    known, every one (a cold run) when none are."""
+    backend, jobs, cold, cold_outcomes = cold_plan
+    known = {i: cold_outcomes[i] for i, hit in enumerate(known_mask) if hit}
+    trace.enable()
+    try:
+        with forced_backend(backend), WorkerPool(2) as pool:
+            report, outcomes = run_seed_plan(
+                base, CFG, jobs, pool if pooled else None, known
+            )
+        counters = RunReport.from_tracer().counters()
+    finally:
+        # Leave no collected spans behind for later tests (they are kept
+        # until the next enable).
+        trace.enable()
+        trace.disable()
+    assert _strip(report) == _strip(cold)
+    assert counters.get("finder.seeds", 0) == len(jobs) - len(known)
+    assert len(outcomes) == len(jobs)
+    assert all(outcomes[i] is outcome for i, outcome in known.items())
+    for ours, theirs in zip(outcomes, cold_outcomes):
+        assert (ours[0], ours[2:]) == (theirs[0], theirs[2:])
+
+
+def test_patch_runs_its_seeds_as_one_finder_run(base):
+    """The patch's seeds run in one ``finder.run`` under
+    ``incremental.patch``, and the report's runtime covers the whole
+    ``incremental.detect`` span."""
+    _, seed_trace = run_traced(base, CFG)
+    edited = rewire_pins(base, 0.001, rng=1)
+    trace.enable()
+    try:
+        result = incremental_detect(base, edited, seed_trace, CFG)
+        spans = RunReport.from_tracer().spans
+    finally:
+        trace.enable()
+        trace.disable()
+    assert result.mode == "incremental"
+    by_id = {span["span_id"]: span for span in spans}
+    (run,) = [span for span in spans if span["name"] == "finder.run"]
+    assert by_id[run["parent_id"]]["name"] == "incremental.patch"
+    assert run["attrs"]["known"] == result.seeds_reused
+    (detect,) = [span for span in spans if span["name"] == "incremental.detect"]
+    assert result.report.runtime_seconds >= detect["duration"]
 
 
 def test_incremental_accepts_precomputed_delta(base):

@@ -830,7 +830,7 @@ def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
     assert all(result.ok and not result.cached for result in remote.job_results)
     assert all(isinstance(event, BatchProgress) for event in events)
     assert [(e.done, e.total) for e in events] == [(i, 4) for i in range(1, 5)]
-    with BatchRunner(use_cache=False) as runner:
+    with BatchRunner() as runner:
         local = run_sweep(designs, base, grid, runner)
     assert _sweep_rows(remote) == _sweep_rows(local)
 

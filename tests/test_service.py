@@ -285,21 +285,6 @@ def test_batch_runner_cache_hit_is_bit_identical(tmp_path, small):
     assert warm.report == cold.report
 
 
-def test_batch_runner_no_cache_bypasses_store(tmp_path, small):
-    netlist, _ = small
-    job = DetectionJob(netlist=netlist, config=CFG)
-    with ResultStore(str(tmp_path)) as store:
-        with BatchRunner(workers=1, store=store, use_cache=False) as runner:
-            first = runner.run([job])[0]
-            second = runner.run([job])[0]
-        assert store.stats.lookups == 0 and store.stats.puts == 0
-        assert len(store) == 0
-    assert not first.cached and not second.cached
-    # Both runs recomputed (runtime differs) but the science is identical.
-    assert second.report.gtls == first.report.gtls
-    assert second.report.rent_exponent == first.report.rent_exponent
-
-
 def test_batch_runner_never_caches_nondeterministic_jobs(tmp_path, small):
     netlist, _ = small
     job = DetectionJob(netlist=netlist, config=FinderConfig(num_seeds=4, seed=None))
