@@ -29,8 +29,9 @@ Subcommands:
   (fold other cache dirs in, reconciling rows by fingerprint, schema
   revision and use-count).
 * ``pack``         — convert a text design file to the binary pack format
-  (``.nla``), which loads zero-copy via mmap; with ``--out-dir`` pack a
-  whole manifest of designs into an indexed corpus the daemon can mmap.
+  (``.nla``), which loads zero-copy via mmap; with ``--cache-dir`` pack a
+  whole manifest of designs into that cache dir's design packs, which a
+  daemon serving the cache dir mmaps instead of parsing the text.
 * ``serve``        — start the long-lived detection daemon: one warm
   worker pool + result store + design LRU behind a local Unix socket.
 * ``submit``       — submit one detection job to a running daemon and
@@ -55,8 +56,8 @@ Examples::
     tangled-logic flow run flow.json --cache-dir .repro-cache --workers 4
     tangled-logic flow run flow.json --trace trace.jsonl --profile
     tangled-logic --log-level info batch jobs.json
-    tangled-logic pack jobs.json --out-dir packed/
-    tangled-logic serve --socket /tmp/repro.sock --workers 4 --pack-index packed/
+    tangled-logic pack jobs.json --cache-dir .repro-cache
+    tangled-logic serve --socket /tmp/repro.sock --workers 4 --cache-dir .repro-cache
     tangled-logic submit design.hgr --seed 1 --priority interactive
     tangled-logic status --socket /tmp/repro.sock
 
@@ -499,18 +500,26 @@ def _cmd_flow_run(args: argparse.Namespace) -> int:
 def _cmd_pack(args: argparse.Namespace) -> int:
     from repro.io import PACKED_EXTENSION, pack_design, read_header
 
-    if args.out_dir:
-        from repro.io.corpus import PACK_INDEX_NAME, pack_manifest
+    if args.cache_dir:
+        from repro.io.corpus import corpus_designs_from_manifest
+        from repro.service import ResultStore, designs
+        from repro.utils.jsonio import read_json_file
 
-        entries = pack_manifest(args.design, args.out_dir)
-        packed = sum(1 for entry in entries if entry.packed)
-        for entry in entries:
-            status = "packed" if entry.packed else "up-to-date"
-            print(f"{status}: {entry.source} -> {entry.pack_path}")
+        sources = corpus_designs_from_manifest(
+            read_json_file(args.design),
+            os.path.dirname(os.path.abspath(args.design)),
+        )
+        packed = 0
+        with ResultStore(args.cache_dir) as store:
+            for source in sources:
+                fingerprint, fresh = designs.pack_source(store, source)
+                packed += fresh
+                status = "packed" if fresh else "up-to-date"
+                print(f"{status}: {source} -> "
+                      f"{designs.pack_path(store, fingerprint)}")
         print(
-            f"{len(entries)} design(s): {packed} packed, "
-            f"{len(entries) - packed} reused; index at "
-            f"{os.path.join(args.out_dir, PACK_INDEX_NAME)}"
+            f"{len(sources)} design(s): {packed} packed, "
+            f"{len(sources) - packed} reused; cache at {args.cache_dir}"
         )
         return 0
 
@@ -538,14 +547,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue_depth,
         starvation_limit=args.starvation_limit,
         max_designs=args.max_designs,
-        pack_index=args.pack_index,
     )
     daemon = ServerDaemon(config)
     obs = _ObsSession(args, "cli.serve")
     print(
         f"repro daemon: socket={config.socket_path} workers={config.workers} "
         f"cache={config.cache_dir}"
-        + (f" pack-index={config.pack_index}" if config.pack_index else "")
     )
     print("serving; SIGTERM/Ctrl-C drains and stops", file=sys.stderr)
     with obs:
@@ -1005,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument(
         "design",
         help=".aux (Bookshelf), .hgr, or edge-list file — or, with "
-        "--out-dir, a JSON manifest naming the designs to pack",
+        "--cache-dir, a JSON manifest naming the designs to pack",
     )
     pack.add_argument(
         "--out",
@@ -1013,10 +1020,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="output pack file (default: design path with .nla extension)",
     )
     pack.add_argument(
-        "--out-dir",
+        "--cache-dir",
         default="",
-        help="pack every design named by the manifest into this corpus "
-        "directory and write an index the daemon can serve from",
+        help="pack every design named by the manifest into this cache "
+        "dir's design packs; `serve --cache-dir` on it then mmaps them "
+        "instead of parsing (re-running packs only new or touched designs)",
     )
     pack.set_defaults(func=_cmd_pack)
 
@@ -1028,15 +1036,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="seed threads in the shared pool")
     serve.add_argument("--cache-dir", default="",
-                       help="result cache directory (default .repro-cache)")
+                       help="result cache directory (default .repro-cache); "
+                       "designs pre-packed into it by `pack --cache-dir` "
+                       "load from their packs")
     serve.add_argument("--max-queue-depth", type=int, default=64,
                        help="queued jobs admitted before backpressure")
     serve.add_argument("--starvation-limit", type=int, default=8,
                        help="dispatches a priority class may be passed over")
     serve.add_argument("--max-designs", type=int, default=8,
                        help="designs kept loaded in the LRU")
-    serve.add_argument("--pack-index", default="",
-                       help="pre-packed corpus directory (see `pack --out-dir`)")
     _add_obs_args(serve)
     serve.set_defaults(func=_cmd_serve)
 

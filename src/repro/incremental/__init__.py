@@ -31,7 +31,6 @@ from repro.incremental.engine import (
     KIND_INCREMENTAL_PROVENANCE,
     IncrementalResult,
     SeedTrace,
-    design_path,
     detect_with_reuse,
     incremental_detect,
     load_trace,
@@ -52,7 +51,6 @@ __all__ = [
     "apply_delta",
     "delta_endpoint_cells",
     "delta_fingerprint",
-    "design_path",
     "detect_with_reuse",
     "diff",
     "dirty_region",

@@ -42,23 +42,21 @@ computes through :func:`run_with_reuse`, which keeps
 * a per-config head pointer (``head-<config fp>``,
   :data:`KIND_INCREMENTAL_HEAD`) naming the latest traced run, so the
   next edit finds its base automatically;
-* the base design itself as a packed ``.nla`` under
-  ``<cache_dir>/designs/`` so a later ``repro detect --base <fp>`` can
-  diff against it without the original file.  A base pack that cannot be
-  loaded (cut short, or of an older format) is removed with a warning and
-  the edit runs in full, which writes a sound base for the next one.
+* the design itself, packed once into the cache dir's design packs
+  (:mod:`repro.service.designs`), so a later ``repro detect --base <fp>``
+  can diff against it without the original file.  A base pack that cannot
+  be loaded (cut short, or of an older format) is removed with a warning
+  and the edit runs in full, which writes a sound base for the next one.
 """
 
 from __future__ import annotations
 
-import contextlib
-import logging
 import math
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ParseError, ServiceError
+from repro.errors import ServiceError
 from repro.finder.candidate import CandidateGTL
 from repro.finder.config import FinderConfig
 from repro.finder.finder import _SeedOutcome, plan_seed_jobs, run_seed_plan
@@ -66,6 +64,7 @@ from repro.finder.result import FinderReport
 from repro.netlist.hypergraph import Netlist
 from repro.netlist.ops import GroupStats
 from repro.obs import trace
+from repro.service import designs
 from repro.service.codec import config_from_dict, config_to_dict
 from repro.service.fingerprint import (
     fingerprint_config,
@@ -77,8 +76,6 @@ from repro.utils.timer import Timer
 
 from repro.incremental.delta import NetlistDelta, delta_fingerprint, diff
 from repro.incremental.dirty import DirtyRegion, dirty_region
-
-logger = logging.getLogger(__name__)
 
 #: Store row kinds introduced by incremental detection.
 KIND_FINDER_TRACE = "finder_trace"
@@ -92,9 +89,6 @@ TRACE_VERSION = 1
 #: recompute.  Like every reuse decision it changes how many seeds re-run,
 #: never the report.
 FULL_THRESHOLD = 0.25
-
-#: Subdirectory of the store's cache dir holding packed base designs.
-DESIGNS_SUBDIR = "designs"
 
 
 def _trace_key(job_fingerprint_: str) -> str:
@@ -419,13 +413,6 @@ def incremental_detect(
 # ----------------------------------------------------------------------
 # Store-backed entry point
 # ----------------------------------------------------------------------
-def design_path(store: ResultStore, netlist_fingerprint: str) -> str:
-    """Where the packed base design for ``netlist_fingerprint`` lives."""
-    return os.path.join(
-        store.cache_dir, DESIGNS_SUBDIR, f"{netlist_fingerprint}.nla"
-    )
-
-
 def load_trace(store: ResultStore, job_fp: str) -> Optional[SeedTrace]:
     """The persisted :class:`SeedTrace` of job ``job_fp``, or ``None``."""
     payload = store.get_payload(_trace_key(job_fp), kind=KIND_FINDER_TRACE)
@@ -445,7 +432,7 @@ def _persist(
     job_fp: str,
     result: IncrementalResult,
 ) -> None:
-    """Write trace, provenance, head pointer and design blob.
+    """Write trace, provenance, head pointer and design pack.
 
     The report itself is the flow's to record, under the same ``job_fp``.
     """
@@ -470,12 +457,7 @@ def _persist(
         {"netlist_fingerprint": netlist_fp},
         kind=KIND_INCREMENTAL_HEAD,
     )
-    path = design_path(store, netlist_fp)
-    if not os.path.exists(path):
-        from repro.io import write_packed
-
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_packed(netlist, path)
+    designs.write_pack(store, netlist, netlist_fp)
 
 
 def run_with_reuse(
@@ -520,18 +502,12 @@ def run_with_reuse(
         seed_trace = load_trace(
             store, job_fingerprint(netlist, config, netlist_fingerprint=base_fp)
         )
-    path = design_path(store, base_fp)
+    path = designs.pack_path(store, base_fp)
     if seed_trace is not None and base is None and os.path.exists(path):
-        from repro.io import load_packed
-
-        try:
-            base = load_packed(path)
-        except (ParseError, OSError) as error:
-            # A pack cut short or left by an older build: drop it, so the
-            # full run this falls back to writes a sound one in its place.
-            logger.warning("removing unloadable base pack %s: %s", path, error)
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
+        # An unloadable pack is removed, so the full run this falls back
+        # to writes a sound one in its place.
+        base = designs.load_pack(store, base_fp)
+        if base is None:
             reason = f"unloadable base pack {path} removed"
 
     if seed_trace is not None and base is not None:
@@ -577,7 +553,6 @@ def detect_with_reuse(
 
 
 __all__ = [
-    "DESIGNS_SUBDIR",
     "FULL_THRESHOLD",
     "KIND_FINDER_TRACE",
     "KIND_INCREMENTAL_HEAD",
@@ -585,7 +560,6 @@ __all__ = [
     "TRACE_VERSION",
     "IncrementalResult",
     "SeedTrace",
-    "design_path",
     "detect_with_reuse",
     "incremental_detect",
     "load_trace",

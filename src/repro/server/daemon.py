@@ -3,7 +3,7 @@
 One :class:`ServerDaemon` process owns the expensive state every one-shot
 CLI run pays to rebuild — a warm :class:`~repro.service.pool.WorkerPool`,
 an open WAL-mode :class:`~repro.service.store.ResultStore` and an LRU of
-loaded designs (:class:`DesignCache`, pack-index aware) — and serves
+loaded designs (:class:`DesignCache`) — and serves
 detect and flow jobs over a local Unix socket in the JSON-lines protocol
 of :mod:`repro.server.protocol`.
 
@@ -21,6 +21,12 @@ Threading model:
 * the pool's **seed threads** run each job's seed trials.  A seed that
   raises fails its job with a typed error and the daemon serves on; a
   crash inside the compiled kernel ends the daemon process.
+
+Designs come from the store's cache dir when they can: a text design that
+``repro pack MANIFEST --cache-dir DIR`` packed ahead of time is
+mmap-loaded from ``DIR/designs/`` while the file's stat still matches
+(:mod:`repro.service.designs`), and the first detect of any design packs
+it there for later delta submits.
 
 Shutdown is graceful by default: on SIGTERM (or a ``shutdown`` request)
 the daemon stops accepting work, lets the scheduler finish everything
@@ -45,8 +51,7 @@ from repro.errors import ReproError, ServerBusy, ServerError
 from repro.flow.flow import Flow
 from repro.flow.manifest import stage_from_entry
 from repro.flow.stages import IncrementalDetectStage
-from repro.io import load_design, load_packed
-from repro.io.corpus import load_pack_index
+from repro.io import PACKED_EXTENSION, load_design
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.server import protocol
@@ -60,6 +65,7 @@ from repro.server.queue import (
     JobQueue,
     JobRecord,
 )
+from repro.service import designs
 from repro.service.codec import config_from_dict, report_to_dict
 from repro.service.fingerprint import fingerprint_netlist
 from repro.service.pool import WorkerPool
@@ -69,6 +75,10 @@ logger = logging.getLogger(__name__)
 
 #: Default Unix socket path (override with ``--socket``).
 DEFAULT_SOCKET = "/tmp/repro-server.sock"
+
+#: How long shutdown waits for the scheduler to finish the backlog before
+#: giving up.
+DRAIN_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -81,12 +91,7 @@ class ServerConfig:
         workers: seed threads in the shared pool.
         max_queue_depth: queued jobs admitted before backpressure.
         starvation_limit: scheduler dispatches a class may be passed over.
-        retry_after_s: base backpressure retry hint.
         max_designs: designs kept loaded in the LRU.
-        pack_index: corpus directory (or index file) of pre-packed designs
-            to mmap instead of parsing text; empty disables.
-        drain_timeout_s: how long shutdown waits for the scheduler to
-            finish the backlog before giving up.
     """
 
     socket_path: str = DEFAULT_SOCKET
@@ -94,18 +99,13 @@ class ServerConfig:
     workers: int = 1
     max_queue_depth: int = 64
     starvation_limit: int = 8
-    retry_after_s: float = 0.25
     max_designs: int = 8
-    pack_index: str = ""
-    drain_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServerError("ServerConfig workers must be >= 1")
         if self.max_designs < 1:
             raise ServerError("ServerConfig max_designs must be >= 1")
-        if self.drain_timeout_s <= 0:
-            raise ServerError("ServerConfig drain_timeout_s must be positive")
 
 
 @dataclass
@@ -123,29 +123,31 @@ class DesignCache:
 
     Every entry remembers the source file's ``(mtime_ns, size)`` at load
     time; a request for a path whose stat changed reloads instead of
-    serving a stale netlist.  When a pack index is supplied, a source
-    whose stat still matches its pack-time signature is served by
-    mmap-loading the pre-packed ``.nla`` twin — the parse cost is paid
-    zero times, not once.
+    serving a stale netlist.  Given a ``store``, a text design that
+    ``repro pack --cache-dir`` packed into it is served by mmap-loading
+    that pack while the file's stat still matches the pack-time one — the
+    parse cost is paid zero times, not once.  A ``.nla`` path loads as
+    itself.
     """
 
-    def __init__(self, max_designs: int = 8, pack_index: str = "") -> None:
+    def __init__(
+        self, max_designs: int = 8, store: Optional[ResultStore] = None
+    ) -> None:
         self.max_designs = max_designs
         self.stats = DesignCacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Tuple[Netlist, str, Tuple[int, int]]]" = (
             OrderedDict()
         )
-        self._pack_index = load_pack_index(pack_index) if pack_index else {}
+        self._store = store
 
     def get(self, path: str) -> Tuple[Netlist, str]:
         """``(netlist, fingerprint)`` for ``path``, loading on first use."""
         path = os.path.abspath(path)
         try:
-            stat = os.stat(path)
+            signature = designs.stat_signature(path)
         except OSError as error:
             raise ServerError(f"cannot stat design {path}: {error}") from error
-        signature = (stat.st_mtime_ns, stat.st_size)
         # The lock covers the load too: two connections racing on the same
         # cold design must not parse it twice (and must see one netlist).
         with self._lock:
@@ -156,7 +158,7 @@ class DesignCache:
                 return entry[0], entry[1]
             if entry is not None:
                 self.stats.reloads += 1
-            netlist = self._load(path)
+            netlist = self._load(path, signature)
             fingerprint = fingerprint_netlist(netlist)
             self._entries[path] = (netlist, fingerprint, signature)
             self._entries.move_to_end(path)
@@ -165,11 +167,12 @@ class DesignCache:
             self.stats.misses += 1
             return netlist, fingerprint
 
-    def _load(self, path: str) -> Netlist:
-        packed = self._pack_index.get(path)
-        if packed is not None and packed.matches(path):
-            self.stats.pack_loads += 1
-            return load_packed(packed.pack_path)
+    def _load(self, path: str, signature: Tuple[int, int]) -> Netlist:
+        if self._store is not None and not path.lower().endswith(PACKED_EXTENSION):
+            netlist = designs.load_source(self._store, path, signature)
+            if netlist is not None:
+                self.stats.pack_loads += 1
+                return netlist
         return load_design(path)
 
     def __len__(self) -> int:
@@ -180,7 +183,6 @@ class DesignCache:
         return {
             "loaded": len(self),
             "max_designs": self.max_designs,
-            "pack_index_entries": len(self._pack_index),
             **dataclasses.asdict(self.stats),
         }
 
@@ -201,7 +203,6 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 request = protocol.parse_request(message)
                 daemon.dispatch(request, self.wfile)
             except ServerBusy as busy:
-                daemon.counters["rejected"] += 1
                 self._respond(
                     {
                         "ok": False,
@@ -267,18 +268,16 @@ class ServerDaemon:
         self.store = ResultStore(config.cache_dir)
         self.pool = WorkerPool(config.workers)
         self.designs = DesignCache(
-            max_designs=config.max_designs, pack_index=config.pack_index
+            max_designs=config.max_designs, store=self.store
         )
         self.queue = JobQueue(
             max_depth=config.max_queue_depth,
             starvation_limit=config.starvation_limit,
-            retry_after_s=config.retry_after_s,
         )
         self.started_at = time.time()
         self.counters: Dict[str, int] = {
             "requests": 0,
             "warm_hits": 0,
-            "rejected": 0,
             "done": 0,
             "failed": 0,
         }
@@ -289,7 +288,6 @@ class ServerDaemon:
         self._lifecycle = threading.Lock()
         self._started = False
         self._closed = threading.Event()
-        self._drain_on_shutdown = True
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
@@ -339,7 +337,6 @@ class ServerDaemon:
 
     def request_shutdown(self, drain: bool = True) -> None:
         """Trigger an asynchronous shutdown (idempotent, non-blocking)."""
-        self._drain_on_shutdown = drain
         threading.Thread(
             target=self.shutdown, kwargs={"drain": drain}, daemon=True
         ).start()
@@ -362,11 +359,11 @@ class ServerDaemon:
         if dropped:
             logger.info("shutdown cancelled %d queued job(s)", len(dropped))
         if self._scheduler is not None:
-            self._scheduler.join(timeout=self.config.drain_timeout_s)
+            self._scheduler.join(timeout=DRAIN_TIMEOUT_S)
             if self._scheduler.is_alive():  # pragma: no cover - pathological
                 logger.warning(
                     "scheduler did not drain within %.0fs; abandoning",
-                    self.config.drain_timeout_s,
+                    DRAIN_TIMEOUT_S,
                 )
         self.pool.shutdown()
         self.store.close()

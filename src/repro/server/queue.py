@@ -44,6 +44,10 @@ PRIORITIES = ("interactive", "batch", "sweep")
 #: Default priority class of a submit request that names none.
 DEFAULT_PRIORITY = "batch"
 
+#: Base of the backpressure hint a rejected submit carries; the advertised
+#: delay grows linearly with the backlog.
+RETRY_AFTER_S = 0.25
+
 # Lifecycle states.
 QUEUED = "queued"
 RUNNING = "running"
@@ -208,8 +212,6 @@ class JobQueue:
             ``submit`` rejects with :class:`ServerBusy`.
         starvation_limit: dispatches a non-empty class may be passed over
             before it is forcibly served next.
-        retry_after_s: base of the backpressure hint; the advertised delay
-            grows linearly with the backlog.
         history: completed records retained for status queries.
     """
 
@@ -217,25 +219,20 @@ class JobQueue:
         self,
         max_depth: int = 64,
         starvation_limit: int = 8,
-        retry_after_s: float = 0.25,
         history: int = 256,
     ) -> None:
         if max_depth < 1:
             raise ServerError("JobQueue max_depth must be >= 1")
         if starvation_limit < 1:
             raise ServerError("JobQueue starvation_limit must be >= 1")
-        if retry_after_s <= 0:
-            raise ServerError("JobQueue retry_after_s must be positive")
         self.max_depth = max_depth
         self.starvation_limit = starvation_limit
-        self.retry_after_s = retry_after_s
         self.history = history
         self._condition = threading.Condition()
         self._queues: Dict[str, deque] = {p: deque() for p in PRIORITIES}
         self._skipped: Dict[str, int] = {p: 0 for p in PRIORITIES}
         self._records: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._closed = False
-        self._draining = False
         self.submitted = 0
         self.dispatched: Dict[str, int] = {p: 0 for p in PRIORITIES}
         self.rejected = 0
@@ -254,7 +251,7 @@ class JobQueue:
             depth = self.depth()
             if depth >= self.max_depth:
                 self.rejected += 1
-                retry_after = self.retry_after_s * (1.0 + depth / self.max_depth)
+                retry_after = RETRY_AFTER_S * (1.0 + depth / self.max_depth)
                 raise ServerBusy(
                     f"job queue full ({depth}/{self.max_depth} queued); "
                     f"retry in {retry_after:.2f}s",
@@ -364,7 +361,6 @@ class JobQueue:
         dropped: List[JobRecord] = []
         with self._condition:
             self._closed = True
-            self._draining = drain
             if not drain:
                 for backlog in self._queues.values():
                     while backlog:
@@ -428,6 +424,7 @@ __all__ = [
     "JobRecord",
     "PRIORITIES",
     "QUEUED",
+    "RETRY_AFTER_S",
     "RUNNING",
     "TERMINAL_STATES",
     "validate_priority",

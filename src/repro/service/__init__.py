@@ -8,6 +8,8 @@ Turns the one-shot in-process finder into a batch service:
 * :mod:`repro.service.store` — persistent SQLite result store with
   hit/miss accounting; one per cache dir, shared by every process that
   runs over it (CLI runs, the daemon).
+* :mod:`repro.service.designs` — the cache dir's design packs, one per
+  fingerprint, and the rows mapping pre-packed source files to them.
 * :mod:`repro.service.pool` — a reusable in-process thread pool that runs
   the seed trials of many detections over shared netlists.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and

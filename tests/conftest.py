@@ -6,6 +6,20 @@ import pytest
 
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.netlist.builder import NetlistBuilder
+from repro.obs import trace
+
+
+@pytest.fixture(autouse=True)
+def _tracer_left_disabled_and_empty():
+    """After every test the global tracer is disabled and holds nothing.
+
+    ``trace.disable()`` keeps the collected spans and metrics (a caller
+    reads them afterwards), so a test that traces would otherwise hand
+    them to whichever test runs next.
+    """
+    yield
+    trace.enable()
+    trace.disable()
 
 
 @pytest.fixture

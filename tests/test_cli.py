@@ -283,6 +283,46 @@ def test_cli_diff_detect_cache_roundtrip(tmp_path, capsys):
     assert "pruned" in capsys.readouterr().out
 
 
+def test_cli_pack_cache_dir_is_the_detect_base_store(tmp_path, capsys):
+    """One pack store per cache dir: a design pre-packed by ``pack
+    --cache-dir C`` is the pack a detect in ``C`` finds (it is not written
+    again), and an edit names it as ``--base <fingerprint>``."""
+    import json
+
+    from repro.generators.perturb import rewire_pins
+    from repro.io import load_design
+    from repro.service import ResultStore, designs, fingerprint_netlist
+
+    netlist, _ = planted_gtl_graph(800, [60], seed=5)
+    base_path = str(tmp_path / "base.hgr")
+    write_hgr(netlist, base_path)
+    base = load_design(base_path)
+    edited_path = str(tmp_path / "edited.hgr")
+    write_hgr(rewire_pins(base, 0.001, rng=1), edited_path)
+    manifest = tmp_path / "designs.json"
+    manifest.write_text(json.dumps(["base.hgr"]))
+
+    cache = str(tmp_path / "cache")
+    assert main(["pack", str(manifest), "--cache-dir", cache]) == 0
+    assert "1 packed" in capsys.readouterr().out
+    base_fp = fingerprint_netlist(base)
+    with ResultStore(cache) as store:
+        pack = designs.pack_path(store, base_fp)
+    before = os.stat(pack)
+
+    common = ["--seeds", "6", "--seed", "3", "--max-order-length", "20",
+              "--cache-dir", cache]
+    assert main(["detect", base_path] + common) == 0
+    assert "full recompute" in capsys.readouterr().out
+    after = os.stat(pack)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    assert main(["detect", edited_path, "--base", base_fp] + common) == 0
+    out = capsys.readouterr().out
+    assert "incremental:" in out and "seed(s) re-run" in out
+    assert f"base fingerprint: {base_fp[:12]}" in out
+
+
 def test_cli_diff_identical_designs(tmp_path, capsys):
     netlist, _ = planted_gtl_graph(300, [40], seed=2)
     path = str(tmp_path / "same.hgr")

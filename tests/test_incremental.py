@@ -39,7 +39,6 @@ from repro.incremental import (
     delta_endpoint_cells,
     delta_fingerprint,
     detect_with_reuse,
-    design_path,
     diff,
     expand_frontier,
     incremental_detect,
@@ -65,6 +64,7 @@ from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.hypergraph import Netlist
 from repro.obs import RunReport, trace
+from repro.service import designs
 from repro.service.codec import config_to_dict, report_to_dict
 from repro.service.fingerprint import (
     FINGERPRINT_CACHE_KEY,
@@ -613,9 +613,6 @@ def test_run_seed_plan_runs_exactly_the_unknown_seeds(
             )
         counters = RunReport.from_tracer().counters()
     finally:
-        # Leave no collected spans behind for later tests (they are kept
-        # until the next enable).
-        trace.enable()
         trace.disable()
     assert _strip(report) == _strip(cold)
     assert counters.get("finder.seeds", 0) == len(jobs) - len(known)
@@ -636,7 +633,6 @@ def test_patch_runs_its_seeds_as_one_finder_run(base):
         result = incremental_detect(base, edited, seed_trace, CFG)
         spans = RunReport.from_tracer().spans
     finally:
-        trace.enable()
         trace.disable()
     assert result.mode == "incremental"
     by_id = {span["span_id"]: span for span in spans}
@@ -761,7 +757,7 @@ def test_detect_with_reuse_ladder(base, tmp_path):
         job_fp = job_fingerprint(base, CFG)
         assert store.get_payload(job_fp, kind="finder_report") is not None
         assert load_trace(store, job_fp) is not None
-        assert os.path.exists(design_path(store, fingerprint_netlist(base)))
+        assert os.path.exists(designs.pack_path(store, fingerprint_netlist(base)))
         head = store.get_payload(
             _head_key(fingerprint_config(CFG)), kind=KIND_INCREMENTAL_HEAD
         )
@@ -804,20 +800,20 @@ def test_unloadable_base_pack_falls_back_to_a_full_run(
     edited = rewire_pins(base, 0.001, rng=1)
     with ResultStore(str(tmp_path)) as store:
         detect_with_reuse(base, CFG, store)
-        path = design_path(store, fingerprint_netlist(base))
+        path = designs.pack_path(store, fingerprint_netlist(base))
         with open(path, "r+b") as handle:
             handle.truncate(100)
-        with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+        with caplog.at_level(logging.WARNING, logger="repro.service.designs"):
             result = detect_with_reuse(edited, CFG, store)
         assert result.mode == "full"
         assert result.reason == f"unloadable base pack {path} removed"
         assert not os.path.exists(path)
-        warnings = [r for r in caplog.records if "unloadable base pack" in r.getMessage()]
+        warnings = [r for r in caplog.records if "unloadable design pack" in r.getMessage()]
         assert len(warnings) == 1
         cold, _ = run_traced(edited, CFG)
         assert _strip(result.report) == _strip(cold)
 
-        assert os.path.exists(design_path(store, fingerprint_netlist(edited)))
+        assert os.path.exists(designs.pack_path(store, fingerprint_netlist(edited)))
         again = detect_with_reuse(rewire_pins(edited, 0.001, rng=2), CFG, store)
         assert again.mode == "incremental"
         assert again.base_fingerprint == fingerprint_netlist(edited)

@@ -38,14 +38,6 @@ from repro.service import ResultStore, WorkerPool, job_fingerprint, report_to_di
 CFG = FinderConfig(num_seeds=6, seed=3)
 
 
-@pytest.fixture(autouse=True)
-def _reset_tracer():
-    """Every test starts and ends with the global tracer disabled."""
-    trace.disable()
-    yield
-    trace.disable()
-
-
 @pytest.fixture(scope="module")
 def small():
     netlist, truth = planted_gtl_graph(800, [60], seed=5)

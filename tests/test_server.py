@@ -5,8 +5,8 @@ Three layers:
 * the :class:`~repro.server.queue.JobQueue` scheduling semantics —
   backpressure, priority ordering, starvation freedom, cancellation and
   drain — exercised directly (deterministic, no sockets);
-* the pack-ahead corpus (:mod:`repro.io.corpus`) and the daemon's design
-  LRU;
+* packing a corpus ahead of time into a cache dir's design packs
+  (:mod:`repro.service.designs`) and the daemon's design LRU over them;
 * the live daemon over a real Unix socket: cold/warm submits, report
   parity with the offline :class:`~repro.service.jobs.BatchRunner`,
   status/cancel/shutdown, and the CLI subcommands against it.
@@ -25,15 +25,12 @@ from repro.errors import ParseError, ServerBusy, ServerError
 from repro.finder import FinderConfig, find_tangled_logic
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.io import read_header
-from repro.io.corpus import (
-    corpus_designs_from_manifest,
-    load_pack_index,
-    pack_corpus,
-)
+from repro.io.corpus import corpus_designs_from_manifest
 from repro.io.hgr import write_hgr
 from repro.server import Client, JobQueue, JobRecord, ServerConfig, ServerDaemon
 from repro.server.daemon import DesignCache
-from repro.server.queue import CANCELLED, DONE
+from repro.server.queue import CANCELLED, DONE, RETRY_AFTER_S
+from repro.service import ResultStore, designs
 from repro.service.codec import report_from_dict, report_to_dict
 from repro.service.fingerprint import fingerprint_netlist
 
@@ -57,12 +54,12 @@ def test_queue_fifo_within_class():
 
 
 def test_queue_backpressure_rejects_with_retry_after():
-    queue = JobQueue(max_depth=2, retry_after_s=0.5)
+    queue = JobQueue(max_depth=2)
     queue.submit(_job())
     queue.submit(_job())
     with pytest.raises(ServerBusy) as excinfo:
         queue.submit(_job())
-    assert excinfo.value.retry_after_s > 0.5  # scaled by the backlog
+    assert excinfo.value.retry_after_s > RETRY_AFTER_S  # scaled by the backlog
     assert queue.rejected == 1
     assert queue.depth() == 2  # the rejected job was never admitted
 
@@ -227,48 +224,59 @@ def test_manifest_dialects(tmp_path):
 
 def test_pack_corpus_is_idempotent(corpus, tmp_path):
     paths = [corpus["a"][0], corpus["b"][0]]
-    out = str(tmp_path / "packed")
-    first = pack_corpus(paths, out)
-    assert [entry.packed for entry in first] == [True, True]
-    second = pack_corpus(paths, out)
-    assert [entry.packed for entry in second] == [False, False]
-    index = load_pack_index(out)
-    assert set(index) == {os.path.abspath(p) for p in paths}
-    for entry in index.values():
-        assert read_header(entry.pack_path).fingerprint == entry.fingerprint
+    with ResultStore(str(tmp_path / "cache")) as store:
+        first = [designs.pack_source(store, path) for path in paths]
+        assert [packed for _, packed in first] == [True, True]
+        second = [designs.pack_source(store, path) for path in paths]
+        assert second == [(fp, False) for fp, _ in first]
+        for (fingerprint, _), name in zip(first, ("a", "b")):
+            assert fingerprint == fingerprint_netlist(corpus[name][1])
+            path = designs.pack_path(store, fingerprint)
+            assert read_header(path).fingerprint == fingerprint
+        assert store.kind_counts()[designs.KIND_DESIGN_SOURCE] == 2
 
 
 def test_pack_corpus_repacks_touched_source(corpus, tmp_path):
     path, _ = corpus["a"]
-    out = str(tmp_path / "packed")
-    pack_corpus([path], out)
-    os.utime(path, ns=(1, 1))  # stat changes, content does not
-    entries = pack_corpus([path], out)
-    assert entries[0].packed is True
+    with ResultStore(str(tmp_path / "cache")) as store:
+        designs.pack_source(store, path)
+        os.utime(path, ns=(1, 1))  # stat changes, content does not
+        assert designs.pack_source(store, path)[1] is True
+        assert designs.pack_source(store, path)[1] is False
 
 
 def test_pack_corpus_repacks_packs_of_an_older_format(corpus, tmp_path):
     """A pack an older build wrote (another format version) is packed
-    afresh, not reused under its stale index entry."""
+    afresh, not reused under its stale source row."""
     import struct
 
     path, netlist = corpus["a"]
-    out = str(tmp_path / "packed")
-    (entry,) = pack_corpus([path], out)
-    with open(entry.pack_path, "r+b") as handle:
-        handle.seek(8)
-        handle.write(struct.pack("<I", 1))
-    (again,) = pack_corpus([path], out)
-    assert again.packed is True
-    assert read_header(again.pack_path).fingerprint == fingerprint_netlist(netlist)
+    with ResultStore(str(tmp_path / "cache")) as store:
+        fingerprint, _ = designs.pack_source(store, path)
+        pack = designs.pack_path(store, fingerprint)
+        with open(pack, "r+b") as handle:
+            handle.seek(8)
+            handle.write(struct.pack("<I", 1))
+        assert designs.pack_source(store, path) == (fingerprint, True)
+        assert read_header(pack).fingerprint == fingerprint_netlist(netlist)
 
 
-def test_load_pack_index_missing_and_malformed(tmp_path):
-    assert load_pack_index(str(tmp_path)) == {}
-    bad = tmp_path / "pack_index.json"
-    bad.write_text('{"version": 99, "designs": {}}')
-    with pytest.raises(ParseError, match="version"):
-        load_pack_index(str(tmp_path))
+def test_malformed_design_source_row_reads_as_a_miss(corpus, tmp_path):
+    """A ``design_source`` row of the wrong shape is dropped; the design
+    parses and ``pack`` records a sound row again."""
+    path, netlist = corpus["a"]
+    with ResultStore(str(tmp_path / "cache")) as store:
+        designs.pack_source(store, path)
+        store.put_payload(
+            f"source-{os.path.abspath(path)}", {"fingerprint": 7},
+            kind=designs.KIND_DESIGN_SOURCE,
+        )
+        cache = DesignCache(store=store)
+        loaded, fingerprint = cache.get(path)
+        assert cache.stats.pack_loads == 0 and cache.stats.misses == 1
+        assert fingerprint == fingerprint_netlist(netlist)
+        assert designs.KIND_DESIGN_SOURCE not in store.kind_counts()
+        assert designs.pack_source(store, path) == (fingerprint, True)
 
 
 def test_design_cache_lru_and_stat_invalidation(corpus):
@@ -289,15 +297,23 @@ def test_design_cache_lru_and_stat_invalidation(corpus):
     assert cache.stats.reloads == 1
 
 
-def test_design_cache_serves_from_pack_index(corpus, tmp_path):
+def test_design_cache_serves_from_store_packs(corpus, tmp_path):
     path, netlist = corpus["a"]
-    out = str(tmp_path / "packed")
-    pack_corpus([path], out)
-    cache = DesignCache(pack_index=out)
-    loaded, fingerprint = cache.get(path)
-    assert cache.stats.pack_loads == 1
-    assert fingerprint == fingerprint_netlist(netlist)
-    assert loaded.num_cells == netlist.num_cells
+    with ResultStore(str(tmp_path / "cache")) as store:
+        fingerprint, _ = designs.pack_source(store, path)
+        cache = DesignCache(store=store)
+        loaded, served_fp = cache.get(path)
+        assert cache.stats.pack_loads == 1
+        assert served_fp == fingerprint == fingerprint_netlist(netlist)
+        assert loaded.num_cells == netlist.num_cells
+        # A touched source parses; it is never served from the stale pack.
+        os.utime(path, ns=(3, 3))
+        cache.get(path)
+        assert cache.stats.pack_loads == 1 and cache.stats.reloads == 1
+        # A .nla path loads as itself, with no store lookup.
+        lookups = store.stats.lookups
+        cache.get(designs.pack_path(store, fingerprint))
+        assert store.stats.lookups == lookups and cache.stats.pack_loads == 1
 
 
 def test_design_cache_missing_file():
@@ -630,17 +646,20 @@ def test_cli_submit_no_wait_then_poll(corpus, daemon_factory, capsys):
     assert "done" in capsys.readouterr().out
 
 
-def test_cli_pack_out_dir(corpus, tmp_path, capsys):
+def test_cli_pack_cache_dir(corpus, tmp_path, capsys):
     import json
 
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"designs": [corpus["a"][0]]}))
-    out_dir = str(tmp_path / "packed")
-    assert main(["pack", str(manifest), "--out-dir", out_dir]) == 0
+    cache_dir = str(tmp_path / "cache")
+    assert main(["pack", str(manifest), "--cache-dir", cache_dir]) == 0
     assert "1 packed" in capsys.readouterr().out
-    assert main(["pack", str(manifest), "--out-dir", out_dir]) == 0
+    assert main(["pack", str(manifest), "--cache-dir", cache_dir]) == 0
     assert "1 reused" in capsys.readouterr().out
-    assert load_pack_index(out_dir)
+    with ResultStore(cache_dir) as store:
+        assert os.path.exists(
+            designs.pack_path(store, fingerprint_netlist(corpus["a"][1]))
+        )
 
 
 def test_cli_status_shutdown(corpus, daemon_factory, capsys):
