@@ -25,7 +25,9 @@ Subcommands:
   edit (``--base`` names a base design or fingerprint; defaults to the
   per-config head pointer in the cache); ``--no-cache`` is a plain run.
 * ``cache``        — result-cache maintenance: ``stats`` (entries per
-  artifact kind), ``prune --keep N`` (LRU eviction) and ``merge SOURCE...``
+  artifact kind, and design records: packs with their bytes, references
+  and edits), ``prune --keep N`` (LRU eviction of rows; it never touches a
+  referenced design file) and ``merge SOURCE...``
   (fold other cache dirs in, reconciling rows by fingerprint, schema
   revision and use-count).
 * ``pack``         — convert a text design file to the binary pack format
@@ -777,6 +779,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.service import designs
     from repro.service.store import MergeStats, ResultStore
 
     with ResultStore(args.cache_dir or ".repro-cache") as store:
@@ -788,6 +791,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   f"{total_runtime:.1f}s of saved compute")
             for kind, count in store.kind_counts().items():
                 print(f"  {kind}: {count}")
+            census = designs.census(store)
+            packs, pack_bytes = census[designs.PACK]
+            print(f"designs: {packs} pack(s) ({pack_bytes / 1e6:.1f} MB), "
+                  f"{census[designs.REFERENCE][0]} reference(s), "
+                  f"{census[designs.EDIT][0]} edit(s)")
         elif args.cache_command == "merge":
             totals = MergeStats()
             before = len(store)
@@ -980,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser("cache", help="inspect, prune or merge result caches")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
-        "stats", help="entry counts per artifact kind"
+        "stats", help="entry counts per artifact kind and design records by kind"
     )
     cache_stats.add_argument("--cache-dir", default="",
                              help="result cache directory (default .repro-cache)")

@@ -151,22 +151,33 @@ class Flow:
                 stages with internal parallelism.
             progress: callback invoked after every finished stage.
         """
-        return self._run(netlist, store, pool, progress, compute=True)
+        return self._run(
+            netlist, fingerprint_netlist(netlist), store, pool, progress, compute=True
+        )
 
     def run_cached(
-        self, netlist: Netlist, store: ResultStore
+        self,
+        design_fingerprint: str,
+        store: ResultStore,
+        netlist: Optional[Netlist] = None,
     ) -> Optional[FlowResult]:
-        """The flow's result when ``store`` answers every stage, else ``None``.
+        """The flow's result over the design with ``design_fingerprint``
+        when ``store`` answers every stage, else ``None``.
 
         Nothing is computed: the first missing or stale row (which is
         demoted, as in :meth:`run`) stops the lookup, so the caller can
-        hand the flow to a scheduler that runs it in full.
+        hand the flow to a scheduler that runs it in full.  The design
+        itself is not needed, except by decoders of artifacts bound to it
+        (placements), which get ``netlist``.
         """
-        return self._run(netlist, store, None, None, compute=False)
+        return self._run(
+            netlist, design_fingerprint, store, None, None, compute=False
+        )
 
-    def _run(self, netlist, store, pool, progress, compute) -> Optional[FlowResult]:
+    def _run(
+        self, netlist, design_fingerprint, store, pool, progress, compute
+    ) -> Optional[FlowResult]:
         ctx = FlowContext(netlist=netlist, pool=pool, store=store)
-        design_fingerprint = fingerprint_netlist(netlist)
         with trace.span(
             "flow.run", flow=self.name, design=design_fingerprint[:12]
         ):

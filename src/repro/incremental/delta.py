@@ -220,9 +220,11 @@ def _cell_edit(netlist: Netlist, index: int) -> CellEdit:
 
 
 def _member_names(netlist: Netlist, net: int) -> Tuple[str, ...]:
-    return tuple(
-        netlist.cell_name(c) for c in netlist.cells_of_net(net)
-    )
+    """Member cell names of ``net``, read from the CSR arrays (no tuple
+    adjacency is built)."""
+    ptr = netlist.arrays.net_ptr
+    members = netlist.arrays.net_cells[ptr[net]:ptr[net + 1]].tolist()
+    return tuple(netlist.cell_name(c) for c in members)
 
 
 def _order_preserved(old_names: Sequence[str], new_names: Sequence[str]) -> bool:

@@ -42,17 +42,19 @@ computes through :func:`run_with_reuse`, which keeps
 * a per-config head pointer (``head-<config fp>``,
   :data:`KIND_INCREMENTAL_HEAD`) naming the latest traced run, so the
   next edit finds its base automatically;
-* the design itself, packed once into the cache dir's design packs
-  (:mod:`repro.service.designs`), so a later ``repro detect --base <fp>``
-  can diff against it without the original file.  A base pack that cannot
-  be loaded (cut short, or of an older format) is removed with a warning
-  and the edit runs in full, which writes a sound base for the next one.
+* a record of the design itself (:func:`repro.service.designs.record`),
+  so a later ``repro detect --base <fp>`` can diff against it without the
+  original file: a reference to the live ``.nla`` it was loaded from, the
+  edit itself (base fingerprint plus delta) for a patched report, or else
+  a pack in the cache dir.  A base whose record no longer gives it back
+  (a pack cut short, a referenced file gone or replaced, an edit that
+  splices into another design) runs the edit in full with the reason,
+  and that run records a sound base for the next one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -225,7 +227,8 @@ class IncrementalResult:
 
     ``mode`` is ``"incremental"`` (patched from a base trace), ``"full"``
     (cold run; ``reason`` says why), or ``"cached"`` (store answered the
-    exact job fingerprint; no trace work at all).
+    exact job fingerprint; no trace work at all).  ``delta`` is the edit
+    from the base whenever one was diffed or given.
     """
 
     report: FinderReport
@@ -238,6 +241,7 @@ class IncrementalResult:
     dirty_fraction: float = 0.0
     seeds_total: int = 0
     seeds_recomputed: int = 0
+    delta: Optional[NetlistDelta] = None
 
     @property
     def seeds_reused(self) -> int:
@@ -375,6 +379,7 @@ def incremental_detect(
         jobs = plan_seed_jobs(new, config)
         provenance = dict(
             base_fingerprint=base_fp,
+            delta=delta,
             delta_fingerprint=delta_fingerprint(base_fp, delta),
             dirty_cells=len(region.cells),
             dirty_fraction=region.fraction,
@@ -432,7 +437,9 @@ def _persist(
     job_fp: str,
     result: IncrementalResult,
 ) -> None:
-    """Write trace, provenance, head pointer and design pack.
+    """Write trace, provenance and head pointer, and record the design:
+    a patched one as its edit of the base when that base has a pack or a
+    reference (:func:`repro.service.designs.record`).
 
     The report itself is the flow's to record, under the same ``job_fp``.
     """
@@ -457,7 +464,11 @@ def _persist(
         {"netlist_fingerprint": netlist_fp},
         kind=KIND_INCREMENTAL_HEAD,
     )
-    designs.write_pack(store, netlist, netlist_fp)
+    designs.record(
+        store, netlist, netlist_fp,
+        base_fingerprint=result.base_fingerprint,
+        delta=result.delta if result.mode == "incremental" else None,
+    )
 
 
 def run_with_reuse(
@@ -473,7 +484,7 @@ def run_with_reuse(
     """Compute a detection the report cache missed, patching when sound.
 
     A base (explicit ``base``/``base_fingerprint``, or the per-config head
-    pointer) with a persisted seed trace and design blob is patched by
+    pointer) with a persisted seed trace and a design record is patched by
     :func:`incremental_detect` (``incremental``, or ``full`` with the
     fall-back reason); otherwise this is a full traced run (``full``).
     Deterministic runs persist their trace and head pointer (and, for
@@ -502,13 +513,10 @@ def run_with_reuse(
         seed_trace = load_trace(
             store, job_fingerprint(netlist, config, netlist_fingerprint=base_fp)
         )
-    path = designs.pack_path(store, base_fp)
-    if seed_trace is not None and base is None and os.path.exists(path):
-        # An unloadable pack is removed, so the full run this falls back
-        # to writes a sound one in its place.
-        base = designs.load_pack(store, base_fp)
-        if base is None:
-            reason = f"unloadable base pack {path} removed"
+    if seed_trace is not None and base is None:
+        # A record that does not give the base back is dropped, so the
+        # full run this falls back to records a sound one.
+        base, reason = designs.resolve(store, base_fp)
 
     if seed_trace is not None and base is not None:
         result = incremental_detect(

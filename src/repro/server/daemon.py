@@ -25,8 +25,8 @@ Threading model:
 Designs come from the store's cache dir when they can: a text design that
 ``repro pack MANIFEST --cache-dir DIR`` packed ahead of time is
 mmap-loaded from ``DIR/designs/`` while the file's stat still matches
-(:mod:`repro.service.designs`), and the first detect of any design packs
-it there for later delta submits.
+(:mod:`repro.service.designs`), and the first detect of any design
+records it there for later delta submits (see :meth:`ServerDaemon._build_record`).
 
 Shutdown is graceful by default: on SIGTERM (or a ``shutdown`` request)
 the daemon stops accepting work, lets the scheduler finish everything
@@ -51,6 +51,7 @@ from repro.errors import ReproError, ServerBusy, ServerError
 from repro.flow.flow import Flow
 from repro.flow.manifest import stage_from_entry
 from repro.flow.stages import IncrementalDetectStage
+from repro.incremental.delta import NetlistDelta, apply_delta, delta_fingerprint
 from repro.io import PACKED_EXTENSION, load_design
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
@@ -185,6 +186,14 @@ class DesignCache:
             "max_designs": self.max_designs,
             **dataclasses.asdict(self.stats),
         }
+
+
+def _apply(base: Netlist, delta: NetlistDelta) -> Netlist:
+    """``apply_delta``, with a delta the base cannot take as a bad payload."""
+    try:
+        return apply_delta(base, delta)
+    except ReproError as error:
+        raise ServerError(f"bad delta payload: {error}") from error
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
@@ -476,6 +485,8 @@ class ServerDaemon:
     def _handle_submit(self, request: Dict[str, Any], stream) -> None:
         record = self._build_record(request)
         warm = self._warm_probe(record)
+        if warm is None and record.context[0] is None and self._splice(record):
+            warm = self._warm_probe(record)  # the edit record was wrong
         if warm is not None:
             self.counters["warm_hits"] += 1
             if trace.enabled():
@@ -527,6 +538,15 @@ class ServerDaemon:
         the edit of a delta submit), so the warm probe and the scheduler
         run one code path, and the record's fingerprint is the flow's last
         stage key — for a detect, the key ``repro batch`` uses too.
+
+        A delta submit names its edited design by the cache dir's edit
+        record of ``delta_fingerprint(base, delta)`` when there is one
+        (:func:`repro.service.designs.edit_target`): a repeat then reaches
+        the warm probe without a splice or a fingerprint, and the record's
+        netlist stays ``None`` until a probe miss needs it (:meth:`_splice`).
+        Otherwise the edit is spliced here.  Every patched detect leaves
+        such a record, so the cache dir holds no pack of an edited design
+        whose base has a pack or a reference.
         """
         kind = request.get("kind", "detect")
         if kind not in protocol.JOB_KINDS:
@@ -559,17 +579,20 @@ class ServerDaemon:
                 # Delta submit: "design" is the (usually warm) base; the
                 # edited netlist is reconstructed daemon-side so the client
                 # ships a few KB of JSON instead of the whole design.
-                from repro.incremental import NetlistDelta, apply_delta
-
                 if not isinstance(delta_data, dict):
                     raise ServerError('submit "delta" must be a JSON object')
                 base_netlist = netlist
                 try:
                     delta = NetlistDelta.from_dict(delta_data)
-                    netlist = apply_delta(base_netlist, delta)
                 except ReproError as error:
                     raise ServerError(f"bad delta payload: {error}") from error
-                design_fp = fingerprint_netlist(netlist)
+                netlist = None
+                design_fp = designs.edit_target(
+                    self.store, delta_fingerprint(design_fp, delta)
+                )
+                if design_fp is None:
+                    netlist = _apply(base_netlist, delta)
+                    design_fp = fingerprint_netlist(netlist)
             stage = IncrementalDetectStage(config)
             stage.base, stage.delta = base_netlist, delta
             stages = [stage]
@@ -588,8 +611,29 @@ class ServerDaemon:
             fingerprint=fingerprints[-1],
             group=group,
         )
-        record.context = (netlist, flow, fingerprints)
+        record.context = (netlist, flow, design_fp)
         return record
+
+    def _splice(self, record: JobRecord) -> bool:
+        """Build the edited netlist of a delta submit named by its edit
+        record.  A splice that gives another design than the record named
+        drops the record and re-keys the job; returns True then."""
+        _, flow, design_fp = record.context
+        (stage,) = flow.stages
+        netlist = _apply(stage.base, stage.delta)
+        spliced_fp = fingerprint_netlist(netlist)
+        record.context = (netlist, flow, spliced_fp)
+        if spliced_fp == design_fp:
+            return False
+        logger.warning(
+            "edit record named design %s, the splice gives %s; dropping it",
+            design_fp[:12], spliced_fp[:12],
+        )
+        designs.drop_edit_target(
+            self.store, delta_fingerprint(fingerprint_netlist(stage.base), stage.delta)
+        )
+        record.fingerprint = flow.fingerprints(spliced_fp)[-1]
+        return True
 
     def _warm_probe(self, record: JobRecord) -> Optional[Dict[str, Any]]:
         """Answer a submit straight from the store when every row is warm.
@@ -599,15 +643,15 @@ class ServerDaemon:
         primary-key lookup per stage plus JSON decode.
         """
         began = trace.clock()
-        netlist, flow, fingerprints = record.context
+        netlist, flow, design_fp = record.context
         if not flow.deterministic:
             return None
-        if not all(fp in self.store for fp in fingerprints):
+        if not all(fp in self.store for fp in flow.fingerprints(design_fp)):
             return None
         # Lookups only: a row that is stale (schema or codec skew, or
         # evicted since the check above) is demoted and the job takes the
         # queued path, with its pool, backpressure and cancel.
-        outcome = flow.run_cached(netlist, self.store)
+        outcome = flow.run_cached(design_fp, self.store, netlist)
         if outcome is None:
             logger.info("warm probe for %s found a stale row", record.label)
             return None

@@ -86,8 +86,9 @@ class JobRecord:
         error: terminal error string when ``state == "failed"``.
         result: terminal result payload (the ``result`` event's body).
         context: what the daemon executes — ``(netlist, flow,
-            stage_fingerprints)`` for either kind (a delta submit's base
-            netlist rides in its detect stage); dropped by :meth:`finish`
+            design_fingerprint)`` for either kind (a delta submit's base
+            netlist and delta ride in its detect stage, and its netlist is
+            ``None`` until it must be spliced); dropped by :meth:`finish`
             so the job history holds no designs.
     """
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.generators.random_gtl import planted_gtl_graph
@@ -20,6 +22,27 @@ def _tracer_left_disabled_and_empty():
     yield
     trace.enable()
     trace.disable()
+
+
+@pytest.fixture
+def count_splices(monkeypatch):
+    """A list that gains one entry per ``apply_delta`` call, wherever a
+    ``repro`` module bound the function."""
+    import repro.incremental.delta as delta_module
+
+    original = delta_module.apply_delta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "apply_delta", None) is original
+        ):
+            monkeypatch.setattr(module, "apply_delta", counted)
+    return calls
 
 
 @pytest.fixture

@@ -323,6 +323,46 @@ def test_cli_pack_cache_dir_is_the_detect_base_store(tmp_path, capsys):
     assert f"base fingerprint: {base_fp[:12]}" in out
 
 
+def test_cli_cache_stats_and_prune_keep_referenced_designs(tmp_path, capsys):
+    """A detect of a live ``.nla`` records it by reference and an edit
+    patched against it as an edit: ``cache stats`` counts both and no pack,
+    and ``cache prune --keep 0`` leaves the referenced file as it was."""
+    import hashlib
+
+    from repro.generators.perturb import rewire_pins
+    from repro.io import load_design, write_packed
+
+    netlist, _ = planted_gtl_graph(800, [60], seed=5)
+    write_hgr(netlist, str(tmp_path / "base.hgr"))
+    base = load_design(str(tmp_path / "base.hgr"))
+    base_path = str(tmp_path / "base.nla")
+    write_packed(base, base_path)
+    edited_path = str(tmp_path / "edited.hgr")
+    write_hgr(rewire_pins(base, 0.001, rng=1), edited_path)
+
+    cache = str(tmp_path / "cache")
+    common = ["--seeds", "6", "--seed", "3", "--max-order-length", "20",
+              "--cache-dir", cache]
+    assert main(["detect", base_path] + common) == 0
+    assert main(["detect", edited_path, "--base", base_path] + common) == 0
+    assert "incremental:" in capsys.readouterr().out
+    assert main(["cache", "stats", "--cache-dir", cache]) == 0
+    assert "designs: 0 pack(s) (0.0 MB), 1 reference(s), 1 edit(s)" in (
+        capsys.readouterr().out
+    )
+
+    def state():
+        stat = os.stat(base_path)
+        with open(base_path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        return stat.st_ino, stat.st_mtime_ns, stat.st_size, digest
+
+    before = state()
+    assert main(["cache", "prune", "--keep", "0", "--cache-dir", cache]) == 0
+    assert "0 kept" in capsys.readouterr().out
+    assert state() == before
+
+
 def test_cli_diff_identical_designs(tmp_path, capsys):
     netlist, _ = planted_gtl_graph(300, [40], seed=2)
     path = str(tmp_path / "same.hgr")

@@ -214,18 +214,18 @@ def test_run_cached_answers_only_from_the_store(small, tmp_path, monkeypatch):
         monkeypatch.setattr(
             DetectStage, "compute", lambda self, ctx: pytest.fail("computed")
         )
-        assert flow.run_cached(netlist, store) is None
+        assert flow.run_cached(fingerprint_netlist(netlist), store) is None
         monkeypatch.undo()
 
         ran = flow.run(netlist, store=store)
-        warm = flow.run_cached(netlist, store)
+        warm = flow.run_cached(fingerprint_netlist(netlist), store)
         assert warm.all_cached
         assert warm.artifact("detect") == ran.artifact("detect")
         assert warm.artifact("partition").sides == ran.artifact("partition").sides
 
         partition_fp = ran["partition"].fingerprint
         store.put_payload(partition_fp, {"codec_version": 0}, kind="partition")
-        assert flow.run_cached(netlist, store) is None
+        assert flow.run_cached(fingerprint_netlist(netlist), store) is None
         assert partition_fp not in store
 
 

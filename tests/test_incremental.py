@@ -482,6 +482,20 @@ def test_kernel_paths_never_build_the_tuple_adjacency(tmp_path):
     assert result.mode == "incremental"
     assert base._adjacency is None and edited._adjacency is None
 
+    # Without a known delta the engine diffs the two designs itself, and a
+    # diff of two pack-loaded designs reads the CSR arrays too.
+    edited_path = str(tmp_path / "edited.nla")
+    write_packed(edited, edited_path)
+    loaded = [load_packed(path), load_packed(edited_path)]
+    with forced_backend("numpy"):
+        with ResultStore(str(tmp_path / "cache-diff")) as store:
+            detect_with_reuse(loaded[0], config, store)
+            unknown = detect_with_reuse(loaded[1], config, store, base=loaded[0])
+        assert unknown.mode == "incremental" and unknown.delta == delta
+        pair = [load_packed(path), load_packed(edited_path)]
+        assert diff(*pair) == delta
+    assert all(netlist._adjacency is None for netlist in loaded + pair)
+
 
 # ---------------------------------------------------------------- dirty region
 def test_dirty_endpoints_cover_both_sides_of_a_rewire():
@@ -806,7 +820,7 @@ def test_unloadable_base_pack_falls_back_to_a_full_run(
         with caplog.at_level(logging.WARNING, logger="repro.service.designs"):
             result = detect_with_reuse(edited, CFG, store)
         assert result.mode == "full"
-        assert result.reason == f"unloadable base pack {path} removed"
+        assert result.reason == f"unloadable design pack {path} removed"
         assert not os.path.exists(path)
         warnings = [r for r in caplog.records if "unloadable design pack" in r.getMessage()]
         assert len(warnings) == 1
@@ -853,6 +867,114 @@ def test_load_trace_evicts_malformed_payloads(base, tmp_path):
         )
         assert load_trace(store, "deadbeef") is None
         assert store.get_payload(_trace_key("deadbeef")) is None  # evicted
+
+
+# ---------------------------------------------------------------- design records
+def _live_pack(netlist, tmp_path):
+    """``netlist`` written to a ``.nla`` outside any cache dir and loaded
+    back from it, as ``repro detect design.nla`` or the daemon loads it."""
+    path = str(tmp_path / "live.nla")
+    write_packed(netlist, path)
+    return path, load_packed(path)
+
+
+@pytest.mark.parametrize("fault", ["replaced", "deleted"])
+def test_a_stale_design_reference_runs_the_edit_in_full(base, tmp_path, fault):
+    """A base loaded from a live ``.nla`` is recorded by reference (no
+    pack).  When that file is replaced by another design or deleted, the
+    next edit runs in full with the reason, and the reference is evicted."""
+    path, live = _live_pack(base, tmp_path)
+    edited = rewire_pins(base, 0.001, rng=1)
+    other, _ = planted_gtl_graph(1500, [60], seed=4)
+    with ResultStore(str(tmp_path / "cache")) as store:
+        detect_with_reuse(live, CFG, store)
+        assert not os.path.exists(designs.pack_path(store, fingerprint_netlist(base)))
+        assert store.kind_counts()[designs.KIND_DESIGN_REFERENCE] == 1
+        if fault == "replaced":
+            write_packed(other, path)
+            why = f"now holds design {fingerprint_netlist(other)[:12]}"
+        else:
+            os.unlink(path)
+            why = "is gone"
+        result = detect_with_reuse(edited, CFG, store)
+        assert (result.mode, result.reason) == (
+            "full", f"referenced design pack {os.path.abspath(path)} {why}"
+        )
+        assert designs.KIND_DESIGN_REFERENCE not in store.kind_counts()
+    cold, _ = run_traced(edited, CFG)
+    assert _strip(result.report) == _strip(cold)
+
+
+def test_an_edit_record_that_rebuilds_another_design_is_evicted(base, tmp_path):
+    e1 = rewire_pins(base, 0.001, rng=1)
+    e2 = rewire_pins(e1, 0.001, rng=2)
+    _, wrong = rewire_pins(base, 0.001, rng=3, return_delta=True)
+    e1_fp = fingerprint_netlist(e1)
+    with ResultStore(str(tmp_path)) as store:
+        detect_with_reuse(base, CFG, store)
+        assert detect_with_reuse(e1, CFG, store).mode == "incremental"
+        key = f"design-{e1_fp}"
+        row = store.get_payload(key, kind=designs.KIND_DESIGN_EDIT)
+        store.put_payload(key, {**row, "delta": wrong.to_dict()},
+                          kind=designs.KIND_DESIGN_EDIT)
+        result = detect_with_reuse(e2, CFG, store)
+        assert result.mode == "full"
+        assert result.reason.startswith(f"edit record of {e1_fp[:12]} rebuilds design ")
+        assert result.reason.endswith("; evicted")
+        counts = store.kind_counts()
+        assert designs.KIND_DESIGN_EDIT not in counts
+        assert designs.KIND_EDIT_TARGET not in counts
+        assert designs.resolve(store, e1_fp) == (None, f"no design record of {e1_fp[:12]}")
+    cold, _ = run_traced(e2, CFG)
+    assert _strip(result.report) == _strip(cold)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_edit_of_an_edit_rebuilds_its_base_with_one_splice_and_is_packed(
+    base, tmp_path, backend, count_splices
+):
+    """base (pack) -> e1 (recorded as an edit of base) -> e2 against e1
+    through the head pointer: e1 comes back with one splice, and e2 gets a
+    pack because an edit's base must be a pack or a reference."""
+    e1 = rewire_pins(base, 0.001, rng=1)
+    e2 = rewire_pins(e1, 0.001, rng=2)
+    with forced_backend(backend), ResultStore(str(tmp_path)) as store:
+        detect_with_reuse(base, CFG, store)
+        first = detect_with_reuse(e1, CFG, store)
+        assert first.mode == "incremental"
+        assert not os.path.exists(designs.pack_path(store, fingerprint_netlist(e1)))
+        assert store.kind_counts()[designs.KIND_DESIGN_EDIT] == 1
+        assert count_splices == []
+        second = detect_with_reuse(e2, CFG, store)
+        assert second.mode == "incremental"
+        assert second.base_fingerprint == fingerprint_netlist(e1)
+        assert len(count_splices) == 1
+        assert os.path.exists(designs.pack_path(store, fingerprint_netlist(e2)))
+        assert store.kind_counts()[designs.KIND_DESIGN_EDIT] == 1
+        for result, edited in ((first, e1), (second, e2)):
+            cold, _ = run_traced(edited, CFG)
+            assert _strip(result.report) == _strip(cold)
+
+
+def test_design_records_of_another_version_read_as_misses(base, tmp_path):
+    path, live = _live_pack(base, tmp_path)
+    edited = rewire_pins(base, 0.001, rng=1)
+    base_fp = fingerprint_netlist(base)
+    with ResultStore(str(tmp_path / "cache")) as store:
+        detect_with_reuse(live, CFG, store)
+        result = detect_with_reuse(edited, CFG, store)
+        delta_fp = result.delta_fingerprint
+        assert designs.edit_target(store, delta_fp) == fingerprint_netlist(edited)
+        for key, kind, field in (
+            (f"design-{base_fp}", designs.KIND_DESIGN_REFERENCE, "fingerprint_version"),
+            (f"edit-{delta_fp}", designs.KIND_EDIT_TARGET, "delta_version"),
+        ):
+            row = store.get_payload(key, kind=kind)
+            store.put_payload(key, {**row, field: row[field] + 1}, kind=kind)
+        assert designs.edit_target(store, delta_fp) is None
+        assert designs.resolve(store, base_fp) == (None, f"no design record of {base_fp[:12]}")
+        assert store.kind_counts().get(designs.KIND_DESIGN_REFERENCE) is None
+        assert os.path.exists(path)
 
 
 # ---------------------------------------------------------------- perturb

@@ -720,6 +720,63 @@ def test_daemon_delta_submit_end_to_end(corpus, daemon_factory):
     assert "incremental" not in warm
 
 
+def test_daemon_delta_repeat_is_answered_without_a_splice(
+    corpus, daemon_factory, count_splices
+):
+    """A patched delta submit leaves an edit record, not a pack; the same
+    delta again is answered from the store with no splice."""
+    from repro.generators.perturb import rewire_pins
+
+    daemon, client = daemon_factory()
+    path, netlist = corpus["a"]
+    client.submit(path, config=DELTA_CFG)
+    folder = os.path.join(daemon.config.cache_dir, "designs")
+    packs = sorted(os.listdir(folder))
+    _, delta = rewire_pins(netlist, 0.002, rng=1, return_delta=True)
+    first = client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
+    assert first["incremental"]["mode"] == "incremental"
+    assert len(count_splices) == 1
+    repeat = client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
+    assert repeat["cached"] is True
+    assert repeat["fingerprint"] == first["fingerprint"]
+    assert repeat["report"] == first["report"]
+    assert len(count_splices) == 1
+    assert sorted(os.listdir(folder)) == packs
+    assert daemon.store.kind_counts()[designs.KIND_DESIGN_EDIT] == 1
+
+
+def test_daemon_delta_probe_miss_splices_and_checks_the_edit_record(
+    corpus, daemon_factory, count_splices
+):
+    """An edit record whose report row is gone costs one splice; one that
+    names a wrong design is dropped and the job re-keyed to the real one."""
+    from repro.generators.perturb import rewire_pins
+    from repro.incremental import delta_fingerprint
+
+    daemon, client = daemon_factory()
+    path, netlist = corpus["b"]
+    client.submit(path, config=DELTA_CFG)
+    _, delta = rewire_pins(netlist, 0.002, rng=1, return_delta=True)
+    first = client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
+    delta_fp = delta_fingerprint(fingerprint_netlist(netlist), delta)
+
+    daemon.store.put_payload(
+        f"edit-{delta_fp}",
+        {**daemon.store.get_payload(f"edit-{delta_fp}"), "fingerprint": "f" * 64},
+        kind=designs.KIND_EDIT_TARGET,
+    )
+    again = client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
+    assert again["cached"] is True and again["fingerprint"] == first["fingerprint"]
+    assert designs.edit_target(daemon.store, delta_fp) is None
+    assert len(count_splices) == 2
+
+    daemon.store.evict(first["fingerprint"])
+    rerun = client.submit(path, config=DELTA_CFG, delta=delta.to_dict())
+    assert rerun["cached"] is False and rerun["fingerprint"] == first["fingerprint"]
+    assert rerun["report"]["gtls"] == first["report"]["gtls"]
+    assert len(count_splices) == 3
+
+
 def test_terminal_records_hold_no_netlist(corpus, daemon_factory):
     """The job history keeps status rows, not the designs jobs ran on."""
     from repro.generators.perturb import rewire_pins

@@ -172,7 +172,8 @@ def test_store_drops_rows_with_invalid_configs(tmp_path, small, small_report):
              .replace('"num_seeds":6', '"num_seeds":0'),),
         )
         store._conn.commit()
-        assert Flow([DetectStage(CFG)]).run_cached(netlist, store) is None
+        flow = Flow([DetectStage(CFG)])
+        assert flow.run_cached(fingerprint_netlist(netlist), store) is None
         assert len(store) == 0
 
 
