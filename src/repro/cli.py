@@ -23,7 +23,9 @@ Subcommands:
   membership).  With the cache it reuses what it soundly can: the exact
   report, or a cached base run patched through the dirty region of the
   edit (``--base`` names a base design or fingerprint; defaults to the
-  per-config head pointer in the cache); ``--no-cache`` is a plain run.
+  cache's head pointer of the config and the design's cell names);
+  ``--no-cache`` is a plain run.  ``batch``, ``sweep`` and ``flow run``
+  patch the same way, without ``--base``.
 * ``cache``        — result-cache maintenance: ``stats`` (entries per
   artifact kind, and design records: packs with their bytes, references
   and edits), ``prune --keep N`` (LRU eviction of rows; it never touches a
@@ -351,6 +353,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 "cached": r.cached,
                 "runtime_seconds": r.runtime_seconds,
                 "error": r.error,
+                "incremental_mode": r.incremental.get("mode", ""),
+                "seeds_total": r.incremental.get("seeds_total", 0),
+                "seeds_recomputed": r.incremental.get("seeds_recomputed", 0),
                 "report": report_to_dict(r.report) if r.report else None,
             }
             for r in results
@@ -966,7 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--base", default="",
                         help="base to patch from: a design file, or the "
                         "netlist fingerprint of a prior cached run "
-                        "(default: the per-config head pointer)")
+                        "(default: the head pointer of this config, "
+                        "cell name table and pin total)")
     detect.add_argument("--seeds", type=int, default=100, dest="seeds")
     detect.add_argument("--metric", choices=("gtl_s", "ngtl_s", "gtl_sd"),
                         default="gtl_sd")

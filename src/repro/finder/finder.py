@@ -52,23 +52,25 @@ if TYPE_CHECKING:  # import cycle: service.pool executes this module's seeds
 logger = logging.getLogger(__name__)
 
 # One seed's outcome: (refined candidate or None, ordering Rent estimate,
-# number of orderings grown, footprint).  The footprint is the sorted tuple
-# of every cell absorbed by any ordering this seed grew (Phase I plus the
-# refinement re-growths); it is the seed's read-set over the netlist, so an
-# edit whose dirty region (see :mod:`repro.incremental.dirty`) misses the
-# footprint cannot change the outcome — the invariant incremental
-# detection's reuse rests on.
-_SeedOutcome = Tuple[Optional[CandidateGTL], float, int, Tuple[int, ...]]
+# number of orderings grown, footprint).  The footprint is the sorted,
+# read-only int64 array of every cell absorbed by any ordering this seed
+# grew (Phase I plus the refinement re-growths); it is the seed's read-set
+# over the netlist, so an edit whose dirty region (see
+# :mod:`repro.incremental.dirty`) misses the footprint cannot change the
+# outcome — the invariant incremental detection's reuse rests on.
+_SeedOutcome = Tuple[Optional[CandidateGTL], float, int, np.ndarray]
 
 
 def _footprint(
     netlist: Netlist, orderings: Sequence[Sequence[int]]
-) -> Tuple[int, ...]:
-    """Sorted tuple of every cell in any of ``orderings``."""
+) -> np.ndarray:
+    """Sorted read-only array of every cell in any of ``orderings``."""
     absorbed = np.zeros(netlist.num_cells, dtype=bool)
     for ordering in orderings:
         absorbed[np.asarray(ordering, dtype=np.int64)] = True
-    return tuple(np.flatnonzero(absorbed).tolist())
+    footprint = np.flatnonzero(absorbed)
+    footprint.flags.writeable = False
+    return footprint
 
 
 def _process_seed(

@@ -33,7 +33,7 @@ JSON — see :mod:`repro.flow.manifest`.
 # Import order matters: stage/context/artifacts are the leaves; stages and
 # the composer reach back into this (partially initialized) package.
 from repro.flow.stage import Stage, StageConfig, StageResult
-from repro.flow.context import FlowContext
+from repro.flow.context import FlowContext, Reuse
 from repro.flow.artifacts import (
     ARTIFACT_CODEC_VERSION,
     ResynthesisResult,
@@ -46,7 +46,6 @@ from repro.flow.stages import (
     CongestionConfig,
     CongestionStage,
     DetectStage,
-    IncrementalDetectStage,
     PartitionConfig,
     PartitionStage,
     PlaceConfig,
@@ -65,6 +64,7 @@ __all__ = [
     "StageConfig",
     "StageResult",
     "FlowContext",
+    "Reuse",
     "Flow",
     "FlowResult",
     "ARTIFACT_CODEC_VERSION",
@@ -74,7 +74,6 @@ __all__ = [
     "decode_artifact",
     "BUILTIN_STAGES",
     "DetectStage",
-    "IncrementalDetectStage",
     "PartitionConfig",
     "PartitionStage",
     "PlaceConfig",

@@ -3,9 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.netlist.hypergraph import Netlist
+
+
+@dataclass(frozen=True)
+class Reuse:
+    """What the detect stages of one flow run may patch from.
+
+    The default leaves the choice to the store: the head pointer of the
+    stage's config and the design's cell name table and pin total (see
+    :mod:`repro.incremental.engine`).  A caller that knows the base names
+    it here, as a netlist or as the fingerprint of a design an earlier run
+    recorded, with the edit from it when that is known too.
+
+    Attributes:
+        base: the base design.
+        base_fingerprint: the base design's fingerprint (when ``base`` is
+            not at hand).
+        delta: the :class:`~repro.incremental.delta.NetlistDelta` from
+            the base to the flow's design; diffed when ``None``.
+    """
+
+    base: Optional[Netlist] = None
+    base_fingerprint: str = ""
+    delta: Optional[Any] = None
 
 
 @dataclass
@@ -21,8 +44,14 @@ class FlowContext:
         pool: optional shared :class:`~repro.service.pool.WorkerPool` for
             stages with internal parallelism (detection seed trials).
         store: the :class:`~repro.service.store.ResultStore` the flow runs
-            against (``None`` when caching is off).  Stages with their own
-            reuse machinery (incremental detection) read it directly.
+            against (``None`` when caching is off).  The detect stage
+            computes a miss against it: it patches a traced run the store
+            holds when that is sound, and persists its own trace.
+        reuse: the run's :class:`Reuse` (what a detect may patch from).
+        computed: metadata of how the running stage computed its artifact
+            (a detect's reuse decision); the flow empties it before each
+            stage and adds it to the metadata of a computed
+            :class:`~repro.flow.stage.StageResult`.
         results: :class:`~repro.flow.stage.StageResult` of every stage run
             so far, in declaration order.
     """
@@ -31,6 +60,8 @@ class FlowContext:
     solve_netlist: Optional[Netlist] = None
     pool: Optional[Any] = None
     store: Optional[Any] = None
+    reuse: Reuse = field(default_factory=Reuse)
+    computed: Dict[str, Any] = field(default_factory=dict)
     results: List[Any] = field(default_factory=list)
 
     def latest_artifact(self, kind: str) -> Optional[Any]:
@@ -48,4 +79,4 @@ class FlowContext:
         return None
 
 
-__all__ = ["FlowContext"]
+__all__ = ["FlowContext", "Reuse"]

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import FlowError, ReproError, ServiceError
 from repro.flow.artifacts import decode_artifact, encode_artifact
-from repro.flow.context import FlowContext
+from repro.flow.context import FlowContext, Reuse
 from repro.flow.stage import Stage, StageResult
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
@@ -140,6 +140,7 @@ class Flow:
         store: Optional[ResultStore] = None,
         pool=None,
         progress: Optional[ProgressCallback] = None,
+        reuse: Reuse = Reuse(),
     ) -> FlowResult:
         """Execute every stage in order over ``netlist``.
 
@@ -150,9 +151,12 @@ class Flow:
             pool: shared :class:`~repro.service.pool.WorkerPool` handed to
                 stages with internal parallelism.
             progress: callback invoked after every finished stage.
+            reuse: the base a detect stage may patch from (by default the
+                store's head pointer picks it).
         """
         return self._run(
-            netlist, fingerprint_netlist(netlist), store, pool, progress, compute=True
+            netlist, fingerprint_netlist(netlist), store, pool, progress,
+            compute=True, reuse=reuse,
         )
 
     def run_cached(
@@ -175,9 +179,10 @@ class Flow:
         )
 
     def _run(
-        self, netlist, design_fingerprint, store, pool, progress, compute
+        self, netlist, design_fingerprint, store, pool, progress, compute,
+        reuse=Reuse(),
     ) -> Optional[FlowResult]:
-        ctx = FlowContext(netlist=netlist, pool=pool, store=store)
+        ctx = FlowContext(netlist=netlist, pool=pool, store=store, reuse=reuse)
         with trace.span(
             "flow.run", flow=self.name, design=design_fingerprint[:12]
         ):
@@ -206,6 +211,7 @@ class Flow:
 
             artifact = None
             cached = False
+            ctx.computed = {}
             with trace.span(
                 f"stage.{label}", kind=stage.kind, fingerprint=fingerprint[:12]
             ) as stage_span:
@@ -232,7 +238,7 @@ class Flow:
                 fingerprint=fingerprint,
                 cached=cached,
                 runtime_seconds=timer.elapsed,
-                metadata=stage.metadata(artifact),
+                metadata={**stage.metadata(artifact), **ctx.computed},
             )
             ctx.results.append(result)
             results.append(result)

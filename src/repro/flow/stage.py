@@ -95,7 +95,7 @@ class StageResult:
         return ", ".join(
             f"{key}={fmt(value)}"
             for key, value in self.metadata.items()
-            if value is not None
+            if value is not None and value != ""
         )
 
 

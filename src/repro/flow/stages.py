@@ -1,15 +1,20 @@
 """Built-in stages wrapping every subsystem of the reproduction.
 
-================  ======================  ===========================
+================  ======================  =============================================
 stage             artifact kind           wraps
-================  ======================  ===========================
-``detect``        ``finder_report``       :mod:`repro.finder`
+================  ======================  =============================================
+``detect``        ``finder_report``       :mod:`repro.finder`, :mod:`repro.incremental`
 ``partition``     ``partition``           :mod:`repro.partition`
 ``place``         ``placement``           :mod:`repro.placement`
 ``congestion``    ``congestion``          :mod:`repro.routing`
 ``soft_blocks``   ``netlist``             :mod:`repro.apps.soft_blocks`
 ``resynthesis``   ``resynthesis``         :mod:`repro.apps.resynthesis`
-================  ======================  ===========================
+================  ======================  =============================================
+
+There is one detection stage: ``detect`` patches a traced run of an
+edited design's base when the flow's store holds one (see
+:class:`DetectStage`), so ``batch``, ``sweep``, ``flow run``, ``repro
+detect`` and daemon submits share its reuse as they share its cache rows.
 
 Stages that need upstream artifacts resolve them from the context by kind
 (``congestion`` takes the latest placement; ``soft_blocks`` and
@@ -26,14 +31,12 @@ import numpy as np
 
 from repro.errors import FlowError
 from repro.finder.config import FinderConfig
-from repro.finder.finder import TangledLogicFinder
 from repro.flow import artifacts
-from repro.flow.stage import Stage, StageConfig, StageResult, resolve_upstream
+from repro.flow.stage import Stage, StageConfig, resolve_upstream
 from repro.partition.fm import fm_bisect
 from repro.placement.placer import Placement, place
 from repro.placement.region import Die
 from repro.routing.congestion import build_congestion_map
-from repro.service.fingerprint import stage_fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -45,6 +48,15 @@ class DetectStage(Stage):
     Its config *is* :class:`~repro.finder.config.FinderConfig`; the seed
     trials run on the flow's worker pool when the context carries one, and
     serially otherwise.
+
+    A miss computes through
+    :func:`repro.incremental.engine.run_with_reuse`: when the flow's result
+    store holds a traced run of a base design (the context's
+    :class:`~repro.flow.context.Reuse`, or by default the latest run under
+    this config on a design with the same cell names), only the seeds the
+    edit could have influenced re-run, and the report is identical to a
+    cold run's.  The reuse decision (``incremental_mode``,
+    ``seeds_recomputed``, ...) is part of a computed result's metadata.
     """
 
     name = "detect"
@@ -56,7 +68,20 @@ class DetectStage(Stage):
         return self.config.seed is not None
 
     def compute(self, ctx):
-        return TangledLogicFinder(ctx.netlist, self.config).run(pool=ctx.pool)
+        from repro.incremental.engine import run_with_reuse
+
+        reuse = ctx.reuse
+        result = run_with_reuse(
+            ctx.netlist,
+            self.config,
+            ctx.store,
+            base=reuse.base,
+            base_fingerprint=reuse.base_fingerprint,
+            delta=reuse.delta,
+            pool=ctx.pool,
+        )
+        ctx.computed.update(result.metadata())
+        return result.report
 
     def metadata(self, report) -> Dict[str, object]:
         from repro.netlist.backend import resolve_backend
@@ -75,78 +100,6 @@ class DetectStage(Stage):
 
     def cache_items(self, report) -> int:
         return report.num_gtls
-
-
-class IncrementalDetectStage(DetectStage):
-    """Detection that patches a prior run instead of recomputing it.
-
-    Behaves exactly like :class:`DetectStage` — same artifact kind, same
-    parity-guaranteed report (see :mod:`repro.incremental.engine`) and
-    therefore the same store key — but computes a miss through
-    :func:`repro.incremental.engine.run_with_reuse`: when the flow's
-    result store holds a traced base run under this config, only the
-    seeds the netlist edit could have influenced are re-run.  Without a
-    store it degrades to a plain full detection.
-
-    The base defaults to the config's latest traced run.  In-process
-    callers that know it set the ``base`` (a netlist) or
-    ``base_fingerprint`` (a design stored by an earlier run) attribute,
-    and ``delta`` when the edit is already known; a flow manifest cannot.
-    """
-
-    name = "incremental_detect"
-
-    def __init__(self, config=None, **overrides):
-        super().__init__(config, **overrides)
-        self.base = None
-        self.base_fingerprint = ""
-        self.delta = None
-        self._last_incremental = None
-
-    def fingerprint(self, inputs):
-        # The report equals DetectStage's for the same inputs, so both
-        # stages read and write one row.
-        return stage_fingerprint(DetectStage.name, self.config_fingerprint(), inputs)
-
-    def compute(self, ctx):
-        from repro.incremental.engine import run_with_reuse
-
-        if ctx.store is None:
-            return super().compute(ctx)
-        result = run_with_reuse(
-            ctx.netlist,
-            self.config,
-            ctx.store,
-            base=self.base,
-            base_fingerprint=self.base_fingerprint,
-            delta=self.delta,
-            pool=ctx.pool,
-        )
-        self._last_incremental = result
-        return result.report
-
-    def incremental_result(self, result: StageResult):
-        """The :class:`~repro.incremental.engine.IncrementalResult` behind
-        this stage's ``result``: ``mode="cached"`` for a store hit, the
-        reuse decision of the run that computed it otherwise."""
-        from repro.incremental.engine import IncrementalResult
-
-        last = self._last_incremental
-        if result.cached:
-            return IncrementalResult(report=result.artifact, mode="cached")
-        if last is not None and last.report is result.artifact:
-            return last
-        return IncrementalResult(report=result.artifact, reason="no result store")
-
-    def metadata(self, report) -> Dict[str, object]:
-        data = super().metadata(report)
-        last = self._last_incremental
-        if last is not None and last.report is report:
-            data["incremental_mode"] = last.mode
-            data["seeds_recomputed"] = last.seeds_recomputed
-            data["seeds_total"] = last.seeds_total
-            data["dirty_cells"] = last.dirty_cells
-        return data
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +393,6 @@ class ResynthesisStage(Stage):
 #: Manifest stage-name registry (see :mod:`repro.flow.manifest`).
 BUILTIN_STAGES = {
     DetectStage.name: DetectStage,
-    IncrementalDetectStage.name: IncrementalDetectStage,
     PartitionStage.name: PartitionStage,
     PlaceStage.name: PlaceStage,
     CongestionStage.name: CongestionStage,
@@ -450,7 +402,6 @@ BUILTIN_STAGES = {
 
 __all__ = [
     "DetectStage",
-    "IncrementalDetectStage",
     "PartitionConfig",
     "PartitionStage",
     "PlaceConfig",

@@ -20,7 +20,10 @@ reference behind ``REPRO_SCALAR_BACKEND=1`` producing identical regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Set
+from functools import cached_property
+from typing import FrozenSet, Set
+
+import numpy as np
 
 from repro.errors import NetlistError
 from repro.netlist.backend import resolve_backend
@@ -46,9 +49,18 @@ class DirtyRegion:
     cells: FrozenSet[int]
     fraction: float
 
-    def intersects(self, footprint: Iterable[int]) -> bool:
-        """True when any footprint cell is dirty."""
-        return not self.cells.isdisjoint(footprint)
+    @cached_property
+    def _sorted(self) -> np.ndarray:
+        return np.sort(np.fromiter(self.cells, dtype=np.int64, count=len(self.cells)))
+
+    def intersects(self, footprint: np.ndarray) -> bool:
+        """True when any cell of the sorted ``footprint`` is dirty (one
+        binary search per dirty cell)."""
+        if not len(footprint) or not self.cells:
+            return False
+        dirty = self._sorted
+        at = np.minimum(np.searchsorted(footprint, dirty), len(footprint) - 1)
+        return bool(np.any(footprint[at] == dirty))
 
 
 def delta_endpoint_cells(new: Netlist, delta: NetlistDelta) -> Set[int]:

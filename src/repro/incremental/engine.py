@@ -30,18 +30,28 @@ when they are not, or when patching would not pay:
   re-run nearly everything anyway, so skip the bookkeeping);
 * the seed plan changed size.
 
-Persistence: :func:`detect_with_reuse` runs a one-stage
-:class:`~repro.flow.flow.Flow`, which looks up and records the report
-under the job fingerprint like every other detection entry point; a miss
+Persistence: every cache-aware detection (``batch``, ``sweep``, ``flow
+run``, ``repro detect``, daemon submits) is a one-stage
+:class:`~repro.flow.flow.Flow` of :class:`~repro.flow.stages.DetectStage`,
+which looks up and records the report under the job fingerprint; a miss
 computes through :func:`run_with_reuse`, which keeps
 
-* the seed trace (``trace-<job fp>``, :data:`KIND_FINDER_TRACE`);
+* the seed trace (``trace-<job fp>``, :data:`KIND_FINDER_TRACE`), with
+  every footprint and candidate as a delta-encoded ``uint32`` array, zlib
+  compressed (a few KB where the cell lists took hundreds);
 * a provenance row for patched reports (``prov-<job fp>``,
   :data:`KIND_INCREMENTAL_PROVENANCE`: ``base_fingerprint``,
   ``delta_fingerprint``, ``dirty_cells``);
-* a per-config head pointer (``head-<config fp>``,
-  :data:`KIND_INCREMENTAL_HEAD`) naming the latest traced run, so the
-  next edit finds its base automatically;
+* a head pointer per config, cell name table and pin total (``head-<config
+  fp>-<cell table digest>-<pins>``, :data:`KIND_INCREMENTAL_HEAD`) naming
+  the latest traced run, so the next edit finds its base automatically.
+  An edit that can be patched changes no cell name, no cell order and not
+  the pin total, so another design with other names, or the positional
+  names of ``.hgr`` files and the generators (``v0..vN-1``) but another
+  pin total, never finds this head and never pays a diff against it.  A
+  design with the same names and the same pin total cannot be told from
+  an edit by its key: it diffs against the head, and runs in full unless
+  it differs from the head's design by a small edit only;
 * a record of the design itself (:func:`repro.service.designs.record`),
   so a later ``repro detect --base <fp>`` can diff against it without the
   original file: a reference to the live ``.nla`` it was loaded from, the
@@ -50,13 +60,23 @@ computes through :func:`run_with_reuse`, which keeps
   (a pack cut short, a referenced file gone or replaced, an edit that
   splices into another design) runs the edit in full with the reason,
   and that run records a sound base for the next one.
+
+The caller of a flow names an explicit base through
+:class:`~repro.flow.context.Reuse`, a per-run argument of
+:meth:`~repro.flow.flow.Flow.run`; the reuse decision comes back in the
+stage result's metadata (:meth:`IncrementalResult.metadata`,
+:meth:`IncrementalResult.from_stage_result`).
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ServiceError
 from repro.finder.candidate import CandidateGTL
@@ -84,8 +104,10 @@ KIND_FINDER_TRACE = "finder_trace"
 KIND_INCREMENTAL_PROVENANCE = "incremental_provenance"
 KIND_INCREMENTAL_HEAD = "incremental_head"
 
-#: Version of the persisted seed-trace payload.
-TRACE_VERSION = 1
+#: Version of the persisted seed-trace payload (2: footprints and
+#: candidate cells as compressed delta-encoded arrays).  A trace of
+#: another version reads as a miss and is evicted.
+TRACE_VERSION = 2
 
 #: Dirty-fraction ceiling beyond which patching falls back to a full
 #: recompute.  Like every reuse decision it changes how many seeds re-run,
@@ -101,19 +123,56 @@ def _provenance_key(job_fingerprint_: str) -> str:
     return f"prov-{job_fingerprint_}"
 
 
-def _head_key(config_fingerprint_: str) -> str:
-    return f"head-{config_fingerprint_}"
+def _head_key(config: FinderConfig, netlist: Netlist) -> str:
+    return (
+        f"head-{fingerprint_config(config)}-{netlist.cell_table.digest()}"
+        f"-{netlist.num_pins}"
+    )
 
 
 # ----------------------------------------------------------------------
 # Seed traces
 # ----------------------------------------------------------------------
-def _candidate_to_row(candidate: Optional[CandidateGTL]) -> Optional[List[Any]]:
-    if candidate is None:
-        return None
+#: zlib level of packed cell arrays: level 1 packs the gaps of eight 53K-cell
+#: footprints into ~11 KB in ~1 ms, where level 6 takes 2.6x as long for ~7 KB.
+_ZLIB_LEVEL = 1
+
+
+def _pack_cells(arrays: Sequence[np.ndarray]) -> Dict[str, Any]:
+    """Sorted cell arrays as one JSON-safe blob: each array delta-encoded
+    (its first cell, then the gaps) as little-endian ``uint32``, all of
+    them zlib-compressed together, plus the array lengths."""
+    gaps = [np.diff(cells, prepend=0) for cells in arrays]
+    raw = np.concatenate(gaps).astype("<u4") if gaps else np.zeros(0, "<u4")
+    blob = zlib.compress(raw.tobytes(), _ZLIB_LEVEL)
+    return {
+        "lengths": [len(cells) for cells in arrays],
+        "cells": base64.b64encode(blob).decode("ascii"),
+    }
+
+
+def _unpack_cells(data: Dict[str, Any]) -> List[np.ndarray]:
+    """Inverse of :func:`_pack_cells`: read-only sorted int64 arrays."""
+    lengths = [int(n) for n in data["lengths"]]
+    try:
+        raw = zlib.decompress(base64.b64decode(data["cells"], validate=True))
+    except (zlib.error, ValueError) as error:
+        raise ValueError(f"undecodable cell blob: {error}") from error
+    gaps = np.frombuffer(raw, dtype="<u4")
+    if len(gaps) != sum(lengths):
+        raise ValueError(f"cell blob holds {len(gaps)} cells, lengths say {sum(lengths)}")
+    arrays = []
+    for part in np.split(gaps, np.cumsum(lengths)[:-1]) if lengths else []:
+        cells = np.cumsum(part, dtype=np.int64)
+        cells.flags.writeable = False
+        arrays.append(cells)
+    return arrays
+
+
+def _candidate_to_row(candidate: CandidateGTL) -> List[Any]:
+    """A candidate without its cells (they are packed with the others)."""
     stats = candidate.stats
     return [
-        sorted(candidate.cells),
         candidate.score,
         [stats.size, stats.cut, stats.pins, stats.internal_nets, stats.avg_pins],
         candidate.rent_exponent,
@@ -121,13 +180,11 @@ def _candidate_to_row(candidate: Optional[CandidateGTL]) -> Optional[List[Any]]:
     ]
 
 
-def _candidate_from_row(row: Optional[Sequence[Any]]) -> Optional[CandidateGTL]:
-    if row is None:
-        return None
-    cells, score, stats_row, rent, seed = row
+def _candidate_from_row(row: Sequence[Any], cells: np.ndarray) -> CandidateGTL:
+    score, stats_row, rent, seed = row
     size, cut, pins, internal_nets, avg_pins = stats_row
     return CandidateGTL(
-        cells=frozenset(int(c) for c in cells),
+        cells=frozenset(cells.tolist()),
         score=float(score),
         stats=GroupStats(
             size=int(size), cut=int(cut), pins=int(pins),
@@ -160,7 +217,8 @@ class SeedTrace:
     outcomes: Tuple[_SeedOutcome, ...]
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe storage form (NaN Rent estimates encode as ``null``)."""
+        """JSON-safe storage form (NaN Rent estimates encode as ``null``;
+        footprints and candidate cells as :func:`_pack_cells` blobs)."""
         return {
             "version": TRACE_VERSION,
             "netlist_fingerprint": self.netlist_fingerprint,
@@ -170,13 +228,17 @@ class SeedTrace:
             "jobs": [[cell, rng] for cell, rng in self.jobs],
             "outcomes": [
                 [
-                    _candidate_to_row(candidate),
+                    None if candidate is None else _candidate_to_row(candidate),
                     None if math.isnan(rent) else rent,
                     orderings,
-                    list(footprint),
                 ]
-                for candidate, rent, orderings, footprint in self.outcomes
+                for candidate, rent, orderings, _ in self.outcomes
             ],
+            "footprints": _pack_cells([outcome[3] for outcome in self.outcomes]),
+            "candidate_cells": _pack_cells([
+                np.fromiter(sorted(c.cells), dtype=np.int64, count=len(c.cells))
+                for c, _, _, _ in self.outcomes if c is not None
+            ]),
         }
 
     @classmethod
@@ -188,21 +250,33 @@ class SeedTrace:
                 f"this build speaks {TRACE_VERSION})"
             )
         try:
+            rows = data["outcomes"]
+            footprints = _unpack_cells(data["footprints"])
+            candidate_cells = _unpack_cells(data["candidate_cells"])
+            found = sum(row[0] is not None for row in rows)
+            if (len(footprints), len(candidate_cells)) != (len(rows), found):
+                raise ValueError(
+                    f"{len(footprints)} footprint(s) and {len(candidate_cells)} "
+                    f"candidate(s) for {len(rows)} outcome(s) with {found}"
+                )
+            cells = iter(candidate_cells)
+            outcomes = tuple(
+                (
+                    None if candidate_row is None
+                    else _candidate_from_row(candidate_row, next(cells)),
+                    float("nan") if rent is None else float(rent),
+                    int(orderings),
+                    footprint,
+                )
+                for (candidate_row, rent, orderings), footprint in zip(rows, footprints)
+            )
             return cls(
                 netlist_fingerprint=str(data["netlist_fingerprint"]),
                 config=config_from_dict(data["config"]),
                 num_cells=int(data["num_cells"]),
                 num_pins=int(data["num_pins"]),
                 jobs=tuple((int(c), int(r)) for c, r in data["jobs"]),
-                outcomes=tuple(
-                    (
-                        _candidate_from_row(candidate_row),
-                        float("nan") if rent is None else float(rent),
-                        int(orderings),
-                        tuple(int(c) for c in footprint),
-                    )
-                    for candidate_row, rent, orderings, footprint in data["outcomes"]
-                ),
+                outcomes=outcomes,
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ServiceError(f"malformed seed-trace payload: {error}") from error
@@ -228,7 +302,9 @@ class IncrementalResult:
     ``mode`` is ``"incremental"`` (patched from a base trace), ``"full"``
     (cold run; ``reason`` says why), or ``"cached"`` (store answered the
     exact job fingerprint; no trace work at all).  ``delta`` is the edit
-    from the base whenever one was diffed or given.
+    from the base whenever one was diffed or given; ``trace`` and
+    ``delta`` are set on the engine's own results only, not on one read
+    back from a stage result.
     """
 
     report: FinderReport
@@ -249,16 +325,25 @@ class IncrementalResult:
 
     def provenance(self) -> Dict[str, Any]:
         """The provenance payload stored next to a patched report."""
-        return {
-            "mode": self.mode,
-            "reason": self.reason,
-            "base_fingerprint": self.base_fingerprint,
-            "delta_fingerprint": self.delta_fingerprint,
-            "dirty_cells": self.dirty_cells,
-            "dirty_fraction": self.dirty_fraction,
-            "seeds_total": self.seeds_total,
-            "seeds_recomputed": self.seeds_recomputed,
-        }
+        return {key: getattr(self, key) for key in _PROVENANCE_FIELDS}
+
+    def metadata(self) -> Dict[str, Any]:
+        """The :meth:`provenance` as a computed detect stage reports it in
+        :attr:`~repro.flow.stage.StageResult.metadata`."""
+        return {_METADATA_KEYS.get(key, key): value
+                for key, value in self.provenance().items()}
+
+    @classmethod
+    def from_stage_result(cls, result: Any) -> "IncrementalResult":
+        """The reuse decision behind a detect stage's
+        :class:`~repro.flow.stage.StageResult`: ``cached`` for a store
+        hit, else what :meth:`metadata` recorded when it was computed."""
+        if result.cached:
+            return cls(report=result.artifact, mode="cached")
+        metadata = result.metadata
+        return cls(report=result.artifact, **{
+            key: metadata[_METADATA_KEYS.get(key, key)] for key in _PROVENANCE_FIELDS
+        })
 
     def summary(self) -> str:
         if self.mode == "incremental":
@@ -270,6 +355,15 @@ class IncrementalResult:
         if self.mode == "cached":
             return "cached: exact fingerprint answered from the store"
         return f"full recompute ({self.reason or 'no base'})"
+
+
+#: The :meth:`IncrementalResult.provenance` fields, and the
+#: stage-metadata key of those whose own name would be ambiguous there.
+_PROVENANCE_FIELDS = (
+    "mode", "reason", "base_fingerprint", "delta_fingerprint", "dirty_cells",
+    "dirty_fraction", "seeds_total", "seeds_recomputed",
+)
+_METADATA_KEYS = {"mode": "incremental_mode", "reason": "incremental_reason"}
 
 
 def _traced_run(
@@ -460,7 +554,7 @@ def _persist(
         )
     netlist_fp = fingerprint_netlist(netlist)
     store.put_payload(
-        _head_key(fingerprint_config(config)),
+        _head_key(config, netlist),
         {"netlist_fingerprint": netlist_fp},
         kind=KIND_INCREMENTAL_HEAD,
     )
@@ -483,15 +577,16 @@ def run_with_reuse(
 ) -> IncrementalResult:
     """Compute a detection the report cache missed, patching when sound.
 
-    A base (explicit ``base``/``base_fingerprint``, or the per-config head
-    pointer) with a persisted seed trace and a design record is patched by
-    :func:`incremental_detect` (``incremental``, or ``full`` with the
-    fall-back reason); otherwise this is a full traced run (``full``).
-    Deterministic runs persist their trace and head pointer (and, for
-    patched reports, a provenance row) so the *next* edit finds its base;
-    without a store or a pinned seed it is a full traced run that persists
-    nothing.  Looking up and recording the report is the caller's flow's
-    job (:class:`~repro.flow.stages.IncrementalDetectStage`).
+    A base (explicit ``base``/``base_fingerprint``, or the head pointer
+    of this config, cell name table and pin total) with a persisted seed trace and a
+    design record is patched by :func:`incremental_detect`
+    (``incremental``, or ``full`` with the fall-back reason); otherwise
+    this is a full traced run (``full``).  Deterministic runs persist
+    their trace and head pointer (and, for patched reports, a provenance
+    row) so the *next* edit finds its base; without a store or a pinned
+    seed it is a full traced run that persists nothing.  Looking up and
+    recording the report is the caller's flow's job
+    (:class:`~repro.flow.stages.DetectStage`).
     """
     if store is None or config.seed is None:
         reason = "no result store" if store is None else "unpinned seed"
@@ -505,7 +600,7 @@ def run_with_reuse(
         base_fp = fingerprint_netlist(base)
     if not base_fp:
         head = store.get_payload(
-            _head_key(fingerprint_config(config)), kind=KIND_INCREMENTAL_HEAD
+            _head_key(config, netlist), kind=KIND_INCREMENTAL_HEAD
         )
         base_fp = str((head or {}).get("netlist_fingerprint", ""))
     # An "edit" that is the identical netlist has nothing to patch from.
@@ -542,22 +637,25 @@ def detect_with_reuse(
 ) -> IncrementalResult:
     """Detect on ``netlist``, reusing whatever the store makes sound.
 
-    Runs the one-stage flow ``Flow([IncrementalDetectStage(...)])``: the
-    exact report answers from the store (``cached``); a miss goes through
+    Runs the one-stage flow ``Flow([DetectStage(config)])`` with the given
+    base as its :class:`~repro.flow.context.Reuse`: the exact report
+    answers from the store (``cached``); a miss goes through
     :func:`run_with_reuse` (``incremental`` or ``full``) and the flow
     records the report under :func:`job_fingerprint`, the key every other
     detection entry point uses too.  Without a store there is nothing to
     look up or record: this is :func:`run_with_reuse`'s full traced run.
     """
+    from repro.flow.context import Reuse
     from repro.flow.flow import Flow
-    from repro.flow.stages import IncrementalDetectStage
+    from repro.flow.stages import DetectStage
 
     if store is None:
         return run_with_reuse(netlist, config, None, pool=pool)
-    stage = IncrementalDetectStage(config)
-    stage.base, stage.base_fingerprint, stage.delta = base, base_fingerprint, delta
-    outcome = Flow([stage], name="detect").run(netlist, store=store, pool=pool)
-    return stage.incremental_result(outcome.results[0])
+    reuse = Reuse(base=base, base_fingerprint=base_fingerprint, delta=delta)
+    (result,) = Flow([DetectStage(config)], name="detect").run(
+        netlist, store=store, pool=pool, reuse=reuse
+    ).results
+    return IncrementalResult.from_stage_result(result)
 
 
 __all__ = [

@@ -19,6 +19,7 @@ immutable and so is its storage.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -169,13 +170,14 @@ class NameTable:
     full tuple and the name->index dict only on demand.
     """
 
-    __slots__ = ("offsets", "blob", "_names", "_index")
+    __slots__ = ("offsets", "blob", "_names", "_index", "_digest")
 
     def __init__(self, offsets: np.ndarray, blob: np.ndarray) -> None:
         self.offsets = offsets
         self.blob = blob
         self._names: Optional[Tuple[str, ...]] = None
         self._index: Optional[Dict[str, int]] = None
+        self._digest: Optional[str] = None
 
     @classmethod
     def from_names(cls, names) -> "NameTable":
@@ -217,6 +219,17 @@ class NameTable:
         if self._index is None:
             self._index = {name: i for i, name in enumerate(self.names())}
         return self._index
+
+    def digest(self) -> str:
+        """SHA-256 of the names in order (offsets, then blob; computed
+        once).  Netlists that share a table, such as an ECO splice that
+        adds or removes no cell and its base, share the digest too."""
+        if self._digest is None:
+            digest = hashlib.sha256()
+            digest.update(np.ascontiguousarray(self.offsets, dtype="<i8"))
+            digest.update(np.ascontiguousarray(self.blob))
+            self._digest = digest.hexdigest()
+        return self._digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NameTable):

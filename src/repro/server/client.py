@@ -318,6 +318,7 @@ class DaemonRunner:
             cached=cached,
             runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
             attempts=0 if cached else 1,
+            incremental=payload.get("incremental") or {"mode": "cached"},
         )
 
     def close(self) -> None:

@@ -48,10 +48,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError, ServerBusy, ServerError
+from repro.flow.context import Reuse
 from repro.flow.flow import Flow
 from repro.flow.manifest import stage_from_entry
-from repro.flow.stages import IncrementalDetectStage
+from repro.flow.stages import DetectStage
 from repro.incremental.delta import NetlistDelta, apply_delta, delta_fingerprint
+from repro.incremental.engine import IncrementalResult
 from repro.io import PACKED_EXTENSION, load_design
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
@@ -534,10 +536,12 @@ class ServerDaemon:
         """Validate a submit request and resolve its design, flow and keys.
 
         Both job kinds become a flow: a detect submit is the one-stage
-        ``Flow([IncrementalDetectStage(config)])`` (carrying the base and
-        the edit of a delta submit), so the warm probe and the scheduler
-        run one code path, and the record's fingerprint is the flow's last
-        stage key — for a detect, the key ``repro batch`` uses too.
+        ``Flow([DetectStage(config)])``, run with the base and the edit of
+        a delta submit as its :class:`~repro.flow.context.Reuse`, so the
+        warm probe and the scheduler run one code path, and the record's
+        fingerprint is the flow's last stage key — for a detect, the key
+        ``repro batch`` uses too.  The record's context is ``(netlist,
+        flow, design fingerprint, reuse)``.
 
         A delta submit names its edited design by the cache dir's edit
         record of ``delta_fingerprint(base, delta)`` when there is one
@@ -563,6 +567,7 @@ class ServerDaemon:
         if not isinstance(group, str):
             raise ServerError('submit "group" must be a string')
         netlist, design_fp = self.designs.get(design)
+        reuse = Reuse()
 
         delta_data = request.get("delta")
         if delta_data is not None and kind != "detect":
@@ -573,8 +578,6 @@ class ServerDaemon:
             if not isinstance(config_data, dict):
                 raise ServerError('submit "config" must be a JSON object')
             config = config_from_dict(config_data)
-            delta = None
-            base_netlist = None
             if delta_data is not None:
                 # Delta submit: "design" is the (usually warm) base; the
                 # edited netlist is reconstructed daemon-side so the client
@@ -593,9 +596,8 @@ class ServerDaemon:
                 if design_fp is None:
                     netlist = _apply(base_netlist, delta)
                     design_fp = fingerprint_netlist(netlist)
-            stage = IncrementalDetectStage(config)
-            stage.base, stage.delta = base_netlist, delta
-            stages = [stage]
+                reuse = Reuse(base=base_netlist, delta=delta)
+            stages = [DetectStage(config)]
         else:
             stages_data = request.get("stages")
             if not isinstance(stages_data, list) or not stages_data:
@@ -611,18 +613,17 @@ class ServerDaemon:
             fingerprint=fingerprints[-1],
             group=group,
         )
-        record.context = (netlist, flow, design_fp)
+        record.context = (netlist, flow, design_fp, reuse)
         return record
 
     def _splice(self, record: JobRecord) -> bool:
         """Build the edited netlist of a delta submit named by its edit
         record.  A splice that gives another design than the record named
         drops the record and re-keys the job; returns True then."""
-        _, flow, design_fp = record.context
-        (stage,) = flow.stages
-        netlist = _apply(stage.base, stage.delta)
+        _, flow, design_fp, reuse = record.context
+        netlist = _apply(reuse.base, reuse.delta)
         spliced_fp = fingerprint_netlist(netlist)
-        record.context = (netlist, flow, spliced_fp)
+        record.context = (netlist, flow, spliced_fp, reuse)
         if spliced_fp == design_fp:
             return False
         logger.warning(
@@ -630,7 +631,7 @@ class ServerDaemon:
             design_fp[:12], spliced_fp[:12],
         )
         designs.drop_edit_target(
-            self.store, delta_fingerprint(fingerprint_netlist(stage.base), stage.delta)
+            self.store, delta_fingerprint(fingerprint_netlist(reuse.base), reuse.delta)
         )
         record.fingerprint = flow.fingerprints(spliced_fp)[-1]
         return True
@@ -643,7 +644,7 @@ class ServerDaemon:
         primary-key lookup per stage plus JSON decode.
         """
         began = trace.clock()
-        netlist, flow, design_fp = record.context
+        netlist, flow, design_fp, _ = record.context
         if not flow.deterministic:
             return None
         if not all(fp in self.store for fp in flow.fingerprints(design_fp)):
@@ -679,10 +680,9 @@ class ServerDaemon:
         if not result.cached:
             # A computed detect reports the finder's own time, and how much
             # of a prior run it reused.
-            _, flow, _ = record.context
             payload["runtime_seconds"] = result.artifact.runtime_seconds
             payload["incremental"] = (
-                flow.stages[0].incremental_result(result).provenance()
+                IncrementalResult.from_stage_result(result).provenance()
             )
         return payload
 
@@ -740,11 +740,11 @@ class ServerDaemon:
 
         Detect flows compute a miss through the incremental engine: every
         deterministic detection persists its seed trace and advances the
-        per-config head pointer, so a later delta submit (or a plain submit
-        of an edited design) is answered by patching instead of
-        recomputing.
+        head pointer of its config, cell name table and pin total, so a
+        later delta submit (or a plain submit of an edited design) is
+        answered by patching instead of recomputing.
         """
-        netlist, flow, _ = record.context
+        netlist, flow, _, reuse = record.context
         progress = None
         if record.kind != "detect":  # a detect streams queued/started/result only
             def progress(result) -> None:
@@ -755,7 +755,8 @@ class ServerDaemon:
                     runtime_seconds=result.runtime_seconds,
                 )
         outcome = flow.run(
-            netlist, store=self.store, pool=self.pool, progress=progress
+            netlist, store=self.store, pool=self.pool, progress=progress,
+            reuse=reuse,
         )
         record.cached = outcome.all_cached
         return self._response(record, outcome, outcome.runtime_seconds)

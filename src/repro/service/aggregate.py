@@ -43,6 +43,7 @@ def point_rows(outcome: SweepOutcome) -> List[Dict[str, Any]]:
                 "cached": result.cached,
                 "runtime_seconds": result.runtime_seconds,
                 "error": result.error,
+                "seeds_recomputed": result.incremental.get("seeds_recomputed", 0),
                 "report": report_to_dict(result.report) if result.report else None,
             }
         )

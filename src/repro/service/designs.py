@@ -2,9 +2,10 @@
 
 A detection that persists its seed trace also makes its design resolvable
 (:func:`record`), so a later ``repro detect --base <fingerprint>``, the
-per-config head pointer or a daemon delta submit can diff against it
-without the original file.  Each fingerprint resolves (:func:`resolve`)
-through one of three records, the cheapest that applies:
+head pointer of a config, cell name table and pin total or a daemon
+delta submit can diff against it without the original file.  Each fingerprint
+resolves (:func:`resolve`) through one of three records, the cheapest
+that applies:
 
 * a **reference** (``design_reference`` row): the design was mmap-loaded
   from a live ``.nla`` outside the cache dir, so the row keeps its path

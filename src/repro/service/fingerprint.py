@@ -195,10 +195,10 @@ def job_fingerprint(
 ) -> str:
     """Fingerprint of one detection (netlist content x config content).
 
-    It is the fingerprint of a ``detect`` stage that runs first in a flow
-    (:class:`~repro.flow.stages.DetectStage` and
-    :class:`~repro.flow.stages.IncrementalDetectStage` alike), so every
-    entry point shares one cache row per ``(design, config)``.
+    It is the fingerprint of a ``detect`` stage
+    (:class:`~repro.flow.stages.DetectStage`, the one detection stage)
+    that runs first in a flow, so every entry point shares one cache row
+    per ``(design, config)``.
     ``netlist_fingerprint`` names the design by its fingerprint instead,
     for callers that hold no netlist (a base design known only by its
     fingerprint).

@@ -6,8 +6,11 @@ A :class:`DetectionJob` names one ``(netlist, config)`` detection;
 ``Flow([DetectStage(config)])``, so the flow's stage loop looks the report
 up in the :class:`~repro.service.store.ResultStore`, computes a miss and
 records it — the same row a ``repro flow run``, ``repro detect`` or daemon
-submit of that ``(design, config)`` reads.  A job whose seed raises fails
-once, with its error, and the batch goes on.
+submit of that ``(design, config)`` reads.  A miss patches a traced run of
+an earlier job on the same cell names and pin total under the same config
+when that is sound (an edited design after its base), as every detection
+entry point does.  A job whose seed raises fails once, with its error,
+and the batch goes on.
 
 Caching is only sound for deterministic runs: a job whose config has
 ``seed=None`` is executed unconditionally and never stored.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.finder.config import FinderConfig
@@ -69,6 +72,13 @@ class JobResult:
             and cache insert).
         attempts: execution attempts made (0 for a cache hit, else 1).
         error: stringified terminal error when ``report`` is ``None``.
+        incremental: the reuse decision, keyed as
+            :meth:`~repro.incremental.engine.IncrementalResult.provenance`:
+            ``mode`` is ``"cached"``, or how the report was computed
+            (``"incremental"``, patched from a traced base run, or
+            ``"full"``), with ``seeds_total`` planned and
+            ``seeds_recomputed`` run (absent or 0 for a hit); empty when
+            the job failed.
     """
 
     job: DetectionJob
@@ -77,6 +87,7 @@ class JobResult:
     runtime_seconds: float
     attempts: int = 1
     error: Optional[str] = None
+    incremental: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -151,6 +162,7 @@ class BatchRunner:
         """
         from repro.flow.flow import Flow
         from repro.flow.stages import DetectStage
+        from repro.incremental.engine import IncrementalResult
 
         flow = Flow([DetectStage(job.config)], name="detect")
         job_span = trace.span(
@@ -176,6 +188,10 @@ class BatchRunner:
             runtime_seconds=timer.elapsed,
             attempts=0 if cached else 1,
             error=error,
+            incremental=(
+                {} if result is None
+                else IncrementalResult.from_stage_result(result).provenance()
+            ),
         )
 
     # ------------------------------------------------------------------

@@ -133,7 +133,8 @@ def test_batch_cold_then_warm(batch_setup, capsys):
     cold = capsys.readouterr().out
     assert "job0" in cold
     assert "3 job(s): 0 cache hit(s), 3 computed" in cold
-    assert "3 put(s)" in cold
+    # Per computed job: its report, its seed trace and its head pointer.
+    assert "9 put(s)" in cold
 
     assert main(["batch", batch, "--cache-dir", cache, "--quiet"]) == 0
     warm = capsys.readouterr().out
@@ -281,6 +282,45 @@ def test_cli_diff_detect_cache_roundtrip(tmp_path, capsys):
     assert "finder_trace" in out and "incremental_head" in out
     assert main(["cache", "prune", "--keep", "1", "--cache-dir", cache]) == 0
     assert "pruned" in capsys.readouterr().out
+
+
+def test_cli_batch_patches_an_edit_after_its_base(tmp_path, capsys):
+    """A batch that lists a design and then a pin-only edit of it patches
+    the edit from the base's traced run, as ``repro detect`` does, and
+    the patched report equals the one a ``--no-cache`` batch computes."""
+    import json
+
+    from repro.generators.perturb import rewire_pins
+    from repro.io import load_design
+
+    netlist, _ = planted_gtl_graph(800, [60], seed=5)
+    write_hgr(netlist, str(tmp_path / "base.hgr"))
+    base = load_design(str(tmp_path / "base.hgr"))
+    write_hgr(rewire_pins(base, 0.001, rng=1), str(tmp_path / "edited.hgr"))
+    manifest = tmp_path / "batch.json"
+    manifest.write_text(json.dumps({
+        "defaults": {"num_seeds": 6, "seed": 3, "max_order_length": 20},
+        "jobs": [{"design": "base.hgr"}, {"design": "edited.hgr"}],
+    }))
+
+    def rows(*flags):
+        out = str(tmp_path / f"rows{len(flags)}.jsonl")
+        assert main(["batch", str(manifest), "--quiet", "--jsonl", out, *flags]) == 0
+        with open(out) as handle:
+            return [json.loads(line) for line in handle]
+
+    base_row, edit_row = rows("--cache-dir", str(tmp_path / "cache"))
+    assert base_row["incremental_mode"] == "full"
+    assert base_row["seeds_recomputed"] == base_row["seeds_total"] == 6
+    assert edit_row["incremental_mode"] == "incremental"
+    assert 0 < edit_row["seeds_recomputed"] < edit_row["seeds_total"] == 6
+
+    _, cold_row = rows("--no-cache")
+    assert cold_row["incremental_mode"] == "full"
+    for row in (edit_row, cold_row):
+        row["report"].pop("runtime_seconds")
+    assert edit_row["report"] == cold_row["report"]
+    capsys.readouterr()
 
 
 def test_cli_pack_cache_dir_is_the_detect_base_store(tmp_path, capsys):

@@ -96,17 +96,16 @@ def test_stage_fingerprints_stable_across_processes(small):
 
 
 def test_job_fingerprint_is_the_one_stage_detect_key(small):
-    """Batch, daemon and both detect stages key a detection identically."""
-    from repro.flow import IncrementalDetectStage
+    """Batch, daemon and the detect stage key a detection identically."""
     from repro.service import job_fingerprint
 
     netlist, _ = small
     cfg = FinderConfig(num_seeds=4, seed=3, max_order_length=20)
     expected = job_fingerprint(netlist, cfg)
-    for stage in (DetectStage(cfg), IncrementalDetectStage(cfg)):
-        (result,) = Flow([stage]).run(netlist).results
-        assert result.fingerprint == expected
-        assert Flow([stage]).fingerprints(fingerprint_netlist(netlist)) == [expected]
+    stage = DetectStage(cfg)
+    (result,) = Flow([stage]).run(netlist).results
+    assert result.fingerprint == expected
+    assert Flow([stage]).fingerprints(fingerprint_netlist(netlist)) == [expected]
 
 
 def test_manifest_and_api_share_one_fingerprint_space():
@@ -266,14 +265,15 @@ def test_store_schema_version_mismatch_is_a_miss(small, tmp_path):
     flow = Flow([DetectStage(CFG)])
     with ResultStore(str(tmp_path)) as store:
         flow.run(netlist, store=store)
-        assert len(store) == 1
+        # The report, plus the seed trace and head pointer of its run.
+        assert len(store) == 3
         store._conn.execute("UPDATE results SET schema_version = ?", (SCHEMA_VERSION - 1,))
         store._conn.commit()
         result = flow.run(netlist, store=store)
         assert not result["detect"].cached  # old row did not answer the run
-        assert store.stats.puts == 2  # and was rewritten
-        row = store._conn.execute("SELECT schema_version FROM results").fetchone()
-        assert row[0] == SCHEMA_VERSION
+        assert store.stats.puts == 6  # and every row was rewritten
+        rows = store._conn.execute("SELECT DISTINCT schema_version FROM results").fetchall()
+        assert rows == [(SCHEMA_VERSION,)]
 
 
 def test_store_kind_revision_invalidates_only_that_kind(small, tmp_path):
@@ -307,10 +307,13 @@ def test_store_kind_collision_is_a_miss(small, tmp_path):
     netlist, _ = small
     with ResultStore(str(tmp_path)) as store:
         result = Flow([DetectStage(CFG)]).run(netlist, store=store)
-        store._conn.execute("UPDATE results SET kind = 'placement'")
+        fingerprint = result["detect"].fingerprint
+        store._conn.execute(
+            "UPDATE results SET kind = 'placement' WHERE fingerprint = ?", (fingerprint,)
+        )
         store._conn.commit()
-        assert store.get_payload(result["detect"].fingerprint, kind="finder_report") is None
-        assert len(store) == 0
+        assert store.get_payload(fingerprint, kind="finder_report") is None
+        assert fingerprint not in store
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +390,7 @@ def test_flow_manifest_cannot_set_the_incremental_base(key, value):
     with pytest.raises(FinderError, match="unknown FinderConfig field"):
         flow_from_manifest({
             "designs": ["x.hgr"],
-            "stages": [{"stage": "incremental_detect", key: value}],
+            "stages": [{"stage": "detect", key: value}],
         })
 
 
@@ -395,9 +398,8 @@ def test_flow_manifest_cannot_set_the_incremental_base(key, value):
     "stage, key",
     [
         ("detect", "workers"),
-        ("incremental_detect", "workers"),
-        ("incremental_detect", "halo"),
-        ("incremental_detect", "full_threshold"),
+        ("detect", "halo"),
+        ("detect", "full_threshold"),
     ],
 )
 def test_flow_manifest_rejects_removed_detect_knobs(stage, key):
@@ -405,6 +407,20 @@ def test_flow_manifest_rejects_removed_detect_knobs(stage, key):
     names one gets the typed unknown-field error, not silence."""
     with pytest.raises(FinderError, match=f"unknown FinderConfig field.*'{key}'"):
         flow_from_manifest({"designs": ["x.hgr"], "stages": [{"stage": stage, key: 1}]})
+
+
+def test_flow_manifest_naming_the_removed_incremental_stage_fails():
+    """``detect`` is the one detection stage (it patches edits itself): a
+    manifest still naming ``incremental_detect`` gets the typed
+    unknown-stage error listing the stages there are."""
+    from repro.flow import BUILTIN_STAGES
+
+    with pytest.raises(FlowError, match="unknown stage 'incremental_detect'") as raised:
+        flow_from_manifest(
+            {"designs": ["x.hgr"], "stages": [{"stage": "incremental_detect"}]}
+        )
+    assert "incremental_detect" not in BUILTIN_STAGES
+    assert all(name in str(raised.value) for name in BUILTIN_STAGES)
 
 
 def test_report_row_with_a_workers_config_is_demoted_and_rewritten(small, tmp_path):
@@ -424,7 +440,8 @@ def test_report_row_with_a_workers_config_is_demoted_and_rewritten(small, tmp_pa
         store.put_payload(key, old_row, kind="finder_report")
         (first,) = Flow([DetectStage(CFG)]).run(netlist, store=store).results
         assert not first.cached
-        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        # Misses: the demoted report row, then the run's head pointer.
+        assert (store.stats.hits, store.stats.misses) == (0, 2)
         assert "workers" not in store.get_payload(key, kind="finder_report")["config"]
         (second,) = Flow([DetectStage(CFG)]).run(netlist, store=store).results
         assert second.cached
@@ -515,28 +532,27 @@ def test_flow_detect_matches_plain_finder(small):
 # Incremental detection stage
 # ----------------------------------------------------------------------
 def test_incremental_detect_stage_patches_across_edits(small, tmp_path):
-    from repro.flow import IncrementalDetectStage
     from repro.generators.perturb import rewire_pins
     from repro.service.codec import report_to_dict
 
     netlist, _ = small
     cfg = FinderConfig(num_seeds=6, seed=3, max_order_length=20)
     with ResultStore(str(tmp_path)) as store:
-        first = Flow([IncrementalDetectStage(cfg)]).run(netlist, store=store)
-        result = first["incremental_detect"]
+        first = Flow([DetectStage(cfg)]).run(netlist, store=store)
+        result = first["detect"]
         assert result.metadata["incremental_mode"] == "full"
         assert result.metadata["seeds_recomputed"] == cfg.num_seeds
 
         edited = rewire_pins(netlist, 0.001, rng=1)
-        second = Flow([IncrementalDetectStage(cfg)]).run(edited, store=store)
-        meta = second["incremental_detect"].metadata
+        second = Flow([DetectStage(cfg)]).run(edited, store=store)
+        meta = second["detect"].metadata
         assert meta["incremental_mode"] == "incremental"
         assert 0 < meta["seeds_recomputed"] < meta["seeds_total"]
         assert meta["dirty_cells"] > 0
 
         # Parity: the patched stage artifact equals a cold detection.
         cold = report_to_dict(find_tangled_logic(edited, cfg))
-        patched = report_to_dict(second["incremental_detect"].artifact)
+        patched = report_to_dict(second["detect"].artifact)
         cold.pop("runtime_seconds")
         patched.pop("runtime_seconds")
         assert patched == cold
@@ -545,22 +561,22 @@ def test_incremental_detect_stage_patches_across_edits(small, tmp_path):
 def test_cold_incremental_detect_stores_its_report_once(small, tmp_path):
     """One lookup and one put of the report (the flow's), plus the engine's
     head lookup and its trace and head puts."""
-    from repro.flow import IncrementalDetectStage
-
     netlist, _ = small
     cfg = FinderConfig(num_seeds=4, seed=3, max_order_length=20)
     with ResultStore(str(tmp_path)) as store:
-        Flow([IncrementalDetectStage(cfg)]).run(netlist, store=store)
+        Flow([DetectStage(cfg)]).run(netlist, store=store)
         assert store.kind_counts()["finder_report"] == 1
         assert (store.stats.misses, store.stats.puts) == (2, 3)
 
 
 def test_incremental_detect_stage_without_store_runs_full(small):
-    from repro.flow import IncrementalDetectStage
-
     netlist, _ = small
     cfg = FinderConfig(num_seeds=4, seed=3, max_order_length=20)
-    result = Flow([IncrementalDetectStage(cfg)]).run(netlist)
-    report = result["incremental_detect"].artifact
-    assert report.num_gtls >= 0  # plain DetectStage behaviour, no store
-    assert "incremental_mode" not in result["incremental_detect"].metadata
+    result = Flow([DetectStage(cfg)]).run(netlist)
+    report = result["detect"].artifact
+    assert report.gtls == find_tangled_logic(netlist, cfg).gtls
+    meta = result["detect"].metadata
+    assert (meta["incremental_mode"], meta["incremental_reason"]) == (
+        "full", "no result store"
+    )
+    assert meta["seeds_recomputed"] == meta["seeds_total"] == cfg.num_seeds

@@ -93,6 +93,16 @@ def _strip(report):
     return payload
 
 
+def _same_outcome(ours, theirs):
+    """Seed outcomes equal in candidate, orderings and footprint (the
+    footprint is an array; the Rent estimate may be NaN)."""
+    return (
+        ours[0] == theirs[0]
+        and ours[2] == theirs[2]
+        and np.array_equal(ours[3], theirs[3])
+    )
+
+
 # ---------------------------------------------------------------- diff/apply
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_diff_identical_netlists_is_empty(base, backend):
@@ -491,7 +501,10 @@ def test_kernel_paths_never_build_the_tuple_adjacency(tmp_path):
         with ResultStore(str(tmp_path / "cache-diff")) as store:
             detect_with_reuse(loaded[0], config, store)
             unknown = detect_with_reuse(loaded[1], config, store, base=loaded[0])
-        assert unknown.mode == "incremental" and unknown.delta == delta
+        assert unknown.mode == "incremental"
+        assert unknown.delta_fingerprint == delta_fingerprint(
+            fingerprint_netlist(loaded[0]), delta
+        )
         pair = [load_packed(path), load_packed(edited_path)]
         assert diff(*pair) == delta
     assert all(netlist._adjacency is None for netlist in loaded + pair)
@@ -529,36 +542,77 @@ def test_run_traced_codec_roundtrip(base):
     report, seed_trace = run_traced(base, CFG)
     assert len(seed_trace.jobs) == CFG.num_seeds
     assert len(seed_trace.outcomes) == CFG.num_seeds
-    assert all(outcome[3] for outcome in seed_trace.outcomes)  # footprints
+    assert all(len(outcome[3]) for outcome in seed_trace.outcomes)  # footprints
     wire = json.loads(json.dumps(seed_trace.to_dict()))
     restored = SeedTrace.from_dict(wire)
     assert restored.netlist_fingerprint == seed_trace.netlist_fingerprint
     assert restored.jobs == seed_trace.jobs
     assert fingerprint_config(restored.config) == fingerprint_config(CFG)
     for ours, theirs in zip(seed_trace.outcomes, restored.outcomes):
-        assert ours[0] == theirs[0]
+        assert _same_outcome(ours, theirs)
         assert (ours[1] == theirs[1]) or (
             math.isnan(ours[1]) and math.isnan(theirs[1])
         )
-        assert ours[2:] == theirs[2:]
+        assert theirs[3].dtype == np.int64 and not theirs[3].flags.writeable
     with pytest.raises(ServiceError, match="seed-trace"):
         SeedTrace.from_dict({"version": -1})
 
 
+def _with_workers(payload, seed_trace):
+    """The trace as stored while ``FinderConfig`` still had ``workers``."""
+    payload["config"]["workers"] = 1
+    return payload
+
+
+def _version_1(payload, seed_trace):
+    """The trace in the version-1 layout: every footprint and candidate as
+    a JSON list of cells."""
+    def candidate_row(candidate):
+        if candidate is None:
+            return None
+        stats = candidate.stats
+        return [
+            sorted(candidate.cells), candidate.score,
+            [stats.size, stats.cut, stats.pins, stats.internal_nets, stats.avg_pins],
+            candidate.rent_exponent, candidate.seed,
+        ]
+
+    old = {key: payload[key] for key in (
+        "netlist_fingerprint", "config", "num_cells", "num_pins", "jobs"
+    )}
+    old["version"] = 1
+    old["outcomes"] = [
+        [candidate_row(candidate), None if math.isnan(rent) else rent,
+         orderings, footprint.tolist()]
+        for candidate, rent, orderings, footprint in seed_trace.outcomes
+    ]
+    return old
+
+
+@pytest.mark.parametrize(
+    "stale, error",
+    [
+        (_with_workers, "unknown FinderConfig fields"),
+        (_version_1, "unsupported seed-trace payload"),
+    ],
+    ids=["workers-config", "version-1"],
+)
 def test_trace_with_a_workers_config_is_evicted_and_the_edit_runs_in_full(
-    base, tmp_path
+    base, tmp_path, stale, error
 ):
-    """A seed trace stored while ``FinderConfig`` still had ``workers`` no
-    longer decodes: it is evicted, the edit runs in full (identical to a
-    cold run) and writes a trace the next edit can patch from."""
+    """A seed trace that no longer decodes — stored while ``FinderConfig``
+    still had ``workers``, or in the version-1 layout of JSON cell lists —
+    is evicted, the edit runs in full (identical to a cold run) and writes
+    a trace the next edit can patch from."""
     edited = rewire_pins(base, 0.001, rng=1)
     with ResultStore(str(tmp_path)) as store:
         detect_with_reuse(base, CFG, store)
-        key = _trace_key(job_fingerprint(base, CFG))
-        payload = store.get_payload(key, kind=KIND_FINDER_TRACE)
-        payload["config"]["workers"] = 1
+        job_fp = job_fingerprint(base, CFG)
+        key = _trace_key(job_fp)
+        seed_trace = load_trace(store, job_fp)
+        payload = stale(store.get_payload(key, kind=KIND_FINDER_TRACE), seed_trace)
         store.put_payload(key, payload, kind=KIND_FINDER_TRACE)
-        with pytest.raises(ServiceError, match="unknown FinderConfig fields"):
+        with pytest.raises(ServiceError, match=error):
             SeedTrace.from_dict(payload)
 
         result = detect_with_reuse(edited, CFG, store)
@@ -633,7 +687,7 @@ def test_run_seed_plan_runs_exactly_the_unknown_seeds(
     assert len(outcomes) == len(jobs)
     assert all(outcomes[i] is outcome for i, outcome in known.items())
     for ours, theirs in zip(outcomes, cold_outcomes):
-        assert (ours[0], ours[2:]) == (theirs[0], theirs[2:])
+        assert _same_outcome(ours, theirs)
 
 
 def test_patch_runs_its_seeds_as_one_finder_run(base):
@@ -772,9 +826,7 @@ def test_detect_with_reuse_ladder(base, tmp_path):
         assert store.get_payload(job_fp, kind="finder_report") is not None
         assert load_trace(store, job_fp) is not None
         assert os.path.exists(designs.pack_path(store, fingerprint_netlist(base)))
-        head = store.get_payload(
-            _head_key(fingerprint_config(CFG)), kind=KIND_INCREMENTAL_HEAD
-        )
+        head = store.get_payload(_head_key(CFG, base), kind=KIND_INCREMENTAL_HEAD)
         assert head["netlist_fingerprint"] == fingerprint_netlist(base)
 
         second = detect_with_reuse(base, CFG, store)
@@ -803,6 +855,54 @@ def test_detect_with_reuse_ladder(base, tmp_path):
         assert counts[KIND_FINDER_TRACE] == 2
         assert counts[KIND_INCREMENTAL_PROVENANCE] == 1
         assert counts[KIND_INCREMENTAL_HEAD] == 1
+
+
+def _renamed(netlist, prefix):
+    """``netlist`` with every cell and net name prefixed: the same cell
+    and pin counts under another cell name table."""
+    builder = NetlistBuilder()
+    for index in range(netlist.num_cells):
+        builder.add_cell(
+            prefix + netlist.cell_name(index), area=netlist.cell_area(index),
+            pin_count=netlist.cell_pin_count(index),
+            fixed=netlist.cell_is_fixed(index),
+        )
+    for index in range(netlist.num_nets):
+        builder.add_net(prefix + netlist.net_name(index), list(netlist.cells_of_net(index)))
+    return builder.build(drop_singleton_nets=False)
+
+
+@pytest.mark.parametrize("names", ["positional", "renamed"])
+def test_head_is_keyed_by_the_cell_table_and_pin_total(base, tmp_path, names):
+    """Another design of equal cell count under the same config finds no
+    head, so it runs in full without diffing against the first: with the
+    generator's positional names (``v0..``, as ``.hgr`` files name cells)
+    its pin total differs, renamed its cell name table does too.  The
+    first design's edit still patches through its head."""
+    other, _ = planted_gtl_graph(1500, [60], seed=4)
+    if names == "renamed":
+        other = _renamed(other, "b_")
+    else:
+        assert other.cell_table.digest() == base.cell_table.digest()
+    assert other.num_cells == base.num_cells
+    assert other.num_pins != base.num_pins
+    edited = rewire_pins(base, 0.001, rng=1)
+    with ResultStore(str(tmp_path)) as store:
+        detect_with_reuse(base, CFG, store)
+        trace.enable()
+        try:
+            unrelated = detect_with_reuse(other, CFG, store)
+            spans = RunReport.from_tracer().spans
+        finally:
+            trace.disable()
+        assert (unrelated.mode, unrelated.reason) == ("full", "no traced base run")
+        assert "incremental.diff" not in {span["name"] for span in spans}
+
+        patched = detect_with_reuse(edited, CFG, store)
+        assert patched.mode == "incremental"
+        assert patched.base_fingerprint == fingerprint_netlist(base)
+        cold, _ = run_traced(edited, CFG)
+        assert _strip(patched.report) == _strip(cold)
 
 
 def test_unloadable_base_pack_falls_back_to_a_full_run(
@@ -838,7 +938,7 @@ def test_detect_with_reuse_explicit_base(base, tmp_path):
     edited = rewire_pins(base, 0.001, rng=1)
     with ResultStore(str(tmp_path)) as store:
         detect_with_reuse(base, CFG, store)
-        store.evict(_head_key(fingerprint_config(CFG)))
+        store.evict(_head_key(CFG, base))
         result = detect_with_reuse(edited, CFG, store, base=base)
         assert result.mode == "incremental"
 

@@ -401,9 +401,9 @@ def test_daemon_streams_lifecycle_events(corpus, daemon_factory):
 def test_every_entry_point_shares_one_detection_row(
     corpus, daemon_factory, tmp_path, capsys
 ):
-    """Batch computes; a detect flow, an incremental detect flow, a daemon
-    submit and ``repro detect`` then all hit that one row."""
-    from repro.flow import DetectStage, Flow, IncrementalDetectStage
+    """Batch computes; a detect flow, a daemon submit and ``repro detect``
+    then all hit that one row."""
+    from repro.flow import DetectStage, Flow
     from repro.service import BatchRunner, DetectionJob, ResultStore
 
     path, netlist = corpus["a"]
@@ -415,11 +415,13 @@ def test_every_entry_point_shares_one_detection_row(
             (batch,) = runner.run([DetectionJob(netlist=netlist, config=config)])
         assert not batch.cached
         reports = [batch.report]
-        for stage in (DetectStage(config), IncrementalDetectStage(config)):
-            (result,) = Flow([stage]).run(netlist, store=store).results
-            assert result.cached
-            reports.append(result.artifact)
-        assert store.kind_counts() == {"finder_report": 1}
+        (result,) = Flow([DetectStage(config)]).run(netlist, store=store).results
+        assert result.cached
+        reports.append(result.artifact)
+        # One report row; the batch's miss also left its seed trace and
+        # head pointer, as every computed detect does.
+        counts = store.kind_counts()
+        assert (counts["finder_report"], counts["finder_trace"]) == (1, 1)
 
     served = client.submit(path, config=CFG)
     assert served["cached"] is True
@@ -878,6 +880,7 @@ def _sweep_rows(outcome):
     for row in rows:
         row.pop("runtime_seconds")
         row.pop("cached")
+        row.pop("seeds_recomputed")  # 0 for a hit, like "cached"
         row["report"].pop("runtime_seconds")
     return rows
 

@@ -329,15 +329,15 @@ def test_batch_runner_reports_construction_errors():
 
 
 def test_batch_runner_attempts_a_crashing_job_once(small, monkeypatch):
-    from repro.finder.finder import TangledLogicFinder
+    from repro.incremental import engine
 
     calls = []
 
-    def broken_run(self, pool=None):
-        calls.append(self.config)
+    def broken_run(netlist, config, jobs, pool=None, known=None):
+        calls.append(config)
         raise TypeError("kernel bug")
 
-    monkeypatch.setattr(TangledLogicFinder, "run", broken_run)
+    monkeypatch.setattr(engine, "run_seed_plan", broken_run)
     netlist, _ = small
     with BatchRunner(workers=1) as runner:
         result = runner.run([DetectionJob(netlist=netlist, config=CFG)])[0]
@@ -480,7 +480,7 @@ def test_experiments_detect_uses_cache_dir(tmp_path, monkeypatch, small):
     second = detect(netlist, CFG)
     assert second == first
     with ResultStore(str(tmp_path)) as store:
-        assert len(store) == 1
+        assert store.kind_counts()["finder_report"] == 1
 
 
 def test_experiments_detect_without_cache_dir(monkeypatch, small):

@@ -101,6 +101,7 @@ def _strip_volatile(rows):
     for row in rows:
         row.pop("runtime_seconds")
         row.pop("cached")
+        row.pop("seeds_recomputed")  # 0 for a hit, like "cached"
         if row["report"]:
             row["report"].pop("runtime_seconds")
     return rows
@@ -326,9 +327,12 @@ def test_batch_then_sweep_on_one_cache_dir_is_all_hits(
     assert "4 job(s): 4 cache hit(s), 0 computed, 0 failed" in out
     assert "conflict" not in out
     assert json.load(open(aggregate))["cache"] == {"hits": 4, "misses": 0}
+    # The store, and the pack of the one design the batch recorded.
     assert sorted(os.listdir(cache)) == sorted(
-        name for name in os.listdir(cache) if name.startswith("results.sqlite")
+        name for name in os.listdir(cache)
+        if name.startswith("results.sqlite") or name == "designs"
     )
+    assert len(os.listdir(os.path.join(cache, "designs"))) == 1
 
 
 def test_cli_cache_merge(sweep_manifest, capsys):
@@ -354,9 +358,10 @@ def test_cli_cache_merge(sweep_manifest, capsys):
         for path in (rows_first, rows_second)
         for line in open(path)
     }
-    assert f"0 -> {len(fingerprints)} entr(ies)" in out
+    # Each job's report, and the seed trace and head pointer of its run.
+    assert f"0 -> {3 * len(fingerprints)} entr(ies)" in out
     with ResultStore(dest) as store:
-        assert len(store) == len(fingerprints)
+        assert store.kind_counts()["finder_report"] == len(fingerprints)
         assert all(fp in store for fp in fingerprints)
 
 
