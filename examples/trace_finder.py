@@ -4,7 +4,8 @@ Enables the :mod:`repro.obs` tracer around a planted-GTL detection run,
 writes the span stream to ``finder_trace.jsonl`` (one JSON object per
 line), and prints the aggregated profile — the span tree with self vs.
 cumulative time, then the kernel counters (seeds examined, absorb steps,
-heap pushes/compactions).
+heap pushes: the frontier updates of the grow kernel's indexed heap, one
+slot per frontier cell, which equal the scalar grower's lazy-heap pushes).
 
 This is the library-level equivalent of the CLI flags::
 

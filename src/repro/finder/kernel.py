@@ -39,18 +39,28 @@ from the CSR :class:`~repro.netlist.arrays.NetlistArrays` view:
 * an *update CSR* — ``net_ptr``/``net_cells`` with fixed pins pre-dropped
   when ``exclude_fixed`` is set, so the absorb loop never re-tests pins.
 
-Heap bookkeeping is value-validated: an entry ``(-weight, cut_delta,
-counter, cell)`` is live iff the cell is still outside the group and its
-recorded weight equals the current state.  Connection weights strictly
-increase with every update, so the live entry per cell is always its most
-recent push — exactly the tie-breaking the reference's lazy heap implements
-with a shadow dict, without paying for the dict.  The insertion counter
-makes every key unique, so the pop sequence does not depend on how the heap
-is laid out, and compacting the heap to its live entries leaves it
-unchanged.  Updates are applied pin by pin in CSR slice order, the
-reference's exact float accumulation order, so orderings and the
-``heap_pushes`` telemetry are bit-identical across the two growers (only
-the kernel compacts, so only it counts ``heap_compactions``).
+The kernel's frontier is an *indexed* 4-ary min-heap: one slot per
+frontier cell, found through a per-cell position array, so an update moves
+the cell's slot instead of pushing a second entry.  The pop order is the
+reference lazy heap's, ``(-weight, cut_delta, update counter)``, packed
+into one unsigned 128-bit key: ``~bits(weight)`` (positive doubles order
+like their bit patterns), then ``cut_delta + cut_bias``, then the counter.
+Every update advances the counter (so ``heap_pushes`` counts updates, as
+the reference's pushes do) and replaces the cell's key only when the new
+key is smaller.  Connection weights only rise, so a changed weight always
+replaces it; an update that rounds to no change (``w + d == w``) keeps the
+old key unless the cut delta drops, which is the entry the lazy heap would
+pop first of the two it keeps live.  The counter makes every key unique,
+so the pop sequence does not depend on how the heap is laid out.
+
+A cell's cut delta lies in ``[-2 * maxdeg, maxdeg]``, ``maxdeg`` being the
+largest cell degree, so :class:`KernelTables` sets ``cut_bias = 2 *
+maxdeg`` and gives the counter the low 64 bits the biased delta leaves
+free (``counter_bits``, 58 at 53K cells).  An ordering whose counter
+would outgrow that field raises :class:`~repro.errors.FinderError` rather
+than pop in a wrong order.  Updates are applied pin by pin in CSR slice
+order, the reference's exact float accumulation order, so orderings and
+the ``heap_pushes`` telemetry are bit-identical across the two growers.
 """
 
 from __future__ import annotations
@@ -122,6 +132,12 @@ class KernelTables:
         self.cell_nets = _int64(arrays.cell_nets)
         self.net_degrees = _int64(arrays.net_degrees)
         self.degree2 = multi_pin_degrees(arrays)
+        # Heap key fields: a cut delta lies in [-2 * maxdeg, maxdeg], so the
+        # biased delta needs the bits of 3 * maxdeg and the update counter
+        # gets the rest of the low 64 bits.
+        max_degree = int(np.diff(self.cell_ptr).max(initial=0))
+        self.cut_bias = 2 * max_degree
+        self.counter_bits = 64 - max(1, (3 * max_degree).bit_length())
         # Update CSRs keyed by exclude_fixed: the absorb loop never updates
         # fixed pins, so pre-dropping them removes the per-pin check.  Net
         # *degrees* for the weight formula always use the full CSR.
@@ -243,7 +259,7 @@ def _load() -> ctypes.CDLL:
     function = library.repro_grow_ordering
     function.restype = ctypes.c_int64
     function.argtypes = (
-        [ctypes.c_int64] * 2 + [table] * 6 + [ctypes.c_int64] * 3 + [out] * 4
+        [ctypes.c_int64] * 2 + [table] * 6 + [ctypes.c_int64] * 5 + [out] * 4
     )
     return library
 
@@ -305,7 +321,7 @@ def grow_ordering(
     ordering, cuts, internal = (
         np.empty(max(1, limit), dtype=np.int64) for _ in range(3)
     )
-    telemetry = np.zeros(2, dtype=np.int64)
+    telemetry = np.zeros(1, dtype=np.int64)
     update_ptr, update_flat = tables.update_csr(exclude_fixed)
     length = library.repro_grow_ordering(
         tables.num_cells,
@@ -319,11 +335,18 @@ def grow_ordering(
         seed,
         limit,
         lambda_skip,
+        tables.cut_bias,
+        tables.counter_bits,
         ordering,
         cuts,
         internal,
         telemetry,
     )
+    if length == -2:
+        raise FinderError(
+            f"Phase I kernel's update counter outgrew its "
+            f"{tables.counter_bits}-bit heap key field (seed {seed})"
+        )
     if length < 0:
         raise FinderError(
             f"Phase I kernel could not allocate its working state "
@@ -336,11 +359,7 @@ def grow_ordering(
         pins=np.cumsum(tables.arrays.pin_counts[ordering], dtype=np.int64),
         internal=internal[:length],
     )
-    telemetry = {
-        "heap_pushes": int(telemetry[0]),
-        "heap_compactions": int(telemetry[1]),
-    }
-    return ordering, telemetry, curves
+    return ordering, {"heap_pushes": int(telemetry[0])}, curves
 
 
 __all__ = [

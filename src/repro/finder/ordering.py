@@ -143,7 +143,7 @@ class LinearOrderingGrower:
 
     def telemetry(self) -> Dict[str, int]:
         """Work counters of this grower (same keys as the compiled kernel)."""
-        return {"heap_pushes": self._heap.pushes, "heap_compactions": 0}
+        return {"heap_pushes": self._heap.pushes}
 
     # ------------------------------------------------------------------
     def _absorb(self, cell: int) -> None:

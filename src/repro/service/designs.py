@@ -197,17 +197,19 @@ def record(
 
     A design that has a pack keeps it.  Otherwise the first record that
     applies is written: a reference to the live ``.nla`` it was loaded
-    from, an edit of ``base_fingerprint`` by ``delta`` when that base has
-    a pack or a reference, and a pack last.
+    from (unless that very reference is stored already), an edit of
+    ``base_fingerprint`` by ``delta`` when that base has a pack or a
+    reference, and a pack last.
     """
     if os.path.exists(pack_path(store, fingerprint)):
         return
     path = _live_pack(store, netlist, fingerprint)
     if path is not None:
-        store.put_payload(
-            _record_key(fingerprint), {**_stamp(edit=False), "path": path},
-            kind=KIND_DESIGN_REFERENCE,
-        )
+        reference = {**_stamp(edit=False), "path": path}
+        key = _record_key(fingerprint)
+        # Every computed detect of the design records it: write the row once.
+        if store.peek_payload(key, KIND_DESIGN_REFERENCE) != reference:
+            store.put_payload(key, reference, kind=KIND_DESIGN_REFERENCE)
         return
     if delta is not None and _is_root(store, base_fingerprint):
         delta_fp = delta_fingerprint(base_fingerprint, delta)

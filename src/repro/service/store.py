@@ -150,6 +150,36 @@ class MergeStats:
         )
 
 
+def _json_object(text: str) -> Optional[Dict[str, Any]]:
+    """``text`` parsed, or ``None`` unless it is a JSON object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _decode(row: Tuple[str, str, int], kind: Optional[str]) -> Optional[Dict[str, Any]]:
+    """The payload dict of a ``(payload, kind, schema_version)`` row, or
+    ``None`` for version skew, a kind other than ``kind`` (when given) or
+    a payload that is not a JSON object."""
+    payload_text, row_kind, row_version = row
+    if row_version != row_schema_version(row_kind) or kind not in (None, row_kind):
+        return None
+    return _json_object(payload_text)
+
+
+def _same_report(mine: str, theirs: str) -> bool:
+    """True when two finder report payloads differ at most in
+    ``runtime_seconds`` (one detection computed in two cache dirs)."""
+    reports = [_json_object(text) for text in (mine, theirs)]
+    if None in reports:
+        return False
+    for report in reports:
+        report.pop("runtime_seconds", None)
+    return reports[0] == reports[1]
+
+
 class ResultStore:
     """Persistent fingerprint -> JSON-payload store.
 
@@ -264,16 +294,8 @@ class ResultStore:
             self.stats.misses += 1
             self._observe_get(began, hit=False)
             return None
-        payload_text, row_kind, row_version = row
-        data: Optional[Dict[str, Any]] = None
-        if row_version == row_schema_version(row_kind) and (
-            kind is None or row_kind == kind
-        ):
-            try:
-                data = json.loads(payload_text)
-            except json.JSONDecodeError:
-                data = None
-        if not isinstance(data, dict):
+        data = _decode(row, kind)
+        if data is None:
             # Version skew, kind collision or corruption: drop the row and
             # treat the lookup as a miss so the entry is recomputed.
             self.evict(fingerprint)
@@ -295,6 +317,19 @@ class ResultStore:
             logger.warning("cache hit bookkeeping failed on %s: %s", self._db_path, error)
         self._observe_get(began, hit=True)
         return data
+
+    def peek_payload(self, fingerprint: str, kind: str) -> Optional[Dict[str, Any]]:
+        """The payload :meth:`get_payload` would return, read without
+        counting a lookup or touching the row (no write, no commit); a row
+        it would evict is left alone and reads as ``None``."""
+        self._require_open()
+        with self._lock, self._wrap_db("cache peek"):
+            row = self._conn.execute(
+                "SELECT payload, kind, schema_version FROM results "
+                "WHERE fingerprint = ?",
+                (fingerprint,),
+            ).fetchone()
+        return None if row is None else _decode(row, kind)
 
     def _observe_get(self, began: Optional[float], hit: bool) -> None:
         """Mirror one lookup into the obs layer when tracing is enabled
@@ -450,9 +485,11 @@ class ResultStore:
           skipped — it would read as a miss anywhere;
         * a fingerprint **absent** here (or present only as a stale row) is
           copied verbatim, usage history included;
-        * present with an **identical payload**: the rows describe the same
-          computation, so usage is combined — ``use_count`` summed,
-          ``created_at`` the earlier, ``last_used_at`` the later;
+        * present with an **identical payload** (for finder reports:
+          identical apart from the wall-clock ``runtime_seconds``): the
+          rows describe the same computation, so usage is combined —
+          ``use_count`` summed, ``created_at`` the earlier,
+          ``last_used_at`` the later, and this store's payload kept;
         * present with a **different current payload** (two
           nondeterministic writes under one fingerprint cannot happen — the
           runner never stores them — but clock-skewed kind revisions can):
@@ -497,8 +534,11 @@ class ResultStore:
             (fingerprint,),
         ).fetchone()
         if mine is not None and mine[5] == row_schema_version(mine[4]):
-            (my_payload, my_created, my_used, my_count, _, _) = mine
-            if my_payload == payload:
+            (my_payload, my_created, my_used, my_count, my_kind, _) = mine
+            if my_payload == payload or (
+                kind == my_kind == KIND_FINDER_REPORT
+                and _same_report(my_payload, payload)
+            ):
                 self._conn.execute(
                     "UPDATE results SET use_count = ?, created_at = ?, "
                     "last_used_at = ? WHERE fingerprint = ?",

@@ -134,9 +134,7 @@ def _assert_two_way_parity(netlist, seed, max_length, lambda_skip, exclude_fixed
         netlist, seed, max_length, lambda_skip, exclude_fixed
     )
     assert compiled == scalar
-    # The scalar lazy heap never compacts; its push count is the same.
-    assert compiled_tel["heap_pushes"] == scalar_tel["heap_pushes"]
-    return compiled_tel
+    assert compiled_tel == scalar_tel
 
 
 # ---------------------------------------------------------------- growers
@@ -291,35 +289,47 @@ def test_property_capped_orderings_are_prefixes(seed, shape):
 
 
 # ---------------------------------------------------------------- C kernel
-def _compacting_design():
-    """Big enough for the kernel's heap to pass 8192 entries and be compacted."""
+def _large_frontier_design():
+    """Big enough for the frontier to hold thousands of cells at once."""
     return planted_gtl_graph(4000, [200], seed=7)
 
 
-def test_capped_orderings_are_prefixes_through_heap_compactions():
-    """The prefix property holds across a kernel heap compaction."""
-    netlist, truth = _compacting_design()
+def test_capped_orderings_are_prefixes_through_a_large_frontier():
+    """The prefix property holds when the kernel's heap holds thousands of
+    frontier cells, and its telemetry is the scalar grower's."""
+    netlist, truth = _large_frontier_design()
     start = sorted(truth[0])[0]
     caps = (150, 1200, 3500)
     for lambda_skip in (0, 20):
         _assert_capped_orderings_are_prefixes(netlist, start, caps, lambda_skip, True)
-        # The longest cap is reached only after the kernel compacted its heap.
         _, telemetry, _ = grow_ordering(
             netlist, start, caps[-1], lambda_skip=lambda_skip
         )
-        assert (telemetry["heap_compactions"] > 0) == (compiled_kernel() is not None)
+        grower = LinearOrderingGrower(netlist, start, lambda_skip=lambda_skip)
+        grower.grow(caps[-1])
+        assert telemetry == grower.telemetry()
 
 
-def test_compiled_parity_through_heap_compactions():
-    netlist, truth = _compacting_design()
+def test_compiled_parity_through_a_large_frontier():
+    netlist, truth = _large_frontier_design()
     n = netlist.num_cells
-    compactions = 0
     for start in (0, sorted(truth[0])[0], n // 2):
         for lambda_skip in (0, 20):
-            telemetry = _assert_two_way_parity(netlist, start, n, lambda_skip, True)
-            compactions += telemetry["heap_compactions"]
-    # Only the kernel compacts; the scalar fallback's lazy heap never does.
-    assert (compactions > 0) == (compiled_kernel() is not None)
+            _assert_two_way_parity(netlist, start, n, lambda_skip, True)
+
+
+@needs_compiler
+def test_counter_overflow_raises_finder_error(monkeypatch):
+    """An update counter that outgrows its heap key field stops the grow
+    with a typed error instead of popping in a wrong order."""
+    netlist, truth = _large_frontier_design()
+    start = sorted(truth[0])[0]
+    tables = KernelTables.for_netlist(netlist)
+    assert tables.counter_bits > 40  # the real field never fills up
+    assert grow_ordering(netlist, start, 200)[0].size == 200
+    monkeypatch.setattr(tables, "counter_bits", 4)
+    with pytest.raises(FinderError, match="4-bit heap key field"):
+        grow_ordering(netlist, start, 200)
 
 
 def test_fixed_pad_seed_and_frontier_end_on_compiled_path(mixed_netlist):

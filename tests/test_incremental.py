@@ -6,6 +6,7 @@ full-recompute parity invariant, the store-backed reuse ladder, the
 moving-pin perturbation model and the benchmark regression warning.
 """
 
+import dataclasses
 import importlib.util
 import json
 import logging
@@ -1003,6 +1004,27 @@ def test_a_stale_design_reference_runs_the_edit_in_full(base, tmp_path, fault):
         assert designs.KIND_DESIGN_REFERENCE not in store.kind_counts()
     cold, _ = run_traced(edited, CFG)
     assert _strip(result.report) == _strip(cold)
+
+
+def test_a_design_reference_is_written_once(base, tmp_path):
+    """Every computed detect of a live ``.nla`` records its design; an
+    identical reference row already stored is not rewritten."""
+    _, live = _live_pack(base, tmp_path)
+    with ResultStore(str(tmp_path / "cache")) as store:
+        kinds = []
+        put_payload = store.put_payload
+
+        def counting_put(fingerprint, payload, kind, **kwargs):
+            kinds.append(kind)
+            put_payload(fingerprint, payload, kind, **kwargs)
+
+        store.put_payload = counting_put
+        for seed in (1, 2, 3):
+            result = detect_with_reuse(live, dataclasses.replace(CFG, seed=seed), store)
+            assert result.mode == "full"
+        assert kinds.count(designs.KIND_DESIGN_REFERENCE) == 1
+        assert kinds.count(KIND_FINDER_TRACE) == 3
+        assert store.kind_counts()[designs.KIND_DESIGN_REFERENCE] == 1
 
 
 def test_an_edit_record_that_rebuilds_another_design_is_evicted(base, tmp_path):

@@ -224,6 +224,38 @@ def test_merge_conflict_resolved_by_use_count_then_recency(tmp_path):
         assert dest.get_payload("f") == _payload("mine")
 
 
+def test_merge_ignores_report_runtime_only(tmp_path):
+    """Finder reports that differ only in ``runtime_seconds`` merge; any
+    other difference, or another kind, is still a conflict."""
+    report = {"num_gtls": 1, "runtime_seconds": 0.5}
+    with ResultStore(str(tmp_path / "a")) as dest, ResultStore(
+        str(tmp_path / "b")
+    ) as src:
+        for store, runtime in ((dest, 0.5), (src, 0.7)):
+            store.put_payload("same", {**report, "runtime_seconds": runtime},
+                              kind=KIND_FINDER_REPORT)
+            store.put_payload("other", {**report, "num_gtls": runtime > 0.6},
+                              kind=KIND_FINDER_REPORT)
+            store.put_payload("x", {**report, "runtime_seconds": runtime}, kind="x")
+        stats = dest.merge_from(src)
+        assert (stats.merged, stats.conflicts) == (1, 2)
+        assert dest.peek_payload("same", KIND_FINDER_REPORT)["runtime_seconds"] == 0.5
+
+
+def test_peek_payload_reads_without_bookkeeping(tmp_path):
+    with ResultStore(str(tmp_path)) as store:
+        store.put_payload("f", _payload("one"), kind="x")
+        assert store.peek_payload("f", "x") == _payload("one")
+        assert store.peek_payload("f", "y") is None  # another kind
+        assert store.peek_payload("absent", "x") is None
+        assert (store.stats.hits, store.stats.misses) == (0, 0)
+        with store._lock:
+            count = store._conn.execute(
+                "SELECT use_count FROM results WHERE fingerprint = 'f'"
+            ).fetchone()[0]
+        assert count == 0 and "f" in store
+
+
 def test_merge_stats_combined():
     total = MergeStats(copied=1, merged=2).combined(
         MergeStats(conflicts=3, stale_skipped=4)
@@ -360,6 +392,10 @@ def test_cli_cache_merge(sweep_manifest, capsys):
     }
     # Each job's report, and the seed trace and head pointer of its run.
     assert f"0 -> {3 * len(fingerprints)} entr(ies)" in out
+    # The point both sweeps ran (lambda_skip 0, the default min_gtl_size)
+    # merges its report, seed trace and head pointer: the two reports
+    # differ only in their wall-clock runtime_seconds.
+    assert "3 merged, 0 conflict(s)" in out.splitlines()[-1]
     with ResultStore(dest) as store:
         assert store.kind_counts()["finder_report"] == len(fingerprints)
         assert all(fp in store for fp in fingerprints)
