@@ -26,8 +26,11 @@ point on its own fresh load of the same pack file, where the memo starts
 cold each time. The rows are asserted bit-identical; the record keeps
 both wall clocks, ``finder.absorb_steps`` and ``finder.ordering_reuses``.
 
-Results land in ``BENCH_sweep.json`` (headline: ``speedup_2_threads``),
-with the 2-thread warm-up run's :class:`RunReport` embedded so the record
+Results land in ``BENCH_sweep.json`` (headline: ``speedup_2_threads``,
+the ratio of the two medians), with every timed repeat's seconds
+(``samples_by_threads``) and their spread, max minus min
+(``spread_by_threads``), per thread count, so a ratio inside the noise
+reads as such, and with the 2-thread warm-up run's :class:`RunReport` embedded so the record
 shows where the time went (``pool.task``, ``finder.seed``, ...).
 ``REPRO_BENCH_SMOKE=1`` shrinks the designs and skips the floor.
 """
@@ -190,7 +193,7 @@ def run_reuse():
 def run():
     designs = _designs()
     reference_rows = None
-    seconds_by_threads = {}
+    samples_by_threads = {}
     run_report = None
 
     for workers in THREAD_COUNTS:
@@ -214,14 +217,19 @@ def run():
             assert rows == reference_rows, (
                 f"{workers}-thread rows diverge from 1-thread rows"
             )
-        seconds_by_threads[workers] = statistics.median(samples)
+        samples_by_threads[workers] = samples
         print(
-            f"threads={workers}: {seconds_by_threads[workers]:.2f}s cold "
-            f"(median of {REPEATS}, {len(outcome.plan.jobs)} job(s))"
+            f"threads={workers}: {statistics.median(samples):.2f}s cold "
+            f"(median of {REPEATS}, spread {max(samples) - min(samples):.2f}s, "
+            f"{len(outcome.plan.jobs)} job(s))"
         )
 
     cpu_count = os.cpu_count() or 1
     kernel = compiled_kernel() is not None
+    seconds_by_threads = {
+        count: statistics.median(samples)
+        for count, samples in samples_by_threads.items()
+    }
     speedup = round(seconds_by_threads[1] / max(seconds_by_threads[2], 1e-9), 2)
     results = {
         "jobs": len(outcome.plan.jobs),
@@ -232,6 +240,14 @@ def run():
         "seconds_by_threads": {
             str(count): round(seconds, 4)
             for count, seconds in seconds_by_threads.items()
+        },
+        "samples_by_threads": {
+            str(count): [round(seconds, 4) for seconds in samples]
+            for count, samples in samples_by_threads.items()
+        },
+        "spread_by_threads": {
+            str(count): round(max(samples) - min(samples), 4)
+            for count, samples in samples_by_threads.items()
         },
         "speedup_2_threads": speedup,
         "parity": True,  # asserted above at every thread count

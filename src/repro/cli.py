@@ -5,14 +5,14 @@ Subcommands:
 * ``generate``     — synthesize a workload (planted graph, ISPD-like,
   industrial-like) and write it to disk.
 * ``experiment``   — run one of the paper's table/figure harnesses.
-* ``batch``        — run a manifest of detection jobs through the batch
-  service (shared worker pool, persistent result cache).
-* ``sweep``        — expand a parameter grid over a set of designs,
-  deduplicate identical jobs, and run them through the batch service on
-  ``--workers N`` seed threads (``--via-daemon`` submits them to a running
-  daemon as priority-class-``sweep`` jobs instead, and refuses
-  ``--workers``, ``--cache-dir`` and ``--no-cache``); ``--aggregate``
-  publishes totals and per-axis statistics as JSON.
+* ``sweep``        — (alias ``batch``) run a job manifest: its points are
+  listed (``jobs``) or a parameter grid over a set of designs, identical
+  deterministic jobs run once, and they run through the batch service on
+  ``--workers N`` seed threads with the persistent result cache
+  (``--via-daemon`` submits them to a running daemon as
+  priority-class-``sweep`` jobs instead, and refuses ``--workers``,
+  ``--cache-dir`` and ``--no-cache``); ``--jsonl`` writes one row per
+  point, ``--aggregate`` totals and per-field statistics as JSON.
 * ``flow run``     — execute a declared multi-stage flow manifest
   (detect / partition / place / congestion / soft_blocks / resynthesis)
   over one or more designs, with per-stage fingerprint caching.
@@ -24,7 +24,7 @@ Subcommands:
   report, or a cached base run patched through the dirty region of the
   edit (``--base`` names a base design or fingerprint; defaults to the
   cache's head pointer of the config and the design's cell names);
-  ``--no-cache`` is a plain run.  ``batch``, ``sweep`` and ``flow run``
+  ``--no-cache`` is a plain run.  ``sweep``/``batch`` and ``flow run``
   patch the same way, without ``--base``.
 * ``cache``        — result-cache maintenance: ``stats`` (entries per
   artifact kind, and design records: packs with their bytes, references
@@ -43,7 +43,7 @@ Subcommands:
   against an already-known base design.
 * ``status``       — query a running daemon (server stats or one job).
 
-``--workers N`` (``batch``, ``sweep``, ``flow run``, ``detect``, ``serve``)
+``--workers N`` (``sweep``/``batch``, ``flow run``, ``detect``, ``serve``)
 sizes the :class:`~repro.service.pool.WorkerPool`, the seed threads that
 run the seed trials.  It is not part of any finder config: reports and cache keys are
 the same for every N.
@@ -65,17 +65,26 @@ Examples::
     tangled-logic submit design.hgr --seed 1 --priority interactive
     tangled-logic status --socket /tmp/repro.sock
 
-Batch manifest (JSON; design paths are relative to the manifest)::
+Job manifest, either shape under either verb (JSON; design paths are
+relative to the manifest; :mod:`repro.service.manifest` reads both).
+Listed points, each a design, an optional ``label`` (default: the design
+string; one label may not name two designs) and config overrides of
+``defaults``::
 
     {"defaults": {"num_seeds": 16, "seed": 1},
      "jobs": [{"design": "bench/a.hgr", "label": "a", "num_seeds": 32},
               {"design": "bench/b.aux"}]}
 
-Sweep manifest::
+or a grid, whose product over ``designs`` is the point list::
 
     {"designs": ["bench/a.hgr", "bench/b.hgr"],
      "base": {"num_seeds": 16, "seed": 1},
      "grid": {"lambda_skip": [0, 20], "metric": ["gtl_sd", "ngtl_s"]}}
+
+A ``--jsonl`` row per point (:func:`repro.service.aggregate.point_rows`)
+has ``design`` (the label), ``overrides``, ``fingerprint``, ``cached``,
+``runtime_seconds``, ``error``, ``incremental_mode``, ``seeds_total``,
+``seeds_recomputed`` and ``report``.
 
 Flow manifest::
 
@@ -148,21 +157,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _manifest_config(data, context: str):
-    """Build a :class:`FinderConfig` from a manifest dict."""
-    from repro.errors import ServiceError
-    from repro.service.codec import config_from_dict
-
-    if not isinstance(data, dict):
-        raise ServiceError(f"{context} must be a JSON object of FinderConfig fields")
-    try:
-        return config_from_dict(data)
-    except ReproError:
-        raise
-    except TypeError as error:
-        raise ServiceError(f"bad {context}: {error}") from error
-
-
 def _print_progress(event) -> None:
     """Per-job progress line on stderr (a runner's ``BatchProgress``)."""
     result = event.result
@@ -172,16 +166,6 @@ def _print_progress(event) -> None:
         f"[{event.done}/{event.total}] {label}: {status} "
         f"({result.runtime_seconds:.2f}s)",
         file=sys.stderr,
-    )
-
-
-def _make_runner(args: argparse.Namespace, store):
-    from repro.service.jobs import BatchRunner
-
-    return BatchRunner(
-        workers=args.workers,
-        store=store,
-        progress=None if args.quiet else _print_progress,
     )
 
 
@@ -244,13 +228,16 @@ class _ObsSession:
             print(self.report.summary())
 
 
-def _report_row(label, result):
+def _point_row(point, result):
+    """One ``sweep``/``batch`` table row: a point and the report answering it."""
+    overrides = ", ".join(f"{k}={v}" for k, v in point.overrides)
     report = result.report
     if report is None:
-        return [label, "-", "-", "-", "-", "error", result.error or ""]
+        return [point.design, overrides, "-", "-", "-", "-", "error", result.error or ""]
     best = report.gtls[0] if report.gtls else None
     return [
-        label,
+        point.design,
+        overrides,
         report.num_gtls,
         best.size if best else "-",
         f"{best.score:.4f}" if best else "-",
@@ -258,10 +245,6 @@ def _report_row(label, result):
         "hit" if result.cached else "run",
         f"{result.runtime_seconds:.2f}s",
     ]
-
-
-def _resolve_design(design: str, base_dir: str) -> str:
-    return design if os.path.isabs(design) else os.path.join(base_dir, design)
 
 
 def _run_command(args: argparse.Namespace, root: str, execute) -> int:
@@ -300,132 +283,14 @@ def _run_command(args: argparse.Namespace, root: str, execute) -> int:
     return 0 if ok else 1
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
-    from repro.service.codec import report_to_dict
-    from repro.service.jobs import DetectionJob, summarize_results
-    from repro.utils.jsonio import read_json_file
-    from repro.utils.tables import format_table
-
-    manifest = read_json_file(args.manifest)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("jobs"), list):
-        raise ServiceError('batch manifest must be {"defaults": {...}, "jobs": [...]}')
-    if not manifest["jobs"]:
-        raise ServiceError("batch manifest has no jobs")
-    defaults = manifest.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ServiceError('batch manifest "defaults" must be a JSON object')
-    base_dir = os.path.dirname(os.path.abspath(args.manifest))
-
-    jobs = []
-    # Many jobs routinely target the same design with different configs:
-    # parse each file once (its content hash is memoized on the netlist).
-    netlists_by_path = {}
-    for index, entry in enumerate(manifest["jobs"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("design"), str):
-            raise ServiceError(
-                f'job #{index} must be an object with a string "design" key'
-            )
-        overrides = {
-            k: v for k, v in entry.items() if k not in ("design", "label")
-        }
-        config = _manifest_config({**defaults, **overrides}, f"job #{index} config")
-        design = entry["design"]
-        path = _resolve_design(design, base_dir)
-        if path not in netlists_by_path:
-            netlists_by_path[path] = _load_design(path)
-        jobs.append(
-            DetectionJob(
-                netlist=netlists_by_path[path], config=config,
-                label=entry.get("label", design),
-            )
-        )
-
-    def execute(store):
-        with _make_runner(args, store) as runner:
-            results = runner.run(jobs)
-        headers = ["job", "gtls", "best size", "best score", "rent p", "cache", "time"]
-        rows = [_report_row(r.job.label, r) for r in results]
-        jsonl_rows = [
-            {
-                "label": r.job.label,
-                "fingerprint": r.job.fingerprint,
-                "cached": r.cached,
-                "runtime_seconds": r.runtime_seconds,
-                "error": r.error,
-                "incremental_mode": r.incremental.get("mode", ""),
-                "seeds_total": r.incremental.get("seeds_total", 0),
-                "seeds_recomputed": r.incremental.get("seeds_recomputed", 0),
-                "report": report_to_dict(r.report) if r.report else None,
-            }
-            for r in results
-        ]
-        lines = [format_table(headers, rows), summarize_results(results)]
-        return lines, jsonl_rows, all(r.ok for r in results)
-
-    return _run_command(args, "batch", execute)
-
-
-def _sweep_output(args: argparse.Namespace, outcome):
-    """:func:`_run_command` output of one sweep outcome."""
-    from repro.service.aggregate import (
-        aggregate_sweep,
-        point_rows,
-        write_aggregate,
-    )
-    from repro.service.jobs import summarize_results
-    from repro.utils.tables import format_table
-
-    headers = [
-        "design", "point", "gtls", "best size", "best score", "rent p", "cache", "time",
-    ]
-    rows = []
-    for point, result in outcome.point_results():
-        overrides = ", ".join(f"{k}={v}" for k, v in point.overrides)
-        row = _report_row(point.design, result)
-        rows.append([row[0], overrides] + row[1:])
-    lines = [
-        format_table(headers, rows),
-        f"{len(outcome.plan.points)} grid point(s) -> "
-        f"{len(outcome.plan.jobs)} distinct job(s) "
-        f"({outcome.plan.num_deduplicated} deduplicated); "
-        + summarize_results(outcome.job_results),
-    ]
-    if args.aggregate:
-        write_aggregate(args.aggregate, aggregate_sweep(outcome))
-        lines.append(f"wrote aggregate stats to {args.aggregate}")
-    return lines, point_rows(outcome), all(r.ok for r in outcome.job_results)
-
-
-def _parse_sweep_manifest(args: argparse.Namespace):
-    """Load a sweep manifest: ``(designs, base, grid, design_paths)``."""
-    from repro.errors import ServiceError
-    from repro.utils.jsonio import read_json_file
-
-    manifest = read_json_file(args.manifest)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("designs"), list):
-        raise ServiceError(
-            'sweep manifest must be {"designs": [...], "base": {...}, "grid": {...}}'
-        )
-    if not isinstance(manifest.get("grid"), dict) or not manifest["grid"]:
-        raise ServiceError('sweep manifest needs a non-empty "grid" object')
-    base = _manifest_config(manifest.get("base", {}), "sweep base config")
-    base_dir = os.path.dirname(os.path.abspath(args.manifest))
-
-    designs = []
-    design_paths = {}
-    for index, design in enumerate(manifest["designs"]):
-        if not isinstance(design, str):
-            raise ServiceError(f'sweep manifest "designs" entry #{index} must be a string')
-        path = _resolve_design(design, base_dir)
-        designs.append((design, _load_design(path)))
-        design_paths[design] = path
-    return designs, base, manifest["grid"], design_paths
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """``sweep`` and its alias ``batch``: run a job manifest's points."""
     from repro.errors import ServiceError
-    from repro.service.sweep import run_sweep
+    from repro.service.aggregate import aggregate_sweep, point_rows, write_aggregate
+    from repro.service.jobs import BatchRunner, summarize_results
+    from repro.service.manifest import read_manifest
+    from repro.service.sweep import run_points
+    from repro.utils.tables import format_table
 
     if args.via_daemon:
         for flag, given in (
@@ -438,23 +303,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"--via-daemon cannot be combined with {flag}: the "
                     "daemon's pool and store run the jobs"
                 )
-    designs, base, grid, design_paths = _parse_sweep_manifest(args)
+    points, base, design_paths = read_manifest(args.manifest)
 
     def execute(store):
+        progress = None if args.quiet else _print_progress
         if args.via_daemon:
             from repro.server.client import DaemonRunner
 
-            runner = DaemonRunner(
-                args.socket, design_paths,
-                progress=None if args.quiet else _print_progress,
-            )
+            runner = DaemonRunner(args.socket, design_paths, progress=progress)
         else:
-            runner = _make_runner(args, store)
+            runner = BatchRunner(workers=args.workers, store=store, progress=progress)
         with runner:
-            outcome = run_sweep(designs, base, grid, runner)
-        return _sweep_output(args, outcome)
+            outcome = run_points(points, base, runner)
+        headers = [
+            "design", "point", "gtls", "best size", "best score", "rent p",
+            "cache", "time",
+        ]
+        rows = [_point_row(point, result) for point, result in outcome.point_results()]
+        lines = [
+            format_table(headers, rows),
+            f"{len(outcome.plan.points)} point(s) -> "
+            f"{len(outcome.plan.jobs)} distinct job(s) "
+            f"({outcome.plan.num_deduplicated} deduplicated); "
+            + summarize_results(outcome.job_results),
+        ]
+        if args.aggregate:
+            write_aggregate(args.aggregate, aggregate_sweep(outcome))
+            lines.append(f"wrote aggregate stats to {args.aggregate}")
+        return lines, point_rows(outcome), all(r.ok for r in outcome.job_results)
 
-    return _run_command(args, "sweep", execute)
+    return _run_command(args, args.command, execute)
 
 
 def _cmd_flow_run(args: argparse.Namespace) -> int:
@@ -508,11 +386,11 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     from repro.io import PACKED_EXTENSION, pack_design, read_header
 
     if args.cache_dir:
-        from repro.io.corpus import corpus_designs_from_manifest
         from repro.service import ResultStore, designs
+        from repro.service.manifest import manifest_designs
         from repro.utils.jsonio import read_json_file
 
-        sources = corpus_designs_from_manifest(
+        sources = manifest_designs(
             read_json_file(args.design),
             os.path.dirname(os.path.abspath(args.design)),
         )
@@ -903,37 +781,32 @@ def build_parser() -> argparse.ArgumentParser:
     # server stack just to build the parser.
     DEFAULT_SOCKET = "/tmp/repro-server.sock"
 
-    service_parsers = {}
-    for name, func, help_text in (
-        ("batch", _cmd_batch, "run a manifest of detection jobs via the service"),
-        ("sweep", _cmd_sweep, "run a parameter sweep with job deduplication"),
-    ):
-        svc = sub.add_parser(name, help=help_text)
-        svc.add_argument("manifest", help="JSON manifest file")
-        svc.add_argument("--workers", type=int, default=1,
-                         help="seed threads per job")
-        svc.add_argument("--cache-dir", default="",
-                         help="result cache directory (default .repro-cache)")
-        svc.add_argument("--no-cache", action="store_true",
-                         help="bypass the result cache entirely")
-        svc.add_argument("--jsonl", default="", help="write per-job results here")
-        svc.add_argument("--quiet", action="store_true",
-                         help="suppress per-job progress on stderr")
-        _add_obs_args(svc)
-        svc.set_defaults(func=func)
-        service_parsers[name] = svc
-
-    sweep_p = service_parsers["sweep"]
-    sweep_p.add_argument("--via-daemon", action="store_true",
-                         help="submit the jobs as priority-class-sweep jobs "
-                         "to a running daemon (its pool and store do the "
-                         "work, so --workers, --cache-dir and --no-cache "
-                         "are refused) instead of running them here")
-    sweep_p.add_argument("--socket", default=DEFAULT_SOCKET,
-                         help="daemon socket for --via-daemon")
-    sweep_p.add_argument("--aggregate", default="",
-                         help="write aggregate sweep stats (totals, cache "
-                         "hits, wall clock, per-axis summaries) as JSON here")
+    svc = sub.add_parser(
+        "sweep", aliases=["batch"],
+        help="run a job manifest (listed jobs or a grid) with job deduplication",
+    )
+    svc.add_argument("manifest", help="JSON job manifest file")
+    svc.add_argument("--workers", type=int, default=1,
+                     help="seed threads per job")
+    svc.add_argument("--cache-dir", default="",
+                     help="result cache directory (default .repro-cache)")
+    svc.add_argument("--no-cache", action="store_true",
+                     help="bypass the result cache entirely")
+    svc.add_argument("--jsonl", default="", help="write per-point results here")
+    svc.add_argument("--quiet", action="store_true",
+                     help="suppress per-job progress on stderr")
+    _add_obs_args(svc)
+    svc.add_argument("--via-daemon", action="store_true",
+                     help="submit the jobs as priority-class-sweep jobs "
+                     "to a running daemon (its pool and store do the "
+                     "work, so --workers, --cache-dir and --no-cache "
+                     "are refused) instead of running them here")
+    svc.add_argument("--socket", default=DEFAULT_SOCKET,
+                     help="daemon socket for --via-daemon")
+    svc.add_argument("--aggregate", default="",
+                     help="write aggregate stats (totals, cache hits, wall "
+                     "clock, per-override summaries) as JSON here")
+    svc.set_defaults(func=_cmd_sweep)
 
     flow = sub.add_parser("flow", help="declared multi-stage flows")
     flow_sub = flow.add_subparsers(dest="flow_command", required=True)

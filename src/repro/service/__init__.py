@@ -14,16 +14,19 @@ Turns the one-shot in-process finder into a batch service:
   the seed trials of many detections over shared netlists.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and
   the cache-consulting ``BatchRunner``.
-* :mod:`repro.service.sweep` — parameter-grid expansion with
-  fingerprint-level job deduplication; :func:`run_sweep` executes the
-  plan through a ``BatchRunner`` (seed threads in this process) or a
+* :mod:`repro.service.sweep` — sweep planning: listed points (or a
+  parameter grid expanded into them) with fingerprint-level job
+  deduplication; :func:`run_points` executes the plan through a
+  ``BatchRunner`` (seed threads in this process) or a
   :class:`~repro.server.client.DaemonRunner` (priority-class-``sweep``
   submits to a running daemon).
+* :mod:`repro.service.manifest` — the one job-manifest reader (listed
+  jobs or a grid), and the design paths any manifest names.
 * :mod:`repro.service.aggregate` — sweep aggregation/publishing: canonical
   per-point rows, per-axis summaries, the sweep's wall clock.
 
-The CLI's ``batch`` and ``sweep`` subcommands are thin wrappers over this
-package, and :meth:`repro.finder.TangledLogicFinder.run` delegates its
+The CLI's ``sweep`` subcommand (alias ``batch``) is a thin wrapper over
+this package, and :meth:`repro.finder.TangledLogicFinder.run` delegates its
 parallel path to the same :class:`WorkerPool`, so single runs and batch
 runs share one execution engine.
 """

@@ -1,11 +1,12 @@
 """Sweep aggregation and publishing (the results-publisher layer).
 
 Modelled on opensearch-benchmark's ``aggregator.py`` +
-``results_publisher.py`` split: :func:`~repro.service.sweep.run_sweep`
-produces a :class:`~repro.service.sweep.SweepOutcome` in plan point
+``results_publisher.py`` split: :func:`~repro.service.sweep.run_points`
+(and :func:`~repro.service.sweep.run_sweep`, its grid form) produces a :class:`~repro.service.sweep.SweepOutcome` in plan point
 order, and this module turns it into publishable artifacts —
 
-* :func:`point_rows` — the canonical per-point JSONL rows.  Every runner
+* :func:`point_rows` — the per-point JSONL rows of ``repro sweep`` and
+  its alias ``repro batch``.  Every runner
   (local seed threads at any count, daemon submits) goes through this one
   builder, which is what makes "2 seed threads are bit-identical to 1"
   and "daemon rows equal local rows" diffable properties.
@@ -32,17 +33,20 @@ AGGREGATE_SCHEMA = 3
 
 
 def point_rows(outcome: SweepOutcome) -> List[Dict[str, Any]]:
-    """Per-grid-point JSONL rows of ``outcome``, in plan point order."""
+    """Per-point JSONL rows of ``outcome``, in plan point order; the
+    ``incremental_*``/``seeds_*`` keys say how the job's report was obtained."""
     rows: List[Dict[str, Any]] = []
     for point, result in outcome.point_results():
         rows.append(
             {
                 "design": point.design,
-                "overrides": point.overrides_dict(),
+                "overrides": dict(point.overrides),
                 "fingerprint": result.job.fingerprint,
                 "cached": result.cached,
                 "runtime_seconds": result.runtime_seconds,
                 "error": result.error,
+                "incremental_mode": result.incremental.get("mode", ""),
+                "seeds_total": result.incremental.get("seeds_total", 0),
                 "seeds_recomputed": result.incremental.get("seeds_recomputed", 0),
                 "report": report_to_dict(result.report) if result.report else None,
             }

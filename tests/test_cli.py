@@ -193,7 +193,7 @@ def test_batch_jsonl_output(batch_setup, capsys):
     assert main(["batch", batch, "--no-cache", "--quiet", "--jsonl", out_path]) == 0
     rows = [json.loads(line) for line in open(out_path)]
     assert len(rows) == 3
-    assert rows[0]["label"] == "job0"
+    assert rows[0]["design"] == "job0"
     assert rows[0]["report"]["config"]["num_seeds"] == 6
     assert len(rows[0]["fingerprint"]) == 64
 
@@ -204,7 +204,7 @@ def test_sweep_deduplicates_and_reports(batch_setup, capsys):
     assert main(["sweep", sweep, "--cache-dir", cache, "--quiet"]) == 0
     out = capsys.readouterr().out
     # 2 designs x 2 identical grid values -> 4 points, 2 distinct jobs.
-    assert "4 grid point(s) -> 2 distinct job(s) (2 deduplicated)" in out
+    assert "4 point(s) -> 2 distinct job(s) (2 deduplicated)" in out
 
 
 def test_batch_rejects_bad_manifest(tmp_path, capsys):
@@ -232,6 +232,37 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
     bad.write_text('{"designs": [42], "grid": {"num_seeds": [4]}}')
     assert main(["sweep", str(bad), "--no-cache", "--quiet"]) == 2
     assert "must be a string" in capsys.readouterr().err
+
+
+def test_listed_manifest_rejects_one_label_for_two_designs(batch_setup, capsys):
+    """A label keys the table and the daemon's path map: one label naming
+    two designs is an error naming the label, raised before any design is
+    loaded (the second one does not exist) or any job runs, locally or
+    through a daemon."""
+    import json
+
+    tmp_path, _, _ = batch_setup
+    manifest = tmp_path / "clash.json"
+    manifest.write_text(json.dumps({
+        "defaults": {"num_seeds": 4, "seed": 1},
+        "jobs": [{"design": "d0.hgr", "label": "x"},
+                 {"design": "missing.hgr", "label": "x"}],
+    }))
+    for flags in (["--no-cache"],
+                  ["--via-daemon", "--socket", str(tmp_path / "none.sock")]):
+        assert main(["batch", str(manifest), "--quiet", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "label 'x' names two designs" in captured.err
+        assert "job(s)" not in captured.out
+
+    # One label for one design under two configs is fine.
+    manifest.write_text(json.dumps({
+        "defaults": {"num_seeds": 4, "seed": 1},
+        "jobs": [{"design": "d0.hgr", "label": "x"},
+                 {"design": "./d0.hgr", "label": "x", "lambda_skip": 10}],
+    }))
+    assert main(["batch", str(manifest), "--no-cache", "--quiet"]) == 0
+    assert "2 point(s) -> 2 distinct job(s)" in capsys.readouterr().out
 
 
 def test_cli_reports_repro_errors(tmp_path, capsys):

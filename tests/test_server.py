@@ -21,13 +21,13 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.errors import ParseError, ServerBusy, ServerError
+from repro.errors import ServerBusy, ServerError, ServiceError
 from repro.finder import FinderConfig, find_tangled_logic
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.io import read_header
-from repro.io.corpus import corpus_designs_from_manifest
 from repro.io.hgr import write_hgr
 from repro.server import Client, JobQueue, JobRecord, ServerConfig, ServerDaemon
+from repro.service.manifest import manifest_designs
 from repro.server.daemon import DesignCache
 from repro.server.queue import CANCELLED, DONE, RETRY_AFTER_S
 from repro.service import ResultStore, designs
@@ -211,15 +211,22 @@ def corpus(tmp_path_factory):
 def test_manifest_dialects(tmp_path):
     base = str(tmp_path)
     expected = [os.path.join(base, "a.hgr")]
-    assert corpus_designs_from_manifest({"designs": ["a.hgr"]}, base) == expected
-    assert corpus_designs_from_manifest(
+    assert manifest_designs({"designs": ["a.hgr"]}, base) == expected
+    assert manifest_designs(
         {"jobs": [{"design": "a.hgr"}, {"design": "a.hgr"}]}, base
     ) == expected  # deduplicated
-    assert corpus_designs_from_manifest(["a.hgr"], base) == expected
-    with pytest.raises(ParseError):
-        corpus_designs_from_manifest({"nope": []}, base)
-    with pytest.raises(ParseError):
-        corpus_designs_from_manifest({"designs": []}, base)
+    assert manifest_designs(["a.hgr"], base) == expected
+    # A flow manifest's single "design", as `flow run` accepts it.
+    assert manifest_designs(
+        {"design": "a.hgr", "stages": [{"stage": "detect"}]}, base
+    ) == expected
+    with pytest.raises(ServiceError):
+        manifest_designs({"nope": []}, base)
+    with pytest.raises(ServiceError):
+        manifest_designs({"designs": []}, base)
+    # A jobs entry that is not an object is an error, as in `batch`.
+    with pytest.raises(ServiceError, match=r'job #1 must be an object'):
+        manifest_designs({"jobs": [{"design": "a.hgr"}, "b.hgr"]}, base)
 
 
 def test_pack_corpus_is_idempotent(corpus, tmp_path):
@@ -879,8 +886,9 @@ def _sweep_rows(outcome):
     rows = point_rows(outcome)
     for row in rows:
         row.pop("runtime_seconds")
-        row.pop("cached")
-        row.pop("seeds_recomputed")  # 0 for a hit, like "cached"
+        # How the report was obtained: a hit, a patch or a full run.
+        for key in ("cached", "incremental_mode", "seeds_total", "seeds_recomputed"):
+            row.pop(key)
         row["report"].pop("runtime_seconds")
     return rows
 
@@ -925,6 +933,40 @@ def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
     assert len(client.status()["jobs"]) > len(jobs) >= len(remote.plan.jobs)
     assert all(job["group"] == "sweep" for job in jobs)
     assert all(job["priority"] == "sweep" for job in jobs)
+
+
+def test_batch_via_daemon_matches_local_batch(corpus, daemon_factory, tmp_path, capsys):
+    """``repro batch --via-daemon`` gives the rows of the local batch, and
+    a job listed twice is submitted once."""
+    import json
+
+    daemon, client = daemon_factory()
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps({
+        "defaults": {"num_seeds": 4, "seed": 3},
+        "jobs": [{"design": corpus["a"][0], "label": "a"},
+                 {"design": corpus["b"][0], "label": "b", "lambda_skip": 10},
+                 {"design": corpus["a"][0], "label": "a"}],
+    }))
+    rows = {}
+    for name, flags in (
+        ("remote", ["--via-daemon", "--socket", daemon.config.socket_path]),
+        ("local", ["--no-cache"]),
+    ):
+        out = str(tmp_path / f"{name}.jsonl")
+        assert main(["batch", str(manifest), "--quiet", "--jsonl", out, *flags]) == 0
+        with open(out) as handle:
+            rows[name] = [json.loads(line) for line in handle]
+        assert "3 point(s) -> 2 distinct job(s) (1 deduplicated)" in (
+            capsys.readouterr().out
+        )
+    for row in rows["remote"] + rows["local"]:
+        row.pop("runtime_seconds")
+        row["report"].pop("runtime_seconds")
+    assert [row["design"] for row in rows["remote"]] == ["a", "b", "a"]
+    assert all(row["incremental_mode"] == "full" for row in rows["remote"])
+    assert rows["remote"] == rows["local"]
+    assert len(client.status(group="sweep")["jobs"]) == 2
 
 
 def test_via_daemon_requires_design_paths(corpus, daemon_factory):

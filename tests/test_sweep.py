@@ -1,6 +1,7 @@
 """Sweep execution: plan properties, seed-thread parity, store merge,
 aggregate and the CLI."""
 
+import itertools
 import json
 import os
 import pickle
@@ -18,14 +19,14 @@ from repro.service.aggregate import (
     point_rows,
     write_aggregate,
 )
-from repro.service.jobs import BatchRunner
+from repro.service.jobs import BatchRunner, JobResult
 from repro.service.store import (
     KIND_FINDER_REPORT,
     MergeStats,
     ResultStore,
     row_schema_version,
 )
-from repro.service.sweep import plan_sweep, run_sweep
+from repro.service.sweep import plan_points, plan_sweep, run_points, run_sweep
 
 CFG = FinderConfig(num_seeds=4, seed=3)
 GRID = {"lambda_skip": [0, 10], "min_gtl_size": [20, 30]}
@@ -40,6 +41,7 @@ def small():
 # A tiny netlist for planning-only tests (never executed); module-level so
 # hypothesis-driven tests can use it without fixture plumbing.
 _TINY, _ = planted_gtl_graph(200, [30], seed=1)
+_TINY2, _ = planted_gtl_graph(220, [30], seed=2)
 
 
 # ----------------------------------------------------------------------
@@ -94,14 +96,68 @@ def test_property_nondet_points_never_merge(grid):
     assert [p.job_index for p in plan.points] == list(range(len(plan.jobs)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(grid=_grids())
+def test_property_listed_grid_product_plans_like_the_grid(grid):
+    """Listed points that spell out a grid's product, design-major with the
+    axes in name order, plan to the grid's jobs, in its order, with its
+    point -> job map."""
+    designs = [("d", _TINY), ("e", _TINY2)]
+    axes = sorted(grid)
+    listed = [
+        (label, netlist, dict(zip(axes, values)))
+        for label, netlist in designs
+        for values in itertools.product(*(grid[axis] for axis in axes))
+    ]
+    by_grid = plan_sweep(designs, CFG, grid)
+    by_list = plan_points(listed, CFG)
+    assert [job.fingerprint for job in by_list.jobs] == [
+        job.fingerprint for job in by_grid.jobs
+    ]
+    assert [job.label for job in by_list.jobs] == [job.label for job in by_grid.jobs]
+    assert by_list.points == by_grid.points
+
+
+class _CountingRunner:
+    """A runner that records the jobs it is handed and runs none."""
+
+    def __init__(self):
+        self.ran = []
+
+    def run(self, jobs):
+        self.ran.extend(jobs)
+        return [JobResult(job, None, cached=False, runtime_seconds=0.0) for job in jobs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=_grids(), seed=st.sampled_from([3, None]))
+def test_property_repeated_listed_entry(grid, seed):
+    """A listed entry given twice runs once and answers both points when
+    its seed is pinned, and runs twice (two samples) when it is not."""
+    overrides = {axis: values[0] for axis, values in grid.items()}
+    runner = _CountingRunner()
+    outcome = run_points(
+        [("d", _TINY, overrides)] * 2, FinderConfig(num_seeds=4, seed=seed), runner
+    )
+    (first, answer), (second, other) = outcome.point_results()
+    assert first.overrides == second.overrides == tuple(sorted(overrides.items()))
+    if seed is None:
+        assert len(runner.ran) == 2 and answer is not other
+        assert (first.job_index, second.job_index) == (0, 1)
+    else:
+        assert len(runner.ran) == 1 and answer is other
+        assert first.job_index == second.job_index == 0
+
+
 # ----------------------------------------------------------------------
 # Execution: seed threads
 # ----------------------------------------------------------------------
 def _strip_volatile(rows):
     for row in rows:
         row.pop("runtime_seconds")
-        row.pop("cached")
-        row.pop("seeds_recomputed")  # 0 for a hit, like "cached"
+        # How the report was obtained: a hit, a patch or a full run.
+        for key in ("cached", "incremental_mode", "seeds_total", "seeds_recomputed"):
+            row.pop(key)
         if row["report"]:
             row["report"].pop("runtime_seconds")
     return rows
